@@ -6,7 +6,7 @@ so reruns are byte-identical.  Each output directory receives an
 ``effective_config.json`` that reruns to identical outputs via ``--config``.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate hedge system,
-4 property failure, 5 I/O failure.
+4 property or numerical failure, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .hedging import DegeneracyError, analytic_delta, degeneracy_check, gram_system, rho_diagnostic
 from .market import GeometricBernoulliSpec, PricingKernelSpec
-from .levy_core import JumpAtom, LevyMeasure, TimeGrid
+from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
     DEFAULT_SEED,
     FIGURE_NAMES,
@@ -353,7 +353,7 @@ def cmd_figures(args) -> int:
         "out_dir": str(out_dir),
     }
     for name in names:
-        scenario = with_overrides(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps)
+        scenario = _overridden(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps)
         result = run_scenario(scenario)
         header, rows = _figure_csv_rows(name, result)
         _write_csv(out_dir / f"{name}.csv", header, rows)
@@ -364,6 +364,16 @@ def cmd_figures(args) -> int:
 
 # ----------------------------------------------------------------------------
 # hedge
+
+
+def _overridden(scenario: Scenario, **overrides) -> Scenario:
+    """The scenario with command-line or config overrides applied; a value
+    the scenario rejects (paths or steps below 1, a negative seed) is a
+    configuration error."""
+    try:
+        return with_overrides(scenario, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -384,7 +394,7 @@ def _scenario_from_args(args) -> Scenario:
         scenario = builtin_scenario(args.scenario)
     else:
         raise ConfigError("a scenario name or --config is required")
-    return with_overrides(scenario, n_paths=args.paths, seed=args.seed, steps=args.steps)
+    return _overridden(scenario, n_paths=args.paths, seed=args.seed, steps=args.steps)
 
 
 def cmd_hedge(args) -> int:
@@ -502,6 +512,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED, n_paths=args.paths)
     failed = 0
     for r in results:
@@ -568,6 +580,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_DEGENERATE
+    except IntegrationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .levy_core import LevyMeasure, PathSeries, TimeGrid
 from .market import AssetSpec
@@ -55,6 +54,9 @@ __all__ = [
     "gram_system",
     "multi_asset_hedge",
     "two_asset_hedge",
+    "hedge_residuals",
+    "portfolio_values",
+    "benchmark_holdings",
     "evolve_portfolio",
     "analytic_delta",
     "rho_diagnostic",
@@ -189,6 +191,14 @@ class ConstantRatioRule:
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
 
+    def holdings(self, contract_values: np.ndarray, asset_values: np.ndarray) -> np.ndarray:
+        """Holdings (..., steps, n_assets) from step-start prices, for
+        contract values (..., steps + 1) and asset values (..., steps + 1, n_assets)."""
+        ratios = np.asarray(self.ratios, dtype=float)
+        if ratios.shape != asset_values.shape[-1:]:
+            raise ValueError("need one ratio per hedging asset")
+        return ratios * (contract_values[..., :-1, None] / asset_values[..., :-1, :])
+
 
 StrategyRule = Union[
     None, ConstantRatioRule, HedgeStrategy, Callable[[int, float, np.ndarray], np.ndarray]
@@ -278,7 +288,7 @@ def degeneracy_check(system: GramSystem) -> DegeneracyReport:
 
 
 def multi_asset_hedge(system: GramSystem) -> np.ndarray:
-    """Optimal holdings solving M phi = F via a Cholesky-class SPD solve.
+    """Optimal holdings solving M phi = F with the Cholesky factor M = L L^T.
 
     Raises :class:`DegeneracyError` (report attached) on a degenerate system.
     """
@@ -286,10 +296,10 @@ def multi_asset_hedge(system: GramSystem) -> np.ndarray:
     if report.degenerate:
         raise DegeneracyError("hedging assets are degenerate (rank-deficient Gram matrix)", report)
     try:
-        phi = cho_solve(cho_factor(system.M, lower=True), system.F)
+        lower = np.linalg.cholesky(system.M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the eig check
         raise DegeneracyError(f"Gram factorization failed: {exc}", report) from exc
-    return phi
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, system.F))
 
 
 def two_asset_hedge(
@@ -346,10 +356,7 @@ def _resolve_phi(
     if strategy is None:
         return np.zeros((n_steps, n_assets))
     if isinstance(strategy, ConstantRatioRule):
-        ratios = np.asarray(strategy.ratios, dtype=float)
-        if ratios.shape != (n_assets,):
-            raise ValueError("need one ratio per hedging asset")
-        return ratios * (contract_values[:-1, None] / asset_values[:-1])
+        return strategy.holdings(contract_values, asset_values)
     if isinstance(strategy, HedgeStrategy):
         phi = strategy.phi
         if phi.shape != (n_steps, n_assets):
@@ -362,6 +369,37 @@ def _resolve_phi(
             raise ValueError("strategy rule must return one holding per asset")
         phi[i] = row
     return phi
+
+
+def hedge_residuals(
+    contract_values: np.ndarray, asset_values: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual increments dV = dC - sum_i phi^i dS^i and the hedge gains
+    sum_i phi^i dS^i, both of shape (..., steps).
+
+    Takes contract values (..., steps + 1), asset values
+    (..., steps + 1, n_assets) and holdings (..., steps, n_assets) for one
+    path or a block of paths; each path's result is the same either way.
+    """
+    gains = (phi * np.diff(asset_values, axis=-2)).sum(axis=-1)
+    return np.diff(contract_values, axis=-1) - gains, gains
+
+
+def portfolio_values(contract_values: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Self-financing portfolio values along one path: V_0 = C_0, then the
+    running sum of the residual increments."""
+    values = np.empty(len(residuals) + 1)
+    values[0] = contract_values[0]
+    np.cumsum(residuals, out=values[1:])
+    values[1:] += contract_values[0]
+    return values
+
+
+def benchmark_holdings(phi: np.ndarray, asset_values: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Benchmark units theta_i = sum_j phi_ij S^j_i - sum_{u<i} phi_u . dS_u
+    held after the rebalance at t_i, for one path."""
+    cum_gains = np.concatenate(([0.0], np.cumsum(gains)[:-1]))
+    return (phi * asset_values[:-1]).sum(axis=1) - cum_gains
 
 
 def evolve_portfolio(
@@ -393,18 +431,9 @@ def evolve_portfolio(
         else np.zeros((n + 1, 0))
     )
     phi = _resolve_phi(strategy, c, s, n, s.shape[1])
-
-    ds = np.diff(s, axis=0)
-    gains = (phi * ds).sum(axis=1)
-    dv = np.diff(c) - gains
-
-    values = np.empty(n + 1)
-    values[0] = c[0]
-    np.cumsum(dv, out=values[1:])
-    values[1:] += c[0]
-
-    cum_gains = np.concatenate(([0.0], np.cumsum(gains)[:-1]))
-    theta = (phi * s[:-1]).sum(axis=1) - cum_gains
+    dv, gains = hedge_residuals(c, s, phi)
+    values = portfolio_values(c, dv)
+    theta = benchmark_holdings(phi, s, gains)
 
     s_left = (
         np.stack([p.left_limits for p in asset_paths], axis=1)

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "IntegrationError",
+    "PriceRangeError",
     "SingularDenominatorError",
     "JumpAtom",
     "LevyMeasure",
@@ -34,10 +35,12 @@ __all__ = [
     "SymmetricCoefficients",
     "PathSeries",
     "sample_noise",
+    "sample_noise_block",
     "compensate",
     "integrate",
     "integrate_proportional",
     "exponential_path",
+    "exponential_prices",
     "product_coefficients",
     "quotient_coefficients",
 ]
@@ -49,6 +52,19 @@ class IntegrationError(RuntimeError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite state at step {step}")
+
+
+class PriceRangeError(IntegrationError):
+    """Raised when a simulated price is zero, negative or not finite.
+
+    Exponential prices underflow to 0 or overflow to inf when the
+    volatilities are extreme for the grid; ``path_index`` and ``step`` name
+    the first such grid point (``step`` indexes the grid times).
+    """
+
+    def __init__(self, path_index: int, step: int, message: str):
+        self.path_index = path_index
+        super().__init__(step, message)
 
 
 class SingularDenominatorError(ValueError):
@@ -248,24 +264,43 @@ CoefficientProvider = Union[
 ]
 
 
+def sample_noise_block(
+    measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the noise of paths first_path .. first_path + n_paths - 1.
+
+    Returns the Brownian increments, shape (n_paths, steps), and the jump
+    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
+    own substreams, keyed (path_index, 0) for the Brownian and
+    (path_index, 1) for the jump draws under the master seed, so a path's
+    noise does not depend on the block it is drawn in, paths are
+    independent, and the Brownian part is invariant to the jump measure.
+    """
+    if first_path < 0:
+        raise ValueError("path_index must be nonnegative")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    steps, n_atoms = grid.steps, len(measure)
+    scale = np.sqrt(grid.dt)
+    rates = measure.intensities * grid.dt
+    dw = np.empty((n_paths, steps))
+    counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
+    for row, path_index in enumerate(range(first_path, first_path + n_paths)):
+        brownian_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 0)))
+        dw[row] = brownian_rng.normal(0.0, scale, steps)
+        if n_atoms:
+            jump_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 1)))
+            counts[row] = jump_rng.poisson(rates, size=(steps, n_atoms))
+    return dw, counts
+
+
 def sample_noise(measure: LevyMeasure, grid: TimeGrid, seed: int, path_index: int = 0) -> NoiseRealization:
     """Draw one path's noise, deterministically in (seed, path_index).
 
-    The Brownian and jump draws come from disjoint substreams keyed by
-    (path_index, 0) and (path_index, 1) under the master seed, so paths are
-    independent and the Brownian part is invariant to the jump measure.
+    The one-path view of :func:`sample_noise_block`.
     """
-    if path_index < 0:
-        raise ValueError("path_index must be nonnegative")
-    dt = grid.dt
-    brownian_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 0)))
-    dw = brownian_rng.normal(0.0, np.sqrt(dt), grid.steps)
-    if len(measure):
-        jump_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 1)))
-        counts = jump_rng.poisson(measure.intensities * dt, size=(grid.steps, len(measure)))
-    else:
-        counts = np.zeros((grid.steps, 0), dtype=np.int64)
-    return NoiseRealization(measure, grid, dw, counts)
+    dw, counts = sample_noise_block(measure, grid, seed, path_index, 1)
+    return NoiseRealization(measure, grid, dw[0], counts[0])
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:
@@ -359,6 +394,50 @@ def integrate_proportional(coeffs: SymmetricCoefficients, noise: NoiseRealizatio
     return PathSeries(values, values[1:] - values[:-1] * jump_terms)
 
 
+def _exponent(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """log(X_t / x0) at t_1 .. t_n of the stochastic exponential, and the
+    per-step jump part of it, for noise with any leading (path) axes.
+
+    Every reduction runs along the step axis of one path or elementwise over
+    the atoms, so a path's result does not depend on the other paths drawn
+    with it.
+    """
+    if jump_counts.shape[-1] != len(coeffs.measure):
+        raise ValueError("coefficients and noise use different measures")
+    gam = coeffs.jump_vol_array
+    if np.any(1.0 + gam <= 0.0):
+        raise ValueError("exponential dynamics need jump volatilities > -1")
+    log_factors = np.log1p(gam)
+    jump_log = np.zeros(brownian_increments.shape)
+    for k, factor in enumerate(log_factors):
+        jump_log += jump_counts[..., k] * factor
+    exponent = (
+        (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
+        + coeffs.brownian_vol * np.cumsum(brownian_increments, axis=-1)
+        + np.cumsum(jump_log, axis=-1)
+    )
+    return exponent, jump_log
+
+
+def exponential_prices(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+) -> np.ndarray:
+    """Grid values of the stochastic exponential for a block of paths.
+
+    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
+    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
+    result has shape (..., steps + 1) and starts at ``x0``.  Each path's
+    values are bitwise those :func:`exponential_path` gives for it alone.
+    """
+    exponent, _ = _exponent(coeffs, brownian_increments, jump_counts, grid)
+    values = np.empty(exponent.shape[:-1] + (grid.steps + 1,))
+    values[..., 0] = x0
+    values[..., 1:] = x0 * np.exp(exponent)
+    return values
+
+
 def exponential_path(coeffs: SymmetricCoefficients, noise: NoiseRealization, x0: float) -> PathSeries:
     """Closed-form path of the stochastic exponential of proportional dynamics.
 
@@ -370,18 +449,8 @@ def exponential_path(coeffs: SymmetricCoefficients, noise: NoiseRealization, x0:
     """
     if coeffs.measure != noise.measure:
         raise ValueError("coefficients and noise use different measures")
-    gam = coeffs.jump_vol_array
-    if np.any(1.0 + gam <= 0.0):
-        raise ValueError("exponential dynamics need jump volatilities > -1")
     grid = noise.grid
-    t = grid.times[1:]
-    log_factors = np.log1p(gam)
-    jump_log = noise.jump_counts @ log_factors
-    exponent = (
-        (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(noise.measure, gam)) * t
-        + coeffs.brownian_vol * np.cumsum(noise.brownian_increments)
-        + np.cumsum(jump_log)
-    )
+    exponent, jump_log = _exponent(coeffs, noise.brownian_increments, noise.jump_counts, grid)
     values = np.empty(grid.steps + 1)
     values[0] = x0
     values[1:] = x0 * np.exp(exponent)

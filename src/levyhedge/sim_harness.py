@@ -14,15 +14,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .levy_core import LevyMeasure, NoiseRealization, TimeGrid, sample_noise
-from .market import AssetSpec, GeometricBernoulliSpec, PricingKernelSpec, geometric_price_path
+from .levy_core import (
+    LevyMeasure,
+    NoiseRealization,
+    PriceRangeError,
+    TimeGrid,
+    exponential_prices,
+    sample_noise_block,
+)
+from .market import AssetSpec, GeometricBernoulliSpec, PricingKernelSpec, natural_coefficients
 from .hedging import (
     ConstantRatioRule,
-    HedgeReport,
     analytic_delta,
-    evolve_portfolio,
+    benchmark_holdings,
     gram_system,
+    hedge_residuals,
     multi_asset_hedge,
+    portfolio_values,
     rho_diagnostic,
     single_asset_hedge,
     single_coefficients,
@@ -48,6 +56,11 @@ __all__ = [
 HEDGE_MODES = ("none", "single", "two_asset", "multi")
 DEFAULT_SEED = 1729
 FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
+
+# Path-steps simulated together in one block of paths (at least one path
+# per block).  It bounds the block arrays to ~64 KiB each: 8 paths at 1000
+# steps, 1 path at 50 000 steps.  Results do not depend on it.
+_BLOCK_PATH_STEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,8 @@ class Scenario:
             raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         n = len(self.hedging_assets)
         if self.hedge_mode == "single" and not 0 <= self.hedge_asset_index < n:
             raise ValueError("single mode needs a valid hedge_asset_index")
@@ -225,97 +240,104 @@ def scenario_ratios(s: Scenario) -> tuple[float, ...] | None:
     return tuple(float(r) for r in ratios)
 
 
-def _evolve_one(
-    s: Scenario,
-    noise: NoiseRealization,
-    ratios: tuple[float, ...] | None,
-    delta_analytic: float | None,
-    rho: float | None,
-) -> tuple[HedgeReport, np.ndarray, np.ndarray]:
-    contract_path = geometric_price_path(s.natural_contract(), s.measure, noise, s.grid)
-    asset_paths = [geometric_price_path(a, s.measure, noise, s.grid) for a in s.natural_assets()]
-    rule = ConstantRatioRule(ratios) if ratios is not None else None
-    report = evolve_portfolio(
-        contract_path, asset_paths, rule, s.grid, delta_analytic=delta_analytic, rho=rho
-    )
-    assets = np.stack([p.values for p in asset_paths], axis=1) if asset_paths else np.zeros((s.grid.steps + 1, 0))
-    return report, contract_path.values, assets
+def _block_prices(
+    what: str, spec: AssetSpec, s: Scenario, dw: np.ndarray, counts: np.ndarray, first_path: int
+) -> np.ndarray:
+    """Natural prices (paths, steps + 1) of one asset over a block of paths.
+
+    Raises :class:`PriceRangeError` at the first price that underflowed to
+    zero or left the finite floats, so no aggregate is computed from it.
+    """
+    values = exponential_prices(natural_coefficients(spec, s.measure), dw, counts, s.grid, spec.initial_price)
+    if not (values.min() > 0.0 and values.max() < np.inf):  # NaN fails both
+        row, step = (int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
+        raise PriceRangeError(
+            first_path + row,
+            step,
+            f"{what} price {float(values[row, step])!r} on path {first_path + row} at step {step} "
+            "is not positive and finite",
+        )
+    return values
 
 
 def run_scenario(s: Scenario) -> ScenarioResult:
     """Simulate all scenario paths with shared-noise discipline and aggregate.
 
     Every asset on a path consumes the same noise realization; the hedge
-    mode never alters the simulated prices.  Deterministic in the seed and
-    independent of execution order (paths are accumulated serially).
+    mode never alters the simulated prices.  Paths are simulated in blocks
+    of (paths, steps[, assets]) arrays; every reduction runs along one
+    path's steps, so the results are deterministic in the seed and do not
+    depend on the block size.
     """
     ratios = scenario_ratios(s)
-    d_analytic = (
-        analytic_delta(s.natural_contract(), s.natural_assets(), ratios, s.measure, s.grid.horizon)
-        if ratios is not None
-        else None
-    )
+    contract = s.natural_contract()
+    assets = s.natural_assets()
+    d_analytic = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon) if ratios is not None else None
     rho = (
         # clamp: rounding can land an epsilon above the Cauchy-Schwarz bound
-        min(rho_diagnostic(s.natural_contract(), s.natural_assets()[s.hedge_asset_index], s.measure), 1.0)
+        min(rho_diagnostic(contract, assets[s.hedge_asset_index], s.measure), 1.0)
         if s.hedge_mode == "single"
         else None
     )
 
-    summaries = []
+    rule = ConstantRatioRule(ratios if ratios is not None else (0.0,) * len(assets))
+    steps = s.grid.steps
+    c0 = contract.initial_price
+    columns = np.empty((6, s.n_paths))
     golden = None
-    resid_sum = 0.0
-    resid_sumsq = 0.0
-    resid_count = 0
-    max_abs = 0.0
-    c0 = s.contract.initial_price
-    for path_index in range(s.n_paths):
-        noise = sample_noise(s.measure, s.grid, s.seed, path_index)
-        report, c_values, a_values = _evolve_one(s, noise, ratios, d_analytic, rho)
-        dv = report.residual_increments
-        c_left = c_values[:-1]
-        summaries.append(
-            PathSummary(
-                path_index=path_index,
-                delta_terminal=report.delta_mc,
-                delta_integrated=float(dv @ dv),
-                delta_normalized=float(c0 * c0 * ((dv / c_left) @ (dv / c_left))),
-                residual_sum=float(dv.sum()),
-                per_step_std=report.per_step_std,
-                max_abs_residual=report.max_abs_residual,
-            )
+    block = max(1, _BLOCK_PATH_STEPS // steps)
+    for first in range(0, s.n_paths, block):
+        dw, counts = sample_noise_block(s.measure, s.grid, s.seed, first, min(block, s.n_paths - first))
+        c = _block_prices("contract", contract, s, dw, counts, first)
+        a = np.empty(c.shape + (len(assets),))
+        for j, spec in enumerate(assets):
+            a[..., j] = _block_prices(f"asset {j + 1}", spec, s, dw, counts, first)
+        phi = rule.holdings(c, a)
+        dv, gains = hedge_residuals(c, a, phi)
+        # V_T accumulates on top of V_0 = C_0, as in the portfolio path
+        v_terminal = c0 + np.cumsum(dv, axis=1)[:, -1]
+        z = dv / c[:, :-1]
+        columns[:, first : first + len(dv)] = (
+            (v_terminal - c0) ** 2,
+            (dv * dv).sum(axis=1),
+            c0 * c0 * (z * z).sum(axis=1),
+            dv.sum(axis=1),
+            dv.std(axis=1),
+            np.abs(dv).max(axis=1),
         )
-        resid_sum += float(dv.sum())
-        resid_sumsq += float(dv @ dv)
-        resid_count += dv.size
-        max_abs = max(max_abs, report.max_abs_residual)
-        if path_index == 0:
+        if first == 0:
+            noise = NoiseRealization(s.measure, s.grid, dw[0], counts[0])
             golden = GoldenPath(
                 times=s.grid.times,
                 jump_count_path=noise.cumulative_jump_count(),
                 jump_sum_path=noise.cumulative_jump_sum(),
-                contract_values=c_values,
-                asset_values=a_values,
-                phi=report.strategy.phi,
-                theta=report.strategy.theta,
-                portfolio_values=report.portfolio_path.values,
-                residuals=dv,
+                contract_values=c[0],
+                asset_values=a[0],
+                phi=phi[0],
+                theta=benchmark_holdings(phi[0], a[0], gains[0]),
+                portfolio_values=portfolio_values(c[0], dv[0]),
+                residuals=dv[0],
             )
 
-    mean = resid_sum / resid_count
+    terminal, integrated, normalized, residual_sum, per_step_std, max_abs = columns
+    count = s.n_paths * steps
+    mean = float(residual_sum.sum()) / count
     aggregate = ScenarioAggregate(
-        mean_delta=float(np.mean([p.delta_terminal for p in summaries])),
-        mean_delta_integrated=float(np.mean([p.delta_integrated for p in summaries])),
-        mean_delta_normalized=float(np.mean([p.delta_normalized for p in summaries])),
-        residual_std=float(np.sqrt(max(resid_sumsq / resid_count - mean * mean, 0.0))),
-        max_abs_residual=max_abs,
+        mean_delta=float(np.mean(terminal)),
+        mean_delta_integrated=float(np.mean(integrated)),
+        mean_delta_normalized=float(np.mean(normalized)),
+        residual_std=float(np.sqrt(max(float(integrated.sum()) / count - mean * mean, 0.0))),
+        max_abs_residual=float(max_abs.max()),
+    )
+    summaries = tuple(
+        PathSummary(p, *row) for p, row in enumerate(zip(*(col.tolist() for col in columns)))
     )
     return ScenarioResult(
         scenario=s,
         ratios=ratios,
         delta_analytic=d_analytic,
         rho=rho,
-        path_summaries=tuple(summaries),
+        path_summaries=summaries,
         aggregate=aggregate,
         golden=golden,
     )

@@ -200,6 +200,63 @@ def test_simulate_out_path_collision_is_io_error(tmp_path: Path):
     assert cp.returncode == 5
 
 
+@pytest.mark.parametrize(
+    "args, scenario",
+    [
+        (["fig3", "--paths", "0"], None),
+        (["fig3", "--steps", "0"], None),
+        (["fig3", "--seed", "-5"], None),
+        ([], {"name": "fig3", "seed": -1}),
+    ],
+    ids=["paths-0", "steps-0", "seed-negative", "config-seed-negative"],
+)
+def test_simulate_bad_override_is_config_error(tmp_path: Path, args, scenario):
+    if scenario is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "scenario": scenario}))
+        args = ["--config", str(path)]
+    cp = run_cli("simulate", *args)
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("configuration error:")
+
+
+def test_simulate_underflowing_prices_exit_numerical_failure(tmp_path: Path):
+    # a contract volatility of 40 drives exp(-sigma^2 t / 2 + sigma W_t) below
+    # the smallest float within the horizon, so prices underflow to zero
+    cfg = {
+        "schema_version": 1,
+        "scenario": {
+            "measure": {"atoms": [{"location": 1.0, "intensity": 7.5}, {"location": -1.0, "intensity": 7.5}]},
+            "contract": {"initial_price": 100.0, "brownian_vol": 40, "jump_exponent": 0.25},
+            "hedging_assets": [{"initial_price": 100.0, "brownian_vol": 0.2, "jump_exponent": 0.3}],
+            "horizon": 1.0,
+            "steps": 1000,
+            "n_paths": 20,
+            "seed": 5,
+            "hedge_mode": "single",
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    cp = run_cli("simulate", "--config", str(path))
+    assert cp.returncode == 4
+    assert "Traceback" not in cp.stderr
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: contract price 0.0 on path")
+    assert "mean delta" not in cp.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    cp = subprocess.run(
+        [sys.executable, "-c", "import sys, levyhedge.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -225,6 +282,12 @@ def test_verify_failure_exits_with_property_code():
 def test_verify_ordering_small_run():
     cp = run_cli("verify", "ordering", "--paths", "150")
     assert cp.returncode == 0, cp.stdout + cp.stderr
+
+
+def test_verify_negative_seed_is_config_error():
+    cp = run_cli("verify", "calculus", "--seed", "-5")
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
 
 
 def test_verify_unknown_suite_rejected():

@@ -68,6 +68,8 @@ def test_scenario_validation(bern_measure):
         Scenario(bern_measure, contract, (asset,), grid, 0, SEED, "none")
     with pytest.raises(ValueError):
         Scenario(bern_measure, contract, (asset,), grid, 10, SEED, "sideways")
+    with pytest.raises(ValueError):
+        Scenario(bern_measure, contract, (asset,), grid, 10, -1, "none")
 
 
 def test_with_overrides():
