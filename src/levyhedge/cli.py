@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hedging import DegeneracyError, analytic_delta, degeneracy_check, gram_system, rho_diagnostic
+from .hedging import DegeneracyError, analytic_delta, degeneracy_check, gram_system
 from .market import GeometricBernoulliSpec, PricingKernelSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
@@ -32,6 +32,7 @@ from .sim_harness import (
     builtin_scenario,
     run_scenario,
     scenario_ratios,
+    scenario_rho,
     with_overrides,
 )
 from .verification import SUITE_NAMES, run_suite
@@ -340,6 +341,8 @@ def cmd_figures(args) -> int:
             raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
     seed = DEFAULT_SEED if seed is None else seed
     paths = 1 if paths is None else paths
+    # a rejected override is reported before any output directory exists
+    scenarios = [_overridden(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps) for name in names]
     out_dir = Path(out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -349,11 +352,10 @@ def cmd_figures(args) -> int:
         "figures": names,
         "seed": seed,
         "paths": paths,
-        "steps": steps if steps is not None else builtin_scenario("fig1").grid.steps,
+        "steps": scenarios[0].grid.steps,
         "out_dir": str(out_dir),
     }
-    for name in names:
-        scenario = _overridden(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps)
+    for name, scenario in zip(names, scenarios):
         result = run_scenario(scenario)
         header, rows = _figure_csv_rows(name, result)
         _write_csv(out_dir / f"{name}.csv", header, rows)
@@ -421,8 +423,8 @@ def cmd_hedge(args) -> int:
         print(f"phi_{i}: {units:.10g}  (scaled ratio psi_{i} = {psi:.10g})")
     print(f"theta_0: {theta0:.10g}")
     if scenario.hedge_mode == "single":
-        rho = rho_diagnostic(contract, assets[scenario.hedge_asset_index], scenario.measure)
-        print(f"rho: {rho:.10g}")
+        rho = scenario_rho(scenario)
+        print("rho: undefined" if rho is None else f"rho: {rho:.10g}")
     print(f"analytic delta: {d_hat:.10g}")
     print(f"no-hedge delta: {d_zero:.10g}")
     if d_zero > 0.0:
@@ -514,6 +516,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be nonnegative")
+    if args.paths is not None and args.paths < 1:
+        raise ConfigError("paths must be positive")
     results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED, n_paths=args.paths)
     failed = 0
     for r in results:

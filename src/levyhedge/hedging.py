@@ -6,35 +6,32 @@ where every price is a driftless martingale.  The portfolio is
 self-financing: dV = dC - sum_i phi^i dS^i, with theta recovered from
 theta_t = sum_i phi^i_t S^i_t - integral_0^t phi dS.
 
-For one hedging asset the mean-squared-error-optimal ratio is
+Every hedge comes from one volatility Gram matrix over the contract
+(row 0) and the hedging assets (rows 1..n),
 
-    phi_hat = (L / M) * C_left / S_left,
+    V[a, b] = sigma_a sigma_b + sum_k Sigma_a_k Sigma_b_k w_k,
 
-with the volatility inner products
-
-    K = sigma_c^2 + sum_k Sigma_c_k^2 w_k,
-    L = sigma sigma_c + sum_k Sigma_k Sigma_c_k w_k,
-    M = sigma^2   + sum_k Sigma_k^2 w_k.
-
-With n assets, phi_hat solves the symmetric positive-definite system
-M phi = F built from the price-weighted volatility Gram matrix; the n = 2
-case also has the closed form (P - Q) / R implemented separately.
+and one solve: the optimal scaled ratios psi_i = phi^i S^i / C on a traded
+subset S of the assets solve V_S psi = L_S, with L = V[1:, 0].  One asset
+gives psi = L / M with K = V[0, 0], L = V[1, 0], M = V[1, 1]; the n = 2
+closed form (P - Q) / R is kept separately as an independent oracle.
 
 Expected squared error for constant scaled ratios psi_i = phi^i S^i / C is
 reported as the time-0 rate times the horizon:
 
-    Delta(psi) = T * C_0^2 * (K - 2 psi.L + psi.V psi),
+    Delta(psi) = T * C_0^2 * (K - 2 psi.L + psi.V_S psi) = T * C_0^2 * c'Vc,
 
-where V is the volatility Gram matrix.  This freezes prices at t = 0; it is
-the quantity whose minimizer the closed forms above attain, and per-step
-residuals normalized by the running contract value estimate it without bias
-up to O(dt).  The raw terminal deviation (V_T - V_0)^2 is recorded alongside.
+with c = (1, -psi) and V_S the assets' block of V.  This freezes prices at
+t = 0; it is the quantity whose minimizer the closed forms above attain,
+and per-step residuals normalized by the running contract value estimate
+it without bias up to O(dt).  The raw terminal deviation (V_T - V_0)^2 is
+recorded alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -49,8 +46,9 @@ __all__ = [
     "HedgeReport",
     "DegeneracyReport",
     "ConstantRatioRule",
+    "volatility_gram",
+    "solve_ratios",
     "single_coefficients",
-    "single_asset_hedge",
     "gram_system",
     "multi_asset_hedge",
     "two_asset_hedge",
@@ -61,11 +59,10 @@ __all__ = [
     "analytic_delta",
     "rho_diagnostic",
     "degeneracy_check",
-    "volatility_inner",
 ]
 
-# Relative eigenvalue floor below which a price-scaled Gram matrix is
-# treated as rank deficient (no unique optimal hedge there).
+# Relative eigenvalue floor below which a volatility Gram block is treated
+# as rank deficient (no unique optimal hedge there).
 DEGENERACY_RTOL = 1e-10
 
 
@@ -99,12 +96,14 @@ class SingleHedgeCoefficients:
 class GramSystem:
     """Price-weighted system M phi = F with contract weight G.
 
-    M[i, j] = S^i S^j (sigma_i sigma_j + sum_k Sigma_i_k Sigma_j_k w_k),
-    F[i]    = S^i C   (sigma_i sigma_c + sum_k Sigma_i_k Sigma_c_k w_k),
-    G       = C^2     (sigma_c^2      + sum_k Sigma_c_k^2 w_k).
+    For the volatility Gram V of :func:`volatility_gram`,
+
+    M[i, j] = S^i S^j V[i + 1, j + 1],
+    F[i]    = S^i C   V[i + 1, 0],
+    G       = C^2     V[0, 0].
 
     ``asset_prices`` records the price point the system was built at so the
-    degeneracy check can undo the price weighting.
+    solve and the degeneracy check can undo the price weighting.
     """
 
     M: np.ndarray
@@ -157,7 +156,7 @@ class HedgeStrategy:
 class HedgeReport:
     """Outcome of evolving one hedge portfolio along one path."""
 
-    portfolio_path: PathSeries
+    portfolio_values: np.ndarray
     residual_increments: np.ndarray
     strategy: HedgeStrategy
     delta_mc: float
@@ -200,47 +199,56 @@ class ConstantRatioRule:
         return ratios * (contract_values[..., :-1, None] / asset_values[..., :-1, :])
 
 
-StrategyRule = Union[
-    None, ConstantRatioRule, HedgeStrategy, Callable[[int, float, np.ndarray], np.ndarray]
-]
+def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: LevyMeasure) -> np.ndarray:
+    """Volatility Gram matrix V = B diag(1, w) B^T, (n + 1) x (n + 1).
 
-
-def volatility_inner(a: AssetSpec, b: AssetSpec, measure: LevyMeasure) -> float:
-    """Instantaneous covariation rate sigma_a sigma_b + sum_k Sigma_a_k Sigma_b_k w_k."""
-    if len(a.jump_vol) != len(measure) or len(b.jump_vol) != len(measure):
+    B has one row (sigma, Sigma_1..Sigma_m) per spec, the contract first, so
+    V[a, b] = sigma_a sigma_b + sum_k Sigma_a_k Sigma_b_k w_k.  The rows are
+    scaled by sqrt(1, w) and multiplied by their own transpose, which keeps
+    V exactly symmetric.
+    """
+    specs = (contract, *assets)
+    if any(len(spec.jump_vol) != len(measure) for spec in specs):
         raise ValueError("asset jump entries must match the measure's atom count")
-    return a.brownian_vol * b.brownian_vol + float(
-        (a.jump_vol_array * b.jump_vol_array) @ measure.intensities
-    )
+    b = np.array([(spec.brownian_vol, *spec.jump_vol) for spec in specs])
+    b *= np.sqrt(np.concatenate(([1.0], measure.intensities)))
+    return b @ b.T
+
+
+def _gram_report(v: np.ndarray) -> DegeneracyReport:
+    """Eigenvalue diagnostics of an unscaled volatility Gram block.
+
+    The block is degenerate when its smallest eigenvalue falls below 1e-10
+    times the mean eigenvalue, i.e. when some portfolio of the hedging
+    assets carries (numerically) no volatility.
+    """
+    eigs = np.linalg.eigvalsh(v)
+    min_eig = float(eigs[0])
+    max_eig = float(eigs[-1])
+    mean_eig = float(eigs.sum()) / len(eigs)
+    cond = np.inf if min_eig <= 0.0 else max_eig / min_eig
+    return DegeneracyReport(min_eig, cond, bool(min_eig <= DEGENERACY_RTOL * mean_eig))
+
+
+def solve_ratios(v_traded: np.ndarray, l_traded: np.ndarray) -> np.ndarray:
+    """Optimal scaled ratios psi solving V_S psi = L_S on the traded block.
+
+    ``v_traded`` is the traded assets' block of the volatility Gram and
+    ``l_traded`` their column against the contract.  Raises
+    :class:`DegeneracyError` (report attached) on a degenerate block.
+    """
+    report = _gram_report(v_traded)
+    if report.degenerate:
+        raise DegeneracyError("hedging assets are degenerate (rank-deficient Gram matrix)", report)
+    return np.linalg.solve(v_traded, l_traded)
 
 
 def single_coefficients(
     contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure
 ) -> SingleHedgeCoefficients:
     """K/L/M triple for hedging ``contract`` with one ``asset``."""
-    return SingleHedgeCoefficients(
-        K=volatility_inner(contract, contract, measure),
-        L=volatility_inner(asset, contract, measure),
-        M=volatility_inner(asset, asset, measure),
-    )
-
-
-def single_asset_hedge(
-    contract_price_left: float, asset_price_left: float, coeffs: SingleHedgeCoefficients
-) -> float:
-    """Optimal single-asset holding phi_hat = (L/M) * C_left / S_left.
-
-    Raises :class:`DegeneracyError` when the asset carries no volatility
-    power on the contract's scale (M <= 1e-10 * max(K, M)).
-    """
-    if asset_price_left <= 0.0:
-        raise ValueError("asset price must be positive")
-    if coeffs.M <= DEGENERACY_RTOL * max(coeffs.K, coeffs.M):
-        raise DegeneracyError(
-            "hedging asset is degenerate (volatility power ~ 0)",
-            DegeneracyReport(coeffs.M, np.inf, True),
-        )
-    return (coeffs.L / coeffs.M) * (contract_price_left / asset_price_left)
+    v = volatility_gram(contract, (asset,), measure)
+    return SingleHedgeCoefficients(K=float(v[0, 0]), L=float(v[1, 0]), M=float(v[1, 1]))
 
 
 def gram_system(
@@ -256,50 +264,30 @@ def gram_system(
         raise ValueError("need one left-limit price per hedging asset")
     if contract_price_left <= 0.0 or np.any(prices <= 0.0):
         raise ValueError("prices must be positive")
-    n = len(assets)
-    vol = np.empty((n, n))
-    cross = np.empty(n)
-    for i, a in enumerate(assets):
-        cross[i] = volatility_inner(a, contract, measure)
-        for j in range(i, n):
-            vol[i, j] = vol[j, i] = volatility_inner(a, assets[j], measure)
-    m = np.outer(prices, prices) * vol
-    f = prices * contract_price_left * cross
-    g = contract_price_left**2 * volatility_inner(contract, contract, measure)
-    return GramSystem(m, f, g, prices)
+    v = volatility_gram(contract, assets, measure)
+    return GramSystem(
+        np.outer(prices, prices) * v[1:, 1:],
+        prices * contract_price_left * v[1:, 0],
+        contract_price_left**2 * float(v[0, 0]),
+        prices,
+    )
 
 
 def degeneracy_check(system: GramSystem) -> DegeneracyReport:
-    """Eigenvalue diagnostics of the Gram matrix with the price weights removed.
-
-    The system is flagged degenerate when the smallest eigenvalue of the
-    scaled matrix M[i,j] / (S^i S^j) falls below 1e-10 times the mean
-    eigenvalue, i.e. when some portfolio of the hedging assets carries
-    (numerically) no volatility.
-    """
-    scaled = system.M / np.outer(system.asset_prices, system.asset_prices)
-    eigs = np.linalg.eigvalsh(scaled)
-    min_eig = float(eigs[0])
-    max_eig = float(eigs[-1])
-    mean_eig = float(eigs.sum()) / len(eigs)
-    degenerate = min_eig <= DEGENERACY_RTOL * mean_eig
-    cond = np.inf if min_eig <= 0.0 else max_eig / min_eig
-    return DegeneracyReport(min_eig, cond, bool(degenerate))
+    """Eigenvalue diagnostics of the Gram matrix with the price weights removed
+    (the rule of :func:`solve_ratios`)."""
+    return _gram_report(system.M / np.outer(system.asset_prices, system.asset_prices))
 
 
 def multi_asset_hedge(system: GramSystem) -> np.ndarray:
-    """Optimal holdings solving M phi = F with the Cholesky factor M = L L^T.
+    """Optimal holdings solving M phi = F.
 
-    Raises :class:`DegeneracyError` (report attached) on a degenerate system.
+    With D = diag(S) the system is D V D phi = C D L, so the unscaled solve
+    V x = F / S gives x = D phi.  Raises :class:`DegeneracyError` (report
+    attached) on a degenerate system.
     """
-    report = degeneracy_check(system)
-    if report.degenerate:
-        raise DegeneracyError("hedging assets are degenerate (rank-deficient Gram matrix)", report)
-    try:
-        lower = np.linalg.cholesky(system.M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the eig check
-        raise DegeneracyError(f"Gram factorization failed: {exc}", report) from exc
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, system.F))
+    s = system.asset_prices
+    return solve_ratios(system.M / np.outer(s, s), system.F / s) / s
 
 
 def two_asset_hedge(
@@ -317,58 +305,22 @@ def two_asset_hedge(
         phi_hat_1 = (L_1 V_22 - V_12 L_2) / (V_11 V_22 - V_12^2) * C/S^1,
         phi_hat_2 = (L_2 V_11 - V_12 L_1) / (V_11 V_22 - V_12^2) * C/S^2.
 
-    Agrees with :func:`multi_asset_hedge` on two assets; raises
-    :class:`DegeneracyError` when the denominator is numerically zero.
+    An independent oracle for :func:`solve_ratios` on two assets; raises
+    :class:`DegeneracyError` on a degenerate pair, by the same rule.
     """
     c_left, s1_left, s2_left = prices_left
     if c_left <= 0.0 or s1_left <= 0.0 or s2_left <= 0.0:
         raise ValueError("prices must be positive")
-    l1 = volatility_inner(asset1, contract, measure)
-    l2 = volatility_inner(asset2, contract, measure)
-    v11 = volatility_inner(asset1, asset1, measure)
-    v22 = volatility_inner(asset2, asset2, measure)
-    v12 = volatility_inner(asset1, asset2, measure)
+    v = volatility_gram(contract, (asset1, asset2), measure)
+    report = _gram_report(v[1:, 1:])
+    if report.degenerate:
+        raise DegeneracyError("two-asset system is degenerate", report)
+    l1, l2 = float(v[1, 0]), float(v[2, 0])
+    v11, v22, v12 = float(v[1, 1]), float(v[2, 2]), float(v[2, 1])
     r = v11 * v22 - v12 * v12
-    # same threshold discipline as degeneracy_check: det = prod(eigs), so
-    # compare against the scale set by the mean eigenvalue.
-    mean_eig = 0.5 * (v11 + v22)
-    if r <= DEGENERACY_RTOL * mean_eig**2:
-        tr = v11 + v22
-        disc = max(tr * tr - 4.0 * r, 0.0)
-        min_eig = 0.5 * (tr - np.sqrt(disc))
-        raise DegeneracyError(
-            "two-asset system is degenerate",
-            DegeneracyReport(min_eig, np.inf if min_eig <= 0 else (tr - min_eig) / min_eig, True),
-        )
     psi1 = (l1 * v22 - v12 * l2) / r
     psi2 = (l2 * v11 - v12 * l1) / r
     return psi1 * c_left / s1_left, psi2 * c_left / s2_left
-
-
-def _resolve_phi(
-    strategy: StrategyRule,
-    contract_values: np.ndarray,
-    asset_values: np.ndarray,
-    n_steps: int,
-    n_assets: int,
-) -> np.ndarray:
-    """Holdings per step from a rule, evaluated at step-start prices."""
-    if strategy is None:
-        return np.zeros((n_steps, n_assets))
-    if isinstance(strategy, ConstantRatioRule):
-        return strategy.holdings(contract_values, asset_values)
-    if isinstance(strategy, HedgeStrategy):
-        phi = strategy.phi
-        if phi.shape != (n_steps, n_assets):
-            raise ValueError("fixed strategy has the wrong shape for this grid")
-        return phi
-    phi = np.empty((n_steps, n_assets))
-    for i in range(n_steps):
-        row = np.atleast_1d(np.asarray(strategy(i, contract_values[i], asset_values[i]), dtype=float))
-        if row.shape != (n_assets,):
-            raise ValueError("strategy rule must return one holding per asset")
-        phi[i] = row
-    return phi
 
 
 def hedge_residuals(
@@ -405,7 +357,7 @@ def benchmark_holdings(phi: np.ndarray, asset_values: np.ndarray, gains: np.ndar
 def evolve_portfolio(
     contract_path: PathSeries,
     asset_paths: Sequence[PathSeries],
-    strategy: StrategyRule,
+    strategy: ConstantRatioRule | None,
     grid: TimeGrid,
     *,
     delta_analytic: float | None = None,
@@ -414,8 +366,9 @@ def evolve_portfolio(
     """Evolve the self-financing hedge portfolio along one path.
 
     Holdings for step i are evaluated from the step-start values (grid
-    predictability); V_0 = C_0, i.e. the initial short-sale proceeds sit in
-    the benchmark account.  Residual increments are dV = dC - sum phi dS.
+    predictability), and no holdings at all when ``strategy`` is None;
+    V_0 = C_0, i.e. the initial short-sale proceeds sit in the benchmark
+    account.  Residual increments are dV = dC - sum phi dS.
     """
     n = grid.steps
     if contract_path.values.shape != (n + 1,):
@@ -430,23 +383,13 @@ def evolve_portfolio(
         if asset_paths
         else np.zeros((n + 1, 0))
     )
-    phi = _resolve_phi(strategy, c, s, n, s.shape[1])
+    phi = strategy.holdings(c, s) if strategy is not None else np.zeros((n, s.shape[1]))
     dv, gains = hedge_residuals(c, s, phi)
     values = portfolio_values(c, dv)
-    theta = benchmark_holdings(phi, s, gains)
-
-    s_left = (
-        np.stack([p.left_limits for p in asset_paths], axis=1)
-        if asset_paths
-        else np.zeros((n, 0))
-    )
-    left = contract_path.left_limits - (phi * s_left).sum(axis=1) + theta
-
-    portfolio = PathSeries(values, left)
     return HedgeReport(
-        portfolio_path=portfolio,
+        portfolio_values=values,
         residual_increments=dv,
-        strategy=HedgeStrategy(phi, theta),
+        strategy=HedgeStrategy(phi, benchmark_holdings(phi, s, gains)),
         delta_mc=float((values[-1] - values[0]) ** 2),
         per_step_std=float(dv.std()),
         max_abs_residual=float(np.abs(dv).max()) if n else 0.0,
@@ -464,22 +407,17 @@ def analytic_delta(
 ) -> float:
     """Closed-form expected squared error for constant scaled ratios.
 
-    Returns T * C_0^2 * (K - 2 psi.L + psi.V psi) with prices frozen at
-    t = 0 (see the module docstring for the convention).  The optimal ratio
-    vector minimizes this quadratic, so for one asset the minimum equals
+    Returns T * C_0^2 * c'Vc with c = (1, -psi), i.e.
+    T * C_0^2 * (K - 2 psi.L + psi.V psi), with prices frozen at t = 0 (see
+    the module docstring for the convention).  The optimal ratio vector
+    minimizes this quadratic, so for one asset the minimum equals
     T * (K - L^2/M) * C_0^2 and the no-hedge value is T * K * C_0^2.
     """
     psi = np.atleast_1d(np.asarray(strategy_ratios, dtype=float))
     if psi.shape != (len(assets),):
         raise ValueError("need one scaled ratio per hedging asset")
-    k = volatility_inner(contract, contract, measure)
-    cross = np.array([volatility_inner(a, contract, measure) for a in assets])
-    n = len(assets)
-    vol = np.empty((n, n))
-    for i, a in enumerate(assets):
-        for j in range(i, n):
-            vol[i, j] = vol[j, i] = volatility_inner(a, assets[j], measure)
-    rate = k - 2.0 * float(psi @ cross) + float(psi @ vol @ psi)
+    c = np.concatenate(([1.0], -psi))
+    rate = float(c @ volatility_gram(contract, assets, measure) @ c)
     return horizon * contract.initial_price**2 * rate
 
 
@@ -496,4 +434,5 @@ def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) 
             "rho is undefined when the contract or asset carries no volatility",
             DegeneracyReport(min(co.K, co.M), np.inf, True),
         )
-    return (co.L * co.L) / (co.K * co.M)
+    # (L/K)(L/M), not L^2/(KM): K*M underflows to zero for volatilities below ~1e-77
+    return (co.L / co.K) * (co.L / co.M)

@@ -105,7 +105,8 @@ class GeometricBernoulliSpec:
             raise ValueError("volatility parameters must be finite")
 
     def to_asset_spec(self, measure: LevyMeasure) -> AssetSpec:
-        jump_vol = tuple(np.expm1(self.jump_exponent * measure.locations))
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected by AssetSpec
+            jump_vol = tuple(np.expm1(self.jump_exponent * measure.locations))
         return AssetSpec(self.initial_price, self.brownian_vol, jump_vol)
 
 

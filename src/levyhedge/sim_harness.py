@@ -10,7 +10,7 @@ reporting path (path_index 0) is retained in full for CSV emission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,17 +25,14 @@ from .levy_core import (
 from .market import AssetSpec, GeometricBernoulliSpec, PricingKernelSpec, natural_coefficients
 from .hedging import (
     ConstantRatioRule,
+    DegeneracyError,
     analytic_delta,
     benchmark_holdings,
-    gram_system,
     hedge_residuals,
-    multi_asset_hedge,
     portfolio_values,
     rho_diagnostic,
-    single_asset_hedge,
-    single_coefficients,
-    two_asset_hedge,
-    volatility_inner,
+    solve_ratios,
+    volatility_gram,
 )
 
 __all__ = [
@@ -49,6 +46,7 @@ __all__ = [
     "BruteForceResult",
     "builtin_scenario",
     "scenario_ratios",
+    "scenario_rho",
     "run_scenario",
     "brute_force_constant_hedge",
 ]
@@ -69,7 +67,8 @@ class Scenario:
 
     Asset specs are in benchmark units (hedging needs only the driftless
     natural dynamics); an attached kernel is carried for kernel-level
-    diagnostics and does not alter the hedge experiment.
+    diagnostics and does not alter the hedge experiment.  The natural specs
+    are built and validated once, at construction.
     """
 
     measure: LevyMeasure
@@ -81,6 +80,7 @@ class Scenario:
     hedge_mode: str
     hedge_asset_index: int = 0
     kernel: PricingKernelSpec | None = None
+    _natural: tuple[AssetSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hedging_assets", tuple(self.hedging_assets))
@@ -97,12 +97,27 @@ class Scenario:
             raise ValueError("two_asset mode needs at least two hedging assets")
         if self.hedge_mode == "multi" and n < 1:
             raise ValueError("multi mode needs at least one hedging asset")
+        try:
+            natural = tuple(g.to_asset_spec(self.measure) for g in (self.contract, *self.hedging_assets))
+        except ValueError as exc:
+            raise ValueError(f"a jump_exponent gives invalid jump volatilities on this measure: {exc}") from exc
+        object.__setattr__(self, "_natural", natural)
 
     def natural_contract(self) -> AssetSpec:
-        return self.contract.to_asset_spec(self.measure)
+        return self._natural[0]
 
     def natural_assets(self) -> tuple[AssetSpec, ...]:
-        return tuple(a.to_asset_spec(self.measure) for a in self.hedging_assets)
+        return self._natural[1:]
+
+    def traded_assets(self) -> list[int] | None:
+        """Indices of the assets the hedge mode trades, or None for no hedge."""
+        if self.hedge_mode == "none":
+            return None
+        if self.hedge_mode == "single":
+            return [self.hedge_asset_index]
+        if self.hedge_mode == "two_asset":
+            return [0, 1]
+        return list(range(len(self.hedging_assets)))
 
 
 @dataclass(frozen=True)
@@ -215,29 +230,33 @@ def scenario_ratios(s: Scenario) -> tuple[float, ...] | None:
     """Optimal constant scaled ratios psi_i = phi^i S^i / C for the scenario's mode.
 
     Returns one entry per hedging asset (zero for assets the mode does not
-    trade), or None in no-hedge mode.  Constant specs make the optimal
-    scaled ratios time-independent, so they are computed once at t = 0.
+    trade), or None in no-hedge mode.  Every mode is the one solve
+    V_S psi = L_S on the volatility Gram of the traded assets S.  Constant
+    specs make the optimal scaled ratios time-independent, so they are
+    computed once at t = 0.
     """
-    if s.hedge_mode == "none":
+    traded = s.traded_assets()
+    if traded is None:
         return None
-    contract = s.natural_contract()
     assets = s.natural_assets()
+    v = volatility_gram(s.natural_contract(), [assets[i] for i in traded], s.measure)
     ratios = np.zeros(len(assets))
-    if s.hedge_mode == "single":
-        co = single_coefficients(contract, assets[s.hedge_asset_index], s.measure)
-        ratios[s.hedge_asset_index] = single_asset_hedge(1.0, 1.0, co)
-    elif s.hedge_mode == "two_asset":
-        c0 = contract.initial_price
-        s10, s20 = assets[0].initial_price, assets[1].initial_price
-        phi1, phi2 = two_asset_hedge(contract, assets[0], assets[1], (c0, s10, s20), s.measure)
-        ratios[0] = phi1 * s10 / c0
-        ratios[1] = phi2 * s20 / c0
-    else:  # multi
-        prices = np.array([a.initial_price for a in assets])
-        system = gram_system(contract, assets, contract.initial_price, prices, s.measure)
-        phi = multi_asset_hedge(system)
-        ratios = phi * prices / contract.initial_price
+    ratios[traded] = solve_ratios(v[1:, 1:], v[1:, 0])
     return tuple(float(r) for r in ratios)
+
+
+def scenario_rho(s: Scenario) -> float | None:
+    """rho = L^2 / (K M) of a single-asset scenario, clamped to 1; None in
+    the other modes, and where rho is undefined because the contract or the
+    asset carries no volatility (the hedge itself can still be defined)."""
+    if s.hedge_mode != "single":
+        return None
+    try:
+        rho = rho_diagnostic(s.natural_contract(), s.natural_assets()[s.hedge_asset_index], s.measure)
+    except DegeneracyError:
+        return None
+    # clamp: rounding can land an epsilon above the Cauchy-Schwarz bound
+    return min(rho, 1.0)
 
 
 def _block_prices(
@@ -273,12 +292,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     contract = s.natural_contract()
     assets = s.natural_assets()
     d_analytic = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon) if ratios is not None else None
-    rho = (
-        # clamp: rounding can land an epsilon above the Cauchy-Schwarz bound
-        min(rho_diagnostic(contract, assets[s.hedge_asset_index], s.measure), 1.0)
-        if s.hedge_mode == "single"
-        else None
-    )
+    rho = scenario_rho(s)
 
     rule = ConstantRatioRule(ratios if ratios is not None else (0.0,) * len(assets))
     steps = s.grid.steps
@@ -353,48 +367,32 @@ def brute_force_constant_hedge(
 ) -> BruteForceResult:
     """Exhaustive sweep of the closed-form error over constant scaled ratios.
 
-    Single mode sweeps the traded asset's ratio over [ratio_min, ratio_max];
-    two-asset mode sweeps the same range on both axes.  This is the
+    Each traded asset's ratio (one in single mode, two in two-asset mode)
+    is swept over [ratio_min, ratio_max], and the error T C_0^2 c'Vc with
+    c = (1, -psi) is evaluated on the grid of all of them.  This is the
     independent check that the closed-form hedges sit at the minimum: no
     solver output enters the sweep.
     """
     if s.hedge_mode not in ("single", "two_asset"):
         raise ValueError("brute force sweep needs hedge_mode 'single' or 'two_asset'")
+    traded = s.traded_assets()
     contract = s.natural_contract()
     assets = s.natural_assets()
-    horizon = s.grid.horizon
-    scale = horizon * contract.initial_price**2
-    k = volatility_inner(contract, contract, s.measure)
-
-    if s.hedge_mode == "single":
-        a = assets[s.hedge_asset_index]
-        l = volatility_inner(a, contract, s.measure)
-        m = volatility_inner(a, a, s.measure)
-        axis = _ratio_axis(ratio_min, ratio_max, step)
-        deltas = scale * (k - 2.0 * axis * l + axis**2 * m)
-        best = int(np.argmin(deltas))
-        ratios = np.zeros(len(assets))
-        ratios[s.hedge_asset_index] = axis[best]
-        return BruteForceResult(tuple(ratios), float(deltas[best]), (axis,), deltas)
-
-    a1, a2 = assets[0], assets[1]
-    l1 = volatility_inner(a1, contract, s.measure)
-    l2 = volatility_inner(a2, contract, s.measure)
-    v11 = volatility_inner(a1, a1, s.measure)
-    v22 = volatility_inner(a2, a2, s.measure)
-    v12 = volatility_inner(a1, a2, s.measure)
-    ax1 = _ratio_axis(ratio_min, ratio_max, step)
-    ax2 = _ratio_axis(ratio_min, ratio_max, step)
-    p1 = ax1[:, None]
-    p2 = ax2[None, :]
-    deltas = scale * (
-        k - 2.0 * (p1 * l1 + p2 * l2) + p1**2 * v11 + 2.0 * p1 * p2 * v12 + p2**2 * v22
-    )
-    flat = int(np.argmin(deltas))
-    i, j = np.unravel_index(flat, deltas.shape)
+    v = volatility_gram(contract, [assets[i] for i in traded], s.measure)
+    axes = tuple(_ratio_axis(ratio_min, ratio_max, step) for _ in traded)
+    # c'Vc = V_00 + sum_i psi_i (psi_i V_ii - 2 V_i0) + 2 sum_{j<i} psi_i psi_j V_ij
+    # on a sparse grid, so only the terms in two ratios span the full grid
+    psi = np.meshgrid(*axes, indexing="ij", sparse=True)
+    rate = v[0, 0]
+    for i in range(1, len(v)):
+        rate = rate + psi[i - 1] * (psi[i - 1] * v[i, i] - 2.0 * v[i, 0])
+        for j in range(1, i):
+            rate = rate + 2.0 * v[i, j] * psi[i - 1] * psi[j - 1]
+    deltas = s.grid.horizon * contract.initial_price**2 * rate
+    best = np.unravel_index(int(np.argmin(deltas)), deltas.shape)
     ratios = np.zeros(len(assets))
-    ratios[0], ratios[1] = ax1[i], ax2[j]
-    return BruteForceResult(tuple(ratios), float(deltas[i, j]), (ax1, ax2), deltas)
+    ratios[traded] = [axis[k] for axis, k in zip(axes, best)]
+    return BruteForceResult(tuple(ratios), float(deltas[best]), axes, deltas)
 
 
 def with_overrides(

@@ -68,10 +68,8 @@ def _fig_measure() -> LevyMeasure:
 
 def _fig_assets() -> tuple[AssetSpec, AssetSpec, AssetSpec]:
     """Natural-unit contract and two hedging assets of the built-in market."""
-    measure = _fig_measure()
-    c = builtin_scenario("fig1").contract.to_asset_spec(measure)
-    a1, a2 = (g.to_asset_spec(measure) for g in builtin_scenario("fig1").hedging_assets)
-    return c, a1, a2
+    s = builtin_scenario("fig1")
+    return (s.natural_contract(), *s.natural_assets())
 
 
 # ----------------------------------------------------------------------------

@@ -79,6 +79,14 @@ def test_figures_unknown_name_is_config_error(tmp_path: Path):
     assert "fig7" in cp.stderr
 
 
+def test_figures_bad_override_leaves_no_output_dir(tmp_path: Path):
+    out = tmp_path / "figs"
+    cp = run_cli("figures", "fig1", "--seed", "-5", "--out", str(out))
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- hedge
 
 
@@ -133,6 +141,51 @@ def test_hedge_duplicated_assets_exit_degenerate(tmp_path: Path):
     cp = run_cli("hedge", "--config", str(path))
     assert cp.returncode == 3
     assert "degenerate" in cp.stderr
+
+
+def _single_mode_config(tmp_path: Path, contract: dict) -> Path:
+    """Config file hedging ``contract`` with fig2a's asset on fig2a's measure."""
+    cfg = {
+        "schema_version": 1,
+        "scenario": {
+            "measure": {"atoms": [{"location": 1.0, "intensity": 7.5}, {"location": -1.0, "intensity": 7.5}]},
+            "contract": contract,
+            "hedging_assets": [{"initial_price": 100.0, "brownian_vol": 0.2, "jump_exponent": 0.3}],
+            "horizon": 1.0,
+            "steps": 100,
+            "n_paths": 4,
+            "seed": 5,
+            "hedge_mode": "single",
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "hedge"])
+def test_overflowing_jump_exponent_is_config_error(tmp_path: Path, command):
+    # exp(800) - 1 overflows to inf: no jump volatility exists for it
+    path = _single_mode_config(tmp_path, {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 800})
+    cp = run_cli(command, "--config", str(path))
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("configuration error:") and "jump_exponent" in cp.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "hedge"])
+def test_zero_volatility_contract_hedges_with_undefined_rho(tmp_path: Path, command):
+    # the optimal hedge of a constant contract is psi = 0; only rho = L^2/(KM) is undefined
+    path = _single_mode_config(tmp_path, {"initial_price": 100.0, "brownian_vol": 0.0, "jump_exponent": 0.0})
+    cp = run_cli(command, "--config", str(path))
+    assert cp.returncode == 0, cp.stderr
+    assert "Traceback" not in cp.stderr
+    if command == "hedge":
+        assert "psi_1 = 0)" in cp.stdout
+        assert "rho: undefined" in cp.stdout
+    else:
+        assert "scaled ratios: 0\n" in cp.stdout
+        assert "rho:" not in cp.stdout
 
 
 def test_unknown_config_key_is_rejected(tmp_path: Path):
@@ -288,6 +341,11 @@ def test_verify_negative_seed_is_config_error():
     cp = run_cli("verify", "calculus", "--seed", "-5")
     assert cp.returncode == 2
     assert "Traceback" not in cp.stderr
+    # fewer than one path would pass every check vacuously
+    cp = run_cli("verify", "completeness", "--paths", "0")
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert "checks passed" not in cp.stdout
 
 
 def test_verify_unknown_suite_rejected():

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from levyhedge import (
     AssetSpec,
     ConstantRatioRule,
     DegeneracyError,
+    GeometricBernoulliSpec,
     GramSystem,
+    JumpAtom,
     LevyMeasure,
+    Scenario,
     TimeGrid,
     analytic_delta,
     degeneracy_check,
@@ -18,9 +22,11 @@ from levyhedge import (
     natural_coefficients,
     rho_diagnostic,
     sample_noise,
-    single_asset_hedge,
+    scenario_ratios,
     single_coefficients,
+    solve_ratios,
     two_asset_hedge,
+    volatility_gram,
 )
 
 SEED = 9118
@@ -31,6 +37,12 @@ def _two_term(s_a, b_a, s_b, b_b):
     up = (np.exp(b_a) - 1.0) * (np.exp(b_b) - 1.0)
     down = (np.exp(-b_a) - 1.0) * (np.exp(-b_b) - 1.0)
     return s_a * s_b + 7.5 * up + 7.5 * down
+
+
+def _solve(contract, assets, measure):
+    """Optimal scaled ratios of hedging ``contract`` with all of ``assets``."""
+    v = volatility_gram(contract, assets, measure)
+    return solve_ratios(v[1:, 1:], v[1:, 0])
 
 
 # Frozen golden ratios of the pure-jump complete market (independent
@@ -75,8 +87,7 @@ def test_cauchy_schwarz_holds_on_random_specs(bern_measure):
 
 
 def test_self_hedge_ratio_is_one(bern_measure, contract):
-    co = single_coefficients(contract, contract, bern_measure)
-    assert single_asset_hedge(100.0, 100.0, co) == 1.0
+    assert _solve(contract, [contract], bern_measure).tolist() == [1.0]
 
 
 def test_brownian_ratio_and_perfect_hedge(unit_grid):
@@ -86,7 +97,7 @@ def test_brownian_ratio_and_perfect_hedge(unit_grid):
     c_spec = AssetSpec(100.0, 0.15)
     a_spec = AssetSpec(100.0, 0.20)
     co = single_coefficients(c_spec, a_spec, m)
-    phi = single_asset_hedge(100.0, 100.0, co)
+    (phi,) = _solve(c_spec, [a_spec], m)
     assert phi == pytest.approx(0.75, abs=1e-15)
     noise = sample_noise(m, unit_grid, SEED, 0)
     c = integrate_proportional(natural_coefficients(c_spec, m), noise, 100.0)
@@ -97,7 +108,7 @@ def test_brownian_ratio_and_perfect_hedge(unit_grid):
 
 def test_fig_single_ratio_matches_sweep(bern_measure, contract, asset_high):
     co = single_coefficients(contract, asset_high, bern_measure)
-    phi = single_asset_hedge(100.0, 100.0, co)
+    (phi,) = _solve(contract, [asset_high], bern_measure)
     assert phi == pytest.approx(0.8245, abs=5e-5)
     # brute-force the quadratic on a fine grid: same minimizer
     grid = np.arange(0.0, 2.0, 1e-3)
@@ -107,9 +118,8 @@ def test_fig_single_ratio_matches_sweep(bern_measure, contract, asset_high):
 
 def test_degenerate_asset_raises(bern_measure, contract):
     dead = AssetSpec(100.0, 0.0, (0.0, 0.0))
-    co = single_coefficients(contract, dead, bern_measure)
     with pytest.raises(DegeneracyError):
-        single_asset_hedge(100.0, 100.0, co)
+        _solve(contract, [dead], bern_measure)
 
 
 # ---------------------------------------------------------------- gram system
@@ -155,10 +165,9 @@ def test_gram_requires_symmetry():
 
 
 def test_multi_asset_matches_single(bern_measure, contract, asset_high):
-    co = single_coefficients(contract, asset_high, bern_measure)
     system = gram_system(contract, [asset_high], 100.0, [100.0], bern_measure)
     phi = multi_asset_hedge(system)
-    assert phi[0] == pytest.approx(single_asset_hedge(100.0, 100.0, co), abs=1e-12)
+    assert phi[0] == pytest.approx(_solve(contract, [asset_high], bern_measure)[0], abs=1e-12)
 
 
 def test_replicable_contract_takes_unit_position(bern_measure, contract, asset_high):
@@ -260,7 +269,7 @@ def test_zero_strategy_tracks_the_contract(bern_measure, unit_grid, contract, as
     c = geometric_price_path(contract, bern_measure, noise, unit_grid)
     s = geometric_price_path(asset_high, bern_measure, noise, unit_grid)
     report = evolve_portfolio(c, [s], None, unit_grid)
-    np.testing.assert_allclose(report.portfolio_path.values, c.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.portfolio_values, c.values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.residual_increments, np.diff(c.values), rtol=0, atol=1e-12)
     assert np.all(report.strategy.phi == 0.0)
     assert np.all(report.strategy.theta == 0.0)
@@ -285,25 +294,12 @@ def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asse
         gains += float(phi[i] @ (s[i + 1] - s[i]))
 
     # portfolio value decomposes as V = C - phi.S + theta at step starts
-    v = report.portfolio_path.values
+    v = report.portfolio_values
     recon = c.values[:-1] - (phi * s[:-1]).sum(axis=1) + theta
     np.testing.assert_allclose(v[:-1], recon, rtol=1e-9)
     # initial value equals the contract value
     assert v[0] == c.values[0]
     assert report.delta_mc == pytest.approx((v[-1] - v[0]) ** 2, rel=1e-12)
-
-
-def test_callable_rule_matches_constant_rule(bern_measure, unit_grid, contract, asset_high):
-    noise = sample_noise(bern_measure, unit_grid, SEED, 4)
-    c = geometric_price_path(contract, bern_measure, noise, unit_grid)
-    s = geometric_price_path(asset_high, bern_measure, noise, unit_grid)
-
-    def rule(step, c_left, s_left):
-        return np.array([0.8 * c_left / s_left[0]])
-
-    a = evolve_portfolio(c, [s], ConstantRatioRule((0.8,)), unit_grid)
-    b = evolve_portfolio(c, [s], rule, unit_grid)
-    np.testing.assert_allclose(a.portfolio_path.values, b.portfolio_path.values, rtol=1e-14)
 
 
 def test_grid_mismatch_rejected(bern_measure, unit_grid, contract):
@@ -407,3 +403,96 @@ def test_rho_degenerate_inputs_raise(bern_measure, contract):
         rho_diagnostic(contract, dead, bern_measure)
     with pytest.raises(DegeneracyError):
         rho_diagnostic(dead, contract, bern_measure)
+
+
+# ---------------------------------------------------------------- volatility Gram properties
+
+
+def _reals(lo: float, hi: float):
+    """Floats in [lo, hi] that are 0 or at least 1e-6 in size: smaller
+    volatilities square into subnormal floats, which carry no relative accuracy."""
+    return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@st.composite
+def _measures(draw):
+    locations = draw(st.lists(_reals(-1.5, 1.5), max_size=4, unique=True))
+    return LevyMeasure(tuple(JumpAtom(x, draw(st.floats(0.1, 15.0))) for x in locations))
+
+
+@st.composite
+def _gram_inputs(draw):
+    """A measure with 0-4 atoms, a contract and 1-4 hedging assets with
+    independent jump volatilities."""
+    measure = draw(_measures())
+
+    def spec():
+        jump_vol = draw(st.lists(_reals(-0.9, 2.0), min_size=len(measure), max_size=len(measure)))
+        return AssetSpec(draw(st.floats(20.0, 300.0)), draw(_reals(-0.6, 0.6)), tuple(jump_vol))
+
+    return measure, spec(), [spec() for _ in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def _scenarios(draw, hedge_mode: str, n_assets: int):
+    """Scenario with geometric specs Sigma_k = exp(beta x_k) - 1 on a random measure."""
+
+    def spec():
+        return GeometricBernoulliSpec(draw(st.floats(20.0, 300.0)), draw(_reals(-0.6, 0.6)), draw(_reals(-1.0, 1.0)))
+
+    return Scenario(
+        measure=draw(_measures()),
+        contract=spec(),
+        hedging_assets=tuple(spec() for _ in range(n_assets)),
+        grid=TimeGrid(1.0, 10),
+        n_paths=1,
+        seed=0,
+        hedge_mode=hedge_mode,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gram_inputs())
+def test_volatility_gram_matches_double_loop(inputs):
+    measure, contract, assets = inputs
+    v = volatility_gram(contract, assets, measure)
+    specs = [contract, *assets]
+    loop = np.empty((len(specs), len(specs)))
+    bound = np.empty_like(loop)  # sum of |terms|: the error scale of each sum
+    for a, sa in enumerate(specs):
+        for b, sb in enumerate(specs):
+            terms = [sa.brownian_vol * sb.brownian_vol]
+            terms += [x * y * wk for x, y, wk in zip(sa.jump_vol, sb.jump_vol, measure.intensities)]
+            loop[a, b] = sum(terms)
+            bound[a, b] = sum(abs(t) for t in terms)
+    assert np.all(np.abs(v - loop) <= 1e-12 * bound)
+    assert np.array_equal(v, v.T)
+    # Cauchy-Schwarz L^2 <= K M for every asset against the contract
+    assert np.all(v[1:, 0] ** 2 <= v[0, 0] * np.diag(v)[1:] * (1.0 + 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios("two_asset", 2))
+def test_two_asset_solve_matches_closed_form(s):
+    contract, (a1, a2) = s.natural_contract(), s.natural_assets()
+    v = volatility_gram(contract, [a1, a2], s.measure)
+    assume(np.linalg.cond(v[1:, 1:]) < 1e4)
+    c0, s1, s2 = contract.initial_price, a1.initial_price, a2.initial_price
+    phi1, phi2 = two_asset_hedge(contract, a1, a2, (c0, s1, s2), s.measure)
+    closed = np.array([phi1 * s1 / c0, phi2 * s2 / c0])
+    solved = np.array(scenario_ratios(s))
+    assert np.all(np.abs(solved - closed) <= 1e-10 * max(1.0, float(np.abs(closed).max())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios("single", 1))
+def test_single_optimum_removes_the_fraction_rho(s):
+    contract, assets = s.natural_contract(), s.natural_assets()
+    try:
+        rho = rho_diagnostic(contract, assets[0], s.measure)
+        ratios = scenario_ratios(s)
+    except DegeneracyError:
+        assume(False)
+    d_opt = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon)
+    d_zero = analytic_delta(contract, assets, [0.0], s.measure, s.grid.horizon)
+    assert abs(d_opt - (1.0 - rho) * d_zero) <= 1e-10 * d_zero

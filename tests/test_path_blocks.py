@@ -132,7 +132,7 @@ def test_summaries_match_a_per_path_reference_loop(name):
             np.testing.assert_array_equal(g.asset_values, np.stack([a.values for a in assets], axis=1))
             np.testing.assert_array_equal(g.phi, report.strategy.phi)
             np.testing.assert_array_equal(g.theta, report.strategy.theta)
-            np.testing.assert_array_equal(g.portfolio_values, report.portfolio_path.values)
+            np.testing.assert_array_equal(g.portfolio_values, report.portfolio_values)
             np.testing.assert_array_equal(g.residuals, dv)
             np.testing.assert_array_equal(g.jump_count_path, noise.cumulative_jump_count())
 
