@@ -118,7 +118,8 @@ class GramSystem:
         n = m.shape[0]
         if m.shape != (n, n) or f.shape != (n,) or s.shape != (n,):
             raise ValueError("inconsistent system dimensions")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+        # |M - M^T| <= 1e-12 max(1, max|M|) elementwise; NaN fails the test
+        if not np.abs(m - m.T).max() <= 1e-12 * max(1.0, float(np.abs(m).max())):
             raise ValueError("Gram matrix must be symmetric")
         if self.G < 0.0:
             raise ValueError("G is a square and cannot be negative")
@@ -318,6 +319,9 @@ def two_asset_hedge(
     l1, l2 = float(v[1, 0]), float(v[2, 0])
     v11, v22, v12 = float(v[1, 1]), float(v[2, 2]), float(v[2, 1])
     r = v11 * v22 - v12 * v12
+    if not r > 0.0:
+        # the eigenvalue rule passed, so the determinant underflowed
+        raise DegeneracyError("two-asset determinant underflows at this volatility scale", report)
     psi1 = (l1 * v22 - v12 * l2) / r
     psi2 = (l2 * v11 - v12 * l1) / r
     return psi1 * c_left / s1_left, psi2 * c_left / s2_left
@@ -404,7 +408,7 @@ def analytic_delta(
     strategy_ratios,
     measure: LevyMeasure,
     horizon: float,
-) -> float:
+) -> float | np.ndarray:
     """Closed-form expected squared error for constant scaled ratios.
 
     Returns T * C_0^2 * c'Vc with c = (1, -psi), i.e.
@@ -412,13 +416,18 @@ def analytic_delta(
     the module docstring for the convention).  The optimal ratio vector
     minimizes this quadratic, so for one asset the minimum equals
     T * (K - L^2/M) * C_0^2 and the no-hedge value is T * K * C_0^2.
+
+    ``strategy_ratios`` is one ratio vector (a float is returned) or a
+    stack of them, shape (..., n_assets), evaluated on one Gram matrix (an
+    array of shape ``psi.shape[:-1]`` is returned).
     """
     psi = np.atleast_1d(np.asarray(strategy_ratios, dtype=float))
-    if psi.shape != (len(assets),):
+    if psi.shape[-1:] != (len(assets),):
         raise ValueError("need one scaled ratio per hedging asset")
-    c = np.concatenate(([1.0], -psi))
-    rate = float(c @ volatility_gram(contract, assets, measure) @ c)
-    return horizon * contract.initial_price**2 * rate
+    c = np.concatenate((np.ones(psi.shape[:-1] + (1,)), -psi), axis=-1)
+    rate = ((c @ volatility_gram(contract, assets, measure)) * c).sum(axis=-1)
+    delta = horizon * contract.initial_price**2 * rate
+    return float(delta) if psi.ndim == 1 else delta
 
 
 def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) -> float:

@@ -24,6 +24,11 @@ from typing import Callable, Union
 
 import numpy as np
 
+# Path-steps simulated together in one block of paths (at least one path
+# per block).  It bounds the block arrays to ~64 KiB each: 8 paths at 1000
+# steps, 1 path at 50 000 steps.  Results do not depend on it.
+_BLOCK_PATH_STEPS = 8192
+
 __all__ = [
     "IntegrationError",
     "PriceRangeError",
@@ -39,6 +44,8 @@ __all__ = [
     "compensate",
     "integrate",
     "integrate_proportional",
+    "integrate_block",
+    "integrate_proportional_block",
     "exponential_path",
     "exponential_prices",
     "product_coefficients",
@@ -317,6 +324,77 @@ def _check_same_measure(a: SymmetricCoefficients, b: SymmetricCoefficients) -> L
     return a.measure
 
 
+def _euler(
+    coeffs: SymmetricCoefficients,
+    brownian_increments: np.ndarray,
+    jump_counts: np.ndarray,
+    grid: TimeGrid,
+    x0: float,
+    proportional: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler values (..., steps + 1) of constant-coefficient dynamics, and
+    the per-step jump terms sum_k gamma_k count_ik (..., steps), for noise
+    with any leading (path) axes.
+
+    Each step adds alpha dt + beta dW_i + sum_k gamma_k (count_ik - w_k dt),
+    scaled by the step-start state when ``proportional``.  Every reduction
+    runs along the step axis of one path or elementwise over the atoms, so a
+    path's result does not depend on the other paths drawn with it.  Raises
+    :class:`IntegrationError` at the first non-finite state.
+    """
+    if jump_counts.shape[-1] != len(coeffs.measure):
+        raise ValueError("coefficients and noise use different measures")
+    gam = coeffs.jump_vol_array
+    dt = grid.dt
+    jump_terms = np.zeros(brownian_increments.shape)
+    values = np.empty(brownian_increments.shape[:-1] + (grid.steps + 1,))
+    values[..., 0] = x0
+    # overflow produces non-finite states that are reported as typed errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, g in enumerate(gam):
+            jump_terms += jump_counts[..., k] * g
+        inc = (
+            coeffs.drift * dt
+            + coeffs.brownian_vol * brownian_increments
+            + jump_terms
+            - compensate(coeffs.measure, gam) * dt
+        )
+        if proportional:
+            np.cumprod(1.0 + inc, axis=-1, out=values[..., 1:])
+            values[..., 1:] *= x0
+        else:
+            np.cumsum(inc, axis=-1, out=values[..., 1:])
+            values[..., 1:] += x0
+    if not np.isfinite(values).all():
+        path, index = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(-1, grid.steps + 1)))[0])
+        where = f" on block path {path}" if values.ndim > 1 else ""
+        raise IntegrationError(index - 1, f"non-finite state{where} at step {index - 1}")
+    return values, jump_terms
+
+
+def integrate_block(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+) -> np.ndarray:
+    """Euler values of constant-coefficient compensated dynamics for a block
+    of paths.
+
+    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
+    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
+    result has shape (..., steps + 1) and starts at ``x0``.  Each path's
+    values are bitwise those :func:`integrate` gives for it alone.  Raises
+    :class:`IntegrationError` at the first non-finite state.
+    """
+    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=False)[0]
+
+
+def integrate_proportional_block(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+) -> np.ndarray:
+    """Euler values of proportional dynamics for a block of paths: the block
+    form of :func:`integrate_proportional`, shaped as :func:`integrate_block`."""
+    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=True)[0]
+
+
 def integrate(coeffs: CoefficientProvider, noise: NoiseRealization, x0: float) -> PathSeries:
     """Euler-integrate the compensated dynamics along one noise path.
 
@@ -340,15 +418,7 @@ def integrate(coeffs: CoefficientProvider, noise: NoiseRealization, x0: float) -
         if isinstance(coeffs, SymmetricCoefficients):
             if coeffs.measure != measure:
                 raise ValueError("coefficients and noise use different measures")
-            gam = coeffs.jump_vol_array
-            jump_terms = counts @ gam
-            inc = coeffs.drift * dt + coeffs.brownian_vol * dw + jump_terms - compensate(measure, gam) * dt
-            values = np.empty(n + 1)
-            values[0] = x0
-            np.cumsum(inc, out=values[1:])
-            values[1:] += x0
-            if not np.isfinite(values).all():
-                raise IntegrationError(int(np.flatnonzero(~np.isfinite(values))[0]) - 1)
+            values, jump_terms = _euler(coeffs, dw, counts, grid, x0, proportional=False)
             return PathSeries(values, values[1:] - jump_terms)
 
         intensities = measure.intensities
@@ -376,21 +446,7 @@ def integrate_proportional(coeffs: SymmetricCoefficients, noise: NoiseRealizatio
     """
     if coeffs.measure != noise.measure:
         raise ValueError("coefficients and noise use different measures")
-    dt = noise.grid.dt
-    gam = coeffs.jump_vol_array
-    jump_terms = noise.jump_counts @ gam
-    inc = (
-        coeffs.drift * dt
-        + coeffs.brownian_vol * noise.brownian_increments
-        + jump_terms
-        - compensate(noise.measure, gam) * dt
-    )
-    values = np.empty(noise.grid.steps + 1)
-    values[0] = x0
-    np.cumprod(1.0 + inc, out=values[1:])
-    values[1:] *= x0
-    if not np.isfinite(values).all():
-        raise IntegrationError(int(np.flatnonzero(~np.isfinite(values))[0]) - 1)
+    values, jump_terms = _euler(coeffs, noise.brownian_increments, noise.jump_counts, noise.grid, x0, proportional=True)
     return PathSeries(values, values[1:] - values[:-1] * jump_terms)
 
 

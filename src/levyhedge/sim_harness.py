@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .levy_core import (
+    _BLOCK_PATH_STEPS,
     LevyMeasure,
     NoiseRealization,
     PriceRangeError,
@@ -55,10 +56,10 @@ HEDGE_MODES = ("none", "single", "two_asset", "multi")
 DEFAULT_SEED = 1729
 FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 
-# Path-steps simulated together in one block of paths (at least one path
-# per block).  It bounds the block arrays to ~64 KiB each: 8 paths at 1000
-# steps, 1 path at 50 000 steps.  Results do not depend on it.
-_BLOCK_PATH_STEPS = 8192
+# Largest grid a scenario accepts.  One path at this many steps holds tens
+# of MB of noise and price arrays; a larger (say mistyped) step count is
+# rejected before any array is allocated instead of ending in MemoryError.
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,8 @@ class Scenario:
             raise ValueError("n_paths must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.grid.steps > _MAX_STEPS:
+            raise ValueError(f"steps must be at most {_MAX_STEPS}, got {self.grid.steps}")
         n = len(self.hedging_assets)
         if self.hedge_mode == "single" and not 0 <= self.hedge_asset_index < n:
             raise ValueError("single mode needs a valid hedge_asset_index")

@@ -13,32 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy_core import (
+    _BLOCK_PATH_STEPS,
     LevyMeasure,
     JumpAtom,
     SymmetricCoefficients,
     TimeGrid,
-    NoiseRealization,
     compensate,
     exponential_path,
-    integrate,
-    integrate_proportional,
+    exponential_prices,
+    integrate_block,
+    integrate_proportional_block,
     product_coefficients,
     quotient_coefficients,
     sample_noise,
+    sample_noise_block,
 )
 from .market import (
     AssetSpec,
     PricingKernelSpec,
     benchmark_coefficients,
-    geometric_price_path,
     kernel_path,
     natural_coefficients,
 )
 from .hedging import (
     ConstantRatioRule,
     analytic_delta,
-    evolve_portfolio,
     gram_system,
+    hedge_residuals,
     multi_asset_hedge,
     rho_diagnostic,
     single_coefficients,
@@ -73,6 +74,107 @@ def _fig_assets() -> tuple[AssetSpec, AssetSpec, AssetSpec]:
 
 
 # ----------------------------------------------------------------------------
+# path blocks
+#
+# The Monte Carlo statistics below are per-path arrays computed on blocks
+# of paths, at most _BLOCK_PATH_STEPS path-steps each, drawn from the same
+# per-path substreams as sample_noise; every reduction runs along one
+# path's steps, so the statistics do not depend on the block size.
+
+
+def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
+    """Noise (dW, counts) of paths 0 .. n_paths - 1, one block at a time."""
+    block = max(1, _BLOCK_PATH_STEPS // grid.steps)
+    for first in range(0, n_paths, block):
+        yield sample_noise_block(measure, grid, seed, first, min(block, n_paths - first))
+
+
+def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
+    """Natural prices (paths, steps + 1, n_specs) of each spec on shared
+    noise, one block at a time, from ``price`` (:func:`exponential_prices`
+    or an Euler integrator)."""
+    for dw, counts in _noise_blocks(measure, grid, seed, n_paths):
+        yield np.stack(
+            [price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price) for spec in specs],
+            axis=-1,
+        )
+
+
+def _residuals(prices: np.ndarray, ratios) -> np.ndarray:
+    """Hedge residuals dV (paths, steps) of the contract prices[..., 0]
+    against the assets prices[..., 1:] at constant scaled ratios."""
+    c, a = prices[..., 0], prices[..., 1:]
+    return hedge_residuals(c, a, ConstantRatioRule(ratios).holdings(c, a))[0]
+
+
+def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x0: float, n_paths: int) -> np.ndarray:
+    """Terminal values X_T (n_paths,) of constant-coefficient Euler paths from x0."""
+    blocks = _noise_blocks(coeffs.measure, grid, seed, n_paths)
+    return np.concatenate([integrate_block(coeffs, dw, counts, grid, x0)[:, -1] for dw, counts in blocks])
+
+
+def _price_terminals(specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
+    """Terminal natural prices (n_paths, n_specs) of exact geometric paths."""
+    return np.concatenate([p[:, -1] for p in _price_blocks(exponential_prices, specs, measure, grid, seed, n_paths)])
+
+
+def _normalized_errors(contract: AssetSpec, assets, ratios, measure, grid, seed: int, n_paths: int) -> np.ndarray:
+    """Per-path C_0^2 sum_i (dV_i / C_i)^2 of the hedge on Euler paths."""
+    c0 = contract.initial_price
+    out = []
+    for prices in _price_blocks(integrate_proportional_block, (contract, *assets), measure, grid, seed, n_paths):
+        z = _residuals(prices, ratios) / prices[:, :-1, 0]
+        out.append(c0 * c0 * (z * z).sum(axis=1))
+    return np.concatenate(out)
+
+
+def _integrated_squares(contract: AssetSpec, assets, ratio_sets, measure, grid, seed: int, n_paths: int) -> np.ndarray:
+    """Per-path sum_i dV_i^2 (n_paths, n_sets) of each ratio set's hedge on
+    shared exact geometric paths."""
+    out = []
+    for prices in _price_blocks(exponential_prices, (contract, *assets), measure, grid, seed, n_paths):
+        dvs = [_residuals(prices, ratios) for ratios in ratio_sets]
+        out.append(np.stack([(dv * dv).sum(axis=1) for dv in dvs], axis=-1))
+    return np.concatenate(out)
+
+
+def _max_residuals(contract: AssetSpec, assets, ratios, measure, grid, seed: int, n_paths: int) -> np.ndarray:
+    """Per-path max_i |dV_i| of the hedge on Euler paths."""
+    blocks = _price_blocks(integrate_proportional_block, (contract, *assets), measure, grid, seed, n_paths)
+    return np.concatenate([np.abs(_residuals(prices, ratios)).max(axis=1) for prices in blocks])
+
+
+def _euler_gap_ratios(
+    a: SymmetricCoefficients, b: SymmetricCoefficients, seed: int, n_paths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path ratios (fine / coarse grid) of the sup-norm gaps between the
+    Euler path of ``a`` and its closed form, and between the Euler path of
+    the product coefficients and the product of the Euler paths.
+
+    The fine grid has 2000 steps on [0, 1]; the coarse grid merges adjacent
+    steps of the same noise.
+    """
+    measure = a.measure
+    ab = product_coefficients(a, b)
+    fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
+    ratios_cf, ratios_prod = [], []
+    for dw, counts in _noise_blocks(measure, fine_grid, seed, n_paths):
+        n = len(dw)
+        coarse = (dw.reshape(n, -1, 2).sum(axis=-1), counts.reshape(n, -1, 2, len(measure)).sum(axis=-2))
+        gaps_cf, gaps_prod = [], []
+        for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
+            e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
+            e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
+            e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
+            cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
+            gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
+            gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
+        ratios_cf.append(gaps_cf[1] / gaps_cf[0])
+        ratios_prod.append(gaps_prod[1] / gaps_prod[0])
+    return np.concatenate(ratios_cf), np.concatenate(ratios_prod)
+
+
+# ----------------------------------------------------------------------------
 # isometry
 
 
@@ -89,11 +191,7 @@ def suite_isometry(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Chec
         analytic = grid.horizon * (
             coeffs.brownian_vol**2 + compensate(m, coeffs.jump_vol_array**2)
         )
-        sq = np.empty(n_paths)
-        for p in range(n_paths):
-            noise = sample_noise(m, grid, seed, p)
-            path = integrate(coeffs, noise, 0.0)
-            sq[p] = (path.terminal - path.initial) ** 2
+        sq = _euler_terminals(coeffs, grid, seed, 0.0, n_paths) ** 2
         mc = float(sq.mean())
         se = float(sq.std(ddof=1) / np.sqrt(n_paths))
         results.append(
@@ -117,11 +215,7 @@ def suite_martingale(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     grid = TimeGrid(1.0, 1000)
     contract, a1, a2 = _fig_assets()
     specs = [("contract", contract), ("asset 1", a1), ("asset 2", a2)]
-    terminals = np.empty((n_paths, len(specs)))
-    for p in range(n_paths):
-        noise = sample_noise(measure, grid, seed, p)
-        for j, (_, spec) in enumerate(specs):
-            terminals[p, j] = geometric_price_path(spec, measure, noise, grid).terminal
+    terminals = _price_terminals([spec for _, spec in specs], measure, grid, seed, n_paths)
     for j, (label, spec) in enumerate(specs):
         mean = float(terminals[:, j].mean())
         se = float(terminals[:, j].std(ddof=1) / np.sqrt(n_paths))
@@ -134,9 +228,7 @@ def suite_martingale(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
         )
 
     coeffs = SymmetricCoefficients(0.0, 0.4, (0.2, -0.1), measure)
-    x = np.empty(n_paths)
-    for p in range(n_paths):
-        x[p] = integrate(coeffs, sample_noise(measure, grid, seed + 1, p), 3.0).terminal
+    x = _euler_terminals(coeffs, grid, seed + 1, 3.0, n_paths)
     mean = float(x.mean())
     se = float(x.std(ddof=1) / np.sqrt(n_paths))
     results.append(
@@ -156,19 +248,6 @@ def suite_martingale(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
 def _random_coefficients(rng: np.random.Generator, measure: LevyMeasure) -> SymmetricCoefficients:
     gam = rng.uniform(-0.6, 1.5, len(measure))
     return SymmetricCoefficients(rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5), tuple(gam), measure)
-
-
-def _coarsen(noise: NoiseRealization) -> NoiseRealization:
-    """Merge adjacent steps: valid noise for the grid with half the steps."""
-    grid = noise.grid
-    if grid.steps % 2:
-        raise ValueError("need an even number of steps to coarsen")
-    return NoiseRealization(
-        noise.measure,
-        TimeGrid(grid.horizon, grid.steps // 2),
-        noise.brownian_increments.reshape(-1, 2).sum(axis=1),
-        noise.jump_counts.reshape(-1, 2, len(noise.measure)).sum(axis=1),
-    )
 
 
 def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckResult]:
@@ -222,23 +301,7 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     def euler_gap(beta1: float, beta2: float) -> tuple[float, float]:
         a = SymmetricCoefficients(0.02, beta1, tuple(np.expm1(0.3 * measure.locations)), measure)
         b = SymmetricCoefficients(-0.01, beta2, tuple(np.expm1(0.2 * measure.locations)), measure)
-        ab = product_coefficients(a, b)
-        ratios_cf = np.empty(n_paths)
-        ratios_prod = np.empty(n_paths)
-        for p in range(n_paths):
-            fine = sample_noise(measure, TimeGrid(1.0, 2000), seed + 3, p)
-            coarse = _coarsen(fine)
-            gaps_cf = []
-            gaps_prod = []
-            for noise in (coarse, fine):
-                e_a = integrate_proportional(a, noise, 1.0)
-                e_b = integrate_proportional(b, noise, 1.0)
-                e_ab = integrate_proportional(ab, noise, 1.0)
-                cf = exponential_path(a, noise, 1.0)
-                gaps_cf.append(float(np.abs(e_a.values - cf.values).max()))
-                gaps_prod.append(float(np.abs(e_ab.values - e_a.values * e_b.values).max()))
-            ratios_cf[p] = gaps_cf[1] / gaps_cf[0]
-            ratios_prod[p] = gaps_prod[1] / gaps_prod[0]
+        ratios_cf, ratios_prod = _euler_gap_ratios(a, b, seed + 3, n_paths)
         return float(np.median(ratios_cf)), float(np.median(ratios_prod))
 
     r_cf, r_prod = euler_gap(0.0, 0.0)
@@ -346,7 +409,7 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
         psi_hat = co.L / co.M
         # grid offset keeps the optimum generic with respect to the grid
         axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
-        full = np.array([analytic_delta(c, [a], [x], m, horizon) for x in axis])
+        full = analytic_delta(c, [a], axis[:, None], m, horizon)
         worst_arg = max(worst_arg, abs(float(axis[np.argmin(full)]) - psi_hat))
         scale = horizon * c.initial_price**2
         quadratic = scale * (co.K - 2.0 * axis * co.L + axis**2 * co.M)
@@ -442,15 +505,7 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     grid = TimeGrid(1.0, 1000)
     s = builtin_scenario("fig2a", n_paths=n_paths, seed=seed + 5)
     ratios = scenario_ratios(s)
-    samples = np.empty(n_paths)
-    c0 = contract.initial_price
-    for p in range(n_paths):
-        noise = sample_noise(measure, grid, s.seed, p)
-        cpath = integrate_proportional(natural_coefficients(contract, measure), noise, c0)
-        apath = integrate_proportional(natural_coefficients(a1, measure), noise, a1.initial_price)
-        report = evolve_portfolio(cpath, [apath], ConstantRatioRule((ratios[0],)), grid)
-        rel = report.residual_increments / cpath.values[:-1]
-        samples[p] = c0 * c0 * float(rel @ rel)
+    samples = _normalized_errors(contract, [a1], ratios[:1], measure, grid, s.seed, n_paths)
     mc = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
     analytic = analytic_delta(contract, [a1], [ratios[0]], measure, horizon)
@@ -492,14 +547,7 @@ def suite_ordering(seed: int = DEFAULT_SEED, n_paths: int = 1000) -> list[CheckR
     )
 
     # paired per-path integrated squared residuals on shared noise
-    ints = np.empty((n_paths, 3))
-    for p in range(n_paths):
-        noise = sample_noise(measure, grid, seed + 6, p)
-        cpath = geometric_price_path(contract, measure, noise, grid)
-        paths = [geometric_price_path(a, measure, noise, grid) for a in assets]
-        for j, ratios in enumerate((r1, r2, r3)):
-            dv = evolve_portfolio(cpath, paths, ConstantRatioRule(ratios), grid).residual_increments
-            ints[p, j] = float(dv @ dv)
+    ints = _integrated_squares(contract, assets, (r1, r2, r3), measure, grid, seed + 6, n_paths)
     for j, label in ((0, "asset 1"), (1, "asset 2")):
         diff = ints[:, j] - ints[:, 2]
         mean = float(diff.mean())
@@ -533,13 +581,7 @@ def suite_completeness(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[Che
     contract1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * measure1.locations)))
     asset1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * measure1.locations)))
     co = single_coefficients(contract1, asset1, measure1)
-    worst = 0.0
-    for p in range(n_paths):
-        noise = sample_noise(measure1, grid, seed + 7, p)
-        cpath = integrate_proportional(natural_coefficients(contract1, measure1), noise, contract1.initial_price)
-        apath = integrate_proportional(natural_coefficients(asset1, measure1), noise, asset1.initial_price)
-        dv = evolve_portfolio(cpath, [apath], ConstantRatioRule((co.L / co.M,)), grid).residual_increments
-        worst = max(worst, float(np.abs(dv).max()))
+    worst = float(_max_residuals(contract1, [asset1], (co.L / co.M,), measure1, grid, seed + 7, n_paths).max())
     results.append(
         _check(
             "single-asset replication in a one-atom market",
@@ -555,16 +597,7 @@ def suite_completeness(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[Che
     b2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.20 * measure2.locations)))
     phi1, phi2 = two_asset_hedge(contract2, b1, b2, (100.0, 100.0, 100.0), measure2)
     ratios = (phi1 * 100.0 / 100.0, phi2 * 100.0 / 100.0)
-    worst = 0.0
-    for p in range(n_paths):
-        noise = sample_noise(measure2, grid, seed + 8, p)
-        cpath = integrate_proportional(natural_coefficients(contract2, measure2), noise, 100.0)
-        paths = [
-            integrate_proportional(natural_coefficients(b1, measure2), noise, 100.0),
-            integrate_proportional(natural_coefficients(b2, measure2), noise, 100.0),
-        ]
-        dv = evolve_portfolio(cpath, paths, ConstantRatioRule(ratios), grid).residual_increments
-        worst = max(worst, float(np.abs(dv).max()))
+    worst = float(_max_residuals(contract2, [b1, b2], ratios, measure2, grid, seed + 8, n_paths).max())
     results.append(
         _check(
             "two-asset replication in a two-atom market",

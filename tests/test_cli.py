@@ -4,6 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from levyhedge import cli, sim_harness
+from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
+from levyhedge.market import GeometricBernoulliSpec, PricingKernelSpec
+from levyhedge.sim_harness import Scenario
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -274,6 +280,27 @@ def test_simulate_bad_override_is_config_error(tmp_path: Path, args, scenario):
     assert cp.stderr.startswith("configuration error:")
 
 
+def test_steps_above_the_limit_are_rejected_before_simulating(tmp_path: Path, monkeypatch, capsys):
+    limit = sim_harness._MAX_STEPS
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario past the steps limit reached the simulation")
+
+    # nothing may be allocated for such a grid: fail loudly instead
+    monkeypatch.setattr(cli, "run_scenario", never)
+    full = cli.scenario_to_config(sim_harness.builtin_scenario("fig3"))
+    for i, scenario in enumerate(({"name": "fig3", "steps": limit + 1}, {**full, "steps": 2_000_000_000})):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({"schema_version": 1, "scenario": scenario}))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+    for command in ("simulate", "hedge", "figures"):
+        assert cli.main([command, "fig3", "--steps", "2000000000", "--out", str(tmp_path / command)]) == 2
+        assert not (tmp_path / command).exists()
+    err = capsys.readouterr().err
+    assert err.count(f"steps must be at most {limit}") == 5
+    assert "Traceback" not in err
+
+
 def test_simulate_underflowing_prices_exit_numerical_failure(tmp_path: Path):
     # a contract volatility of 40 drives exp(-sigma^2 t / 2 + sigma W_t) below
     # the smallest float within the horizon, so prices underflow to zero
@@ -357,3 +384,49 @@ def test_hedge_without_hedging_mode_reports_no_hedge():
     cp = run_cli("hedge", "fig1")
     assert cp.returncode == 0, cp.stderr
     assert "no hedge requested" in cp.stdout
+
+
+# ---------------------------------------------------------------- config round trip
+
+
+@st.composite
+def _config_scenarios(draw):
+    locations = draw(st.lists(st.floats(-3.0, 3.0), max_size=4, unique=True))
+    measure = LevyMeasure(tuple(JumpAtom(x, draw(st.floats(1e-3, 50.0))) for x in locations))
+
+    def spec():
+        return GeometricBernoulliSpec(
+            draw(st.floats(1e-3, 1e4)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-5.0, 5.0))
+        )
+
+    n_assets = draw(st.integers(0, 4))
+    modes = ["none"] + (["single", "multi"] if n_assets >= 1 else []) + (["two_asset"] if n_assets >= 2 else [])
+    mode = draw(st.sampled_from(modes))
+    index = draw(st.integers(0, n_assets - 1)) if mode == "single" else draw(st.integers(0, 5))
+    kernel = draw(
+        st.none()
+        | st.builds(
+            PricingKernelSpec,
+            st.floats(-0.5, 0.5),
+            st.floats(-2.0, 2.0),
+            st.lists(st.floats(-5.0, 0.99), max_size=4).map(tuple),
+        )
+    )
+    return Scenario(
+        measure=measure,
+        contract=spec(),
+        hedging_assets=tuple(spec() for _ in range(n_assets)),
+        grid=TimeGrid(draw(st.floats(1e-3, 100.0)), draw(st.integers(1, sim_harness._MAX_STEPS))),
+        n_paths=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**64)),
+        hedge_mode=mode,
+        hedge_asset_index=index,
+        kernel=kernel,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_scenarios())
+def test_scenario_config_json_round_trip(s):
+    text = json.dumps(cli.scenario_to_config(s), sort_keys=True, indent=2)
+    assert cli.build_scenario(json.loads(text)) == s

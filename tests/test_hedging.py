@@ -161,6 +161,22 @@ def test_gram_requires_symmetry():
         GramSystem(np.array([[1.0, 0.2], [0.3, 1.0]]), np.ones(2), 1.0, np.ones(2))
 
 
+@pytest.mark.parametrize("scale", [1.0, 3.0, 1e6])
+def test_gram_symmetry_tolerance(scale):
+    # |M - M^T| <= 1e-12 * max(1, max|M|) elementwise
+    tol = 1e-12 * max(1.0, scale)
+
+    def system(asymmetry):
+        m = np.array([[scale, 0.5 * scale], [0.5 * scale + asymmetry, 0.8 * scale]])
+        return GramSystem(m, np.ones(2), 1.0, np.ones(2))
+
+    assert system(0.9 * tol).n_assets == 2
+    assert system(-0.9 * tol).n_assets == 2
+    for asymmetry in (1.1 * tol, -1.1 * tol, np.nan):
+        with pytest.raises(ValueError, match="symmetric"):
+            system(asymmetry)
+
+
 # ---------------------------------------------------------------- solvers
 
 
@@ -219,6 +235,21 @@ def test_two_asset_replication_by_second_asset(bern_measure, contract, asset_hig
     phi1, phi2 = two_asset_hedge(contract, asset_high, contract, (100.0, 100.0, 100.0), bern_measure)
     assert phi1 == pytest.approx(0.0, abs=1e-12)
     assert phi2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_asset_determinant_underflow_is_degenerate():
+    # Gram entries ~1e-192 pass the eigenvalue rule, but V11 V22 - V12^2
+    # underflows to zero
+    m = LevyMeasure.bernoulli(15.0, 0.5)
+    vol = 1.6e-96
+    contract = AssetSpec(100.0, vol, (vol, -vol))
+    a1 = AssetSpec(100.0, vol, (2.0 * vol, 0.0))
+    a2 = AssetSpec(100.0, 0.0, (0.0, 3.0 * vol))
+    v = volatility_gram(contract, [a1, a2], m)
+    assert v[1, 1] * v[2, 2] - v[1, 2] ** 2 == 0.0
+    with pytest.raises(DegeneracyError) as err:
+        two_asset_hedge(contract, a1, a2, (100.0, 100.0, 100.0), m)
+    assert err.value.report is not None and not err.value.report.degenerate
 
 
 def test_duplicated_assets_are_degenerate(bern_measure, contract, asset_high):
@@ -496,3 +527,37 @@ def test_single_optimum_removes_the_fraction_rho(s):
     d_opt = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon)
     d_zero = analytic_delta(contract, assets, [0.0], s.measure, s.grid.horizon)
     assert abs(d_opt - (1.0 - rho) * d_zero) <= 1e-10 * d_zero
+
+
+def _ratio_stacks(n_assets: int):
+    """Arrays of scaled-ratio vectors, shape (k, n_assets) or (k1, k2, n_assets)."""
+    shapes = st.sampled_from([(1,), (5,), (2, 3)])
+    return shapes.flatmap(
+        lambda shape: st.lists(
+            _reals(-3.0, 3.0), min_size=int(np.prod(shape)) * n_assets, max_size=int(np.prod(shape)) * n_assets
+        ).map(lambda xs: np.array(xs).reshape(shape + (n_assets,)))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_analytic_delta_equals_per_row_calls(data):
+    measure, contract, assets = data.draw(_gram_inputs())
+    psi = data.draw(_ratio_stacks(len(assets)))
+    stacked = analytic_delta(contract, assets, psi, measure, 0.7)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == psi.shape[:-1]
+    v = volatility_gram(contract, assets, measure)
+    for idx in np.ndindex(psi.shape[:-1]):
+        row = analytic_delta(contract, assets, psi[idx], measure, 0.7)
+        assert isinstance(row, float)
+        # relative to the sum of |terms| of c'Vc, the error scale of the sum
+        c = np.concatenate(([1.0], -psi[idx]))
+        scale = 0.7 * contract.initial_price**2 * float(np.abs(c) @ np.abs(v) @ np.abs(c))
+        assert abs(stacked[idx] - row) <= 1e-13 * scale
+
+
+def test_analytic_delta_rejects_wrong_ratio_count(bern_measure, contract, asset_high, asset_low):
+    with pytest.raises(ValueError):
+        analytic_delta(contract, [asset_high, asset_low], np.zeros((4, 3)), bern_measure, 1.0)
+    with pytest.raises(ValueError):
+        analytic_delta(contract, [asset_high, asset_low], [0.5], bern_measure, 1.0)

@@ -13,15 +13,24 @@ from hypothesis import given, settings, strategies as st
 from levyhedge import (
     ConstantRatioRule,
     GeometricBernoulliSpec,
+    IntegrationError,
+    JumpAtom,
     LevyMeasure,
+    NoiseRealization,
     PriceRangeError,
     builtin_scenario,
     evolve_portfolio,
     geometric_price_path,
+    integrate,
+    integrate_block,
+    integrate_proportional,
+    integrate_proportional_block,
     run_scenario,
     sample_noise,
     sample_noise_block,
     scenario_ratios,
+    SymmetricCoefficients,
+    TimeGrid,
 )
 from levyhedge import cli, sim_harness
 from levyhedge.sim_harness import FIGURE_NAMES, with_overrides
@@ -152,3 +161,46 @@ def test_underflowing_price_is_a_typed_error():
         noise = sample_noise(s.measure, s.grid, s.seed, p)
         assert geometric_price_path(s.natural_contract(), s.measure, noise, s.grid).values.min() > 0.0
 
+
+
+EULER = [(integrate_block, integrate), (integrate_proportional_block, integrate_proportional)]
+
+
+@pytest.mark.parametrize("block_fn, path_fn", EULER)
+@pytest.mark.parametrize("measure", [LevyMeasure.bernoulli(15.0, 0.5), LevyMeasure()])
+def test_block_euler_matches_per_path_integrators(block_fn, path_fn, measure, unit_grid):
+    coeffs = SymmetricCoefficients(0.03, 0.2, (0.3, -0.25)[: len(measure)], measure)
+    dw, counts = sample_noise_block(measure, unit_grid, SEED, 0, 6)
+    # any leading path axes: here (2, 3) paths
+    values = block_fn(coeffs, dw.reshape(2, 3, -1), counts.reshape(2, 3, *counts.shape[1:]), unit_grid, 1.5)
+    assert values.shape == (2, 3, unit_grid.steps + 1)
+    for row, path in enumerate(values.reshape(6, -1)):
+        expected = path_fn(coeffs, sample_noise(measure, unit_grid, SEED, row), 1.5).values
+        np.testing.assert_allclose(path, expected, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("block_fn, path_fn", EULER)
+def test_block_euler_overflow_is_a_typed_error(block_fn, path_fn):
+    # a huge jump volatility with a negligible compensator: two jumps overflow
+    measure = LevyMeasure((JumpAtom(1.0, 1e-318),))
+    coeffs = SymmetricCoefficients(0.0, 0.0, (1e308,), measure)
+    grid = TimeGrid(1.0, 8)
+    dw = np.zeros((3, 8))
+    counts = np.zeros((3, 8, 1), dtype=np.int64)
+    counts[1, [2, 5], 0] = 1  # path 1 overflows at step 5
+    counts[2, 6, 0] = 1
+    with pytest.raises(IntegrationError) as block_err:
+        block_fn(coeffs, dw, counts, grid, 1.0)
+    assert block_err.value.step == 5 and "path 1" in str(block_err.value)
+    with pytest.raises(IntegrationError) as path_err:
+        path_fn(coeffs, NoiseRealization(measure, grid, dw[1], counts[1]), 1.0)
+    assert path_err.value.step == 5
+    # the paths without a second jump stay finite
+    assert np.isfinite(block_fn(coeffs, dw[::2], counts[::2], grid, 1.0)).all()
+
+
+def test_block_euler_rejects_a_different_measure(bern_measure, unit_grid):
+    coeffs = SymmetricCoefficients(0.0, 0.2, (), LevyMeasure())
+    dw, counts = sample_noise_block(bern_measure, unit_grid, SEED, 0, 2)
+    with pytest.raises(ValueError):
+        integrate_block(coeffs, dw, counts, unit_grid, 0.0)

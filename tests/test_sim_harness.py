@@ -13,6 +13,7 @@ from levyhedge import (
     single_coefficients,
     two_asset_hedge,
 )
+from levyhedge import sim_harness
 from levyhedge.sim_harness import with_overrides
 
 SEED = 333
@@ -70,6 +71,14 @@ def test_scenario_validation(bern_measure):
         Scenario(bern_measure, contract, (asset,), grid, 10, SEED, "sideways")
     with pytest.raises(ValueError):
         Scenario(bern_measure, contract, (asset,), grid, 10, -1, "none")
+
+
+def test_steps_limit():
+    s = builtin_scenario("fig3")
+    limit = sim_harness._MAX_STEPS
+    assert with_overrides(s, steps=limit).grid.steps == limit
+    with pytest.raises(ValueError, match=f"at most {limit}"):
+        with_overrides(s, steps=limit + 1)
 
 
 def test_with_overrides():

@@ -1,0 +1,183 @@
+"""The verification suites on path blocks: each Monte Carlo statistic equals
+a per-path reference loop over sample_noise and the per-path integrators,
+and does not depend on the block size."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from levyhedge import (
+    AssetSpec,
+    ConstantRatioRule,
+    SymmetricCoefficients,
+    TimeGrid,
+    builtin_scenario,
+    evolve_portfolio,
+    exponential_path,
+    geometric_price_path,
+    integrate,
+    integrate_proportional,
+    natural_coefficients,
+    product_coefficients,
+    sample_noise,
+    scenario_ratios,
+)
+from levyhedge import verification
+from levyhedge.levy_core import LevyMeasure, NoiseRealization
+from levyhedge.verification import (
+    _euler_gap_ratios,
+    _euler_terminals,
+    _fig_assets,
+    _fig_measure,
+    _integrated_squares,
+    _max_residuals,
+    _normalized_errors,
+    _price_terminals,
+    run_suite,
+)
+
+SEED = 4242
+N_PATHS = 13  # blocks of 8 + 5 paths at 1000 steps, 4 + 4 + 4 + 1 at 2000
+GRID = TimeGrid(1.0, 1000)
+MEASURE = _fig_measure()
+CONTRACT, A1, A2 = _fig_assets()
+FIG_RATIOS = tuple(scenario_ratios(builtin_scenario(name)) for name in ("fig2a", "fig2b", "fig3"))
+
+
+def _geometric(beta: float) -> AssetSpec:
+    return AssetSpec(100.0, 0.0, tuple(np.expm1(beta * MEASURE.locations)))
+
+
+def _noise(p: int, grid: TimeGrid = GRID, measure: LevyMeasure = MEASURE) -> NoiseRealization:
+    return sample_noise(measure, grid, SEED, p)
+
+
+def _residuals(price, contract, assets, ratios, noise) -> tuple:
+    cpath = price(contract, noise)
+    report = evolve_portfolio(cpath, [price(a, noise) for a in assets], ConstantRatioRule(ratios), GRID)
+    return cpath, report.residual_increments
+
+
+def _euler(spec, noise):
+    return integrate_proportional(natural_coefficients(spec, MEASURE), noise, spec.initial_price)
+
+
+def _exact(spec, noise):
+    return geometric_price_path(spec, MEASURE, noise, GRID)
+
+
+def _normalized_reference(p):
+    cpath, dv = _residuals(_euler, CONTRACT, [A1], FIG_RATIOS[0][:1], _noise(p))
+    rel = dv / cpath.values[:-1]
+    return CONTRACT.initial_price**2 * float(rel @ rel)
+
+
+def _euler_gap_reference(p, a, b):
+    fine = sample_noise(MEASURE, TimeGrid(1.0, 2000), SEED, p)
+    coarse = NoiseRealization(
+        MEASURE,
+        TimeGrid(1.0, 1000),
+        fine.brownian_increments.reshape(-1, 2).sum(axis=1),
+        fine.jump_counts.reshape(-1, 2, len(MEASURE)).sum(axis=1),
+    )
+    gaps = []
+    for noise in (coarse, fine):
+        e_a = integrate_proportional(a, noise, 1.0)
+        e_b = integrate_proportional(b, noise, 1.0)
+        e_ab = integrate_proportional(product_coefficients(a, b), noise, 1.0)
+        cf = exponential_path(a, noise, 1.0)
+        gaps.append((np.abs(e_a.values - cf.values).max(), np.abs(e_ab.values - e_a.values * e_b.values).max()))
+    return gaps[1][0] / gaps[0][0], gaps[1][1] / gaps[0][1]
+
+
+_DRIVER = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
+_BROWNIAN = SymmetricCoefficients(0.0, 1.0, (), LevyMeasure())
+_GAP_A = SymmetricCoefficients(0.02, 0.15, tuple(np.expm1(0.3 * MEASURE.locations)), MEASURE)
+_GAP_B = SymmetricCoefficients(-0.01, 0.10, tuple(np.expm1(0.2 * MEASURE.locations)), MEASURE)
+_PURE_JUMP = (_geometric(0.25), _geometric(0.30), _geometric(0.20))
+_PURE_JUMP_RATIOS = (0.41606008891513463, 0.625390267269132)
+
+# statistic name -> (block statistic, per-path reference)
+STATISTICS = {
+    "isometry driver": (
+        lambda: _euler_terminals(_DRIVER, GRID, SEED, 0.0, N_PATHS) ** 2,
+        lambda: [integrate(_DRIVER, _noise(p), 0.0).terminal ** 2 for p in range(N_PATHS)],
+    ),
+    "isometry brownian": (
+        lambda: _euler_terminals(_BROWNIAN, GRID, SEED, 0.0, N_PATHS) ** 2,
+        lambda: [integrate(_BROWNIAN, _noise(p, measure=LevyMeasure()), 0.0).terminal ** 2 for p in range(N_PATHS)],
+    ),
+    "martingale integration": (
+        lambda: _euler_terminals(_DRIVER, GRID, SEED, 3.0, N_PATHS),
+        lambda: [integrate(_DRIVER, _noise(p), 3.0).terminal for p in range(N_PATHS)],
+    ),
+    "martingale prices": (
+        lambda: _price_terminals([CONTRACT, A1, A2], MEASURE, GRID, SEED, N_PATHS),
+        lambda: [[_exact(s, _noise(p)).terminal for s in (CONTRACT, A1, A2)] for p in range(N_PATHS)],
+    ),
+    "optimality monte carlo": (
+        lambda: _normalized_errors(CONTRACT, [A1], FIG_RATIOS[0][:1], MEASURE, GRID, SEED, N_PATHS),
+        lambda: [_normalized_reference(p) for p in range(N_PATHS)],
+    ),
+    "ordering": (
+        lambda: _integrated_squares(CONTRACT, [A1, A2], FIG_RATIOS, MEASURE, GRID, SEED, N_PATHS),
+        lambda: [
+            [float(dv @ dv) for dv in (_residuals(_exact, CONTRACT, [A1, A2], r, _noise(p))[1] for r in FIG_RATIOS)]
+            for p in range(N_PATHS)
+        ],
+    ),
+    "completeness": (
+        lambda: _max_residuals(_PURE_JUMP[0], _PURE_JUMP[1:], _PURE_JUMP_RATIOS, MEASURE, GRID, SEED, N_PATHS),
+        lambda: [
+            float(np.abs(_residuals(_euler, _PURE_JUMP[0], _PURE_JUMP[1:], _PURE_JUMP_RATIOS, _noise(p))[1]).max())
+            for p in range(N_PATHS)
+        ],
+    ),
+    "calculus euler halving": (
+        lambda: np.stack(_euler_gap_ratios(_GAP_A, _GAP_B, SEED, N_PATHS), axis=-1),
+        lambda: [_euler_gap_reference(p, _GAP_A, _GAP_B) for p in range(N_PATHS)],
+    ),
+}
+
+
+def one_path_per_block():
+    return mock.patch.object(verification, "_BLOCK_PATH_STEPS", 1)
+
+
+@pytest.mark.parametrize("name", STATISTICS)
+def test_block_statistic_matches_per_path_reference(name):
+    block, reference = STATISTICS[name]
+    got = block()
+    assert got.shape[0] == N_PATHS
+    np.testing.assert_allclose(got, np.array(reference()), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", STATISTICS)
+def test_block_statistic_does_not_depend_on_block_size(name):
+    block, _ = STATISTICS[name]
+    with one_path_per_block():
+        single = block()
+    np.testing.assert_array_equal(block(), single)
+
+
+@pytest.mark.parametrize("suite", ["isometry", "martingale", "calculus", "optimality", "ordering", "completeness"])
+def test_suite_results_do_not_depend_on_block_size(suite):
+    with one_path_per_block():
+        single = run_suite(suite, SEED, N_PATHS)
+    assert run_suite(suite, SEED, N_PATHS) == single
+
+
+def test_optimality_sweep_makes_one_call_per_market():
+    calls = []
+    real = verification.analytic_delta
+
+    def counted(*args):
+        calls.append(np.shape(args[2]))
+        return real(*args)
+
+    with mock.patch.object(verification, "analytic_delta", counted):
+        run_suite("optimality", SEED, 4)
+    # per randomized market: one stacked sweep of 501 ratios and two points
+    assert calls.count((501, 1)) == 100
+    assert len(calls) == 3 * 100 + 3
