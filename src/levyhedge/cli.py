@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -48,10 +49,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Configuration rejected before execution."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -264,10 +261,30 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+# rows formatted per write: the text held in memory stays bounded at any --steps
+_CSV_ROWS = 4096
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_first: bool = False) -> None:
+    """Write ``header`` and the rows of the (rows, width) float array ``columns``.
+
+    Each chunk of rows is formatted by one ``%`` pass; '%.17g' gives the same
+    text as ``format(x, '.17g')`` for every float, so the bytes do not depend
+    on the chunk size.  ``blank_first`` leaves the last cell of the first
+    row empty.
+    """
+    rows, width = columns.shape
+    cells = ["%.17g"] * width
+    row = ",".join(cells) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        start = 0
+        if blank_first:
+            fh.write((",".join(cells[:-1]) + ",\n") % tuple(columns[0, :-1].tolist()))
+            start = 1
+        for first in range(start, rows, _CSV_ROWS):
+            chunk = columns[first : first + _CSV_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:
@@ -278,23 +295,16 @@ def _dump_config(cfg: dict, out_dir: Path) -> None:
 # figure emission
 
 
-def _figure_csv_rows(name: str, result: ScenarioResult):
+def _figure_csv(name: str, result: ScenarioResult) -> tuple[list[str], np.ndarray, bool]:
+    """Header, (steps + 1, width) columns and ``blank_first`` of a figure's
+    CSV; the hedge figures leave dV blank on the first row."""
     g: GoldenPath = result.golden
-    n = len(g.residuals)
     if name == "fig1":
         header = ["t", "N_t", "X_t", "C", "S1", "S2"]
-        rows = [
-            [
-                _fmt(g.times[i]),
-                _fmt(g.jump_count_path[i]),
-                _fmt(g.jump_sum_path[i]),
-                _fmt(g.contract_values[i]),
-                _fmt(g.asset_values[i, 0]),
-                _fmt(g.asset_values[i, 1]),
-            ]
-            for i in range(n + 1)
-        ]
-        return header, rows
+        columns = np.column_stack(
+            [g.times, g.jump_count_path, g.jump_sum_path, g.contract_values, g.asset_values[:, :2]]
+        )
+        return header, columns, False
 
     n_assets = g.asset_values.shape[1]
     header = (
@@ -304,19 +314,19 @@ def _figure_csv_rows(name: str, result: ScenarioResult):
         + ["theta", "V", "dV"]
     )
     total_gains = (g.contract_values[-1] - g.contract_values[0]) - float(g.residuals.sum())
-    theta_terminal = float((g.phi[-1] * g.asset_values[-1]).sum()) - total_gains if n else 0.0
-    rows = []
-    for i in range(n + 1):
-        hold = g.phi[min(i, n - 1)] if n else np.zeros(n_assets)
-        theta = g.theta[i] if i < n else theta_terminal
-        rows.append(
-            [_fmt(g.times[i]), _fmt(g.contract_values[i])]
-            + [_fmt(g.asset_values[i, j]) for j in range(n_assets)]
-            + [_fmt(hold[j]) for j in range(n_assets)]
-            + [_fmt(theta), _fmt(g.portfolio_values[i])]
-            + ([""] if i == 0 else [_fmt(g.residuals[i - 1])])
-        )
-    return header, rows
+    theta_terminal = float((g.phi[-1] * g.asset_values[-1]).sum()) - total_gains
+    columns = np.column_stack(
+        [
+            g.times,
+            g.contract_values,
+            g.asset_values,
+            np.vstack([g.phi, g.phi[-1:]]),  # the last holdings carry to the terminal row
+            np.append(g.theta, theta_terminal),
+            g.portfolio_values,
+            np.append(0.0, g.residuals),  # row 0 is written blank
+        ]
+    )
+    return header, columns, True
 
 
 def cmd_figures(args) -> int:
@@ -357,8 +367,7 @@ def cmd_figures(args) -> int:
     }
     for name, scenario in zip(names, scenarios):
         result = run_scenario(scenario)
-        header, rows = _figure_csv_rows(name, result)
-        _write_csv(out_dir / f"{name}.csv", header, rows)
+        _write_csv(out_dir / f"{name}.csv", *_figure_csv(name, result))
         print(f"wrote {out_dir / (name + '.csv')}")
     _dump_config(effective, out_dir)
     return EXIT_OK
@@ -438,11 +447,8 @@ def cmd_hedge(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows = [
-            [str(i + 1), _fmt(ratios[i]), _fmt(phi[i]), _fmt(prices[i])]
-            for i in range(len(assets))
-        ]
-        _write_csv(out_dir / "hedge.csv", ["asset", "psi", "phi", "S0"], rows)
+        columns = np.column_stack([np.arange(1, len(assets) + 1), ratios, phi, prices])
+        _write_csv(out_dir / "hedge.csv", ["asset", "psi", "phi", "S0"], columns)
         _dump_config(
             {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},
             out_dir,
@@ -474,33 +480,19 @@ def cmd_simulate(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows = [
-            [
-                str(p.path_index),
-                _fmt(p.delta_terminal),
-                _fmt(p.delta_integrated),
-                _fmt(p.delta_normalized),
-                _fmt(p.residual_sum),
-                _fmt(p.per_step_std),
-                _fmt(p.max_abs_residual),
-            ]
-            for p in result.path_summaries
+        header = [
+            "path_index",
+            "delta_terminal",
+            "delta_integrated",
+            "delta_normalized",
+            "residual_sum",
+            "per_step_std",
+            "max_abs_residual",
         ]
-        _write_csv(
-            out_dir / "paths.csv",
-            [
-                "path_index",
-                "delta_terminal",
-                "delta_integrated",
-                "delta_normalized",
-                "residual_sum",
-                "per_step_std",
-                "max_abs_residual",
-            ],
-            rows,
-        )
-        header, grows = _figure_csv_rows("golden", result)
-        _write_csv(out_dir / "golden_path.csv", header, grows)
+        row = attrgetter(*header)
+        columns = np.array([row(p) for p in result.path_summaries], dtype=float)
+        _write_csv(out_dir / "paths.csv", header, columns)
+        _write_csv(out_dir / "golden_path.csv", *_figure_csv("golden", result))
         _dump_config(
             {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},
             out_dir,
@@ -516,8 +508,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if args.paths is not None and args.paths < 1:
-        raise ConfigError("paths must be positive")
+    if args.paths is not None and args.paths < 2:
+        raise ConfigError(
+            f"paths must be at least 2, got {args.paths}: the Monte Carlo standard errors need two paths"
+        )
     results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED, n_paths=args.paths)
     failed = 0
     for r in results:

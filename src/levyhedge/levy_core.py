@@ -494,6 +494,22 @@ def exponential_prices(
     return values
 
 
+def _checked_prices(values: np.ndarray, what: str, first_path: int) -> np.ndarray:
+    """``values`` (paths, steps + 1) of the prices ``what`` on paths
+    ``first_path``, ``first_path + 1``, ...; raises :class:`PriceRangeError`
+    at the first price (by path, then step) that underflowed to zero or left
+    the finite floats, so no statistic is computed from it."""
+    if not (values.min() > 0.0 and values.max() < np.inf):  # NaN fails both
+        row, step = (int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
+        raise PriceRangeError(
+            first_path + row,
+            step,
+            f"{what} price {float(values[row, step])!r} on path {first_path + row} at step {step} "
+            "is not positive and finite",
+        )
+    return values
+
+
 def exponential_path(coeffs: SymmetricCoefficients, noise: NoiseRealization, x0: float) -> PathSeries:
     """Closed-form path of the stochastic exponential of proportional dynamics.
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .levy_core import (
     _BLOCK_PATH_STEPS,
+    _checked_prices,
     LevyMeasure,
     NoiseRealization,
-    PriceRangeError,
     TimeGrid,
     exponential_prices,
     sample_noise_block,
@@ -265,21 +265,10 @@ def scenario_rho(s: Scenario) -> float | None:
 def _block_prices(
     what: str, spec: AssetSpec, s: Scenario, dw: np.ndarray, counts: np.ndarray, first_path: int
 ) -> np.ndarray:
-    """Natural prices (paths, steps + 1) of one asset over a block of paths.
-
-    Raises :class:`PriceRangeError` at the first price that underflowed to
-    zero or left the finite floats, so no aggregate is computed from it.
-    """
+    """Natural prices (paths, steps + 1) of one asset over a block of paths;
+    a price that is not positive and finite raises :class:`PriceRangeError`."""
     values = exponential_prices(natural_coefficients(spec, s.measure), dw, counts, s.grid, spec.initial_price)
-    if not (values.min() > 0.0 and values.max() < np.inf):  # NaN fails both
-        row, step = (int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
-        raise PriceRangeError(
-            first_path + row,
-            step,
-            f"{what} price {float(values[row, step])!r} on path {first_path + row} at step {step} "
-            "is not positive and finite",
-        )
-    return values
+    return _checked_prices(values, what, first_path)
 
 
 def run_scenario(s: Scenario) -> ScenarioResult:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .levy_core import (
     _BLOCK_PATH_STEPS,
+    _checked_prices,
     LevyMeasure,
     JumpAtom,
     SymmetricCoefficients,
@@ -90,14 +91,24 @@ def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int)
 
 
 def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
-    """Natural prices (paths, steps + 1, n_specs) of each spec on shared
-    noise, one block at a time, from ``price`` (:func:`exponential_prices`
-    or an Euler integrator)."""
+    """Natural prices (paths, steps + 1, n_specs) of the contract specs[0]
+    and the assets specs[1:] on shared noise, one block at a time, from
+    ``price`` (:func:`exponential_prices` or an Euler integrator).  A price
+    that is not positive and finite raises :class:`PriceRangeError`."""
+    first = 0
     for dw, counts in _noise_blocks(measure, grid, seed, n_paths):
         yield np.stack(
-            [price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price) for spec in specs],
+            [
+                _checked_prices(
+                    price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price),
+                    f"asset {k}" if k else "contract",
+                    first,
+                )
+                for k, spec in enumerate(specs)
+            ],
             axis=-1,
         )
+        first += len(dw)
 
 
 def _residuals(prices: np.ndarray, ratios) -> np.ndarray:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -375,6 +379,16 @@ def test_verify_negative_seed_is_config_error():
     assert "checks passed" not in cp.stdout
 
 
+@pytest.mark.parametrize("suite", ["isometry", "ordering"])
+def test_verify_single_path_is_config_error(suite):
+    # one path has no sample standard error: reject it instead of printing NaN
+    cp = run_cli("verify", suite, "--paths", "1")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("configuration error:") and "two paths" in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr and "Traceback" not in cp.stderr
+
+
 def test_verify_unknown_suite_rejected():
     cp = run_cli("verify", "everything")
     assert cp.returncode == 2
@@ -384,6 +398,169 @@ def test_hedge_without_hedging_mode_reports_no_hedge():
     cp = run_cli("hedge", "fig1")
     assert cp.returncode == 0, cp.stderr
     assert "no hedge requested" in cp.stdout
+
+
+# ---------------------------------------------------------------- CSV bytes
+#
+# The reference formats cell by cell with format(float(x), ".17g") and joins
+# rows with "," and "\n"; the chunked writer must match it byte for byte.
+
+
+def _reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _cells(*values) -> list[str]:
+    return [format(float(x), ".17g") for x in values]
+
+
+def _reference_figure(name: str, result) -> bytes:
+    g = result.golden
+    n = len(g.residuals)
+    if name == "fig1":
+        header = ["t", "N_t", "X_t", "C", "S1", "S2"]
+        rows = [
+            _cells(g.times[i], g.jump_count_path[i], g.jump_sum_path[i], g.contract_values[i], *g.asset_values[i, :2])
+            for i in range(n + 1)
+        ]
+        return _reference_csv(header, rows)
+    k = g.asset_values.shape[1]
+    header = ["t", "C", *(f"S{j + 1}" for j in range(k)), *(f"phi{j + 1}" for j in range(k)), "theta", "V", "dV"]
+    gains = (g.contract_values[-1] - g.contract_values[0]) - float(g.residuals.sum())
+    theta_terminal = float((g.phi[-1] * g.asset_values[-1]).sum()) - gains
+    rows = []
+    for i in range(n + 1):
+        theta = g.theta[i] if i < n else theta_terminal
+        row = _cells(g.times[i], g.contract_values[i], *g.asset_values[i], *g.phi[min(i, n - 1)], theta)
+        row += _cells(g.portfolio_values[i]) + ([""] if i == 0 else _cells(g.residuals[i - 1]))
+        rows.append(row)
+    return _reference_csv(header, rows)
+
+
+def _reference_paths(result) -> bytes:
+    header = [
+        "path_index", "delta_terminal", "delta_integrated", "delta_normalized",
+        "residual_sum", "per_step_std", "max_abs_residual",
+    ]
+    rows = [
+        [str(p.path_index)]
+        + _cells(p.delta_terminal, p.delta_integrated, p.delta_normalized, p.residual_sum, p.per_step_std,
+                 p.max_abs_residual)
+        for p in result.path_summaries
+    ]
+    return _reference_csv(header, rows)
+
+
+def _reference_hedge(s) -> bytes:
+    ratios = sim_harness.scenario_ratios(s)
+    assets = s.natural_assets()
+    prices = np.array([a.initial_price for a in assets])
+    phi = np.asarray(ratios) * s.natural_contract().initial_price / prices
+    rows = [[str(i + 1)] + _cells(ratios[i], phi[i], prices[i]) for i in range(len(assets))]
+    return _reference_csv(["asset", "psi", "phi", "S0"], rows)
+
+
+@pytest.mark.parametrize(
+    "chunk, steps",
+    [(1, 1), (1, 7), (3, 1), (3, 7), (None, 7), (None, 5000)],
+    ids=["chunk1-steps1", "chunk1-steps7", "chunk3-steps1", "chunk3-steps7", "default-steps7", "default-steps5000"],
+)
+def test_csv_bytes_match_cellwise_reference(tmp_path: Path, monkeypatch, capsys, chunk, steps):
+    # 7 steps give 8 rows, 5000 steps 5001: neither fills its last chunk
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+    n_paths, seed = 5, 9
+    args = ["--paths", str(n_paths), "--steps", str(steps), "--seed", str(seed)]
+    assert cli.main(["simulate", "fig3", *args, "--out", str(tmp_path / "sim")]) == 0
+    assert cli.main(["figures", "fig1", "fig3", *args, "--out", str(tmp_path / "figs")]) == 0
+    assert cli.main(["hedge", "fig3", "--out", str(tmp_path / "hedge")]) == 0
+    capsys.readouterr()
+
+    def result(name):
+        return sim_harness.run_scenario(
+            sim_harness.with_overrides(sim_harness.builtin_scenario(name), n_paths=n_paths, seed=seed, steps=steps)
+        )
+
+    fig3 = result("fig3")
+    assert (tmp_path / "sim" / "paths.csv").read_bytes() == _reference_paths(fig3)
+    assert (tmp_path / "sim" / "golden_path.csv").read_bytes() == _reference_figure("golden", fig3)
+    assert (tmp_path / "figs" / "fig1.csv").read_bytes() == _reference_figure("fig1", result("fig1"))
+    assert (tmp_path / "figs" / "fig3.csv").read_bytes() == _reference_figure("fig3", fig3)
+    assert (tmp_path / "hedge" / "hedge.csv").read_bytes() == _reference_hedge(sim_harness.builtin_scenario("fig3"))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("blank_first", [False, True])
+def test_csv_writer_special_floats(tmp_path: Path, monkeypatch, chunk, blank_first):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+    special = [
+        -0.0, 0.0, 1e-300, 5e-324, 2.0**53, -(2.0**53), 2.0**53 + 2, float("nan"), float("inf"), -float("inf"),
+        0.1, 1 / 3, 1e16, 1e17, 1.7976931348623157e308, 7.0,
+    ]
+    columns = np.resize(np.array(special), (7, 4))  # every value, two of them twice
+    path = tmp_path / "special.csv"
+    cli._write_csv(path, ["a", "b", "c", "d"], columns, blank_first=blank_first)
+    rows = [_cells(*row) for row in columns]
+    if blank_first:
+        rows[0][-1] = ""
+    assert path.read_bytes() == _reference_csv(["a", "b", "c", "d"], rows)
+
+
+# ---------------------------------------------------------------- exit codes
+
+@st.composite
+def _scenario_names(draw):
+    # mostly built-in names, so that a fair share of runs gets past
+    # validation; the random text includes "" (no scenario) and unknown names
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(sim_harness.FIGURE_NAMES))
+    return draw(st.text("abcfgi0124", max_size=5))
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["simulate", "hedge", "figures"]))
+    names = draw(st.lists(_scenario_names(), max_size=2)) if command == "figures" else [draw(_scenario_names())]
+    return [
+        command,
+        *names,
+        "--paths", str(draw(st.integers(-2, 4))),
+        "--steps", str(draw(st.integers(-2, 40))),
+        "--seed", str(draw(st.integers(-3, 50))),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_argv())
+def test_cli_exit_codes_are_documented(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([*argv, "--out", str(out_dir)])
+            except SystemExit as exc:  # argparse rejected the argv
+                code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code != 0:
+            return
+        csvs = sorted(out_dir.glob("*.csv")) if out_dir.exists() else []
+        if argv[0] == "simulate":
+            assert [p.name for p in csvs] == ["golden_path.csv", "paths.csv"]
+        if argv[0] == "figures":
+            assert {p.stem for p in csvs} == set(argv[1 : argv.index("--paths")] or sim_harness.FIGURE_NAMES)
+        for path in csvs:
+            header, *rows = path.read_text().splitlines()
+            for i, row in enumerate(rows):
+                cells = row.split(",")
+                assert len(cells) == len(header.split(","))
+                # only dV on the first row of a hedge table is left blank
+                if i == 0 and header.endswith(",dV"):
+                    assert cells.pop() == ""
+                [float(x) for x in cells]  # raises on a cell that is not a float
 
 
 # ---------------------------------------------------------------- config round trip

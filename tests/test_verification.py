@@ -10,6 +10,7 @@ import pytest
 from levyhedge import (
     AssetSpec,
     ConstantRatioRule,
+    PriceRangeError,
     SymmetricCoefficients,
     TimeGrid,
     builtin_scenario,
@@ -181,3 +182,23 @@ def test_optimality_sweep_makes_one_call_per_market():
     # per randomized market: one stacked sweep of 501 ratios and two points
     assert calls.count((501, 1)) == 100
     assert len(calls) == 3 * 100 + 3
+
+
+def test_underflowing_price_terminals_raise_price_range_error():
+    # a Brownian volatility of 37 drives exp(-sigma^2 t / 2 + sigma W_t) to zero
+    # late in the horizon on a few paths; at this seed the first of them lies
+    # past the first block of 8 paths, so the reported index carries the offset
+    seed, n_paths = 11, 40
+    bad = AssetSpec(1.0, 37.0, (0.1, -0.1))
+    with pytest.raises(PriceRangeError) as info:
+        _price_terminals([CONTRACT, bad], MEASURE, GRID, seed, n_paths)
+    err = info.value
+    # per-path reference: the first path whose price reaches zero, and its first such step
+    for p in range(n_paths):
+        values = exponential_path(natural_coefficients(bad, MEASURE), sample_noise(MEASURE, GRID, seed, p), 1.0).values
+        if values.min() <= 0.0:
+            break
+    assert p >= verification._BLOCK_PATH_STEPS // GRID.steps
+    step = int(np.argmax(values <= 0.0))
+    assert (err.path_index, err.step) == (p, step)
+    assert str(err) == f"asset 1 price 0.0 on path {p} at step {step} is not positive and finite"
