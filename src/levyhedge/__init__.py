@@ -4,22 +4,16 @@ from .levy_core import (
     IntegrationError,
     JumpAtom,
     LevyMeasure,
-    NoiseRealization,
-    PathSeries,
     PriceRangeError,
     SingularDenominatorError,
     SymmetricCoefficients,
     TimeGrid,
     compensate,
-    exponential_path,
     exponential_prices,
-    integrate,
-    integrate_proportional,
     integrate_block,
     integrate_proportional_block,
     product_coefficients,
     quotient_coefficients,
-    sample_noise,
     sample_noise_block,
 )
 from .market import (
@@ -27,11 +21,9 @@ from .market import (
     GeometricBernoulliSpec,
     PricingKernelSpec,
     benchmark_coefficients,
-    domestic_coefficients,
     domestic_drift,
     from_natural,
-    geometric_price_path,
-    kernel_path,
+    kernel_coefficients,
     natural_coefficients,
     to_natural,
 )
@@ -40,13 +32,10 @@ from .hedging import (
     DegeneracyError,
     DegeneracyReport,
     GramSystem,
-    HedgeReport,
-    HedgeStrategy,
     SingleHedgeCoefficients,
     analytic_delta,
     benchmark_holdings,
     degeneracy_check,
-    evolve_portfolio,
     gram_system,
     hedge_residuals,
     multi_asset_hedge,
@@ -58,6 +47,7 @@ from .hedging import (
     volatility_gram,
 )
 from .sim_harness import (
+    PATH_COLUMNS,
     BruteForceResult,
     Scenario,
     ScenarioResult,

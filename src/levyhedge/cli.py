@@ -14,19 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .hedging import DegeneracyError, analytic_delta, degeneracy_check, gram_system
-from .market import GeometricBernoulliSpec, PricingKernelSpec
+from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
     DEFAULT_SEED,
     FIGURE_NAMES,
     HEDGE_MODES,
+    PATH_COLUMNS,
     GoldenPath,
     Scenario,
     ScenarioResult,
@@ -119,26 +119,6 @@ def _build_measure(obj, where: str) -> LevyMeasure:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_kernel(obj, where: str) -> PricingKernelSpec | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object or null")
-    keys = {"short_rate", "brownian_mpr", "jump_mpr"}
-    _check_keys(obj, keys, where)
-    _require(obj, keys, where)
-    if not isinstance(obj["jump_mpr"], list):
-        raise ConfigError(f"{where}.jump_mpr must be a list")
-    try:
-        return PricingKernelSpec(
-            _as_number(obj["short_rate"], f"{where}.short_rate"),
-            _as_number(obj["brownian_mpr"], f"{where}.brownian_mpr"),
-            tuple(_as_number(v, f"{where}.jump_mpr[{i}]") for i, v in enumerate(obj["jump_mpr"])),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 _SCENARIO_BUILTIN_KEYS = {"name", "n_paths", "seed", "steps", "hedge_mode", "hedge_asset_index"}
 _SCENARIO_FULL_KEYS = {
     "measure",
@@ -190,6 +170,9 @@ def build_scenario(obj) -> Scenario:
 
     _check_keys(obj, _SCENARIO_FULL_KEYS, "scenario")
     _require(obj, _SCENARIO_FULL_KEYS - {"kernel", "hedge_asset_index"}, "scenario")
+    # effective_config.json files written before scenarios lost their kernel carry "kernel": null
+    if obj.get("kernel") is not None:
+        raise ConfigError("scenario.kernel must be null: scenarios run in benchmark units, with no pricing kernel")
     if not isinstance(obj["hedging_assets"], list):
         raise ConfigError("scenario.hedging_assets must be a list")
     mode = obj["hedge_mode"]
@@ -198,7 +181,6 @@ def build_scenario(obj) -> Scenario:
     try:
         return Scenario(
             measure=_build_measure(obj["measure"], "scenario.measure"),
-            kernel=_build_kernel(obj.get("kernel"), "scenario.kernel"),
             contract=_build_asset(obj["contract"], "scenario.contract"),
             hedging_assets=tuple(
                 _build_asset(a, f"scenario.hedging_assets[{i}]") for i, a in enumerate(obj["hedging_assets"])
@@ -214,13 +196,6 @@ def build_scenario(obj) -> Scenario:
 
 
 def scenario_to_config(s: Scenario) -> dict:
-    kernel = None
-    if s.kernel is not None:
-        kernel = {
-            "short_rate": s.kernel.short_rate,
-            "brownian_mpr": s.kernel.brownian_mpr,
-            "jump_mpr": list(s.kernel.jump_mpr),
-        }
     def spec(a: GeometricBernoulliSpec) -> dict:
         return {
             "initial_price": a.initial_price,
@@ -230,7 +205,6 @@ def scenario_to_config(s: Scenario) -> dict:
 
     return {
         "measure": {"atoms": [{"location": a.location, "intensity": a.intensity} for a in s.measure.atoms]},
-        "kernel": kernel,
         "contract": spec(s.contract),
         "hedging_assets": [spec(a) for a in s.hedging_assets],
         "horizon": s.grid.horizon,
@@ -254,6 +228,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError("config root must be an object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
+    if not isinstance(obj.get("out_dir", ""), (str, type(None))):
+        raise ConfigError("config out_dir must be a string")
     return obj
 
 
@@ -340,7 +316,10 @@ def cmd_figures(args) -> int:
         _check_keys(cfg, {"schema_version", "command", "figures", "seed", "paths", "steps", "out_dir"}, "config")
         if cfg.get("command") != "figures":
             raise ConfigError("config command must be 'figures'")
-        names = names or list(cfg.get("figures", []))
+        figures = cfg.get("figures", [])
+        if not (isinstance(figures, list) and all(isinstance(name, str) for name in figures)):
+            raise ConfigError("figures must be a list of figure names")
+        names = names or figures
         seed = seed if seed is not None else cfg.get("seed")
         paths = paths if paths is not None else cfg.get("paths")
         steps = steps if steps is not None else cfg.get("steps")
@@ -480,18 +459,8 @@ def cmd_simulate(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        header = [
-            "path_index",
-            "delta_terminal",
-            "delta_integrated",
-            "delta_normalized",
-            "residual_sum",
-            "per_step_std",
-            "max_abs_residual",
-        ]
-        row = attrgetter(*header)
-        columns = np.array([row(p) for p in result.path_summaries], dtype=float)
-        _write_csv(out_dir / "paths.csv", header, columns)
+        columns = np.column_stack([np.arange(scenario.n_paths), result.path_stats])
+        _write_csv(out_dir / "paths.csv", ["path_index", *PATH_COLUMNS], columns)
         _write_csv(out_dir / "golden_path.csv", *_figure_csv("golden", result))
         _dump_config(
             {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},

@@ -35,15 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .levy_core import LevyMeasure, PathSeries, TimeGrid
+from .levy_core import LevyMeasure
 from .market import AssetSpec
 
 __all__ = [
     "DegeneracyError",
     "SingleHedgeCoefficients",
     "GramSystem",
-    "HedgeStrategy",
-    "HedgeReport",
     "DegeneracyReport",
     "ConstantRatioRule",
     "volatility_gram",
@@ -55,7 +53,6 @@ __all__ = [
     "hedge_residuals",
     "portfolio_values",
     "benchmark_holdings",
-    "evolve_portfolio",
     "analytic_delta",
     "rho_diagnostic",
     "degeneracy_check",
@@ -130,47 +127,6 @@ class GramSystem:
     @property
     def n_assets(self) -> int:
         return self.M.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class HedgeStrategy:
-    """Realized holdings per step: phi (steps, n_assets) and theta (steps,).
-
-    phi[i] is held over step i and is a function of step-start prices;
-    theta[i] is the benchmark position after the rebalance at t_i and
-    satisfies theta_i = sum_j phi_ij S^j_i - sum_{u<i} phi_u . dS_u.
-    """
-
-    phi: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
-        theta = np.asarray(self.theta, dtype=float)
-        if phi.shape[0] != theta.shape[0]:
-            raise ValueError("phi and theta must cover the same steps")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", theta)
-
-
-@dataclass(frozen=True, eq=False)
-class HedgeReport:
-    """Outcome of evolving one hedge portfolio along one path."""
-
-    portfolio_values: np.ndarray
-    residual_increments: np.ndarray
-    strategy: HedgeStrategy
-    delta_mc: float
-    per_step_std: float
-    max_abs_residual: float
-    delta_analytic: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        if self.delta_mc < 0.0:
-            raise ValueError("squared terminal deviation cannot be negative")
-        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -356,50 +312,6 @@ def benchmark_holdings(phi: np.ndarray, asset_values: np.ndarray, gains: np.ndar
     held after the rebalance at t_i, for one path."""
     cum_gains = np.concatenate(([0.0], np.cumsum(gains)[:-1]))
     return (phi * asset_values[:-1]).sum(axis=1) - cum_gains
-
-
-def evolve_portfolio(
-    contract_path: PathSeries,
-    asset_paths: Sequence[PathSeries],
-    strategy: ConstantRatioRule | None,
-    grid: TimeGrid,
-    *,
-    delta_analytic: float | None = None,
-    rho: float | None = None,
-) -> HedgeReport:
-    """Evolve the self-financing hedge portfolio along one path.
-
-    Holdings for step i are evaluated from the step-start values (grid
-    predictability), and no holdings at all when ``strategy`` is None;
-    V_0 = C_0, i.e. the initial short-sale proceeds sit in the benchmark
-    account.  Residual increments are dV = dC - sum phi dS.
-    """
-    n = grid.steps
-    if contract_path.values.shape != (n + 1,):
-        raise ValueError("contract path does not match the grid")
-    for p in asset_paths:
-        if p.values.shape != (n + 1,):
-            raise ValueError("asset path does not match the grid")
-
-    c = contract_path.values
-    s = (
-        np.stack([p.values for p in asset_paths], axis=1)
-        if asset_paths
-        else np.zeros((n + 1, 0))
-    )
-    phi = strategy.holdings(c, s) if strategy is not None else np.zeros((n, s.shape[1]))
-    dv, gains = hedge_residuals(c, s, phi)
-    values = portfolio_values(c, dv)
-    return HedgeReport(
-        portfolio_values=values,
-        residual_increments=dv,
-        strategy=HedgeStrategy(phi, benchmark_holdings(phi, s, gains)),
-        delta_mc=float((values[-1] - values[0]) ** 2),
-        per_step_std=float(dv.std()),
-        max_abs_residual=float(np.abs(dv).max()) if n else 0.0,
-        delta_analytic=delta_analytic,
-        rho=rho,
-    )
 
 
 def analytic_delta(

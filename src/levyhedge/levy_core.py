@@ -13,14 +13,15 @@ step-start state, which is the grid realization of predictability.
 
 Noise is generated from one master seed with per-path substreams; within a
 path the Brownian and jump draws come from disjoint substreams, so enabling
-or disabling jumps never perturbs the Brownian increments.
+or disabling jumps never perturbs the Brownian increments.  Every path is
+made by the block kernels below: noise arrays in, value arrays out, with any
+leading path axes, so a (steps,) array is one path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
 
 import numpy as np
 
@@ -36,17 +37,11 @@ __all__ = [
     "JumpAtom",
     "LevyMeasure",
     "TimeGrid",
-    "NoiseRealization",
     "SymmetricCoefficients",
-    "PathSeries",
-    "sample_noise",
     "sample_noise_block",
     "compensate",
-    "integrate",
-    "integrate_proportional",
     "integrate_block",
     "integrate_proportional_block",
-    "exponential_path",
     "exponential_prices",
     "product_coefficients",
     "quotient_coefficients",
@@ -81,6 +76,12 @@ class SingularDenominatorError(ValueError):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_integer(value, what: str) -> None:
+    """Reject a count that is not an integer; a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError("horizon must be finite and positive")
+        _check_integer(self.steps, "steps")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
 
@@ -153,53 +155,6 @@ class TimeGrid:
     @cached_property
     def times(self) -> np.ndarray:
         return _readonly(np.linspace(0.0, self.horizon, self.steps + 1))
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseRealization:
-    """One path's Brownian increments and per-step jump counts.
-
-    ``brownian_increments`` has shape (steps,), each entry ~ Normal(0, dt).
-    ``jump_counts`` has shape (steps, n_atoms); entry (i, k) is the number of
-    arrivals of atom k during step i, ~ Poisson(intensity_k * dt).
-    """
-
-    measure: LevyMeasure
-    grid: TimeGrid
-    brownian_increments: np.ndarray
-    jump_counts: np.ndarray
-
-    def __post_init__(self):
-        dw = np.asarray(self.brownian_increments, dtype=float)
-        cnt = np.asarray(self.jump_counts, dtype=np.int64)
-        if dw.shape != (self.grid.steps,):
-            raise ValueError("brownian_increments length must equal grid.steps")
-        if cnt.shape != (self.grid.steps, len(self.measure)):
-            raise ValueError("jump_counts must have shape (steps, n_atoms)")
-        if not np.isfinite(dw).all():
-            raise ValueError("brownian increments must be finite")
-        if (cnt < 0).any():
-            raise ValueError("jump counts must be nonnegative")
-        object.__setattr__(self, "brownian_increments", _readonly(dw))
-        object.__setattr__(self, "jump_counts", _readonly(cnt))
-
-    def jump_events(self, step: int) -> list[tuple[int, int]]:
-        """Sparse view of one step's jumps as (atom_index, count) pairs."""
-        row = self.jump_counts[step]
-        return [(int(k), int(c)) for k, c in enumerate(row) if c > 0]
-
-    def cumulative_jump_count(self) -> np.ndarray:
-        """Total arrivals up to each grid time (length steps + 1, starts at 0)."""
-        out = np.zeros(self.grid.steps + 1)
-        np.cumsum(self.jump_counts.sum(axis=1), out=out[1:])
-        return out
-
-    def cumulative_jump_sum(self) -> np.ndarray:
-        """Sum of jump marks up to each grid time: the driving compound Poisson path."""
-        out = np.zeros(self.grid.steps + 1)
-        if len(self.measure):
-            np.cumsum(self.jump_counts @ self.measure.locations, out=out[1:])
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,45 +187,6 @@ class SymmetricCoefficients:
         return np.asarray(self.jump_vol, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class PathSeries:
-    """A path on the grid plus its pre-jump states.
-
-    ``values[i]`` is the state at t_i.  ``left_limits[i]`` is the state at the
-    end of step i after the continuous part of the step but before that step's
-    jumps are applied; at jump-free steps it equals ``values[i + 1]``.
-    """
-
-    values: np.ndarray
-    left_limits: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        ll = np.asarray(self.left_limits, dtype=float)
-        if v.ndim != 1 or ll.shape != (v.shape[0] - 1,):
-            raise ValueError("left_limits must be one shorter than values")
-        if not (np.isfinite(v).all() and np.isfinite(ll).all()):
-            raise ValueError("path entries must be finite")
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "left_limits", _readonly(ll))
-
-    @property
-    def initial(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
-CoefficientProvider = Union[
-    SymmetricCoefficients, Callable[[int, float], SymmetricCoefficients]
-]
-
-
 def sample_noise_block(
     measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,15 +217,6 @@ def sample_noise_block(
     return dw, counts
 
 
-def sample_noise(measure: LevyMeasure, grid: TimeGrid, seed: int, path_index: int = 0) -> NoiseRealization:
-    """Draw one path's noise, deterministically in (seed, path_index).
-
-    The one-path view of :func:`sample_noise_block`.
-    """
-    dw, counts = sample_noise_block(measure, grid, seed, path_index, 1)
-    return NoiseRealization(measure, grid, dw[0], counts[0])
-
-
 def compensate(measure: LevyMeasure, jump_vol) -> float:
     """Compensator integral of a jump volatility: sum_k gamma(x_k) * intensity_k."""
     gam = np.asarray(jump_vol, dtype=float)
@@ -324,6 +231,16 @@ def _check_same_measure(a: SymmetricCoefficients, b: SymmetricCoefficients) -> L
     return a.measure
 
 
+def _check_noise(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid
+) -> None:
+    """Reject noise whose shape does not match the grid and the measure."""
+    if jump_counts.shape[-1:] != (len(coeffs.measure),):
+        raise ValueError("coefficients and noise use different measures")
+    if brownian_increments.shape[-1:] != (grid.steps,) or jump_counts.shape[:-1] != brownian_increments.shape:
+        raise ValueError(f"noise must have shapes (..., {grid.steps}) and (..., {grid.steps}, n_atoms) for this grid")
+
+
 def _euler(
     coeffs: SymmetricCoefficients,
     brownian_increments: np.ndarray,
@@ -331,10 +248,9 @@ def _euler(
     grid: TimeGrid,
     x0: float,
     proportional: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler values (..., steps + 1) of constant-coefficient dynamics, and
-    the per-step jump terms sum_k gamma_k count_ik (..., steps), for noise
-    with any leading (path) axes.
+) -> np.ndarray:
+    """Euler values (..., steps + 1) of constant-coefficient dynamics, for
+    noise with any leading (path) axes.
 
     Each step adds alpha dt + beta dW_i + sum_k gamma_k (count_ik - w_k dt),
     scaled by the step-start state when ``proportional``.  Every reduction
@@ -342,8 +258,7 @@ def _euler(
     path's result does not depend on the other paths drawn with it.  Raises
     :class:`IntegrationError` at the first non-finite state.
     """
-    if jump_counts.shape[-1] != len(coeffs.measure):
-        raise ValueError("coefficients and noise use different measures")
+    _check_noise(coeffs, brownian_increments, jump_counts, grid)
     gam = coeffs.jump_vol_array
     dt = grid.dt
     jump_terms = np.zeros(brownian_increments.shape)
@@ -369,7 +284,7 @@ def _euler(
         path, index = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(-1, grid.steps + 1)))[0])
         where = f" on block path {path}" if values.ndim > 1 else ""
         raise IntegrationError(index - 1, f"non-finite state{where} at step {index - 1}")
-    return values, jump_terms
+    return values
 
 
 def integrate_block(
@@ -380,88 +295,38 @@ def integrate_block(
 
     ``brownian_increments`` has shape (..., steps) and ``jump_counts``
     (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
-    result has shape (..., steps + 1) and starts at ``x0``.  Each path's
-    values are bitwise those :func:`integrate` gives for it alone.  Raises
-    :class:`IntegrationError` at the first non-finite state.
+    result has shape (..., steps + 1) and starts at ``x0``; a (steps,)
+    array of increments is one path.  Each path's values are bitwise the
+    same in any block.  Raises :class:`IntegrationError` at the first
+    non-finite state.
     """
-    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=False)[0]
+    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=False)
 
 
 def integrate_proportional_block(
     coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
 ) -> np.ndarray:
-    """Euler values of proportional dynamics for a block of paths: the block
-    form of :func:`integrate_proportional`, shaped as :func:`integrate_block`."""
-    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=True)[0]
+    """Euler values of proportional dynamics dX = X_left (alpha dt + beta dW
+    + jumps) for a block of paths, shaped as :func:`integrate_block`."""
+    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=True)
 
 
-def integrate(coeffs: CoefficientProvider, noise: NoiseRealization, x0: float) -> PathSeries:
-    """Euler-integrate the compensated dynamics along one noise path.
+def exponential_prices(
+    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+) -> np.ndarray:
+    """Grid values of the stochastic exponential for a block of paths,
 
-    ``coeffs`` is either a constant :class:`SymmetricCoefficients` or a
-    callable ``(step, x_left) -> SymmetricCoefficients`` evaluated at the
-    step-start state.  Each step applies
+        X_t = x0 exp( (alpha - beta^2/2) t + beta W_t
+                      + sum_jumps log(1 + gamma(x)) - t sum_k gamma_k w_k ).
 
-        x_next = x + alpha dt + beta dW_i + sum_k gamma_k (count_ik - w_k dt),
-
-    and the recorded left limit is ``x_next`` minus the jump terms.
-
-    Raises :class:`IntegrationError` at the first non-finite state.
+    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
+    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
+    result has shape (..., steps + 1) and starts at ``x0``.  Needs
+    1 + gamma_k > 0 for every atom.  Every reduction runs along the step
+    axis of one path or elementwise over the atoms, so each path's values
+    are bitwise the same in any block.
     """
-    grid, measure = noise.grid, noise.measure
-    dt, n = grid.dt, grid.steps
-    counts = noise.jump_counts
-    dw = noise.brownian_increments
-
-    # overflow produces non-finite states that are reported as typed errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(coeffs, SymmetricCoefficients):
-            if coeffs.measure != measure:
-                raise ValueError("coefficients and noise use different measures")
-            values, jump_terms = _euler(coeffs, dw, counts, grid, x0, proportional=False)
-            return PathSeries(values, values[1:] - jump_terms)
-
-        intensities = measure.intensities
-        values = np.empty(n + 1)
-        left = np.empty(n)
-        values[0] = x0
-        x = x0
-        for i in range(n):
-            c = coeffs(i, x)
-            gam = c.jump_vol_array
-            continuous = c.drift * dt + c.brownian_vol * dw[i] - float(gam @ intensities) * dt
-            left[i] = x + continuous
-            x = left[i] + float(gam @ counts[i])
-            if not np.isfinite(x):
-                raise IntegrationError(i)
-            values[i + 1] = x
-    return PathSeries(values, left)
-
-
-def integrate_proportional(coeffs: SymmetricCoefficients, noise: NoiseRealization, x0: float) -> PathSeries:
-    """Euler-integrate proportional dynamics dX = X_left * (alpha dt + beta dW + jumps).
-
-    Equivalent to :func:`integrate` with state-scaled coefficients, but the
-    linear-in-state increments vectorize into a cumulative product.
-    """
-    if coeffs.measure != noise.measure:
-        raise ValueError("coefficients and noise use different measures")
-    values, jump_terms = _euler(coeffs, noise.brownian_increments, noise.jump_counts, noise.grid, x0, proportional=True)
-    return PathSeries(values, values[1:] - values[:-1] * jump_terms)
-
-
-def _exponent(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """log(X_t / x0) at t_1 .. t_n of the stochastic exponential, and the
-    per-step jump part of it, for noise with any leading (path) axes.
-
-    Every reduction runs along the step axis of one path or elementwise over
-    the atoms, so a path's result does not depend on the other paths drawn
-    with it.
-    """
-    if jump_counts.shape[-1] != len(coeffs.measure):
-        raise ValueError("coefficients and noise use different measures")
+    _check_noise(coeffs, brownian_increments, jump_counts, grid)
     gam = coeffs.jump_vol_array
     if np.any(1.0 + gam <= 0.0):
         raise ValueError("exponential dynamics need jump volatilities > -1")
@@ -474,20 +339,6 @@ def _exponent(
         + coeffs.brownian_vol * np.cumsum(brownian_increments, axis=-1)
         + np.cumsum(jump_log, axis=-1)
     )
-    return exponent, jump_log
-
-
-def exponential_prices(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
-) -> np.ndarray:
-    """Grid values of the stochastic exponential for a block of paths.
-
-    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
-    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
-    result has shape (..., steps + 1) and starts at ``x0``.  Each path's
-    values are bitwise those :func:`exponential_path` gives for it alone.
-    """
-    exponent, _ = _exponent(coeffs, brownian_increments, jump_counts, grid)
     values = np.empty(exponent.shape[:-1] + (grid.steps + 1,))
     values[..., 0] = x0
     values[..., 1:] = x0 * np.exp(exponent)
@@ -508,25 +359,6 @@ def _checked_prices(values: np.ndarray, what: str, first_path: int) -> np.ndarra
             "is not positive and finite",
         )
     return values
-
-
-def exponential_path(coeffs: SymmetricCoefficients, noise: NoiseRealization, x0: float) -> PathSeries:
-    """Closed-form path of the stochastic exponential of proportional dynamics.
-
-    X_t = x0 * exp( (alpha - beta^2/2) t + beta W_t
-                    + sum_jumps log(1 + gamma(x)) - t * sum_k gamma_k w_k ).
-
-    Requires 1 + gamma_k > 0 for every atom; output is strictly positive
-    (for x0 > 0) and exact on the grid given the realized noise.
-    """
-    if coeffs.measure != noise.measure:
-        raise ValueError("coefficients and noise use different measures")
-    grid = noise.grid
-    exponent, jump_log = _exponent(coeffs, noise.brownian_increments, noise.jump_counts, grid)
-    values = np.empty(grid.steps + 1)
-    values[0] = x0
-    values[1:] = x0 * np.exp(exponent)
-    return PathSeries(values, x0 * np.exp(exponent - jump_log))
 
 
 def product_coefficients(a: SymmetricCoefficients, b: SymmetricCoefficients) -> SymmetricCoefficients:

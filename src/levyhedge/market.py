@@ -1,4 +1,4 @@
-"""Pricing kernel, benchmark numeraire, and geometric asset prices.
+"""Pricing kernel, benchmark numeraire, and asset specs: coefficients only.
 
 The market carries a pricing kernel pi with proportional dynamics
 
@@ -16,6 +16,8 @@ volatilities
 and its natural price is the driftless stochastic exponential of
 (sigma_bar, Sigma_bar).  All specs here are time-independent constants; the
 convention pi_0 = 1 makes domestic and natural prices coincide at t = 0.
+This module turns specs into :class:`SymmetricCoefficients`; the paths of
+those coefficients come from the block kernels of ``levy_core``.
 """
 
 from __future__ import annotations
@@ -24,27 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_core import (
-    LevyMeasure,
-    NoiseRealization,
-    PathSeries,
-    SymmetricCoefficients,
-    TimeGrid,
-    exponential_path,
-)
+from .levy_core import LevyMeasure, SymmetricCoefficients
 
 __all__ = [
     "PricingKernelSpec",
     "AssetSpec",
     "GeometricBernoulliSpec",
-    "kernel_path",
+    "kernel_coefficients",
     "benchmark_coefficients",
     "to_natural",
     "from_natural",
     "domestic_drift",
-    "domestic_coefficients",
     "natural_coefficients",
-    "geometric_price_path",
 ]
 
 
@@ -115,17 +108,10 @@ def _check_atoms(n_spec: int, measure: LevyMeasure, what: str) -> None:
         raise ValueError(f"{what} has {n_spec} jump entries but the measure has {len(measure)} atoms")
 
 
-def kernel_path(
-    kernel: PricingKernelSpec, measure: LevyMeasure, noise: NoiseRealization, grid: TimeGrid
-) -> PathSeries:
-    """Closed-form pricing-kernel path with pi_0 = 1; strictly positive."""
+def kernel_coefficients(kernel: PricingKernelSpec, measure: LevyMeasure) -> SymmetricCoefficients:
+    """Proportional coefficients of the pricing kernel pi: (-r, -lambda, -Lambda_k)."""
     _check_atoms(len(kernel.jump_mpr), measure, "kernel")
-    if noise.grid != grid or noise.measure != measure:
-        raise ValueError("noise was sampled on a different grid or measure")
-    coeffs = SymmetricCoefficients(
-        -kernel.short_rate, -kernel.brownian_mpr, tuple(-kernel.jump_mpr_array), measure
-    )
-    return exponential_path(coeffs, noise, 1.0)
+    return SymmetricCoefficients(-kernel.short_rate, -kernel.brownian_mpr, tuple(-kernel.jump_mpr_array), measure)
 
 
 def benchmark_coefficients(kernel: PricingKernelSpec, measure: LevyMeasure) -> SymmetricCoefficients:
@@ -168,32 +154,8 @@ def domestic_drift(asset: AssetSpec, kernel: PricingKernelSpec, measure: LevyMea
     return kernel.short_rate + kernel.brownian_mpr * asset.brownian_vol + jump_part
 
 
-def domestic_coefficients(
-    asset: AssetSpec, kernel: PricingKernelSpec, measure: LevyMeasure
-) -> SymmetricCoefficients:
-    """Proportional coefficients of the domestic price process."""
-    return SymmetricCoefficients(
-        domestic_drift(asset, kernel, measure), asset.brownian_vol, asset.jump_vol, measure
-    )
-
-
 def natural_coefficients(asset: AssetSpec, measure: LevyMeasure) -> SymmetricCoefficients:
     """Driftless proportional coefficients of a natural (benchmark-unit) price."""
     _check_atoms(len(asset.jump_vol), measure, "asset")
     return SymmetricCoefficients(0.0, asset.brownian_vol, asset.jump_vol, measure)
 
-
-def geometric_price_path(
-    asset: AssetSpec, measure: LevyMeasure, noise: NoiseRealization, grid: TimeGrid
-) -> PathSeries:
-    """Exact natural price path: the driftless stochastic exponential
-
-        S_t = S_0 exp( sigma W_t - sigma^2 t / 2
-                       + sum_jumps log(1 + Sigma(x)) - t sum_k Sigma_k w_k ).
-
-    Strictly positive values and left limits; the sample mean of S_T is an
-    unbiased estimate of S_0.
-    """
-    if noise.grid != grid or noise.measure != measure:
-        raise ValueError("noise was sampled on a different grid or measure")
-    return exponential_path(natural_coefficients(asset, measure), noise, asset.initial_price)

@@ -16,14 +16,14 @@ import numpy as np
 
 from .levy_core import (
     _BLOCK_PATH_STEPS,
+    _check_integer,
     _checked_prices,
     LevyMeasure,
-    NoiseRealization,
     TimeGrid,
     exponential_prices,
     sample_noise_block,
 )
-from .market import AssetSpec, GeometricBernoulliSpec, PricingKernelSpec, natural_coefficients
+from .market import AssetSpec, GeometricBernoulliSpec, natural_coefficients
 from .hedging import (
     ConstantRatioRule,
     DegeneracyError,
@@ -40,7 +40,7 @@ __all__ = [
     "HEDGE_MODES",
     "DEFAULT_SEED",
     "Scenario",
-    "PathSummary",
+    "PATH_COLUMNS",
     "ScenarioAggregate",
     "GoldenPath",
     "ScenarioResult",
@@ -66,10 +66,9 @@ _MAX_STEPS = 1_000_000
 class Scenario:
     """One reproducible experiment: market, contract, assets, grid, hedge mode.
 
-    Asset specs are in benchmark units (hedging needs only the driftless
-    natural dynamics); an attached kernel is carried for kernel-level
-    diagnostics and does not alter the hedge experiment.  The natural specs
-    are built and validated once, at construction.
+    Asset specs are in benchmark units: hedging needs only the driftless
+    natural dynamics, so a scenario carries no pricing kernel.  The natural
+    specs are built and validated once, at construction.
     """
 
     measure: LevyMeasure
@@ -80,13 +79,14 @@ class Scenario:
     seed: int
     hedge_mode: str
     hedge_asset_index: int = 0
-    kernel: PricingKernelSpec | None = None
     _natural: tuple[AssetSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hedging_assets", tuple(self.hedging_assets))
         if self.hedge_mode not in HEDGE_MODES:
             raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}")
+        _check_integer(self.n_paths, "n_paths")
+        _check_integer(self.seed, "seed")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
         if self.seed < 0:
@@ -123,22 +123,18 @@ class Scenario:
         return list(range(len(self.hedging_assets)))
 
 
-@dataclass(frozen=True)
-class PathSummary:
-    """Per-path hedge outcome; what the per-path CSV rows carry.
-
-    ``delta_integrated`` and ``residual_sum`` are the per-path second and
-    first moments of the residual increments, so pooled aggregates can be
-    recomputed exactly from the emitted rows.
-    """
-
-    path_index: int
-    delta_terminal: float
-    delta_integrated: float
-    delta_normalized: float
-    residual_sum: float
-    per_step_std: float
-    max_abs_residual: float
+# Columns of ScenarioResult.path_stats, one row per path: the per-path hedge
+# outcome that paths.csv carries.  delta_integrated and residual_sum are the
+# per-path second and first moments of the residual increments, so pooled
+# aggregates can be recomputed exactly from the emitted rows.
+PATH_COLUMNS = (
+    "delta_terminal",
+    "delta_integrated",
+    "delta_normalized",
+    "residual_sum",
+    "per_step_std",
+    "max_abs_residual",
+)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class ScenarioResult:
     ratios: tuple[float, ...] | None
     delta_analytic: float | None
     rho: float | None
-    path_summaries: tuple[PathSummary, ...]
+    path_stats: np.ndarray  # (n_paths, len(PATH_COLUMNS))
     aggregate: ScenarioAggregate
     golden: GoldenPath
 
@@ -289,7 +285,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     rule = ConstantRatioRule(ratios if ratios is not None else (0.0,) * len(assets))
     steps = s.grid.steps
     c0 = contract.initial_price
-    columns = np.empty((6, s.n_paths))
+    columns = np.empty((len(PATH_COLUMNS), s.n_paths))
     golden = None
     block = max(1, _BLOCK_PATH_STEPS // steps)
     for first in range(0, s.n_paths, block):
@@ -312,11 +308,16 @@ def run_scenario(s: Scenario) -> ScenarioResult:
             np.abs(dv).max(axis=1),
         )
         if first == 0:
-            noise = NoiseRealization(s.measure, s.grid, dw[0], counts[0])
+            # arrivals and the sum of their marks up to each grid time
+            jump_count_path = np.zeros(steps + 1)
+            np.cumsum(counts[0].sum(axis=1), out=jump_count_path[1:])
+            jump_sum_path = np.zeros(steps + 1)
+            if len(s.measure):
+                np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
             golden = GoldenPath(
                 times=s.grid.times,
-                jump_count_path=noise.cumulative_jump_count(),
-                jump_sum_path=noise.cumulative_jump_sum(),
+                jump_count_path=jump_count_path,
+                jump_sum_path=jump_sum_path,
                 contract_values=c[0],
                 asset_values=a[0],
                 phi=phi[0],
@@ -335,15 +336,12 @@ def run_scenario(s: Scenario) -> ScenarioResult:
         residual_std=float(np.sqrt(max(float(integrated.sum()) / count - mean * mean, 0.0))),
         max_abs_residual=float(max_abs.max()),
     )
-    summaries = tuple(
-        PathSummary(p, *row) for p, row in enumerate(zip(*(col.tolist() for col in columns)))
-    )
     return ScenarioResult(
         scenario=s,
         ratios=ratios,
         delta_analytic=d_analytic,
         rho=rho,
-        path_summaries=summaries,
+        path_stats=columns.T,
         aggregate=aggregate,
         golden=golden,
     )

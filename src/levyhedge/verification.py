@@ -20,20 +20,18 @@ from .levy_core import (
     SymmetricCoefficients,
     TimeGrid,
     compensate,
-    exponential_path,
     exponential_prices,
     integrate_block,
     integrate_proportional_block,
     product_coefficients,
     quotient_coefficients,
-    sample_noise,
     sample_noise_block,
 )
 from .market import (
     AssetSpec,
     PricingKernelSpec,
     benchmark_coefficients,
-    kernel_path,
+    kernel_coefficients,
     natural_coefficients,
 )
 from .hedging import (
@@ -79,7 +77,7 @@ def _fig_assets() -> tuple[AssetSpec, AssetSpec, AssetSpec]:
 #
 # The Monte Carlo statistics below are per-path arrays computed on blocks
 # of paths, at most _BLOCK_PATH_STEPS path-steps each, drawn from the same
-# per-path substreams as sample_noise; every reduction runs along one
+# per-path substreams as the simulation; every reduction runs along one
 # path's steps, so the statistics do not depend on the block size.
 
 
@@ -268,22 +266,27 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     measure = _fig_measure()
     grid = TimeGrid(1.0, 1000)
 
+    def exact(coeffs: SymmetricCoefficients, noise, grid: TimeGrid, x0: float, what: str, path_index: int):
+        # the path of a 1-path noise block; a price that underflowed or
+        # overflowed raises instead of entering a relative error as NaN
+        return _checked_prices(exponential_prices(coeffs, *noise, grid, x0), what, path_index)[0]
+
     # closed-form identity: path of the product/quotient coefficients equals
     # the pointwise product/quotient of the individual closed-form paths
     # (relative error; the paths themselves range over orders of magnitude).
-    worst_prod = worst_quot = 0.0
+    # The worst errors are taken with np.max, so a NaN error fails the check.
+    errs_prod, errs_quot = [], []
     for trial in range(20):
         a = _random_coefficients(rng, measure)
         b = _random_coefficients(rng, measure)
-        noise = sample_noise(measure, grid, seed + 2, trial)
-        xa = exponential_path(a, noise, 1.3)
-        xb = exponential_path(b, noise, 0.7)
-        xp = exponential_path(product_coefficients(a, b), noise, 1.3 * 0.7)
-        xq = exponential_path(quotient_coefficients(a, b), noise, 1.3 / 0.7)
-        prod_ref = xa.values * xb.values
-        quot_ref = xa.values / xb.values
-        worst_prod = max(worst_prod, float(np.abs(xp.values / prod_ref - 1.0).max()))
-        worst_quot = max(worst_quot, float(np.abs(xq.values / quot_ref - 1.0).max()))
+        noise = sample_noise_block(measure, grid, seed + 2, trial, 1)
+        xa = exact(a, noise, grid, 1.3, "calculus factor a", trial)
+        xb = exact(b, noise, grid, 0.7, "calculus factor b", trial)
+        xp = exact(product_coefficients(a, b), noise, grid, 1.3 * 0.7, "calculus product", trial)
+        xq = exact(quotient_coefficients(a, b), noise, grid, 1.3 / 0.7, "calculus quotient", trial)
+        errs_prod.append(float(np.abs(xp / (xa * xb) - 1.0).max()))
+        errs_quot.append(float(np.abs(xq / (xa / xb) - 1.0).max()))
+    worst_prod, worst_quot = float(np.max(errs_prod)), float(np.max(errs_quot))
     results.append(
         _check("closed-form product identity", worst_prod <= 1e-10, f"max rel err={worst_prod:.3g} tol=1e-10")
     )
@@ -292,17 +295,17 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     )
 
     # algebraic inverse: product(quotient(a, b), b) == a
-    worst = 0.0
+    errs = []
     for _ in range(50):
         a = _random_coefficients(rng, measure)
         b = _random_coefficients(rng, measure)
         back = product_coefficients(quotient_coefficients(a, b), b)
-        worst = max(
-            worst,
+        errs += [
             abs(back.drift - a.drift),
             abs(back.brownian_vol - a.brownian_vol),
             float(np.abs(back.jump_vol_array - a.jump_vol_array).max()),
-        )
+        ]
+    worst = float(np.max(errs))
     results.append(_check("quotient/product round trip", worst <= 1e-12, f"max|diff|={worst:.3g} tol=1e-12"))
 
     # Euler halving: pure-jump coefficients converge at first order, so the
@@ -340,7 +343,7 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     )
 
     # kernel-benchmark reciprocal identity on random kernel specs
-    worst = 0.0
+    errs = []
     for trial in range(100):
         n_atoms = int(rng.integers(0, 4))
         locs = np.unique(rng.normal(0.0, 1.0, n_atoms))
@@ -353,10 +356,11 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
             tuple(rng.uniform(-0.5, 0.9, len(m))),
         )
         sgrid = TimeGrid(1.0, 500)
-        noise = sample_noise(m, sgrid, seed + 4, trial)
-        pi = kernel_path(kernel, m, noise, sgrid)
-        xi = exponential_path(benchmark_coefficients(kernel, m), noise, 1.0)
-        worst = max(worst, float(np.abs(pi.values * xi.values - 1.0).max()))
+        noise = sample_noise_block(m, sgrid, seed + 4, trial, 1)
+        pi = exact(kernel_coefficients(kernel, m), noise, sgrid, 1.0, "pricing kernel", trial)
+        xi = exact(benchmark_coefficients(kernel, m), noise, sgrid, 1.0, "benchmark", trial)
+        errs.append(float(np.abs(pi * xi - 1.0).max()))
+    worst = float(np.max(errs))
     results.append(
         _check("kernel times benchmark is 1", worst <= 1e-10, f"max|pi*xi-1|={worst:.3g} tol=1e-10 kernels=100")
     )

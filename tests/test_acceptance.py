@@ -16,30 +16,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import coarsen, noise_blocks, one_path, ratio_residuals, spec_prices
 from levyhedge import (
     AssetSpec,
-    ConstantRatioRule,
     JumpAtom,
     LevyMeasure,
-    NoiseRealization,
     SymmetricCoefficients,
     TimeGrid,
     analytic_delta,
     benchmark_coefficients,
     builtin_scenario,
-    evolve_portfolio,
-    exponential_path,
-    geometric_price_path,
+    exponential_prices,
     gram_system,
-    integrate,
-    integrate_proportional,
-    kernel_path,
+    integrate_block,
+    integrate_proportional_block,
+    kernel_coefficients,
     multi_asset_hedge,
-    natural_coefficients,
     product_coefficients,
     quotient_coefficients,
     run_scenario,
-    sample_noise,
+    sample_noise_block,
     scenario_ratios,
     single_coefficients,
     two_asset_hedge,
@@ -68,10 +64,8 @@ def test_criterion_1_quadratic_variation_identity():
     n = 10_000
     coeffs = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
     analytic = GRID.horizon * (0.20**2 + 7.5 * (0.3**2 + 0.3**2))
-    sq = np.empty(n)
-    for p in range(n):
-        path = integrate(coeffs, sample_noise(MEASURE, GRID, SEED, p), 0.0)
-        sq[p] = (path.terminal - path.initial) ** 2
+    blocks = noise_blocks(MEASURE, GRID, SEED, n)
+    sq = np.concatenate([integrate_block(coeffs, dw, counts, GRID, 0.0)[:, -1] ** 2 for dw, counts in blocks])
     se = sq.std(ddof=1) / np.sqrt(n)
     diff = abs(sq.mean() - analytic)
     report(
@@ -85,11 +79,8 @@ def test_criterion_2_natural_price_martingale():
     """Mean terminal natural price within 3 SE of 100 for all three assets, N=1e4."""
     n = 10_000
     specs = (CONTRACT, ASSET1, ASSET2)
-    terminals = np.empty((n, 3))
-    for p in range(n):
-        noise = sample_noise(MEASURE, GRID, SEED + 1, p)
-        for j, spec in enumerate(specs):
-            terminals[p, j] = geometric_price_path(spec, MEASURE, noise, GRID).terminal
+    blocks = noise_blocks(MEASURE, GRID, SEED + 1, n)
+    terminals = np.concatenate([spec_prices(exponential_prices, specs, MEASURE, noise, GRID)[:, -1] for noise in blocks])
     details = []
     ok = True
     for j, label in enumerate(("contract", "asset1", "asset2")):
@@ -113,10 +104,10 @@ def test_criterion_3_kernel_benchmark_identity():
             float(rng.uniform(-0.5, 0.5)),
             tuple(rng.uniform(-0.5, 0.9, len(m))),
         )
-        noise = sample_noise(m, GRID, SEED + 2, trial)
-        pi = kernel_path(kernel, m, noise, GRID)
-        xi = exponential_path(benchmark_coefficients(kernel, m), noise, 1.0)
-        worst = max(worst, float(np.abs(pi.values * xi.values - 1.0).max()))
+        noise = one_path(m, GRID, SEED + 2, trial)
+        pi = exponential_prices(kernel_coefficients(kernel, m), *noise, GRID, 1.0)
+        xi = exponential_prices(benchmark_coefficients(kernel, m), *noise, GRID, 1.0)
+        worst = max(worst, float(np.abs(pi * xi - 1.0).max()))
     report("criterion 3 (kernel/benchmark identity)", worst <= 1e-10, f"max|pi*xi-1|={worst:.3g} tol=1e-10 kernels=100")
 
 
@@ -214,14 +205,12 @@ def test_criterion_6_more_assets_hedge_better():
     analytic_ok = d3 < min(d1, d2)
 
     n = 1000
-    ints = np.empty((n, 3))
-    for p in range(n):
-        noise = sample_noise(MEASURE, GRID, SEED + 5, p)
-        cpath = geometric_price_path(CONTRACT, MEASURE, noise, GRID)
-        paths = [geometric_price_path(a, MEASURE, noise, GRID) for a in assets]
-        for j, ratios in enumerate((r1, r2, r3)):
-            dv = evolve_portfolio(cpath, paths, ConstantRatioRule(ratios), GRID).residual_increments
-            ints[p, j] = dv @ dv
+    ints = []
+    for noise in noise_blocks(MEASURE, GRID, SEED + 5, n):
+        p = spec_prices(exponential_prices, (CONTRACT, *assets), MEASURE, noise, GRID)
+        dvs = [ratio_residuals(p, ratios) for ratios in (r1, r2, r3)]
+        ints.append(np.stack([(dv * dv).sum(axis=1) for dv in dvs], axis=1))
+    ints = np.concatenate(ints)
     seps = []
     mc_ok = True
     for j in (0, 1):
@@ -239,34 +228,22 @@ def test_criterion_6_more_assets_hedge_better():
 def test_criterion_7_complete_market_replication():
     """Pure-jump markets: hedge residuals below 1e-9 C0 on every step of 100 paths."""
     tol = 1e-9 * 100.0
-    worst = 0.0
 
     m1 = LevyMeasure((JumpAtom(1.0, 10.0),))
     c1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * m1.locations)))
     a1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * m1.locations)))
     co = single_coefficients(c1, a1, m1)
-    for p in range(100):
-        noise = sample_noise(m1, GRID, SEED + 6, p)
-        cpath = integrate_proportional(natural_coefficients(c1, m1), noise, 100.0)
-        apath = integrate_proportional(natural_coefficients(a1, m1), noise, 100.0)
-        dv = evolve_portfolio(cpath, [apath], ConstantRatioRule((co.L / co.M,)), GRID).residual_increments
-        worst = max(worst, float(np.abs(dv).max()))
-    one_atom_worst = worst
+    noise = sample_noise_block(m1, GRID, SEED + 6, 0, 100)
+    dv = ratio_residuals(spec_prices(integrate_proportional_block, (c1, a1), m1, noise, GRID), (co.L / co.M,))
+    one_atom_worst = float(np.abs(dv).max())
 
     c2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * MEASURE.locations)))
     b1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * MEASURE.locations)))
     b2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.20 * MEASURE.locations)))
     phi = two_asset_hedge(c2, b1, b2, (100.0, 100.0, 100.0), MEASURE)
-    worst = 0.0
-    for p in range(100):
-        noise = sample_noise(MEASURE, GRID, SEED + 7, p)
-        cpath = integrate_proportional(natural_coefficients(c2, MEASURE), noise, 100.0)
-        paths = [
-            integrate_proportional(natural_coefficients(b1, MEASURE), noise, 100.0),
-            integrate_proportional(natural_coefficients(b2, MEASURE), noise, 100.0),
-        ]
-        dv = evolve_portfolio(cpath, paths, ConstantRatioRule(phi), GRID).residual_increments
-        worst = max(worst, float(np.abs(dv).max()))
+    noise = sample_noise_block(MEASURE, GRID, SEED + 7, 0, 100)
+    dv = ratio_residuals(spec_prices(integrate_proportional_block, (c2, b1, b2), MEASURE, noise, GRID), phi)
+    worst = float(np.abs(dv).max())
     report(
         "criterion 7 (complete-market replication)",
         one_atom_worst <= tol and worst <= tol,
@@ -301,32 +278,23 @@ def test_criterion_9_calculus_identities_and_convergence():
             float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.5, 0.5)),
             tuple(rng.uniform(-0.6, 1.5, 2)), MEASURE,
         )
-        noise = sample_noise(MEASURE, GRID, SEED + 9, trial)
-        xa = exponential_path(a, noise, 1.1)
-        xb = exponential_path(b, noise, 0.9)
-        prod = exponential_path(product_coefficients(a, b), noise, 1.1 * 0.9)
-        quot = exponential_path(quotient_coefficients(a, b), noise, 1.1 / 0.9)
-        worst_rel = max(worst_rel, float(np.abs(prod.values / (xa.values * xb.values) - 1.0).max()))
-        worst_rel = max(worst_rel, float(np.abs(quot.values / (xa.values / xb.values) - 1.0).max()))
+        noise = one_path(MEASURE, GRID, SEED + 9, trial)
+        xa = exponential_prices(a, *noise, GRID, 1.1)
+        xb = exponential_prices(b, *noise, GRID, 0.9)
+        prod = exponential_prices(product_coefficients(a, b), *noise, GRID, 1.1 * 0.9)
+        quot = exponential_prices(quotient_coefficients(a, b), *noise, GRID, 1.1 / 0.9)
+        worst_rel = max(worst_rel, float(np.abs(prod / (xa * xb) - 1.0).max()))
+        worst_rel = max(worst_rel, float(np.abs(quot / (xa / xb) - 1.0).max()))
 
     # dt halving on pure-jump dynamics (first-order regime; see ledger)
     coeffs = SymmetricCoefficients(0.02, 0.0, tuple(np.expm1(0.3 * MEASURE.locations)), MEASURE)
-    ratios = np.empty(100)
-    for p in range(100):
-        fine = sample_noise(MEASURE, TimeGrid(1.0, 2000), SEED + 10, p)
-        coarse = NoiseRealization(
-            MEASURE,
-            TimeGrid(1.0, 1000),
-            fine.brownian_increments.reshape(-1, 2).sum(axis=1),
-            fine.jump_counts.reshape(-1, 2, 2).sum(axis=1),
-        )
-        gaps = []
-        for noise in (coarse, fine):
-            euler = integrate_proportional(coeffs, noise, 1.0)
-            closed = exponential_path(coeffs, noise, 1.0)
-            gaps.append(np.abs(euler.values - closed.values).max())
-        ratios[p] = gaps[1] / gaps[0]
-    med = float(np.median(ratios))
+    fine_grid = TimeGrid(1.0, 2000)
+    fine = sample_noise_block(MEASURE, fine_grid, SEED + 10, 0, 100)
+    gaps = []
+    for grid, noise in ((GRID, coarsen(*fine)), (fine_grid, fine)):
+        euler = integrate_proportional_block(coeffs, *noise, grid, 1.0)
+        gaps.append(np.abs(euler - exponential_prices(coeffs, *noise, grid, 1.0)).max(axis=1))
+    med = float(np.median(gaps[1] / gaps[0]))
     ok = worst_rel <= 1e-10 and med <= 0.55
     report(
         "criterion 9 (calculus identities and convergence)",

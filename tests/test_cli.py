@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from levyhedge import cli, sim_harness
 from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
-from levyhedge.market import GeometricBernoulliSpec, PricingKernelSpec
+from levyhedge.market import GeometricBernoulliSpec
 from levyhedge.sim_harness import Scenario
 
 
@@ -95,6 +95,22 @@ def test_figures_bad_override_leaves_no_output_dir(tmp_path: Path):
     assert cp.returncode == 2, cp.stderr
     assert "Traceback" not in cp.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"seed": "5"}, {"paths": 1.5}, {"steps": True}, {"seed": True}, {"figures": "fig1"}, {"out_dir": 5}],
+    ids=["seed-string", "paths-float", "steps-bool", "seed-bool", "figures-string", "out_dir-number"],
+)
+def test_figures_config_bad_value_is_config_error(tmp_path: Path, capsys, entry):
+    out = tmp_path / "figs"
+    cfg = {"schema_version": 1, "command": "figures", "figures": ["fig1"], "out_dir": str(out), **entry}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["figures", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------- hedge
@@ -254,6 +270,32 @@ def test_simulate_rerun_identical_and_config_round_trip(tmp_path: Path):
     cp = run_cli("simulate", "--config", str(a / "effective_config.json"), "--out", str(a))
     assert cp.returncode == 0, cp.stderr
     assert read_bytes(a) == snapshot
+
+
+def test_configs_with_a_null_kernel_still_rerun(tmp_path: Path, capsys):
+    # effective_config.json files written before scenarios lost their kernel
+    # carry "kernel": null; they rerun to the same bytes
+    a, c = tmp_path / "a", tmp_path / "c"
+    assert cli.main(["simulate", "fig3", "--paths", "6", "--steps", "300", "--out", str(a)]) == 0
+    cfg = json.loads((a / "effective_config.json").read_text())
+    assert "kernel" not in cfg["scenario"]
+    cfg["scenario"]["kernel"] = None
+    path = tmp_path / "with_null_kernel.json"
+    path.write_text(json.dumps(cfg, sort_keys=True, indent=2))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(c)]) == 0
+    for name in ("paths.csv", "golden_path.csv"):
+        assert (c / name).read_bytes() == (a / name).read_bytes()
+    capsys.readouterr()
+
+    # a kernel is a configuration error: scenarios run in benchmark units
+    cfg["scenario"]["kernel"] = {"short_rate": 0.02, "brownian_mpr": 0.1, "jump_mpr": [0.0, 0.0]}
+    path.write_text(json.dumps(cfg))
+    cp = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "k"))
+    assert cp.returncode == 2
+    assert cp.stderr.splitlines() == [
+        "configuration error: scenario.kernel must be null: scenarios run in benchmark units, with no pricing kernel"
+    ]
+    assert not (tmp_path / "k").exists()
 
 
 def test_simulate_out_path_collision_is_io_error(tmp_path: Path):
@@ -443,12 +485,7 @@ def _reference_paths(result) -> bytes:
         "path_index", "delta_terminal", "delta_integrated", "delta_normalized",
         "residual_sum", "per_step_std", "max_abs_residual",
     ]
-    rows = [
-        [str(p.path_index)]
-        + _cells(p.delta_terminal, p.delta_integrated, p.delta_normalized, p.residual_sum, p.per_step_std,
-                 p.max_abs_residual)
-        for p in result.path_summaries
-    ]
+    rows = [[str(p)] + _cells(*stats) for p, stats in enumerate(result.path_stats)]
     return _reference_csv(header, rows)
 
 
@@ -580,15 +617,6 @@ def _config_scenarios(draw):
     modes = ["none"] + (["single", "multi"] if n_assets >= 1 else []) + (["two_asset"] if n_assets >= 2 else [])
     mode = draw(st.sampled_from(modes))
     index = draw(st.integers(0, n_assets - 1)) if mode == "single" else draw(st.integers(0, 5))
-    kernel = draw(
-        st.none()
-        | st.builds(
-            PricingKernelSpec,
-            st.floats(-0.5, 0.5),
-            st.floats(-2.0, 2.0),
-            st.lists(st.floats(-5.0, 0.99), max_size=4).map(tuple),
-        )
-    )
     return Scenario(
         measure=measure,
         contract=spec(),
@@ -598,7 +626,6 @@ def _config_scenarios(draw):
         seed=draw(st.integers(0, 2**64)),
         hedge_mode=mode,
         hedge_asset_index=index,
-        kernel=kernel,
     )
 
 

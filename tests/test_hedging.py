@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import noise_blocks, one_path, ratio_residuals, spec_prices
 from levyhedge import (
     AssetSpec,
     ConstantRatioRule,
@@ -13,15 +14,16 @@ from levyhedge import (
     Scenario,
     TimeGrid,
     analytic_delta,
+    benchmark_holdings,
     degeneracy_check,
-    evolve_portfolio,
-    geometric_price_path,
+    exponential_prices,
     gram_system,
-    integrate_proportional,
+    hedge_residuals,
+    integrate_proportional_block,
     multi_asset_hedge,
-    natural_coefficients,
+    portfolio_values,
     rho_diagnostic,
-    sample_noise,
+    sample_noise_block,
     scenario_ratios,
     single_coefficients,
     solve_ratios,
@@ -99,11 +101,8 @@ def test_brownian_ratio_and_perfect_hedge(unit_grid):
     co = single_coefficients(c_spec, a_spec, m)
     (phi,) = _solve(c_spec, [a_spec], m)
     assert phi == pytest.approx(0.75, abs=1e-15)
-    noise = sample_noise(m, unit_grid, SEED, 0)
-    c = integrate_proportional(natural_coefficients(c_spec, m), noise, 100.0)
-    s = integrate_proportional(natural_coefficients(a_spec, m), noise, 100.0)
-    report = evolve_portfolio(c, [s], ConstantRatioRule((co.L / co.M,)), unit_grid)
-    assert np.abs(report.residual_increments).max() <= 1e-10
+    prices = spec_prices(integrate_proportional_block, (c_spec, a_spec), m, one_path(m, unit_grid, SEED, 0), unit_grid)
+    assert np.abs(ratio_residuals(prices, (co.L / co.M,))).max() <= 1e-10
 
 
 def test_fig_single_ratio_matches_sweep(bern_measure, contract, asset_high):
@@ -210,17 +209,9 @@ def test_pure_jump_two_asset_hedge_replicates(bern_measure, unit_grid):
     np.testing.assert_allclose(phi, psi, atol=1e-10)
 
     # replication: residuals vanish pathwise on Euler-integrated paths
-    worst = 0.0
-    for p in range(25):
-        noise = sample_noise(bern_measure, unit_grid, SEED + 1, p)
-        c = integrate_proportional(natural_coefficients(contract, bern_measure), noise, 100.0)
-        paths = [
-            integrate_proportional(natural_coefficients(a1, bern_measure), noise, 100.0),
-            integrate_proportional(natural_coefficients(a2, bern_measure), noise, 100.0),
-        ]
-        report = evolve_portfolio(c, paths, ConstantRatioRule(tuple(phi)), unit_grid)
-        worst = max(worst, report.max_abs_residual)
-    assert worst <= 1e-9 * 100.0
+    noise = sample_noise_block(bern_measure, unit_grid, SEED + 1, 0, 25)
+    prices = spec_prices(integrate_proportional_block, (contract, a1, a2), bern_measure, noise, unit_grid)
+    assert np.abs(ratio_residuals(prices, tuple(phi))).max() <= 1e-9 * 100.0
 
 
 def test_two_asset_closed_form_agrees_with_solver(bern_measure, contract, asset_high, asset_low):
@@ -296,55 +287,38 @@ def test_zero_volatility_single_asset_is_degenerate(bern_measure, contract):
 
 
 def test_zero_strategy_tracks_the_contract(bern_measure, unit_grid, contract, asset_high):
-    noise = sample_noise(bern_measure, unit_grid, SEED, 2)
-    c = geometric_price_path(contract, bern_measure, noise, unit_grid)
-    s = geometric_price_path(asset_high, bern_measure, noise, unit_grid)
-    report = evolve_portfolio(c, [s], None, unit_grid)
-    np.testing.assert_allclose(report.portfolio_values, c.values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(report.residual_increments, np.diff(c.values), rtol=0, atol=1e-12)
-    assert np.all(report.strategy.phi == 0.0)
-    assert np.all(report.strategy.theta == 0.0)
+    noise = one_path(bern_measure, unit_grid, SEED, 2)
+    prices = spec_prices(exponential_prices, (contract, asset_high), bern_measure, noise, unit_grid)
+    c, s = prices[:, 0], prices[:, 1:]
+    phi = np.zeros((unit_grid.steps, 1))
+    dv, gains = hedge_residuals(c, s, phi)
+    np.testing.assert_allclose(portfolio_values(c, dv), c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dv, np.diff(c), rtol=0, atol=1e-12)
+    assert np.all(benchmark_holdings(phi, s, gains) == 0.0)
 
 
 def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asset_high, asset_low):
-    noise = sample_noise(bern_measure, unit_grid, SEED, 3)
-    c = geometric_price_path(contract, bern_measure, noise, unit_grid)
-    paths = [
-        geometric_price_path(asset_high, bern_measure, noise, unit_grid),
-        geometric_price_path(asset_low, bern_measure, noise, unit_grid),
-    ]
-    report = evolve_portfolio(c, paths, ConstantRatioRule((0.4, 0.5)), unit_grid)
-    phi, theta = report.strategy.phi, report.strategy.theta
-    s = np.stack([p.values for p in paths], axis=1)
+    specs = (contract, asset_high, asset_low)
+    prices = spec_prices(exponential_prices, specs, bern_measure, one_path(bern_measure, unit_grid, SEED, 3), unit_grid)
+    c, s = prices[:, 0], prices[:, 1:]
+    phi = ConstantRatioRule((0.4, 0.5)).holdings(c, s)
+    dv, gains = hedge_residuals(c, s, phi)
+    theta = benchmark_holdings(phi, s, gains)
 
     # theta replays the self-financing ledger step by step
-    gains = 0.0
+    total = 0.0
     for i in range(unit_grid.steps):
-        expected_theta = float(phi[i] @ s[i]) - gains
+        expected_theta = float(phi[i] @ s[i]) - total
         assert theta[i] == pytest.approx(expected_theta, rel=1e-12, abs=1e-9)
-        gains += float(phi[i] @ (s[i + 1] - s[i]))
+        total += float(phi[i] @ (s[i + 1] - s[i]))
 
     # portfolio value decomposes as V = C - phi.S + theta at step starts
-    v = report.portfolio_values
-    recon = c.values[:-1] - (phi * s[:-1]).sum(axis=1) + theta
+    v = portfolio_values(c, dv)
+    recon = c[:-1] - (phi * s[:-1]).sum(axis=1) + theta
     np.testing.assert_allclose(v[:-1], recon, rtol=1e-9)
     # initial value equals the contract value
-    assert v[0] == c.values[0]
-    assert report.delta_mc == pytest.approx((v[-1] - v[0]) ** 2, rel=1e-12)
-
-
-def test_grid_mismatch_rejected(bern_measure, unit_grid, contract):
-    noise = sample_noise(bern_measure, TimeGrid(1.0, 500), SEED)
-    c = geometric_price_path(contract, bern_measure, noise, TimeGrid(1.0, 500))
-    with pytest.raises(ValueError):
-        evolve_portfolio(c, [], None, unit_grid)
-
-
-def test_report_rejects_out_of_range_rho(bern_measure, unit_grid, contract):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    c = geometric_price_path(contract, bern_measure, noise, unit_grid)
-    with pytest.raises(ValueError):
-        evolve_portfolio(c, [], None, unit_grid, rho=1.5)
+    assert v[0] == c[0]
+    np.testing.assert_allclose(v[1:] - v[:-1], np.diff(c) - (phi * np.diff(s, axis=0)).sum(axis=1), rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------- analytic error
@@ -379,14 +353,12 @@ def test_monte_carlo_error_matches_analytic(bern_measure, unit_grid, contract, a
     co = single_coefficients(contract, asset_high, bern_measure)
     ratios = (co.L / co.M,)
     n = 2000
-    samples = np.empty(n)
-    for p in range(n):
-        noise = sample_noise(bern_measure, unit_grid, SEED + 6, p)
-        c = integrate_proportional(natural_coefficients(contract, bern_measure), noise, 100.0)
-        s = integrate_proportional(natural_coefficients(asset_high, bern_measure), noise, 100.0)
-        dv = evolve_portfolio(c, [s], ConstantRatioRule(ratios), unit_grid).residual_increments
-        rel = dv / c.values[:-1]
-        samples[p] = 100.0**2 * float(rel @ rel)
+    samples = []
+    for noise in noise_blocks(bern_measure, unit_grid, SEED + 6, n):
+        prices = spec_prices(integrate_proportional_block, (contract, asset_high), bern_measure, noise, unit_grid)
+        rel = ratio_residuals(prices, ratios) / prices[:, :-1, 0]
+        samples.append(100.0**2 * (rel * rel).sum(axis=1))
+    samples = np.concatenate(samples)
     analytic = analytic_delta(contract, [asset_high], ratios, bern_measure, 1.0)
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(samples.mean() - analytic) <= 3.0 * se

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
+from conftest import coarsen, euler_loop, noise_blocks, one_path
 from levyhedge import (
     IntegrationError,
     JumpAtom,
     LevyMeasure,
-    NoiseRealization,
     SingularDenominatorError,
     SymmetricCoefficients,
     TimeGrid,
     compensate,
-    exponential_path,
-    integrate,
-    integrate_proportional,
+    exponential_prices,
+    integrate_block,
+    integrate_proportional_block,
     product_coefficients,
     quotient_coefficients,
-    sample_noise,
+    sample_noise_block,
 )
 
 SEED = 20240
@@ -52,6 +52,10 @@ def test_grid_validation():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    for steps in (1.5, True, "4", None):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            TimeGrid(1.0, steps)
+    assert TimeGrid(1.0, np.int64(4)).steps == 4
     grid = TimeGrid(2.0, 4)
     assert grid.dt == 0.5
     assert grid.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -61,57 +65,54 @@ def test_grid_validation():
 
 
 def test_empty_measure_has_no_jumps(unit_grid):
-    noise = sample_noise(LevyMeasure(), unit_grid, SEED)
-    assert noise.jump_counts.shape == (1000, 0)
-    assert all(noise.jump_events(i) == [] for i in (0, 500, 999))
+    dw, counts = sample_noise_block(LevyMeasure(), unit_grid, SEED, 0, 1)
+    assert dw.shape == (1, 1000)
+    assert counts.shape == (1, 1000, 0)
 
 
 def test_sample_noise_is_bit_deterministic(bern_measure, unit_grid):
-    a = sample_noise(bern_measure, unit_grid, SEED, path_index=7)
-    b = sample_noise(bern_measure, unit_grid, SEED, path_index=7)
-    assert np.array_equal(a.brownian_increments, b.brownian_increments)
-    assert np.array_equal(a.jump_counts, b.jump_counts)
+    a = sample_noise_block(bern_measure, unit_grid, SEED, 7, 1)
+    b = sample_noise_block(bern_measure, unit_grid, SEED, 7, 1)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_paths_and_seeds_give_different_noise(bern_measure, unit_grid):
-    base = sample_noise(bern_measure, unit_grid, SEED, 0)
-    other_path = sample_noise(bern_measure, unit_grid, SEED, 1)
-    other_seed = sample_noise(bern_measure, unit_grid, SEED + 1, 0)
-    assert not np.array_equal(base.brownian_increments, other_path.brownian_increments)
-    assert not np.array_equal(base.brownian_increments, other_seed.brownian_increments)
+    base, _ = one_path(bern_measure, unit_grid, SEED, 0)
+    other_path, _ = one_path(bern_measure, unit_grid, SEED, 1)
+    other_seed, _ = one_path(bern_measure, unit_grid, SEED + 1, 0)
+    assert not np.array_equal(base, other_path)
+    assert not np.array_equal(base, other_seed)
 
 
 def test_jump_stream_does_not_touch_brownian_stream(bern_measure, unit_grid):
-    with_jumps = sample_noise(bern_measure, unit_grid, SEED, 3)
-    without = sample_noise(LevyMeasure(), unit_grid, SEED, 3)
-    assert np.array_equal(with_jumps.brownian_increments, without.brownian_increments)
+    with_jumps, _ = one_path(bern_measure, unit_grid, SEED, 3)
+    without, _ = one_path(LevyMeasure(), unit_grid, SEED, 3)
+    assert np.array_equal(with_jumps, without)
 
 
 def test_mean_total_jump_count_matches_rate(bern_measure, unit_grid):
     n = 10_000
-    totals = np.array(
-        [sample_noise(bern_measure, unit_grid, SEED, p).jump_counts.sum() for p in range(n)],
-        dtype=float,
-    )
+    totals = np.concatenate(
+        [counts.sum(axis=(1, 2)) for _, counts in noise_blocks(bern_measure, unit_grid, SEED, n)]
+    ).astype(float)
     se = totals.std(ddof=1) / np.sqrt(n)
     assert abs(totals.mean() - 15.0) <= 3.0 * se
 
 
-def test_jump_events_sparse_view(bern_measure):
-    grid = TimeGrid(1.0, 2)
-    counts = np.array([[0, 2], [0, 0]])
-    noise = NoiseRealization(bern_measure, grid, np.zeros(2), counts)
-    assert noise.jump_events(0) == [(1, 2)]
-    assert noise.jump_events(1) == []
-    assert noise.cumulative_jump_count().tolist() == [0.0, 2.0, 2.0]
-    assert noise.cumulative_jump_sum().tolist() == [0.0, -2.0, -2.0]
-
-
 def test_noise_shape_validation(bern_measure, unit_grid):
-    with pytest.raises(ValueError):
-        NoiseRealization(bern_measure, unit_grid, np.zeros(999), np.zeros((1000, 2), dtype=int))
-    with pytest.raises(ValueError):
-        NoiseRealization(bern_measure, unit_grid, np.zeros(1000), np.zeros((1000, 1), dtype=int))
+    c = coeffs(bern_measure, beta=0.2)
+    kernels = (integrate_block, integrate_proportional_block, exponential_prices)
+    dw, counts = np.zeros(1000), np.zeros((1000, 2), dtype=np.int64)
+    for kernel in kernels:
+        assert kernel(c, dw, counts, unit_grid, 1.0).shape == (1001,)
+        # noise of another grid, and noise of another measure
+        with pytest.raises(ValueError):
+            kernel(c, np.zeros(999), np.zeros((999, 2), dtype=np.int64), unit_grid, 1.0)
+        with pytest.raises(ValueError):
+            kernel(c, dw, np.zeros((1000, 1), dtype=np.int64), unit_grid, 1.0)
+        with pytest.raises(ValueError):
+            kernel(c, np.zeros((3, 1000)), np.zeros((2, 1000, 2), dtype=np.int64), unit_grid, 1.0)
 
 
 # ---------------------------------------------------------------- compensate
@@ -153,71 +154,43 @@ def test_compensate_length_mismatch(bern_measure):
 
 
 def test_null_dynamics_stay_constant(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    path = integrate(coeffs(bern_measure), noise, 5.0)
-    assert np.all(path.values == 5.0)
-    assert np.all(path.left_limits == 5.0)
+    path = integrate_block(coeffs(bern_measure), *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, 5.0)
+    assert np.all(path == 5.0)
 
 
 def test_pure_drift_is_exact(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    path = integrate(coeffs(bern_measure, drift=1.0), noise, 2.0)
-    assert path.terminal == pytest.approx(3.0, abs=1e-12)
-
-
-def test_left_limits_exclude_the_jump_terms(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED, 11)
-    gamma = np.array([0.4, -0.2])
-    path = integrate(coeffs(bern_measure, drift=0.3, beta=0.5, gamma=tuple(gamma)), noise, 1.0)
-    np.testing.assert_allclose(
-        path.left_limits, path.values[1:] - noise.jump_counts @ gamma, rtol=0, atol=1e-12
-    )
+    path = integrate_block(coeffs(bern_measure, drift=1.0), *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, 2.0)
+    assert path[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_callable_provider_matches_constant(bern_measure):
+    # the block kernel against the per-step reference with constant coefficients
     grid = TimeGrid(1.0, 200)
-    noise = sample_noise(bern_measure, grid, SEED, 2)
+    noise = one_path(bern_measure, grid, SEED, 2)
     const = coeffs(bern_measure, drift=0.1, beta=0.3, gamma=(0.2, -0.1))
-    a = integrate(const, noise, 1.5)
-    b = integrate(lambda step, x: const, noise, 1.5)
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-    np.testing.assert_allclose(a.left_limits, b.left_limits, rtol=1e-12)
+    a = integrate_block(const, *noise, grid, 1.5)
+    b = euler_loop(lambda step, x: const, *noise, bern_measure, grid, 1.5)
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def test_state_dependent_provider_sees_left_limit(bern_measure):
-    grid = TimeGrid(1.0, 50)
-    noise = sample_noise(bern_measure, grid, SEED, 4)
-    seen = []
-
-    def provider(step, x):
-        seen.append((step, x))
-        return coeffs(bern_measure, drift=1.0)
-
-    path = integrate(provider, noise, 0.0)
-    assert [s for s, _ in seen] == list(range(50))
-    np.testing.assert_allclose([x for _, x in seen], path.values[:-1], rtol=0, atol=0)
-
-
-def test_nonfinite_state_raises_with_step(bern_measure):
-    # coefficients stay finite; the running state overflows at step 7
+def test_nonfinite_state_raises_with_step():
+    # coefficients stay finite; the running state overflows at step 7, the
+    # second of two huge jumps (a negligible compensator keeps the rest finite)
+    measure = LevyMeasure((JumpAtom(1.0, 1e-318),))
     grid = TimeGrid(10.0, 10)
-    noise = sample_noise(bern_measure, grid, SEED)
-
-    def provider(step, x):
-        return coeffs(bern_measure, drift=1.7e308 if step >= 6 else 0.0)
-
+    counts = np.zeros((10, 1), dtype=np.int64)
+    counts[[6, 7], 0] = 1
     with pytest.raises(IntegrationError) as err:
-        integrate(provider, noise, 0.0)
+        integrate_block(coeffs(measure, gamma=(1.7e308,)), np.zeros(10), counts, grid, 0.0)
     assert err.value.step == 7
 
 
 def test_isometry_brownian_only(unit_grid):
     m = LevyMeasure()
     n = 3000
-    sq = np.empty(n)
-    for p in range(n):
-        path = integrate(coeffs(m, beta=1.0), sample_noise(m, unit_grid, SEED, p), 0.0)
-        sq[p] = (path.terminal - path.initial) ** 2
+    c = coeffs(m, beta=1.0)
+    blocks = noise_blocks(m, unit_grid, SEED, n)
+    sq = np.concatenate([integrate_block(c, dw, counts, unit_grid, 0.0)[:, -1] ** 2 for dw, counts in blocks])
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - 1.0) <= 3.0 * se
 
@@ -225,16 +198,15 @@ def test_isometry_brownian_only(unit_grid):
 def test_driftless_integration_keeps_mean(bern_measure, unit_grid):
     n = 3000
     c = coeffs(bern_measure, beta=0.5, gamma=(0.3, -0.3))
-    x = np.array(
-        [integrate(c, sample_noise(bern_measure, unit_grid, SEED + 1, p), 2.0).terminal for p in range(n)]
-    )
+    blocks = noise_blocks(bern_measure, unit_grid, SEED + 1, n)
+    x = np.concatenate([integrate_block(c, dw, counts, unit_grid, 2.0)[:, -1] for dw, counts in blocks])
     se = x.std(ddof=1) / np.sqrt(n)
     assert abs(x.mean() - 2.0) <= 3.0 * se
 
 
 def test_integrate_proportional_matches_scaled_provider(bern_measure):
     grid = TimeGrid(1.0, 500)
-    noise = sample_noise(bern_measure, grid, SEED, 6)
+    noise = one_path(bern_measure, grid, SEED, 6)
     c = coeffs(bern_measure, drift=0.05, beta=0.2, gamma=(0.3, -0.2))
 
     def scaled(step, x):
@@ -242,9 +214,9 @@ def test_integrate_proportional_matches_scaled_provider(bern_measure):
             c.drift * x, c.brownian_vol * x, tuple(np.asarray(c.jump_vol) * x), bern_measure
         )
 
-    a = integrate_proportional(c, noise, 1.0)
-    b = integrate(scaled, noise, 1.0)
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-10)
+    a = integrate_proportional_block(c, *noise, grid, 1.0)
+    b = euler_loop(scaled, *noise, bern_measure, grid, 1.0)
+    np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
 # ---------------------------------------------------------------- transforms
@@ -314,55 +286,29 @@ def test_exponential_product_and_quotient_pointwise(bern_measure, unit_grid):
     for trial in range(10):
         a = coeffs(bern_measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
         b = coeffs(bern_measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
-        noise = sample_noise(bern_measure, unit_grid, SEED + 3, trial)
-        xa = exponential_path(a, noise, 1.2)
-        xb = exponential_path(b, noise, 0.8)
-        prod = exponential_path(product_coefficients(a, b), noise, 1.2 * 0.8)
-        quot = exponential_path(quotient_coefficients(a, b), noise, 1.2 / 0.8)
-        np.testing.assert_allclose(prod.values, xa.values * xb.values, rtol=1e-10)
-        np.testing.assert_allclose(quot.values, xa.values / xb.values, rtol=1e-10)
-
-
-def test_exponential_left_limits_factor_out_jumps(bern_measure, unit_grid):
-    c = coeffs(bern_measure, drift=0.1, beta=0.2, gamma=(0.35, -0.22))
-    noise = sample_noise(bern_measure, unit_grid, SEED, 9)
-    path = exponential_path(c, noise, 50.0)
-    factors = (1.0 + np.asarray(c.jump_vol)) ** noise.jump_counts
-    np.testing.assert_allclose(path.values[1:], path.left_limits * factors.prod(axis=1), rtol=1e-12)
-    no_jump = noise.jump_counts.sum(axis=1) == 0
-    np.testing.assert_allclose(path.left_limits[no_jump], path.values[1:][no_jump], rtol=0, atol=0)
+        noise = one_path(bern_measure, unit_grid, SEED + 3, trial)
+        xa = exponential_prices(a, *noise, unit_grid, 1.2)
+        xb = exponential_prices(b, *noise, unit_grid, 0.8)
+        prod = exponential_prices(product_coefficients(a, b), *noise, unit_grid, 1.2 * 0.8)
+        quot = exponential_prices(quotient_coefficients(a, b), *noise, unit_grid, 1.2 / 0.8)
+        np.testing.assert_allclose(prod, xa * xb, rtol=1e-10)
+        np.testing.assert_allclose(quot, xa / xb, rtol=1e-10)
 
 
 def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
+    noise = one_path(bern_measure, unit_grid, SEED, 0)
     with pytest.raises(ValueError):
-        exponential_path(coeffs(bern_measure, gamma=(-1.0, 0.0)), noise, 1.0)
+        exponential_prices(coeffs(bern_measure, gamma=(-1.0, 0.0)), *noise, unit_grid, 1.0)
 
 
 def test_euler_paths_approach_closed_form_at_first_order(bern_measure):
     # pure-jump coefficients: the Euler error is O(dt), so halving dt halves
     # the median sup-norm gap on shared (coarsened) noise.
     c = coeffs(bern_measure, drift=0.02, gamma=tuple(np.expm1(0.3 * bern_measure.locations)))
-    ratios = []
-    for p in range(40):
-        fine = sample_noise(bern_measure, TimeGrid(1.0, 2000), SEED + 4, p)
-        coarse = NoiseRealization(
-            bern_measure,
-            TimeGrid(1.0, 1000),
-            fine.brownian_increments.reshape(-1, 2).sum(axis=1),
-            fine.jump_counts.reshape(-1, 2, 2).sum(axis=1),
-        )
-        gaps = []
-        for noise in (coarse, fine):
-            euler = integrate_proportional(c, noise, 1.0)
-            closed = exponential_path(c, noise, 1.0)
-            gaps.append(np.abs(euler.values - closed.values).max())
-        ratios.append(gaps[1] / gaps[0])
-    assert np.median(ratios) <= 0.55
-
-
-def test_path_series_validation():
-    with pytest.raises(ValueError):
-        from levyhedge import PathSeries
-
-        PathSeries(np.array([1.0, 2.0, 3.0]), np.array([1.0]))
+    fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
+    fine = sample_noise_block(bern_measure, fine_grid, SEED + 4, 0, 40)
+    gaps = []
+    for grid, noise in ((coarse_grid, coarsen(*fine)), (fine_grid, fine)):
+        euler = integrate_proportional_block(c, *noise, grid, 1.0)
+        gaps.append(np.abs(euler - exponential_prices(c, *noise, grid, 1.0)).max(axis=1))
+    assert np.median(gaps[1] / gaps[0]) <= 0.55

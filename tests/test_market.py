@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
+from conftest import coarsen, noise_blocks, one_path
 from levyhedge import (
     AssetSpec,
     GeometricBernoulliSpec,
     JumpAtom,
     LevyMeasure,
-    NoiseRealization,
     PricingKernelSpec,
+    SymmetricCoefficients,
     TimeGrid,
     benchmark_coefficients,
-    domestic_coefficients,
     domestic_drift,
-    exponential_path,
+    exponential_prices,
     from_natural,
-    geometric_price_path,
-    integrate_proportional,
-    kernel_path,
+    integrate_proportional_block,
+    kernel_coefficients,
     natural_coefficients,
-    sample_noise,
+    sample_noise_block,
     to_natural,
 )
 
@@ -31,6 +30,16 @@ def random_kernel(rng, n_atoms):
         float(rng.uniform(-0.5, 0.5)),
         tuple(rng.uniform(-0.5, 0.9, n_atoms)),
     )
+
+
+def domestic_coefficients(asset, kernel, measure):
+    """Proportional coefficients of the domestic price: the no-arbitrage
+    drift with the asset's own volatilities."""
+    return SymmetricCoefficients(domestic_drift(asset, kernel, measure), asset.brownian_vol, asset.jump_vol, measure)
+
+
+def natural_prices(asset, measure, noise, grid):
+    return exponential_prices(natural_coefficients(asset, measure), *noise, grid, asset.initial_price)
 
 
 # ---------------------------------------------------------------- specs
@@ -58,15 +67,25 @@ def test_geometric_spec_converts_marks_to_jump_vols(bern_measure):
 
 
 def test_null_kernel_path_is_one(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    pi = kernel_path(PricingKernelSpec(0.0, 0.0, (0.0, 0.0)), bern_measure, noise, unit_grid)
-    assert np.all(pi.values == 1.0)
+    noise = one_path(bern_measure, unit_grid, SEED, 0)
+    coeffs = kernel_coefficients(PricingKernelSpec(0.0, 0.0, (0.0, 0.0)), bern_measure)
+    assert np.all(exponential_prices(coeffs, *noise, unit_grid, 1.0) == 1.0)
 
 
 def test_deterministic_discounting(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    pi = kernel_path(PricingKernelSpec(0.05, 0.0, (0.0, 0.0)), bern_measure, noise, unit_grid)
-    np.testing.assert_allclose(pi.values, np.exp(-0.05 * unit_grid.times), rtol=1e-14)
+    noise = one_path(bern_measure, unit_grid, SEED, 0)
+    coeffs = kernel_coefficients(PricingKernelSpec(0.05, 0.0, (0.0, 0.0)), bern_measure)
+    pi = exponential_prices(coeffs, *noise, unit_grid, 1.0)
+    np.testing.assert_allclose(pi, np.exp(-0.05 * unit_grid.times), rtol=1e-14)
+
+
+def test_kernel_coefficients_negate_the_kernel_parameters(bern_measure):
+    kernel = PricingKernelSpec(0.03, 0.2, (0.3, -0.4))
+    coeffs = kernel_coefficients(kernel, bern_measure)
+    assert (coeffs.drift, coeffs.brownian_vol, coeffs.jump_vol) == (-0.03, -0.2, (-0.3, 0.4))
+    assert coeffs.measure == bern_measure
+    with pytest.raises(ValueError):
+        kernel_coefficients(kernel, LevyMeasure())
 
 
 def test_kernel_times_benchmark_is_one(unit_grid):
@@ -77,10 +96,10 @@ def test_kernel_times_benchmark_is_one(unit_grid):
         locs = np.unique(rng.normal(0.0, 1.0, n_atoms))
         m = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locs, rng.uniform(0.5, 10.0, len(locs)))))
         kernel = random_kernel(rng, len(m))
-        noise = sample_noise(m, unit_grid, SEED + 1, trial)
-        pi = kernel_path(kernel, m, noise, unit_grid)
-        xi = exponential_path(benchmark_coefficients(kernel, m), noise, 1.0)
-        worst = max(worst, float(np.abs(pi.values * xi.values - 1.0).max()))
+        noise = one_path(m, unit_grid, SEED + 1, trial)
+        pi = exponential_prices(kernel_coefficients(kernel, m), *noise, unit_grid, 1.0)
+        xi = exponential_prices(benchmark_coefficients(kernel, m), *noise, unit_grid, 1.0)
+        worst = max(worst, float(np.abs(pi * xi - 1.0).max()))
     assert worst <= 1e-10
 
 
@@ -151,13 +170,15 @@ def test_deflated_domestic_price_is_a_martingale(bern_measure, unit_grid):
     kernel = PricingKernelSpec(0.04, 0.2, (0.3, -0.4))
     asset = AssetSpec(100.0, 0.25, (0.35, -0.2))
     dom = domestic_coefficients(asset, kernel, bern_measure)
+    pi_coeffs = kernel_coefficients(kernel, bern_measure)
     n = 3000
-    deflated = np.empty(n)
-    for p in range(n):
-        noise = sample_noise(bern_measure, unit_grid, SEED + 3, p)
-        s = exponential_path(dom, noise, asset.initial_price)
-        pi = kernel_path(kernel, bern_measure, noise, unit_grid)
-        deflated[p] = pi.terminal * s.terminal
+    deflated = np.concatenate(
+        [
+            exponential_prices(pi_coeffs, *noise, unit_grid, 1.0)[:, -1]
+            * exponential_prices(dom, *noise, unit_grid, asset.initial_price)[:, -1]
+            for noise in noise_blocks(bern_measure, unit_grid, SEED + 3, n)
+        ]
+    )
     se = deflated.std(ddof=1) / np.sqrt(n)
     assert abs(deflated.mean() - asset.initial_price) <= 3.0 * se
 
@@ -165,104 +186,84 @@ def test_deflated_domestic_price_is_a_martingale(bern_measure, unit_grid):
 def test_natural_price_is_kernel_times_domestic(bern_measure, unit_grid):
     kernel = PricingKernelSpec(0.04, 0.2, (0.3, -0.4))
     asset = AssetSpec(80.0, 0.25, (0.35, -0.2))
-    noise = sample_noise(bern_measure, unit_grid, SEED, 1)
-    dom = exponential_path(domestic_coefficients(asset, kernel, bern_measure), noise, asset.initial_price)
-    pi = kernel_path(kernel, bern_measure, noise, unit_grid)
-    nat = geometric_price_path(to_natural(asset, kernel), bern_measure, noise, unit_grid)
-    np.testing.assert_allclose(nat.values, pi.values * dom.values, rtol=1e-10)
+    noise = one_path(bern_measure, unit_grid, SEED, 1)
+    dom = exponential_prices(domestic_coefficients(asset, kernel, bern_measure), *noise, unit_grid, asset.initial_price)
+    pi = exponential_prices(kernel_coefficients(kernel, bern_measure), *noise, unit_grid, 1.0)
+    nat = natural_prices(to_natural(asset, kernel), bern_measure, noise, unit_grid)
+    np.testing.assert_allclose(nat, pi * dom, rtol=1e-10)
 
 
-# ---------------------------------------------------------------- geometric paths
+# ---------------------------------------------------------------- natural price paths
 
 
 def test_zero_vol_price_is_constant(bern_measure, unit_grid):
-    noise = sample_noise(bern_measure, unit_grid, SEED)
-    path = geometric_price_path(AssetSpec(100.0, 0.0, (0.0, 0.0)), bern_measure, noise, unit_grid)
-    assert np.all(path.values == 100.0)
+    noise = one_path(bern_measure, unit_grid, SEED, 0)
+    assert np.all(natural_prices(AssetSpec(100.0, 0.0, (0.0, 0.0)), bern_measure, noise, unit_grid) == 100.0)
 
 
 def test_single_jump_multiplies_the_price():
     m = LevyMeasure((JumpAtom(1.0, 5.0),))
     grid = TimeGrid(1.0, 4)
     counts = np.array([[0], [1], [0], [0]])
-    noise = NoiseRealization(m, grid, np.zeros(4), counts)
     sigma_jump = 0.6
-    path = geometric_price_path(AssetSpec(100.0, 0.0, (sigma_jump,)), m, noise, grid)
-    # the jump multiplies the pre-jump state by exactly 1 + Sigma
-    assert path.values[2] == pytest.approx(path.left_limits[1] * (1.0 + sigma_jump), rel=1e-15)
-    # jump-free steps only decay at the compensator rate
+    path = natural_prices(AssetSpec(100.0, 0.0, (sigma_jump,)), m, (np.zeros(4), counts), grid)
+    # jump-free steps only decay at the compensator rate, and the jump
+    # multiplies the pre-jump state by exactly 1 + Sigma
     comp = sigma_jump * 5.0 * grid.dt
-    assert path.values[1] == pytest.approx(100.0 * np.exp(-comp), rel=1e-14)
+    assert path[1] == pytest.approx(100.0 * np.exp(-comp), rel=1e-14)
+    assert path[2] == pytest.approx(100.0 * np.exp(-2.0 * comp) * (1.0 + sigma_jump), rel=1e-14)
+    assert path[4] == pytest.approx(path[2] * np.exp(-2.0 * comp), rel=1e-14)
 
 
 def test_natural_price_means_stay_at_initial(bern_measure, unit_grid, contract, asset_high, asset_low):
     n = 3000
-    terminals = np.empty((n, 3))
-    for p in range(n):
-        noise = sample_noise(bern_measure, unit_grid, SEED + 4, p)
-        for j, spec in enumerate((contract, asset_high, asset_low)):
-            terminals[p, j] = geometric_price_path(spec, bern_measure, noise, unit_grid).terminal
+    specs = (contract, asset_high, asset_low)
+    terminals = np.concatenate(
+        [
+            np.stack([natural_prices(spec, bern_measure, noise, unit_grid)[:, -1] for spec in specs], axis=1)
+            for noise in noise_blocks(bern_measure, unit_grid, SEED + 4, n)
+        ]
+    )
     for j in range(3):
         se = terminals[:, j].std(ddof=1) / np.sqrt(n)
         assert abs(terminals[:, j].mean() - 100.0) <= 3.0 * se
 
 
 def test_geometric_paths_are_positive(bern_measure, unit_grid, asset_high):
-    for p in range(20):
-        noise = sample_noise(bern_measure, unit_grid, SEED + 5, p)
-        path = geometric_price_path(asset_high, bern_measure, noise, unit_grid)
-        assert np.all(path.values > 0.0)
-        assert np.all(path.left_limits > 0.0)
+    noise = sample_noise_block(bern_measure, unit_grid, SEED + 5, 0, 20)
+    assert np.all(natural_prices(asset_high, bern_measure, noise, unit_grid) > 0.0)
 
 
 def test_euler_natural_dynamics_converge_to_closed_form(bern_measure):
     # pure-jump asset: first-order convergence, the terminal relative error
     # halves when dt halves (shared noise via pairwise coarsening)
+    fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
+
+    def errors(asset, seed, terminal_only):
+        coeffs = natural_coefficients(asset, bern_measure)
+        fine = sample_noise_block(bern_measure, fine_grid, seed, 0, 40)
+        out = []
+        for grid, noise in ((coarse_grid, coarsen(*fine)), (fine_grid, fine)):
+            euler = integrate_proportional_block(coeffs, *noise, grid, 100.0)
+            closed = exponential_prices(coeffs, *noise, grid, 100.0)
+            if terminal_only:
+                out.append(np.abs(euler[:, -1] - closed[:, -1]) / closed[:, -1])
+            else:
+                out.append(np.abs(euler - closed).max(axis=1))
+        return out[1] / out[0]
+
     asset = AssetSpec(100.0, 0.0, tuple(np.expm1(0.3 * bern_measure.locations)))
-    coeffs = natural_coefficients(asset, bern_measure)
-    ratios = []
-    for p in range(40):
-        fine = sample_noise(bern_measure, TimeGrid(1.0, 2000), SEED + 6, p)
-        coarse = NoiseRealization(
-            bern_measure,
-            TimeGrid(1.0, 1000),
-            fine.brownian_increments.reshape(-1, 2).sum(axis=1),
-            fine.jump_counts.reshape(-1, 2, 2).sum(axis=1),
-        )
-        errs = []
-        for noise in (coarse, fine):
-            euler = integrate_proportional(coeffs, noise, 100.0)
-            closed = exponential_path(coeffs, noise, 100.0)
-            errs.append(abs(euler.terminal - closed.terminal) / closed.terminal)
-        ratios.append(errs[1] / errs[0])
-    assert np.median(ratios) <= 0.55
+    assert np.median(errors(asset, SEED + 6, terminal_only=True)) <= 0.55
 
     # with a Brownian component the error still shrinks, though more slowly
     asset_b = AssetSpec(100.0, 0.2, tuple(np.expm1(0.3 * bern_measure.locations)))
-    coeffs_b = natural_coefficients(asset_b, bern_measure)
-    ratios_b = []
-    for p in range(40):
-        fine = sample_noise(bern_measure, TimeGrid(1.0, 2000), SEED + 7, p)
-        coarse = NoiseRealization(
-            bern_measure,
-            TimeGrid(1.0, 1000),
-            fine.brownian_increments.reshape(-1, 2).sum(axis=1),
-            fine.jump_counts.reshape(-1, 2, 2).sum(axis=1),
-        )
-        errs = []
-        for noise in (coarse, fine):
-            euler = integrate_proportional(coeffs_b, noise, 100.0)
-            closed = exponential_path(coeffs_b, noise, 100.0)
-            errs.append(np.abs(euler.values - closed.values).max())
-        ratios_b.append(errs[1] / errs[0])
-    assert np.median(ratios_b) < 0.95
+    assert np.median(errors(asset_b, SEED + 7, terminal_only=False)) < 0.95
 
 
 def test_mismatched_noise_is_rejected(bern_measure, unit_grid, asset_high):
-    other_grid = TimeGrid(1.0, 500)
-    noise = sample_noise(bern_measure, other_grid, SEED)
+    noise = one_path(bern_measure, TimeGrid(1.0, 500), SEED, 0)
     with pytest.raises(ValueError):
-        geometric_price_path(asset_high, bern_measure, noise, unit_grid)
+        natural_prices(asset_high, bern_measure, noise, unit_grid)
     kernel = PricingKernelSpec(0.0, 0.0, (0.0, 0.0))
     with pytest.raises(ValueError):
-        kernel_path(kernel, bern_measure, noise, unit_grid)
+        exponential_prices(kernel_coefficients(kernel, bern_measure), *noise, unit_grid, 1.0)

@@ -1,6 +1,6 @@
 """The path-block engine: block noise, block prices and block residuals give
-every path exactly what the per-path functions give it, whatever the block
-size."""
+every path exactly what a block of that one path gives it, whatever the
+block size."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -10,23 +10,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import euler_loop, one_path
 from levyhedge import (
     ConstantRatioRule,
     GeometricBernoulliSpec,
     IntegrationError,
     JumpAtom,
     LevyMeasure,
-    NoiseRealization,
     PriceRangeError,
+    benchmark_holdings,
     builtin_scenario,
-    evolve_portfolio,
-    geometric_price_path,
-    integrate,
+    exponential_prices,
+    hedge_residuals,
     integrate_block,
-    integrate_proportional,
     integrate_proportional_block,
+    natural_coefficients,
+    portfolio_values,
     run_scenario,
-    sample_noise,
     sample_noise_block,
     scenario_ratios,
     SymmetricCoefficients,
@@ -56,14 +56,15 @@ def run_with_block_paths(s, paths_per_block: int):
 
 @pytest.mark.parametrize("measure", [LevyMeasure.bernoulli(15.0, 0.5), LevyMeasure()])
 def test_block_draws_equal_per_path_draws(measure, unit_grid):
+    # each path of an N-path block is the 1-path block at its own path index
     first, n = 3, 5
     dw, counts = sample_noise_block(measure, unit_grid, SEED, first, n)
     assert dw.shape == (n, unit_grid.steps)
     assert counts.shape == (n, unit_grid.steps, len(measure))
     for row, p in enumerate(range(first, first + n)):
-        noise = sample_noise(measure, unit_grid, SEED, p)
-        np.testing.assert_array_equal(dw[row], noise.brownian_increments)
-        np.testing.assert_array_equal(counts[row], noise.jump_counts)
+        one_dw, one_counts = one_path(measure, unit_grid, SEED, p)
+        np.testing.assert_array_equal(dw[row], one_dw)
+        np.testing.assert_array_equal(counts[row], one_counts)
 
 
 def test_block_draw_rejects_bad_ranges(bern_measure, unit_grid):
@@ -85,7 +86,7 @@ def test_results_do_not_depend_on_block_size(name, n_paths, steps, paths_per_blo
     s = with_overrides(builtin_scenario(name), n_paths=n_paths, steps=steps, seed=seed)
     single = run_with_block_paths(s, 1)
     blocked = run_with_block_paths(s, paths_per_block)
-    assert blocked.path_summaries == single.path_summaries
+    np.testing.assert_array_equal(blocked.path_stats, single.path_stats)
     assert blocked.aggregate == single.aggregate
     for field in GOLDEN_FIELDS:
         np.testing.assert_array_equal(getattr(blocked.golden, field), getattr(single.golden, field))
@@ -103,47 +104,43 @@ def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):
     capsys.readouterr()
 
 
+def _reference_path(s, p: int) -> dict:
+    """Path p of a scenario, computed alone: its noise as a 1-path block,
+    exact prices, holdings from step-start prices and the self-financing
+    ledger of that one path."""
+    dw, counts = one_path(s.measure, s.grid, s.seed, p)
+
+    def prices(spec):
+        return exponential_prices(natural_coefficients(spec, s.measure), dw, counts, s.grid, spec.initial_price)
+
+    c = prices(s.natural_contract())
+    a = np.stack([prices(spec) for spec in s.natural_assets()], axis=1)
+    ratios = scenario_ratios(s)
+    phi = ConstantRatioRule(ratios).holdings(c, a) if ratios is not None else np.zeros((s.grid.steps, a.shape[1]))
+    dv, gains = hedge_residuals(c, a, phi)
+    v = portfolio_values(c, dv)
+    z = dv / c[:-1]
+    stats = ((v[-1] - v[0]) ** 2, dv @ dv, c[0] ** 2 * (z @ z), dv.sum(), dv.std(), np.abs(dv).max())
+    golden = dict(contract_values=c, asset_values=a, phi=phi, theta=benchmark_holdings(phi, a, gains))
+    return dict(stats=stats, counts=counts, portfolio_values=v, residuals=dv, **golden)
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2b", "fig3", "fig4"])
 def test_summaries_match_a_per_path_reference_loop(name):
     s = builtin_scenario(name, n_paths=12, seed=SEED)
     result = run_scenario(s)
-    ratios = scenario_ratios(s)
-    rule = ConstantRatioRule(ratios) if ratios is not None else None
-    c0 = s.contract.initial_price
-    for p, summary in enumerate(result.path_summaries):
-        noise = sample_noise(s.measure, s.grid, s.seed, p)
-        contract = geometric_price_path(s.natural_contract(), s.measure, noise, s.grid)
-        assets = [geometric_price_path(a, s.measure, noise, s.grid) for a in s.natural_assets()]
-        report = evolve_portfolio(contract, assets, rule, s.grid)
-        dv = report.residual_increments
-        z = dv / contract.values[:-1]
-        expected = (
-            report.delta_mc,
-            float(dv @ dv),
-            float(c0 * c0 * (z @ z)),
-            float(dv.sum()),
-            report.per_step_std,
-            report.max_abs_residual,
-        )
-        got = (
-            summary.delta_terminal,
-            summary.delta_integrated,
-            summary.delta_normalized,
-            summary.residual_sum,
-            summary.per_step_std,
-            summary.max_abs_residual,
-        )
-        assert summary.path_index == p
-        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+    assert result.path_stats.shape == (12, 6)
+    for p, stats in enumerate(result.path_stats):
+        ref = _reference_path(s, p)
+        np.testing.assert_allclose(stats, ref["stats"], rtol=1e-13, atol=0)
         if p == 0:
             g = result.golden
-            np.testing.assert_array_equal(g.contract_values, contract.values)
-            np.testing.assert_array_equal(g.asset_values, np.stack([a.values for a in assets], axis=1))
-            np.testing.assert_array_equal(g.phi, report.strategy.phi)
-            np.testing.assert_array_equal(g.theta, report.strategy.theta)
-            np.testing.assert_array_equal(g.portfolio_values, report.portfolio_values)
-            np.testing.assert_array_equal(g.residuals, dv)
-            np.testing.assert_array_equal(g.jump_count_path, noise.cumulative_jump_count())
+            for field in ("contract_values", "asset_values", "phi", "theta", "portfolio_values", "residuals"):
+                np.testing.assert_array_equal(getattr(g, field), ref[field])
+            arrivals = ref["counts"].sum(axis=1)
+            np.testing.assert_array_equal(g.jump_count_path, np.concatenate(([0.0], np.cumsum(arrivals))))
+            marks = ref["counts"] @ s.measure.locations
+            np.testing.assert_array_equal(g.jump_sum_path, np.concatenate(([0.0], np.cumsum(marks))))
 
 
 def test_underflowing_price_is_a_typed_error():
@@ -157,30 +154,55 @@ def test_underflowing_price_is_a_typed_error():
     assert 0 <= err.path_index < s.n_paths and 1 <= err.step <= s.grid.steps
     assert f"path {err.path_index}" in str(err) and f"step {err.step}" in str(err)
     # the first bad path in the run: every earlier path has positive prices
+    coeffs = natural_coefficients(s.natural_contract(), s.measure)
     for p in range(err.path_index):
-        noise = sample_noise(s.measure, s.grid, s.seed, p)
-        assert geometric_price_path(s.natural_contract(), s.measure, noise, s.grid).values.min() > 0.0
+        assert exponential_prices(coeffs, *one_path(s.measure, s.grid, s.seed, p), s.grid, 100.0).min() > 0.0
 
 
 
-EULER = [(integrate_block, integrate), (integrate_proportional_block, integrate_proportional)]
+def _scaled(c: SymmetricCoefficients, x: float) -> SymmetricCoefficients:
+    """Proportional dynamics as state-dependent additive coefficients."""
+    return SymmetricCoefficients(c.drift * x, c.brownian_vol * x, tuple(np.multiply(c.jump_vol, x)), c.measure)
 
 
-@pytest.mark.parametrize("block_fn, path_fn", EULER)
+# each Euler kernel with the per-step coefficients of the same dynamics, for
+# the per-step reference loop
+EULER = [
+    pytest.param(integrate_block, lambda c, x: c, id="integrate_block-integrate"),
+    pytest.param(integrate_proportional_block, _scaled, id="integrate_proportional_block-integrate_proportional"),
+]
+
+
+@pytest.mark.parametrize("block_fn, step_coeffs", EULER)
 @pytest.mark.parametrize("measure", [LevyMeasure.bernoulli(15.0, 0.5), LevyMeasure()])
-def test_block_euler_matches_per_path_integrators(block_fn, path_fn, measure, unit_grid):
+def test_block_euler_matches_per_path_integrators(block_fn, step_coeffs, measure, unit_grid):
     coeffs = SymmetricCoefficients(0.03, 0.2, (0.3, -0.25)[: len(measure)], measure)
     dw, counts = sample_noise_block(measure, unit_grid, SEED, 0, 6)
     # any leading path axes: here (2, 3) paths
     values = block_fn(coeffs, dw.reshape(2, 3, -1), counts.reshape(2, 3, *counts.shape[1:]), unit_grid, 1.5)
     assert values.shape == (2, 3, unit_grid.steps + 1)
     for row, path in enumerate(values.reshape(6, -1)):
-        expected = path_fn(coeffs, sample_noise(measure, unit_grid, SEED, row), 1.5).values
-        np.testing.assert_allclose(path, expected, rtol=1e-15, atol=0)
+        # bitwise the 1-path block at the path's own index, in both shapes
+        noise = one_path(measure, unit_grid, SEED, row)
+        np.testing.assert_array_equal(path, block_fn(coeffs, *noise, unit_grid, 1.5))
+        np.testing.assert_array_equal(path, block_fn(coeffs, noise[0][None], noise[1][None], unit_grid, 1.5)[0])
+        if row == 0:
+            reference = euler_loop(lambda step, x: step_coeffs(coeffs, x), *noise, measure, unit_grid, 1.5)
+            np.testing.assert_allclose(path, reference, rtol=1e-10)
 
 
-@pytest.mark.parametrize("block_fn, path_fn", EULER)
-def test_block_euler_overflow_is_a_typed_error(block_fn, path_fn):
+@pytest.mark.parametrize("measure", [LevyMeasure.bernoulli(15.0, 0.5), LevyMeasure()])
+def test_block_exponential_prices_equal_one_path_blocks(measure, unit_grid):
+    coeffs = SymmetricCoefficients(0.03, 0.2, (0.3, -0.25)[: len(measure)], measure)
+    dw, counts = sample_noise_block(measure, unit_grid, SEED, 4, 6)
+    values = exponential_prices(coeffs, dw.reshape(3, 2, -1), counts.reshape(3, 2, *counts.shape[1:]), unit_grid, 1.5)
+    for row, path in enumerate(values.reshape(6, -1)):
+        noise = one_path(measure, unit_grid, SEED, 4 + row)
+        np.testing.assert_array_equal(path, exponential_prices(coeffs, *noise, unit_grid, 1.5))
+
+
+@pytest.mark.parametrize("block_fn, step_coeffs", EULER)
+def test_block_euler_overflow_is_a_typed_error(block_fn, step_coeffs):
     # a huge jump volatility with a negligible compensator: two jumps overflow
     measure = LevyMeasure((JumpAtom(1.0, 1e-318),))
     coeffs = SymmetricCoefficients(0.0, 0.0, (1e308,), measure)
@@ -193,7 +215,7 @@ def test_block_euler_overflow_is_a_typed_error(block_fn, path_fn):
         block_fn(coeffs, dw, counts, grid, 1.0)
     assert block_err.value.step == 5 and "path 1" in str(block_err.value)
     with pytest.raises(IntegrationError) as path_err:
-        path_fn(coeffs, NoiseRealization(measure, grid, dw[1], counts[1]), 1.0)
+        block_fn(coeffs, dw[1:2], counts[1:2], grid, 1.0)
     assert path_err.value.step == 5
     # the paths without a second jump stay finite
     assert np.isfinite(block_fn(coeffs, dw[::2], counts[::2], grid, 1.0)).all()

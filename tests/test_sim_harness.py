@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from conftest import one_path
 from levyhedge import (
+    PATH_COLUMNS,
     GeometricBernoulliSpec,
     LevyMeasure,
     Scenario,
@@ -34,7 +38,8 @@ def test_builtin_market_parameters():
         GeometricBernoulliSpec(100.0, 0.10, 0.20),
     )
     assert s.hedge_mode == "none"
-    assert s.kernel is None
+    # scenarios run in benchmark units: there is no pricing kernel to carry
+    assert "kernel" not in {f.name for f in fields(Scenario)}
 
 
 def test_builtin_hedge_modes():
@@ -71,6 +76,10 @@ def test_scenario_validation(bern_measure):
         Scenario(bern_measure, contract, (asset,), grid, 10, SEED, "sideways")
     with pytest.raises(ValueError):
         Scenario(bern_measure, contract, (asset,), grid, 10, -1, "none")
+    for n_paths, seed in ((1.5, SEED), (True, SEED), (10, "5"), (10, 5.0), (10, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Scenario(bern_measure, contract, (asset,), grid, n_paths, seed, "none")
+    assert Scenario(bern_measure, contract, (asset,), grid, np.int64(3), np.uint32(7), "none").n_paths == 3
 
 
 def test_steps_limit():
@@ -122,7 +131,7 @@ def test_run_scenario_is_deterministic():
     s = builtin_scenario("fig3", n_paths=5, seed=SEED)
     a, b = run_scenario(s), run_scenario(s)
     assert a.aggregate == b.aggregate
-    assert a.path_summaries == b.path_summaries
+    np.testing.assert_array_equal(a.path_stats, b.path_stats)
     np.testing.assert_array_equal(a.golden.contract_values, b.golden.contract_values)
     np.testing.assert_array_equal(a.golden.phi, b.golden.phi)
 
@@ -162,10 +171,21 @@ def test_reduced_brownian_vols_give_near_perfect_hedge():
 
 def test_aggregate_consistent_with_path_summaries():
     r = run_scenario(builtin_scenario("fig2a", n_paths=20, seed=SEED))
-    assert r.aggregate.mean_delta == pytest.approx(
-        np.mean([p.delta_terminal for p in r.path_summaries]), rel=1e-12
-    )
-    assert r.aggregate.max_abs_residual == max(p.max_abs_residual for p in r.path_summaries)
+    assert r.path_stats.shape == (20, len(PATH_COLUMNS))
+    column = dict(zip(PATH_COLUMNS, r.path_stats.T))
+    assert r.aggregate.mean_delta == pytest.approx(np.mean(column["delta_terminal"]), rel=1e-12)
+    assert r.aggregate.max_abs_residual == column["max_abs_residual"].max()
+
+
+def test_golden_jump_paths_count_the_first_path_arrivals():
+    s = builtin_scenario("fig1", n_paths=3, seed=SEED)
+    g = run_scenario(s).golden
+    _, counts = one_path(s.measure, s.grid, s.seed, 0)
+    assert g.jump_count_path[0] == 0.0 and g.jump_sum_path[0] == 0.0
+    # per step: arrivals of both atoms, and the up minus the down arrivals
+    np.testing.assert_array_equal(np.diff(g.jump_count_path), counts[:, 0] + counts[:, 1])
+    np.testing.assert_array_equal(np.diff(g.jump_sum_path), counts[:, 0] - counts[:, 1])
+    assert g.jump_count_path[-1] == counts.sum() > 0
 
 
 # ---------------------------------------------------------------- brute force

@@ -1,31 +1,31 @@
 """The verification suites on path blocks: each Monte Carlo statistic equals
-a per-path reference loop over sample_noise and the per-path integrators,
-and does not depend on the block size."""
+a per-path reference loop over 1-path blocks, and does not depend on the
+block size."""
 
+import contextlib
+import io
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import coarsen, one_path, ratio_residuals
 from levyhedge import (
     AssetSpec,
-    ConstantRatioRule,
     PriceRangeError,
     SymmetricCoefficients,
     TimeGrid,
     builtin_scenario,
-    evolve_portfolio,
-    exponential_path,
-    geometric_price_path,
-    integrate,
-    integrate_proportional,
+    cli,
+    exponential_prices,
+    integrate_block,
+    integrate_proportional_block,
     natural_coefficients,
     product_coefficients,
-    sample_noise,
     scenario_ratios,
 )
 from levyhedge import verification
-from levyhedge.levy_core import LevyMeasure, NoiseRealization
+from levyhedge.levy_core import LevyMeasure
 from levyhedge.verification import (
     _euler_gap_ratios,
     _euler_terminals,
@@ -50,46 +50,43 @@ def _geometric(beta: float) -> AssetSpec:
     return AssetSpec(100.0, 0.0, tuple(np.expm1(beta * MEASURE.locations)))
 
 
-def _noise(p: int, grid: TimeGrid = GRID, measure: LevyMeasure = MEASURE) -> NoiseRealization:
-    return sample_noise(measure, grid, SEED, p)
+def _noise(p: int, grid: TimeGrid = GRID, measure: LevyMeasure = MEASURE):
+    return one_path(measure, grid, SEED, p)
 
 
 def _residuals(price, contract, assets, ratios, noise) -> tuple:
-    cpath = price(contract, noise)
-    report = evolve_portfolio(cpath, [price(a, noise) for a in assets], ConstantRatioRule(ratios), GRID)
-    return cpath, report.residual_increments
+    prices = np.stack([price(spec, noise) for spec in (contract, *assets)], axis=1)
+    return prices[:, 0], ratio_residuals(prices, ratios)
 
 
 def _euler(spec, noise):
-    return integrate_proportional(natural_coefficients(spec, MEASURE), noise, spec.initial_price)
+    return integrate_proportional_block(natural_coefficients(spec, MEASURE), *noise, GRID, spec.initial_price)
 
 
 def _exact(spec, noise):
-    return geometric_price_path(spec, MEASURE, noise, GRID)
+    return exponential_prices(natural_coefficients(spec, MEASURE), *noise, GRID, spec.initial_price)
 
 
 def _normalized_reference(p):
-    cpath, dv = _residuals(_euler, CONTRACT, [A1], FIG_RATIOS[0][:1], _noise(p))
-    rel = dv / cpath.values[:-1]
+    c, dv = _residuals(_euler, CONTRACT, [A1], FIG_RATIOS[0][:1], _noise(p))
+    rel = dv / c[:-1]
     return CONTRACT.initial_price**2 * float(rel @ rel)
 
 
 def _euler_gap_reference(p, a, b):
-    fine = sample_noise(MEASURE, TimeGrid(1.0, 2000), SEED, p)
-    coarse = NoiseRealization(
-        MEASURE,
-        TimeGrid(1.0, 1000),
-        fine.brownian_increments.reshape(-1, 2).sum(axis=1),
-        fine.jump_counts.reshape(-1, 2, len(MEASURE)).sum(axis=1),
-    )
+    fine = _noise(p, TimeGrid(1.0, 2000))
     gaps = []
-    for noise in (coarse, fine):
-        e_a = integrate_proportional(a, noise, 1.0)
-        e_b = integrate_proportional(b, noise, 1.0)
-        e_ab = integrate_proportional(product_coefficients(a, b), noise, 1.0)
-        cf = exponential_path(a, noise, 1.0)
-        gaps.append((np.abs(e_a.values - cf.values).max(), np.abs(e_ab.values - e_a.values * e_b.values).max()))
+    for grid, noise in ((TimeGrid(1.0, 1000), coarsen(*fine)), (TimeGrid(1.0, 2000), fine)):
+        e_a = integrate_proportional_block(a, *noise, grid, 1.0)
+        e_b = integrate_proportional_block(b, *noise, grid, 1.0)
+        e_ab = integrate_proportional_block(product_coefficients(a, b), *noise, grid, 1.0)
+        cf = exponential_prices(a, *noise, grid, 1.0)
+        gaps.append((np.abs(e_a - cf).max(), np.abs(e_ab - e_a * e_b).max()))
     return gaps[1][0] / gaps[0][0], gaps[1][1] / gaps[0][1]
+
+
+def _terminal(coeffs, noise, x0):
+    return integrate_block(coeffs, *noise, GRID, x0)[-1]
 
 
 _DRIVER = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
@@ -103,19 +100,19 @@ _PURE_JUMP_RATIOS = (0.41606008891513463, 0.625390267269132)
 STATISTICS = {
     "isometry driver": (
         lambda: _euler_terminals(_DRIVER, GRID, SEED, 0.0, N_PATHS) ** 2,
-        lambda: [integrate(_DRIVER, _noise(p), 0.0).terminal ** 2 for p in range(N_PATHS)],
+        lambda: [_terminal(_DRIVER, _noise(p), 0.0) ** 2 for p in range(N_PATHS)],
     ),
     "isometry brownian": (
         lambda: _euler_terminals(_BROWNIAN, GRID, SEED, 0.0, N_PATHS) ** 2,
-        lambda: [integrate(_BROWNIAN, _noise(p, measure=LevyMeasure()), 0.0).terminal ** 2 for p in range(N_PATHS)],
+        lambda: [_terminal(_BROWNIAN, _noise(p, measure=LevyMeasure()), 0.0) ** 2 for p in range(N_PATHS)],
     ),
     "martingale integration": (
         lambda: _euler_terminals(_DRIVER, GRID, SEED, 3.0, N_PATHS),
-        lambda: [integrate(_DRIVER, _noise(p), 3.0).terminal for p in range(N_PATHS)],
+        lambda: [_terminal(_DRIVER, _noise(p), 3.0) for p in range(N_PATHS)],
     ),
     "martingale prices": (
         lambda: _price_terminals([CONTRACT, A1, A2], MEASURE, GRID, SEED, N_PATHS),
-        lambda: [[_exact(s, _noise(p)).terminal for s in (CONTRACT, A1, A2)] for p in range(N_PATHS)],
+        lambda: [[_exact(s, _noise(p))[-1] for s in (CONTRACT, A1, A2)] for p in range(N_PATHS)],
     ),
     "optimality monte carlo": (
         lambda: _normalized_errors(CONTRACT, [A1], FIG_RATIOS[0][:1], MEASURE, GRID, SEED, N_PATHS),
@@ -195,10 +192,36 @@ def test_underflowing_price_terminals_raise_price_range_error():
     err = info.value
     # per-path reference: the first path whose price reaches zero, and its first such step
     for p in range(n_paths):
-        values = exponential_path(natural_coefficients(bad, MEASURE), sample_noise(MEASURE, GRID, seed, p), 1.0).values
+        values = exponential_prices(natural_coefficients(bad, MEASURE), *one_path(MEASURE, GRID, seed, p), GRID, 1.0)
         if values.min() <= 0.0:
             break
     assert p >= verification._BLOCK_PATH_STEPS // GRID.steps
     step = int(np.argmax(values <= 0.0))
     assert (err.path_index, err.step) == (p, step)
     assert str(err) == f"asset 1 price 0.0 on path {p} at step {step} is not positive and finite"
+
+
+def _violent_coefficients(rng, measure):
+    # a Brownian volatility of 40 drives exp(-sigma^2 t / 2 + sigma W_t) below
+    # the smallest float within the horizon on every path
+    gam = rng.uniform(-0.6, 1.5, len(measure))
+    return SymmetricCoefficients(rng.uniform(-0.3, 0.3), 40.0, tuple(gam), measure)
+
+
+def test_calculus_identities_fail_on_underflowing_paths(monkeypatch):
+    # 0/0 = NaN relative errors must not read as "max rel err=0": the first
+    # underflowed price raises, naming its path and step
+    monkeypatch.setattr(verification, "_random_coefficients", _violent_coefficients)
+    with pytest.raises(PriceRangeError) as info:
+        run_suite("calculus", SEED, 4)
+    err = info.value
+    assert err.path_index == 0 and 1 <= err.step <= 1000
+    assert str(err).startswith("calculus factor a price 0.0 on path 0 at step ")
+    # through the CLI: a one-line numerical failure, exit 4, no check printed
+    out, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+        assert cli.main(["verify", "calculus", "--paths", "4"]) == 4
+    assert out.getvalue() == ""
+    assert stderr.getvalue().startswith("numerical failure: calculus factor a price 0.0 on path 0 at step ")
+    assert stderr.getvalue().count("\n") == 1
+
