@@ -28,7 +28,6 @@ from .market import (
     to_natural,
 )
 from .hedging import (
-    ConstantRatioRule,
     DegeneracyError,
     DegeneracyReport,
     GramSystem,

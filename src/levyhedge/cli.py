@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +26,6 @@ from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
     DEFAULT_SEED,
     FIGURE_NAMES,
-    HEDGE_MODES,
     PATH_COLUMNS,
     GoldenPath,
     Scenario,
@@ -140,26 +140,17 @@ def build_scenario(obj) -> Scenario:
         raise ConfigError("scenario must be an object")
     if "name" in obj:
         _check_keys(obj, _SCENARIO_BUILTIN_KEYS, "scenario")
-        name = obj["name"]
-        if name not in FIGURE_NAMES:
-            raise ConfigError(f"unknown scenario name {name!r}; expected one of {FIGURE_NAMES}")
-        s = builtin_scenario(name)
         try:
             s = with_overrides(
-                s,
+                builtin_scenario(obj["name"]),
                 n_paths=_as_int(obj["n_paths"], "scenario.n_paths") if "n_paths" in obj else None,
                 seed=_as_int(obj["seed"], "scenario.seed") if "seed" in obj else None,
                 steps=_as_int(obj["steps"], "scenario.steps") if "steps" in obj else None,
             )
             if "hedge_mode" in obj or "hedge_asset_index" in obj:
-                from dataclasses import replace
-
-                mode = obj.get("hedge_mode", s.hedge_mode)
-                if mode not in HEDGE_MODES:
-                    raise ConfigError(f"unknown hedge_mode {mode!r}")
                 s = replace(
                     s,
-                    hedge_mode=mode,
+                    hedge_mode=obj.get("hedge_mode", s.hedge_mode),
                     hedge_asset_index=_as_int(obj["hedge_asset_index"], "scenario.hedge_asset_index")
                     if "hedge_asset_index" in obj
                     else s.hedge_asset_index,
@@ -175,9 +166,6 @@ def build_scenario(obj) -> Scenario:
         raise ConfigError("scenario.kernel must be null: scenarios run in benchmark units, with no pricing kernel")
     if not isinstance(obj["hedging_assets"], list):
         raise ConfigError("scenario.hedging_assets must be a list")
-    mode = obj["hedge_mode"]
-    if mode not in HEDGE_MODES:
-        raise ConfigError(f"unknown hedge_mode {mode!r}; expected one of {HEDGE_MODES}")
     try:
         return Scenario(
             measure=_build_measure(obj["measure"], "scenario.measure"),
@@ -188,7 +176,7 @@ def build_scenario(obj) -> Scenario:
             grid=TimeGrid(_as_number(obj["horizon"], "scenario.horizon"), _as_int(obj["steps"], "scenario.steps")),
             n_paths=_as_int(obj["n_paths"], "scenario.n_paths"),
             seed=_as_int(obj["seed"], "scenario.seed"),
-            hedge_mode=mode,
+            hedge_mode=obj["hedge_mode"],
             hedge_asset_index=_as_int(obj.get("hedge_asset_index", 0), "scenario.hedge_asset_index"),
         )
     except ValueError as exc:
@@ -265,6 +253,21 @@ def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_fir
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:
     _write_text(out_dir / "effective_config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+
+
+def _write_run(out: str, scenario: Scenario, tables: dict) -> Path:
+    """Write each CSV table (file name -> :func:`_write_csv` arguments) into
+    the output directory ``out``, then the effective_config.json that reruns
+    ``scenario``."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        _write_csv(out_dir / name, *table)
+    _dump_config(
+        {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},
+        out_dir,
+    )
+    return out_dir
 
 
 # ----------------------------------------------------------------------------
@@ -371,10 +374,8 @@ def _scenario_from_args(args) -> Scenario:
         raise ConfigError("give either a scenario name or --config, not both")
     if args.config:
         cfg = _load_json(args.config)
-        _check_keys(cfg, {"schema_version", "scenario", "out_dir", "verbosity"}, "config")
+        _check_keys(cfg, {"schema_version", "scenario", "out_dir"}, "config")
         _require(cfg, {"scenario"}, "config")
-        if "verbosity" in cfg:
-            _as_int(cfg["verbosity"], "verbosity")
         scenario = build_scenario(cfg["scenario"])
         if args.out is None and cfg.get("out_dir") is not None:
             args.out = cfg["out_dir"]
@@ -397,6 +398,8 @@ def cmd_hedge(args) -> int:
     if ratios is None:
         d0 = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
         print("no hedge requested; expected squared error:", f"{d0:.10g}")
+        if args.out:
+            _write_run(args.out, scenario, {})
         return EXIT_OK
 
     prices = np.array([a.initial_price for a in assets])
@@ -424,14 +427,8 @@ def cmd_hedge(args) -> int:
     )
 
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         columns = np.column_stack([np.arange(1, len(assets) + 1), ratios, phi, prices])
-        _write_csv(out_dir / "hedge.csv", ["asset", "psi", "phi", "S0"], columns)
-        _dump_config(
-            {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},
-            out_dir,
-        )
+        _write_run(args.out, scenario, {"hedge.csv": (["asset", "psi", "phi", "S0"], columns)})
     return EXIT_OK
 
 
@@ -457,15 +454,9 @@ def cmd_simulate(args) -> int:
     print(f"max |dV|: {agg.max_abs_residual:.10g}")
 
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         columns = np.column_stack([np.arange(scenario.n_paths), result.path_stats])
-        _write_csv(out_dir / "paths.csv", ["path_index", *PATH_COLUMNS], columns)
-        _write_csv(out_dir / "golden_path.csv", *_figure_csv("golden", result))
-        _dump_config(
-            {"schema_version": SCHEMA_VERSION, "scenario": scenario_to_config(scenario), "out_dir": str(out_dir)},
-            out_dir,
-        )
+        tables = {"paths.csv": (["path_index", *PATH_COLUMNS], columns), "golden_path.csv": _figure_csv("golden", result)}
+        out_dir = _write_run(args.out, scenario, tables)
         print(f"wrote {out_dir / 'paths.csv'} and {out_dir / 'golden_path.csv'}")
     return EXIT_OK
 

@@ -43,7 +43,6 @@ __all__ = [
     "SingleHedgeCoefficients",
     "GramSystem",
     "DegeneracyReport",
-    "ConstantRatioRule",
     "volatility_gram",
     "solve_ratios",
     "single_coefficients",
@@ -136,24 +135,6 @@ class DegeneracyReport:
     min_eigenvalue: float
     condition_number: float
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class ConstantRatioRule:
-    """Hedge rule with constant scaled ratios: phi^i_t = ratios[i] * C_left / S^i_left."""
-
-    ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-
-    def holdings(self, contract_values: np.ndarray, asset_values: np.ndarray) -> np.ndarray:
-        """Holdings (..., steps, n_assets) from step-start prices, for
-        contract values (..., steps + 1) and asset values (..., steps + 1, n_assets)."""
-        ratios = np.asarray(self.ratios, dtype=float)
-        if ratios.shape != asset_values.shape[-1:]:
-            raise ValueError("need one ratio per hedging asset")
-        return ratios * (contract_values[..., :-1, None] / asset_values[..., :-1, :])
 
 
 def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: LevyMeasure) -> np.ndarray:

@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 
 # Path-steps simulated together in one block of paths (at least one path
-# per block).  It bounds the block arrays to ~64 KiB each: 8 paths at 1000
-# steps, 1 path at 50 000 steps.  Results do not depend on it.
+# per block), read only by _noise_blocks.  It bounds the block arrays to
+# ~64 KiB each: 8 paths at 1000 steps, 1 path at 50 000 steps.  Results do
+# not depend on it.
 _BLOCK_PATH_STEPS = 8192
 
 __all__ = [
@@ -215,6 +216,14 @@ def sample_noise_block(
             jump_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 1)))
             counts[row] = jump_rng.poisson(rates, size=(steps, n_atoms))
     return dw, counts
+
+
+def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
+    """Noise of paths 0 .. n_paths - 1 as (first_path, dW, counts), one block
+    of at most _BLOCK_PATH_STEPS path-steps (and at least one path) at a time."""
+    block = max(1, _BLOCK_PATH_STEPS // grid.steps)
+    for first in range(0, n_paths, block):
+        yield (first, *sample_noise_block(measure, grid, seed, first, min(block, n_paths - first)))
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:

@@ -15,17 +15,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .levy_core import (
-    _BLOCK_PATH_STEPS,
     _check_integer,
     _checked_prices,
+    _noise_blocks,
     LevyMeasure,
     TimeGrid,
     exponential_prices,
-    sample_noise_block,
 )
 from .market import AssetSpec, GeometricBernoulliSpec, natural_coefficients
 from .hedging import (
-    ConstantRatioRule,
     DegeneracyError,
     analytic_delta,
     benchmark_holdings,
@@ -61,6 +59,10 @@ FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 # rejected before any array is allocated instead of ending in MemoryError.
 _MAX_STEPS = 1_000_000
 
+# Largest expected number of arrivals of one atom in one step.  NumPy's
+# Poisson sampler rejects rates above about 9.2e18.
+_MAX_STEP_RATE = 1e18
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,7 +86,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "hedging_assets", tuple(self.hedging_assets))
         if self.hedge_mode not in HEDGE_MODES:
-            raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}")
+            raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}; expected one of {HEDGE_MODES}")
         _check_integer(self.n_paths, "n_paths")
         _check_integer(self.seed, "seed")
         if self.n_paths < 1:
@@ -93,6 +95,12 @@ class Scenario:
             raise ValueError("seed must be nonnegative")
         if self.grid.steps > _MAX_STEPS:
             raise ValueError(f"steps must be at most {_MAX_STEPS}, got {self.grid.steps}")
+        for k, atom in enumerate(self.measure.atoms):
+            if atom.intensity * self.grid.dt > _MAX_STEP_RATE:
+                raise ValueError(
+                    f"atom {k} (location {atom.location!r}) has intensity {atom.intensity!r}, "
+                    f"{atom.intensity * self.grid.dt:.3g} arrivals per step; at most {_MAX_STEP_RATE:.0e} are allowed"
+                )
         n = len(self.hedging_assets)
         if self.hedge_mode == "single" and not 0 <= self.hedge_asset_index < n:
             raise ValueError("single mode needs a valid hedge_asset_index")
@@ -258,13 +266,68 @@ def scenario_rho(s: Scenario) -> float | None:
     return min(rho, 1.0)
 
 
-def _block_prices(
-    what: str, spec: AssetSpec, s: Scenario, dw: np.ndarray, counts: np.ndarray, first_path: int
-) -> np.ndarray:
-    """Natural prices (paths, steps + 1) of one asset over a block of paths;
-    a price that is not positive and finite raises :class:`PriceRangeError`."""
-    values = exponential_prices(natural_coefficients(spec, s.measure), dw, counts, s.grid, spec.initial_price)
-    return _checked_prices(values, what, first_path)
+# ----------------------------------------------------------------------------
+# the Monte Carlo pipeline
+#
+# run_scenario and the verification suites share these steps: price blocks
+# of paths on shared noise, hedge them at constant scaled ratios, and reduce
+# each path's residuals to the PATH_COLUMNS statistics.  Every reduction runs
+# along one path's steps, so the statistics do not depend on the block size.
+
+
+def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
+    """Natural prices of the contract specs[0] and the assets specs[1:] on
+    shared noise, one block of paths at a time, from ``price``
+    (:func:`exponential_prices` or an Euler integrator).
+
+    Yields (first_path, counts, c, a) with c of shape (paths, steps + 1) and
+    a of shape (paths, steps + 1, n_assets).  A price that is not positive
+    and finite raises :class:`PriceRangeError`.
+    """
+    for first, dw, counts in _noise_blocks(measure, grid, seed, n_paths):
+
+        def prices(spec: AssetSpec, what: str) -> np.ndarray:
+            values = price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price)
+            return _checked_prices(values, what, first)
+
+        c = prices(specs[0], "contract")
+        a = np.empty(c.shape + (len(specs) - 1,))
+        for k, spec in enumerate(specs[1:], start=1):
+            a[..., k - 1] = prices(spec, f"asset {k}")
+        yield first, counts, c, a
+
+
+def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Holdings phi^i = psi_i C_left / S^i_left of constant scaled ratios
+    psi, with the residuals dV and the hedge gains they leave.
+
+    Takes contract values (..., steps + 1) and asset values
+    (..., steps + 1, n_assets); returns phi (..., steps, n_assets) and dV
+    and gains (..., steps).
+    """
+    psi = np.asarray(ratios, dtype=float)
+    if psi.shape != a.shape[-1:]:
+        raise ValueError("need one ratio per hedging asset")
+    phi = psi * (c[..., :-1, None] / a[..., :-1, :])
+    dv, gains = hedge_residuals(c, a, phi)
+    return phi, dv, gains
+
+
+def _path_stats(c: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PATH_COLUMNS statistics, one (paths,) array each, of the
+    residuals dV (paths, steps) of hedging the contract values c."""
+    c0 = c[:, 0]
+    # V_T accumulates on top of V_0 = C_0, as in the portfolio path
+    v_terminal = c0 + np.cumsum(dv, axis=1)[:, -1]
+    z = dv / c[:, :-1]
+    return (
+        (v_terminal - c0) ** 2,
+        (dv * dv).sum(axis=1),
+        c0 * c0 * (z * z).sum(axis=1),
+        dv.sum(axis=1),
+        dv.std(axis=1),
+        np.abs(dv).max(axis=1),
+    )
 
 
 def run_scenario(s: Scenario) -> ScenarioResult:
@@ -282,31 +345,14 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     d_analytic = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon) if ratios is not None else None
     rho = scenario_rho(s)
 
-    rule = ConstantRatioRule(ratios if ratios is not None else (0.0,) * len(assets))
+    hedge_ratios = ratios if ratios is not None else (0.0,) * len(assets)
     steps = s.grid.steps
-    c0 = contract.initial_price
     columns = np.empty((len(PATH_COLUMNS), s.n_paths))
     golden = None
-    block = max(1, _BLOCK_PATH_STEPS // steps)
-    for first in range(0, s.n_paths, block):
-        dw, counts = sample_noise_block(s.measure, s.grid, s.seed, first, min(block, s.n_paths - first))
-        c = _block_prices("contract", contract, s, dw, counts, first)
-        a = np.empty(c.shape + (len(assets),))
-        for j, spec in enumerate(assets):
-            a[..., j] = _block_prices(f"asset {j + 1}", spec, s, dw, counts, first)
-        phi = rule.holdings(c, a)
-        dv, gains = hedge_residuals(c, a, phi)
-        # V_T accumulates on top of V_0 = C_0, as in the portfolio path
-        v_terminal = c0 + np.cumsum(dv, axis=1)[:, -1]
-        z = dv / c[:, :-1]
-        columns[:, first : first + len(dv)] = (
-            (v_terminal - c0) ** 2,
-            (dv * dv).sum(axis=1),
-            c0 * c0 * (z * z).sum(axis=1),
-            dv.sum(axis=1),
-            dv.std(axis=1),
-            np.abs(dv).max(axis=1),
-        )
+    blocks = _price_blocks(exponential_prices, (contract, *assets), s.measure, s.grid, s.seed, s.n_paths)
+    for first, counts, c, a in blocks:
+        phi, dv, gains = _hedge(c, a, hedge_ratios)
+        columns[:, first : first + len(dv)] = _path_stats(c, dv)
         if first == 0:
             # arrivals and the sum of their marks up to each grid time
             jump_count_path = np.zeros(steps + 1)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy_core import (
-    _BLOCK_PATH_STEPS,
     _checked_prices,
+    _noise_blocks,
     LevyMeasure,
     JumpAtom,
     SymmetricCoefficients,
@@ -27,28 +27,27 @@ from .levy_core import (
     quotient_coefficients,
     sample_noise_block,
 )
-from .market import (
-    AssetSpec,
-    PricingKernelSpec,
-    benchmark_coefficients,
-    kernel_coefficients,
-    natural_coefficients,
-)
+from .market import AssetSpec, PricingKernelSpec, benchmark_coefficients, kernel_coefficients
 from .hedging import (
-    ConstantRatioRule,
     analytic_delta,
     gram_system,
-    hedge_residuals,
     multi_asset_hedge,
     rho_diagnostic,
     single_coefficients,
     two_asset_hedge,
 )
-from .sim_harness import DEFAULT_SEED, builtin_scenario, brute_force_constant_hedge, scenario_ratios
+from .sim_harness import (
+    DEFAULT_SEED,
+    PATH_COLUMNS,
+    _hedge,
+    _path_stats,
+    _price_blocks,
+    builtin_scenario,
+    brute_force_constant_hedge,
+    scenario_ratios,
+)
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
-
-SUITE_NAMES = ("isometry", "martingale", "calculus", "optimality", "ordering", "completeness")
 
 
 @dataclass(frozen=True)
@@ -75,82 +74,36 @@ def _fig_assets() -> tuple[AssetSpec, AssetSpec, AssetSpec]:
 # ----------------------------------------------------------------------------
 # path blocks
 #
-# The Monte Carlo statistics below are per-path arrays computed on blocks
-# of paths, at most _BLOCK_PATH_STEPS path-steps each, drawn from the same
-# per-path substreams as the simulation; every reduction runs along one
-# path's steps, so the statistics do not depend on the block size.
-
-
-def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
-    """Noise (dW, counts) of paths 0 .. n_paths - 1, one block at a time."""
-    block = max(1, _BLOCK_PATH_STEPS // grid.steps)
-    for first in range(0, n_paths, block):
-        yield sample_noise_block(measure, grid, seed, first, min(block, n_paths - first))
-
-
-def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
-    """Natural prices (paths, steps + 1, n_specs) of the contract specs[0]
-    and the assets specs[1:] on shared noise, one block at a time, from
-    ``price`` (:func:`exponential_prices` or an Euler integrator).  A price
-    that is not positive and finite raises :class:`PriceRangeError`."""
-    first = 0
-    for dw, counts in _noise_blocks(measure, grid, seed, n_paths):
-        yield np.stack(
-            [
-                _checked_prices(
-                    price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price),
-                    f"asset {k}" if k else "contract",
-                    first,
-                )
-                for k, spec in enumerate(specs)
-            ],
-            axis=-1,
-        )
-        first += len(dw)
-
-
-def _residuals(prices: np.ndarray, ratios) -> np.ndarray:
-    """Hedge residuals dV (paths, steps) of the contract prices[..., 0]
-    against the assets prices[..., 1:] at constant scaled ratios."""
-    c, a = prices[..., 0], prices[..., 1:]
-    return hedge_residuals(c, a, ConstantRatioRule(ratios).holdings(c, a))[0]
+# The Monte Carlo statistics below are per-path arrays computed on the
+# simulation's blocks of paths (levy_core._noise_blocks and
+# sim_harness._price_blocks), with the simulation's hedge and per-path
+# statistics; every reduction runs along one path's steps, so the statistics
+# do not depend on the block size.
 
 
 def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x0: float, n_paths: int) -> np.ndarray:
     """Terminal values X_T (n_paths,) of constant-coefficient Euler paths from x0."""
     blocks = _noise_blocks(coeffs.measure, grid, seed, n_paths)
-    return np.concatenate([integrate_block(coeffs, dw, counts, grid, x0)[:, -1] for dw, counts in blocks])
+    return np.concatenate([integrate_block(coeffs, dw, counts, grid, x0)[:, -1] for _, dw, counts in blocks])
 
 
 def _price_terminals(specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
     """Terminal natural prices (n_paths, n_specs) of exact geometric paths."""
-    return np.concatenate([p[:, -1] for p in _price_blocks(exponential_prices, specs, measure, grid, seed, n_paths)])
+    blocks = _price_blocks(exponential_prices, specs, measure, grid, seed, n_paths)
+    return np.concatenate([np.column_stack((c[:, -1], a[:, -1])) for _, _, c, a in blocks])
 
 
-def _normalized_errors(contract: AssetSpec, assets, ratios, measure, grid, seed: int, n_paths: int) -> np.ndarray:
-    """Per-path C_0^2 sum_i (dV_i / C_i)^2 of the hedge on Euler paths."""
-    c0 = contract.initial_price
-    out = []
-    for prices in _price_blocks(integrate_proportional_block, (contract, *assets), measure, grid, seed, n_paths):
-        z = _residuals(prices, ratios) / prices[:, :-1, 0]
-        out.append(c0 * c0 * (z * z).sum(axis=1))
-    return np.concatenate(out)
-
-
-def _integrated_squares(contract: AssetSpec, assets, ratio_sets, measure, grid, seed: int, n_paths: int) -> np.ndarray:
-    """Per-path sum_i dV_i^2 (n_paths, n_sets) of each ratio set's hedge on
-    shared exact geometric paths."""
-    out = []
-    for prices in _price_blocks(exponential_prices, (contract, *assets), measure, grid, seed, n_paths):
-        dvs = [_residuals(prices, ratios) for ratios in ratio_sets]
-        out.append(np.stack([(dv * dv).sum(axis=1) for dv in dvs], axis=-1))
-    return np.concatenate(out)
-
-
-def _max_residuals(contract: AssetSpec, assets, ratios, measure, grid, seed: int, n_paths: int) -> np.ndarray:
-    """Per-path max_i |dV_i| of the hedge on Euler paths."""
-    blocks = _price_blocks(integrate_proportional_block, (contract, *assets), measure, grid, seed, n_paths)
-    return np.concatenate([np.abs(_residuals(prices, ratios)).max(axis=1) for prices in blocks])
+def _hedge_stats(
+    price, contract: AssetSpec, assets, ratio_sets, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int
+) -> np.ndarray:
+    """Per-path statistics (len(PATH_COLUMNS), n_sets, n_paths) of the hedge
+    at each constant ratio set in ``ratio_sets``, all on the same paths from
+    ``price`` (:func:`exponential_prices` or an Euler integrator)."""
+    stats = np.empty((len(PATH_COLUMNS), len(ratio_sets), n_paths))
+    for first, _, c, a in _price_blocks(price, (contract, *assets), measure, grid, seed, n_paths):
+        for j, ratios in enumerate(ratio_sets):
+            stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1])
+    return stats
 
 
 def _euler_gap_ratios(
@@ -167,7 +120,7 @@ def _euler_gap_ratios(
     ab = product_coefficients(a, b)
     fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
     ratios_cf, ratios_prod = [], []
-    for dw, counts in _noise_blocks(measure, fine_grid, seed, n_paths):
+    for _, dw, counts in _noise_blocks(measure, fine_grid, seed, n_paths):
         n = len(dw)
         coarse = (dw.reshape(n, -1, 2).sum(axis=-1), counts.reshape(n, -1, 2, len(measure)).sum(axis=-2))
         gaps_cf, gaps_prod = [], []
@@ -520,7 +473,8 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     grid = TimeGrid(1.0, 1000)
     s = builtin_scenario("fig2a", n_paths=n_paths, seed=seed + 5)
     ratios = scenario_ratios(s)
-    samples = _normalized_errors(contract, [a1], ratios[:1], measure, grid, s.seed, n_paths)
+    stats = _hedge_stats(integrate_proportional_block, contract, [a1], [ratios[:1]], measure, grid, s.seed, n_paths)
+    samples = stats[PATH_COLUMNS.index("delta_normalized"), 0]
     mc = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
     analytic = analytic_delta(contract, [a1], [ratios[0]], measure, horizon)
@@ -562,9 +516,10 @@ def suite_ordering(seed: int = DEFAULT_SEED, n_paths: int = 1000) -> list[CheckR
     )
 
     # paired per-path integrated squared residuals on shared noise
-    ints = _integrated_squares(contract, assets, (r1, r2, r3), measure, grid, seed + 6, n_paths)
+    stats = _hedge_stats(exponential_prices, contract, assets, (r1, r2, r3), measure, grid, seed + 6, n_paths)
+    ints = stats[PATH_COLUMNS.index("delta_integrated")]
     for j, label in ((0, "asset 1"), (1, "asset 2")):
-        diff = ints[:, j] - ints[:, 2]
+        diff = ints[j] - ints[2]
         mean = float(diff.mean())
         se = float(diff.std(ddof=1) / np.sqrt(n_paths))
         results.append(
@@ -596,7 +551,10 @@ def suite_completeness(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[Che
     contract1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * measure1.locations)))
     asset1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * measure1.locations)))
     co = single_coefficients(contract1, asset1, measure1)
-    worst = float(_max_residuals(contract1, [asset1], (co.L / co.M,), measure1, grid, seed + 7, n_paths).max())
+    stats = _hedge_stats(
+        integrate_proportional_block, contract1, [asset1], [(co.L / co.M,)], measure1, grid, seed + 7, n_paths
+    )
+    worst = float(stats[PATH_COLUMNS.index("max_abs_residual")].max())
     results.append(
         _check(
             "single-asset replication in a one-atom market",
@@ -612,7 +570,10 @@ def suite_completeness(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[Che
     b2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.20 * measure2.locations)))
     phi1, phi2 = two_asset_hedge(contract2, b1, b2, (100.0, 100.0, 100.0), measure2)
     ratios = (phi1 * 100.0 / 100.0, phi2 * 100.0 / 100.0)
-    worst = float(_max_residuals(contract2, [b1, b2], ratios, measure2, grid, seed + 8, n_paths).max())
+    stats = _hedge_stats(
+        integrate_proportional_block, contract2, [b1, b2], [ratios], measure2, grid, seed + 8, n_paths
+    )
+    worst = float(stats[PATH_COLUMNS.index("max_abs_residual")].max())
     results.append(
         _check(
             "two-asset replication in a two-atom market",
@@ -631,18 +592,12 @@ _SUITES = {
     "ordering": suite_ordering,
     "completeness": suite_completeness,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, n_paths: int | None = None) -> list[CheckResult]:
-    """Run one named suite, or all of them with ``name == 'all'``."""
-    defaults = {
-        "isometry": 10_000,
-        "martingale": 10_000,
-        "calculus": 100,
-        "optimality": 10_000,
-        "ordering": 1000,
-        "completeness": 100,
-    }
+    """Run one named suite, or all of them with ``name == 'all'``; with
+    ``n_paths`` None each suite runs its own default path count."""
     if name == "all":
         out = []
         for suite in SUITE_NAMES:
@@ -650,4 +605,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, n_paths: int | None = None) -
         return out
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}")
-    return _SUITES[name](seed, n_paths if n_paths is not None else defaults[name])
+    suite = _SUITES[name]
+    return suite(seed) if n_paths is None else suite(seed, n_paths)

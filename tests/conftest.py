@@ -3,7 +3,6 @@ import pytest
 
 from levyhedge import (
     AssetSpec,
-    ConstantRatioRule,
     LevyMeasure,
     TimeGrid,
     hedge_residuals,
@@ -75,9 +74,11 @@ def spec_prices(price, specs, measure: LevyMeasure, noise, grid: TimeGrid) -> np
 
 def ratio_residuals(prices: np.ndarray, ratios) -> np.ndarray:
     """Residual increments dV (..., steps) of the contract prices[..., 0]
-    hedged with the assets prices[..., 1:] at constant scaled ratios."""
+    hedged with the assets prices[..., 1:] at constant scaled ratios, with
+    holdings phi^i = psi_i C_left / S^i_left."""
     c, a = prices[..., 0], prices[..., 1:]
-    return hedge_residuals(c, a, ConstantRatioRule(ratios).holdings(c, a))[0]
+    phi = np.asarray(ratios, dtype=float) * (c[..., :-1, None] / a[..., :-1, :])
+    return hedge_residuals(c, a, phi)[0]
 
 
 def euler_loop(provider, dw: np.ndarray, counts: np.ndarray, measure: LevyMeasure, grid: TimeGrid, x0: float):

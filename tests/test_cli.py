@@ -169,8 +169,9 @@ def test_hedge_duplicated_assets_exit_degenerate(tmp_path: Path):
     assert "degenerate" in cp.stderr
 
 
-def _single_mode_config(tmp_path: Path, contract: dict) -> Path:
-    """Config file hedging ``contract`` with fig2a's asset on fig2a's measure."""
+def _single_mode_config(tmp_path: Path, contract: dict, **scenario) -> Path:
+    """Config file hedging ``contract`` with fig2a's asset on fig2a's measure;
+    ``scenario`` replaces entries of the scenario."""
     cfg = {
         "schema_version": 1,
         "scenario": {
@@ -182,6 +183,7 @@ def _single_mode_config(tmp_path: Path, contract: dict) -> Path:
             "n_paths": 4,
             "seed": 5,
             "hedge_mode": "single",
+            **scenario,
         },
     }
     path = tmp_path / "cfg.json"
@@ -197,6 +199,17 @@ def test_overflowing_jump_exponent_is_config_error(tmp_path: Path, command):
     assert cp.returncode == 2, cp.stderr
     assert "Traceback" not in cp.stderr
     assert cp.stderr.startswith("configuration error:") and "jump_exponent" in cp.stderr
+
+
+def test_jump_rate_beyond_the_poisson_sampler_is_config_error(tmp_path: Path):
+    # 1e299 expected arrivals per step: NumPy's Poisson sampler takes at most ~9.2e18
+    contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    measure = {"atoms": [{"location": 1.0, "intensity": 7.5}, {"location": -1.0, "intensity": 1e300}]}
+    path = _single_mode_config(tmp_path, contract, measure=measure, steps=10)
+    cp = run_cli("simulate", "--config", str(path))
+    assert cp.returncode == 2, cp.stderr
+    assert "Traceback" not in cp.stderr and cp.stderr.count("\n") == 1
+    assert cp.stderr.startswith("configuration error: atom 1 (location -1.0)")
 
 
 @pytest.mark.parametrize("command", ["simulate", "hedge"])
@@ -436,10 +449,16 @@ def test_verify_unknown_suite_rejected():
     assert cp.returncode == 2
 
 
-def test_hedge_without_hedging_mode_reports_no_hedge():
+def test_hedge_without_hedging_mode_reports_no_hedge(tmp_path: Path):
     cp = run_cli("hedge", "fig1")
     assert cp.returncode == 0, cp.stderr
     assert "no hedge requested" in cp.stdout
+    # --out still receives the effective config, and it reruns the same report
+    out = tmp_path / "out"
+    assert run_cli("hedge", "fig1", "--out", str(out)).stdout == cp.stdout
+    rerun = run_cli("hedge", "--config", str(out / "effective_config.json"))
+    assert rerun.returncode == 0, rerun.stderr
+    assert rerun.stdout == cp.stdout
 
 
 # ---------------------------------------------------------------- CSV bytes

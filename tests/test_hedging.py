@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import noise_blocks, one_path, ratio_residuals, spec_prices
 from levyhedge import (
     AssetSpec,
-    ConstantRatioRule,
     DegeneracyError,
     GeometricBernoulliSpec,
     GramSystem,
@@ -301,7 +300,7 @@ def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asse
     specs = (contract, asset_high, asset_low)
     prices = spec_prices(exponential_prices, specs, bern_measure, one_path(bern_measure, unit_grid, SEED, 3), unit_grid)
     c, s = prices[:, 0], prices[:, 1:]
-    phi = ConstantRatioRule((0.4, 0.5)).holdings(c, s)
+    phi = np.array([0.4, 0.5]) * (c[:-1, None] / s[:-1])  # psi_i C_left / S^i_left
     dv, gains = hedge_residuals(c, s, phi)
     theta = benchmark_holdings(phi, s, gains)
 

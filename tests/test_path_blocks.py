@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import euler_loop, one_path
 from levyhedge import (
-    ConstantRatioRule,
     GeometricBernoulliSpec,
     IntegrationError,
     JumpAtom,
@@ -32,7 +31,7 @@ from levyhedge import (
     SymmetricCoefficients,
     TimeGrid,
 )
-from levyhedge import cli, sim_harness
+from levyhedge import cli, levy_core
 from levyhedge.sim_harness import FIGURE_NAMES, with_overrides
 
 SEED = 2024
@@ -50,7 +49,7 @@ GOLDEN_FIELDS = (
 
 
 def run_with_block_paths(s, paths_per_block: int):
-    with mock.patch.object(sim_harness, "_BLOCK_PATH_STEPS", paths_per_block * s.grid.steps):
+    with mock.patch.object(levy_core, "_BLOCK_PATH_STEPS", paths_per_block * s.grid.steps):
         return run_scenario(s)
 
 
@@ -98,7 +97,7 @@ def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):
         return {name: (out / name).read_bytes() for name in ("paths.csv", "golden_path.csv")}
 
     # a cap below the step count still simulates one path per block
-    with mock.patch.object(sim_harness, "_BLOCK_PATH_STEPS", 1):
+    with mock.patch.object(levy_core, "_BLOCK_PATH_STEPS", 1):
         one_path_blocks = simulate(tmp_path / "one")
     assert simulate(tmp_path / "default") == one_path_blocks
     capsys.readouterr()
@@ -106,8 +105,8 @@ def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):
 
 def _reference_path(s, p: int) -> dict:
     """Path p of a scenario, computed alone: its noise as a 1-path block,
-    exact prices, holdings from step-start prices and the self-financing
-    ledger of that one path."""
+    exact prices, holdings phi^i = psi_i C_left / S^i_left from step-start
+    prices and the self-financing ledger of that one path."""
     dw, counts = one_path(s.measure, s.grid, s.seed, p)
 
     def prices(spec):
@@ -116,7 +115,7 @@ def _reference_path(s, p: int) -> dict:
     c = prices(s.natural_contract())
     a = np.stack([prices(spec) for spec in s.natural_assets()], axis=1)
     ratios = scenario_ratios(s)
-    phi = ConstantRatioRule(ratios).holdings(c, a) if ratios is not None else np.zeros((s.grid.steps, a.shape[1]))
+    phi = np.asarray(ratios) * (c[:-1, None] / a[:-1]) if ratios is not None else np.zeros((s.grid.steps, a.shape[1]))
     dv, gains = hedge_residuals(c, a, phi)
     v = portfolio_values(c, dv)
     z = dv / c[:-1]

@@ -24,16 +24,15 @@ from levyhedge import (
     product_coefficients,
     scenario_ratios,
 )
-from levyhedge import verification
+from levyhedge import levy_core, verification
 from levyhedge.levy_core import LevyMeasure
+from levyhedge.sim_harness import PATH_COLUMNS
 from levyhedge.verification import (
     _euler_gap_ratios,
     _euler_terminals,
     _fig_assets,
     _fig_measure,
-    _integrated_squares,
-    _max_residuals,
-    _normalized_errors,
+    _hedge_stats,
     _price_terminals,
     run_suite,
 )
@@ -85,6 +84,11 @@ def _euler_gap_reference(p, a, b):
     return gaps[1][0] / gaps[0][0], gaps[1][1] / gaps[0][1]
 
 
+def _hedge_column(price, contract, assets, ratio_sets, column):
+    """One PATH_COLUMNS column, (n_sets, N_PATHS), of the suites' shared hedge statistics."""
+    return _hedge_stats(price, contract, assets, ratio_sets, MEASURE, GRID, SEED, N_PATHS)[PATH_COLUMNS.index(column)]
+
+
 def _terminal(coeffs, noise, x0):
     return integrate_block(coeffs, *noise, GRID, x0)[-1]
 
@@ -115,18 +119,20 @@ STATISTICS = {
         lambda: [[_exact(s, _noise(p))[-1] for s in (CONTRACT, A1, A2)] for p in range(N_PATHS)],
     ),
     "optimality monte carlo": (
-        lambda: _normalized_errors(CONTRACT, [A1], FIG_RATIOS[0][:1], MEASURE, GRID, SEED, N_PATHS),
+        lambda: _hedge_column(integrate_proportional_block, CONTRACT, [A1], [FIG_RATIOS[0][:1]], "delta_normalized")[0],
         lambda: [_normalized_reference(p) for p in range(N_PATHS)],
     ),
     "ordering": (
-        lambda: _integrated_squares(CONTRACT, [A1, A2], FIG_RATIOS, MEASURE, GRID, SEED, N_PATHS),
+        lambda: _hedge_column(exponential_prices, CONTRACT, [A1, A2], FIG_RATIOS, "delta_integrated").T,
         lambda: [
             [float(dv @ dv) for dv in (_residuals(_exact, CONTRACT, [A1, A2], r, _noise(p))[1] for r in FIG_RATIOS)]
             for p in range(N_PATHS)
         ],
     ),
     "completeness": (
-        lambda: _max_residuals(_PURE_JUMP[0], _PURE_JUMP[1:], _PURE_JUMP_RATIOS, MEASURE, GRID, SEED, N_PATHS),
+        lambda: _hedge_column(
+            integrate_proportional_block, _PURE_JUMP[0], _PURE_JUMP[1:], [_PURE_JUMP_RATIOS], "max_abs_residual"
+        )[0],
         lambda: [
             float(np.abs(_residuals(_euler, _PURE_JUMP[0], _PURE_JUMP[1:], _PURE_JUMP_RATIOS, _noise(p))[1]).max())
             for p in range(N_PATHS)
@@ -140,7 +146,7 @@ STATISTICS = {
 
 
 def one_path_per_block():
-    return mock.patch.object(verification, "_BLOCK_PATH_STEPS", 1)
+    return mock.patch.object(levy_core, "_BLOCK_PATH_STEPS", 1)
 
 
 @pytest.mark.parametrize("name", STATISTICS)
@@ -195,7 +201,7 @@ def test_underflowing_price_terminals_raise_price_range_error():
         values = exponential_prices(natural_coefficients(bad, MEASURE), *one_path(MEASURE, GRID, seed, p), GRID, 1.0)
         if values.min() <= 0.0:
             break
-    assert p >= verification._BLOCK_PATH_STEPS // GRID.steps
+    assert p >= levy_core._BLOCK_PATH_STEPS // GRID.steps
     step = int(np.argmax(values <= 0.0))
     assert (err.path_index, err.step) == (p, step)
     assert str(err) == f"asset 1 price 0.0 on path {p} at step {step} is not positive and finite"
