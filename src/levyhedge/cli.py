@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .hedging import DegeneracyError, analytic_delta, degeneracy_check, gram_system
+from .hedging import _gram_report, DegeneracyError, analytic_delta, volatility_gram
 from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
@@ -51,136 +52,86 @@ class ConfigError(Exception):
     """Configuration rejected before execution."""
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+@contextmanager
+def _config_errors(where: str = ""):
+    """Report a value that a model type rejects as a configuration error,
+    prefixed with the JSON path ``where`` of the object it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def _check_object(obj, required: set[str], where: str, optional: set[str] = frozenset()) -> None:
+    """Reject ``obj`` unless it is a JSON object with every required key and no unknown one."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj) - required - optional
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _require(obj: dict, keys: set[str], where: str) -> None:
-    missing = keys - set(obj)
+    missing = required - set(obj)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
+def _check_list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{where} must be a list")
+    return obj
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(value)
-
-
-def _build_asset(obj, where: str) -> GeometricBernoulliSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    keys = {"initial_price", "brownian_vol", "jump_exponent"}
-    _check_keys(obj, keys, where)
-    _require(obj, keys, where)
-    try:
-        return GeometricBernoulliSpec(
-            _as_number(obj["initial_price"], f"{where}.initial_price"),
-            _as_number(obj["brownian_vol"], f"{where}.brownian_vol"),
-            _as_number(obj["jump_exponent"], f"{where}.jump_exponent"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _build(cls, obj, where: str):
+    """``cls(**obj)`` from a JSON object holding exactly the fields of ``cls``."""
+    _check_object(obj, {f.name for f in fields(cls)}, where)
+    with _config_errors(where):
+        return cls(**obj)
 
 
 def _build_measure(obj, where: str) -> LevyMeasure:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, {"atoms"}, where)
-    _require(obj, {"atoms"}, where)
-    if not isinstance(obj["atoms"], list):
-        raise ConfigError(f"{where}.atoms must be a list")
-    atoms = []
-    for i, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, dict):
-            raise ConfigError(f"{where}.atoms[{i}] must be an object")
-        _check_keys(atom, {"location", "intensity"}, f"{where}.atoms[{i}]")
-        _require(atom, {"location", "intensity"}, f"{where}.atoms[{i}]")
-        try:
-            atoms.append(
-                JumpAtom(
-                    _as_number(atom["location"], "location"),
-                    _as_number(atom["intensity"], "intensity"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}.atoms[{i}]: {exc}") from exc
-    try:
-        return LevyMeasure(tuple(atoms))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    _check_object(obj, {"atoms"}, where)
+    atoms = _check_list(obj["atoms"], f"{where}.atoms")
+    atoms = tuple(_build(JumpAtom, atom, f"{where}.atoms[{i}]") for i, atom in enumerate(atoms))
+    with _config_errors(where):
+        return LevyMeasure(atoms)
 
 
-_SCENARIO_BUILTIN_KEYS = {"name", "n_paths", "seed", "steps", "hedge_mode", "hedge_asset_index"}
-_SCENARIO_FULL_KEYS = {
-    "measure",
-    "kernel",
-    "contract",
-    "hedging_assets",
-    "horizon",
-    "steps",
-    "n_paths",
-    "seed",
-    "hedge_mode",
-    "hedge_asset_index",
-}
+_SCENARIO_OVERRIDES = {"n_paths", "seed", "steps", "hedge_mode", "hedge_asset_index"}
+_SCENARIO_REQUIRED = {"measure", "contract", "hedging_assets", "horizon", "steps", "n_paths", "seed", "hedge_mode"}
 
 
 def build_scenario(obj) -> Scenario:
-    """Scenario from its JSON form; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario must be an object")
-    if "name" in obj:
-        _check_keys(obj, _SCENARIO_BUILTIN_KEYS, "scenario")
-        try:
-            s = with_overrides(
-                builtin_scenario(obj["name"]),
-                n_paths=_as_int(obj["n_paths"], "scenario.n_paths") if "n_paths" in obj else None,
-                seed=_as_int(obj["seed"], "scenario.seed") if "seed" in obj else None,
-                steps=_as_int(obj["steps"], "scenario.steps") if "steps" in obj else None,
-            )
-            if "hedge_mode" in obj or "hedge_asset_index" in obj:
-                s = replace(
-                    s,
-                    hedge_mode=obj.get("hedge_mode", s.hedge_mode),
-                    hedge_asset_index=_as_int(obj["hedge_asset_index"], "scenario.hedge_asset_index")
-                    if "hedge_asset_index" in obj
-                    else s.hedge_asset_index,
-                )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return s
+    """Scenario from its JSON form; unknown keys are rejected.
 
-    _check_keys(obj, _SCENARIO_FULL_KEYS, "scenario")
-    _require(obj, _SCENARIO_FULL_KEYS - {"kernel", "hedge_asset_index"}, "scenario")
+    This checks the shape of the JSON only; the model types check every value.
+    """
+    if isinstance(obj, dict) and "name" in obj:
+        _check_object(obj, {"name"}, "scenario", _SCENARIO_OVERRIDES)
+        with _config_errors():
+            s = builtin_scenario(obj["name"])
+            overrides = {k: obj[k] for k in ("n_paths", "seed", "hedge_mode", "hedge_asset_index") if k in obj}
+            if "steps" in obj:
+                overrides["grid"] = TimeGrid(s.grid.horizon, obj["steps"])
+            return replace(s, **overrides)
+
+    _check_object(obj, _SCENARIO_REQUIRED, "scenario", {"kernel", "hedge_asset_index"})
     # effective_config.json files written before scenarios lost their kernel carry "kernel": null
     if obj.get("kernel") is not None:
         raise ConfigError("scenario.kernel must be null: scenarios run in benchmark units, with no pricing kernel")
-    if not isinstance(obj["hedging_assets"], list):
-        raise ConfigError("scenario.hedging_assets must be a list")
-    try:
+    measure = _build_measure(obj["measure"], "scenario.measure")
+    contract = _build(GeometricBernoulliSpec, obj["contract"], "scenario.contract")
+    assets = _check_list(obj["hedging_assets"], "scenario.hedging_assets")
+    assets = tuple(_build(GeometricBernoulliSpec, a, f"scenario.hedging_assets[{i}]") for i, a in enumerate(assets))
+    with _config_errors():
         return Scenario(
-            measure=_build_measure(obj["measure"], "scenario.measure"),
-            contract=_build_asset(obj["contract"], "scenario.contract"),
-            hedging_assets=tuple(
-                _build_asset(a, f"scenario.hedging_assets[{i}]") for i, a in enumerate(obj["hedging_assets"])
-            ),
-            grid=TimeGrid(_as_number(obj["horizon"], "scenario.horizon"), _as_int(obj["steps"], "scenario.steps")),
-            n_paths=_as_int(obj["n_paths"], "scenario.n_paths"),
-            seed=_as_int(obj["seed"], "scenario.seed"),
+            measure=measure,
+            contract=contract,
+            hedging_assets=assets,
+            grid=TimeGrid(obj["horizon"], obj["steps"]),
+            n_paths=obj["n_paths"],
+            seed=obj["seed"],
             hedge_mode=obj["hedge_mode"],
-            hedge_asset_index=_as_int(obj.get("hedge_asset_index", 0), "scenario.hedge_asset_index"),
+            hedge_asset_index=obj.get("hedge_asset_index", 0),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def scenario_to_config(s: Scenario) -> dict:
@@ -210,7 +161,7 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8, or an integer literal too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -316,7 +267,8 @@ def cmd_figures(args) -> int:
     out = args.out
     if args.config:
         cfg = _load_json(args.config)
-        _check_keys(cfg, {"schema_version", "command", "figures", "seed", "paths", "steps", "out_dir"}, "config")
+        keys = {"schema_version", "command", "figures", "seed", "paths", "steps", "out_dir"}
+        _check_object(cfg, set(), "config", keys)
         if cfg.get("command") != "figures":
             raise ConfigError("config command must be 'figures'")
         figures = cfg.get("figures", [])
@@ -328,13 +280,11 @@ def cmd_figures(args) -> int:
         steps = steps if steps is not None else cfg.get("steps")
         out = out or cfg.get("out_dir")
     names = names or list(FIGURE_NAMES)
-    for name in names:
-        if name not in FIGURE_NAMES:
-            raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURE_NAMES}")
     seed = DEFAULT_SEED if seed is None else seed
     paths = 1 if paths is None else paths
-    # a rejected override is reported before any output directory exists
-    scenarios = [_overridden(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps) for name in names]
+    # a rejected name or override is reported before any output directory exists
+    with _config_errors():
+        scenarios = [with_overrides(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps) for name in names]
     out_dir = Path(out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -359,33 +309,22 @@ def cmd_figures(args) -> int:
 # hedge
 
 
-def _overridden(scenario: Scenario, **overrides) -> Scenario:
-    """The scenario with command-line or config overrides applied; a value
-    the scenario rejects (paths or steps below 1, a negative seed) is a
-    configuration error."""
-    try:
-        return with_overrides(scenario, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _scenario_from_args(args) -> Scenario:
     if args.config and args.scenario:
         raise ConfigError("give either a scenario name or --config, not both")
     if args.config:
         cfg = _load_json(args.config)
-        _check_keys(cfg, {"schema_version", "scenario", "out_dir"}, "config")
-        _require(cfg, {"scenario"}, "config")
+        _check_object(cfg, {"scenario"}, "config", {"schema_version", "out_dir"})
         scenario = build_scenario(cfg["scenario"])
         if args.out is None and cfg.get("out_dir") is not None:
             args.out = cfg["out_dir"]
     elif args.scenario:
-        if args.scenario not in FIGURE_NAMES:
-            raise ConfigError(f"unknown scenario {args.scenario!r}; expected one of {FIGURE_NAMES}")
-        scenario = builtin_scenario(args.scenario)
+        with _config_errors():
+            scenario = builtin_scenario(args.scenario)
     else:
         raise ConfigError("a scenario name or --config is required")
-    return _overridden(scenario, n_paths=args.paths, seed=args.seed, steps=args.steps)
+    with _config_errors():
+        return with_overrides(scenario, n_paths=args.paths, seed=args.seed, steps=args.steps)
 
 
 def cmd_hedge(args) -> int:
@@ -407,8 +346,9 @@ def cmd_hedge(args) -> int:
     theta0 = float(phi @ prices)
     d_hat = analytic_delta(contract, assets, ratios, scenario.measure, scenario.grid.horizon)
     d_zero = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
-    system = gram_system(contract, assets, contract.initial_price, prices, scenario.measure)
-    report = degeneracy_check(system)
+    # the degeneracy of the traded assets' Gram block, which the solve inverts
+    traded = scenario.traded_assets()
+    report = _gram_report(volatility_gram(contract, [assets[i] for i in traded], scenario.measure)[1:, 1:])
 
     for i, (psi, units) in enumerate(zip(ratios, phi), start=1):
         print(f"phi_{i}: {units:.10g}  (scaled ratio psi_{i} = {psi:.10g})")

@@ -20,6 +20,7 @@ leading path axes, so a (steps,) array is one path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,6 +86,25 @@ def _check_integer(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _check_real(value, what: str) -> float:
+    """Return a finite real number as a float; a bool is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the largest float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _real_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a finite float."""
+    for name in names:
+        object.__setattr__(obj, name, _check_real(getattr(obj, name), name))
+
+
 @dataclass(frozen=True)
 class JumpAtom:
     """One jump mark with its expected arrival rate per unit time."""
@@ -93,10 +113,9 @@ class JumpAtom:
     intensity: float
 
     def __post_init__(self):
-        if not np.isfinite(self.location):
-            raise ValueError("atom location must be finite")
-        if not (np.isfinite(self.intensity) and self.intensity > 0.0):
-            raise ValueError("atom intensity must be finite and positive")
+        _real_fields(self, "location", "intensity")
+        if self.intensity <= 0.0:
+            raise ValueError(f"intensity must be positive, got {self.intensity!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError("horizon must be finite and positive")
+        _real_fields(self, "horizon")
+        if self.horizon <= 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         _check_integer(self.steps, "steps")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
@@ -171,13 +191,10 @@ class SymmetricCoefficients:
     measure: LevyMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "jump_vol", tuple(float(g) for g in self.jump_vol))
+        _real_fields(self, "drift", "brownian_vol")
+        object.__setattr__(self, "jump_vol", tuple(_check_real(g, "jump_vol") for g in self.jump_vol))
         if len(self.jump_vol) != len(self.measure):
             raise ValueError("jump_vol length must equal the measure's atom count")
-        if not (np.isfinite(self.drift) and np.isfinite(self.brownian_vol)):
-            raise ValueError("drift and brownian_vol must be finite")
-        if not all(np.isfinite(g) for g in self.jump_vol):
-            raise ValueError("jump volatilities must be finite")
 
     @classmethod
     def null(cls, measure: LevyMeasure) -> "SymmetricCoefficients":

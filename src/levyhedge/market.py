@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_core import LevyMeasure, SymmetricCoefficients
+from .levy_core import _check_real, _real_fields, LevyMeasure, SymmetricCoefficients
 
 __all__ = [
     "PricingKernelSpec",
@@ -50,11 +50,10 @@ class PricingKernelSpec:
     jump_mpr: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "jump_mpr", tuple(float(v) for v in self.jump_mpr))
-        if not (np.isfinite(self.short_rate) and np.isfinite(self.brownian_mpr)):
-            raise ValueError("short_rate and brownian_mpr must be finite")
-        if any(not np.isfinite(v) or v >= 1.0 for v in self.jump_mpr):
-            raise ValueError("jump market prices of risk must be finite and < 1")
+        _real_fields(self, "short_rate", "brownian_mpr")
+        object.__setattr__(self, "jump_mpr", tuple(_check_real(v, "jump_mpr") for v in self.jump_mpr))
+        if any(v >= 1.0 for v in self.jump_mpr):
+            raise ValueError("jump_mpr (jump market prices of risk) must be < 1")
 
     @property
     def jump_mpr_array(self) -> np.ndarray:
@@ -70,13 +69,12 @@ class AssetSpec:
     jump_vol: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "jump_vol", tuple(float(v) for v in self.jump_vol))
-        if not (np.isfinite(self.initial_price) and self.initial_price > 0.0):
-            raise ValueError("initial_price must be finite and positive")
-        if not np.isfinite(self.brownian_vol):
-            raise ValueError("brownian_vol must be finite")
-        if any(not np.isfinite(v) or v <= -1.0 for v in self.jump_vol):
-            raise ValueError("jump volatilities must be finite and > -1")
+        _real_fields(self, "initial_price", "brownian_vol")
+        object.__setattr__(self, "jump_vol", tuple(_check_real(v, "jump_vol") for v in self.jump_vol))
+        if self.initial_price <= 0.0:
+            raise ValueError(f"initial_price must be positive, got {self.initial_price!r}")
+        if any(v <= -1.0 for v in self.jump_vol):
+            raise ValueError("jump_vol (jump volatilities) must be > -1")
 
     @property
     def jump_vol_array(self) -> np.ndarray:
@@ -92,10 +90,9 @@ class GeometricBernoulliSpec:
     jump_exponent: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.initial_price) and self.initial_price > 0.0):
-            raise ValueError("initial_price must be finite and positive")
-        if not (np.isfinite(self.brownian_vol) and np.isfinite(self.jump_exponent)):
-            raise ValueError("volatility parameters must be finite")
+        _real_fields(self, "initial_price", "brownian_vol", "jump_exponent")
+        if self.initial_price <= 0.0:
+            raise ValueError(f"initial_price must be positive, got {self.initial_price!r}")
 
     def to_asset_spec(self, measure: LevyMeasure) -> AssetSpec:
         with np.errstate(over="ignore"):  # an overflow to inf is rejected by AssetSpec

@@ -10,6 +10,7 @@ reporting path (path_index 0) is retained in full for CSV emission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +71,9 @@ class Scenario:
 
     Asset specs are in benchmark units: hedging needs only the driftless
     natural dynamics, so a scenario carries no pricing kernel.  The natural
-    specs are built and validated once, at construction.
+    specs are built and validated once, at construction: their volatility
+    Gram matrix and the contract's squared-error scale horizon * C_0^2 must
+    be finite.
     """
 
     measure: LevyMeasure
@@ -89,6 +92,7 @@ class Scenario:
             raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}; expected one of {HEDGE_MODES}")
         _check_integer(self.n_paths, "n_paths")
         _check_integer(self.seed, "seed")
+        _check_integer(self.hedge_asset_index, "hedge_asset_index")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
         if self.seed < 0:
@@ -112,6 +116,18 @@ class Scenario:
             natural = tuple(g.to_asset_spec(self.measure) for g in (self.contract, *self.hedging_assets))
         except ValueError as exc:
             raise ValueError(f"a jump_exponent gives invalid jump volatilities on this measure: {exc}") from exc
+        c0 = self.contract.initial_price
+        if not math.isfinite(self.grid.horizon * c0 * c0):
+            raise ValueError(
+                f"contract initial_price {c0!r} over horizon {self.grid.horizon!r} overflows "
+                "the squared-error scale horizon * initial_price**2"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            gram = volatility_gram(natural[0], natural[1:], self.measure)
+        if not np.isfinite(gram).all():
+            raise ValueError(
+                "the volatility Gram matrix overflows: a brownian_vol, jump_exponent or atom intensity is too large"
+            )
         object.__setattr__(self, "_natural", natural)
 
     def natural_contract(self) -> AssetSpec:

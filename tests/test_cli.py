@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,42 @@ def test_overflowing_jump_exponent_is_config_error(tmp_path: Path, command):
     assert cp.stderr.startswith("configuration error:") and "jump_exponent" in cp.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "hedge"])
+@pytest.mark.parametrize(
+    "contract, field",
+    [
+        # horizon * C_0^2 overflows the squared-error scale
+        ({"initial_price": 1e308, "brownian_vol": 0.15, "jump_exponent": 0.25}, "initial_price"),
+        # sigma^2 overflows the volatility Gram matrix
+        ({"initial_price": 100.0, "brownian_vol": 1e200, "jump_exponent": 0.25}, "brownian_vol"),
+    ],
+    ids=["initial_price-1e308", "brownian_vol-1e200"],
+)
+def test_overflowing_error_scale_is_config_error(tmp_path: Path, capsys, command, contract, field):
+    path = _single_mode_config(tmp_path, contract)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is detected without a warning
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
+def test_hedge_degeneracy_line_describes_the_traded_assets(tmp_path: Path, capsys):
+    # single mode trades the first asset only: an identical second asset
+    # makes the full Gram matrix singular but not the traded block
+    contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    asset = {"initial_price": 100.0, "brownian_vol": 0.2, "jump_exponent": 0.3}
+    path = _single_mode_config(tmp_path, contract, hedging_assets=[asset, asset])
+    assert cli.main(["hedge", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # fig2a hedges the same contract with the same asset
+    assert cli.main(["hedge", "fig2a"]) == 0
+    fig2a = capsys.readouterr().out.splitlines()
+    assert lines[-1] == fig2a[-1] == "degeneracy: min_eigenvalue=1.46182 condition_number=1 degenerate=False"
+
+
 def test_jump_rate_beyond_the_poisson_sampler_is_config_error(tmp_path: Path):
     # 1e299 expected arrivals per step: NumPy's Poisson sampler takes at most ~9.2e18
     contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
@@ -243,6 +280,22 @@ def test_bad_schema_version_rejected(tmp_path: Path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 2, "scenario": {"name": "fig1"}}))
     assert run_cli("simulate", "--config", str(path)).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"schema_version": 1, "scenario": {"name": "fig1", "seed": ' + b"1" * 5000 + b"}}",
+        b'{"schema_version": 1, "scenario": {"name": "fig\xe9"}}',
+    ],
+    ids=["integer-literal-too-long", "not-utf8"],
+)
+def test_unreadable_config_is_config_error(tmp_path: Path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli.main(["hedge", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config is not valid JSON") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- simulate
@@ -617,6 +670,53 @@ def test_cli_exit_codes_are_documented(argv):
                 if i == 0 and header.endswith(",dV"):
                     assert cells.pop() == ""
                 [float(x) for x in cells]  # raises on a cell that is not a float
+
+
+# Bad values written into one field of a scenario config: each must run or
+# exit with a documented code, never with a traceback.
+_BAD_VALUES = [
+    True, False, "1", "", None, [], [1.0], {}, float("nan"), float("inf"), -float("inf"),
+    1e308, -1e308, 1e200, -1, -1.5, 0,
+]  # fmt: skip
+
+
+def _json_paths(obj, prefix=()):
+    """Every key path into a JSON value: its containers and their leaves."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _bad_scenario_configs(draw):
+    name = draw(st.sampled_from(sim_harness.FIGURE_NAMES))
+    if draw(st.booleans()):
+        scenario = {"name": name, "n_paths": 3, "steps": 20, "seed": 5, "hedge_mode": "single", "hedge_asset_index": 1}
+    else:
+        small = sim_harness.with_overrides(sim_harness.builtin_scenario(name), n_paths=3, steps=20)
+        scenario = cli.scenario_to_config(small)
+    path = draw(st.sampled_from(list(_json_paths(scenario))))
+    target = scenario
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = draw(st.sampled_from(_BAD_VALUES))
+    return scenario
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["hedge", "simulate"]), _bad_scenario_configs())
+def test_bad_config_values_exit_with_documented_codes(command, scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "scenario": scenario}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path)])
+        assert code in {0, 2, 3, 4}, (scenario, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("configuration error:") and err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------- config round trip

@@ -57,6 +57,52 @@ def test_asset_rejects_bad_inputs():
         AssetSpec(100.0, 0.1, (-1.0,))
 
 
+_ONE_ATOM = LevyMeasure((JumpAtom(1.0, 2.0),))
+
+# every numeric field of the value types, with valid arguments for the rest
+_NUMERIC_FIELDS = [
+    (JumpAtom, {"location": 1.0, "intensity": 2.0}, field)
+    for field in ("location", "intensity")
+] + [
+    (TimeGrid, {"horizon": 1.0, "steps": 10}, field)
+    for field in ("horizon", "steps")
+] + [
+    (SymmetricCoefficients, {"drift": 0.0, "brownian_vol": 0.1, "jump_vol": (0.2,), "measure": _ONE_ATOM}, field)
+    for field in ("drift", "brownian_vol", "jump_vol")
+] + [
+    (PricingKernelSpec, {"short_rate": 0.01, "brownian_mpr": 0.1, "jump_mpr": (0.2,)}, field)
+    for field in ("short_rate", "brownian_mpr", "jump_mpr")
+] + [
+    (AssetSpec, {"initial_price": 100.0, "brownian_vol": 0.1, "jump_vol": (0.2,)}, field)
+    for field in ("initial_price", "brownian_vol", "jump_vol")
+] + [
+    (GeometricBernoulliSpec, {"initial_price": 100.0, "brownian_vol": 0.1, "jump_exponent": 0.2}, field)
+    for field in ("initial_price", "brownian_vol", "jump_exponent")
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1.5", None, float("nan"), float("inf"), -float("inf"), np.float32("inf")])
+@pytest.mark.parametrize(
+    "cls, valid, field", _NUMERIC_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, _, field in _NUMERIC_FIELDS]
+)
+def test_numeric_fields_reject_non_finite_and_non_numbers(cls, valid, field, bad):
+    assert cls(**valid) == cls(**valid)
+    # a tuple field holds one number per atom: the bad value is its entry
+    value = (bad,) if isinstance(valid[field], tuple) else bad
+    with pytest.raises(ValueError, match=field):
+        cls(**{**valid, field: value})
+
+
+def test_numeric_fields_are_stored_as_floats():
+    assert GeometricBernoulliSpec(100, 0, np.int64(1)) == GeometricBernoulliSpec(100.0, 0.0, 1.0)
+    assert type(GeometricBernoulliSpec(100, 0, np.int64(1)).jump_exponent) is float
+    assert type(TimeGrid(1, 10).horizon) is float
+    assert AssetSpec(np.float32(2.0), 0, (1,)).jump_vol == (1.0,)
+    # an integer beyond the largest float is not a finite real
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        TimeGrid(10**400, 10)
+
+
 def test_geometric_spec_converts_marks_to_jump_vols(bern_measure):
     spec = GeometricBernoulliSpec(100.0, 0.2, 0.3).to_asset_spec(bern_measure)
     assert spec.jump_vol[0] == pytest.approx(np.exp(0.3) - 1.0, abs=1e-15)

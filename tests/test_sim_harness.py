@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,27 @@ def test_scenario_validation(bern_measure):
         with pytest.raises(ValueError, match="must be an integer"):
             Scenario(bern_measure, contract, (asset,), grid, n_paths, seed, "none")
     assert Scenario(bern_measure, contract, (asset,), grid, np.int64(3), np.uint32(7), "none").n_paths == 3
+    for index in (0.0, True, "0", None):
+        with pytest.raises(ValueError, match="hedge_asset_index must be an integer"):
+            replace(builtin_scenario("fig2a"), hedge_asset_index=index)
+
+
+def test_scenario_rejects_overflowing_error_scales(bern_measure):
+    asset = GeometricBernoulliSpec(100.0, 0.2, 0.3)
+    grid = TimeGrid(1.0, 10)
+    # horizon * C_0^2 overflows: no squared error can be reported
+    with pytest.raises(ValueError, match="initial_price"):
+        Scenario(bern_measure, GeometricBernoulliSpec(1e308, 0.1, 0.2), (asset,), grid, 10, SEED, "single")
+    with pytest.raises(ValueError, match="initial_price"):
+        Scenario(bern_measure, GeometricBernoulliSpec(1e154, 0.1, 0.2), (asset,), TimeGrid(1e10, 10), 10, SEED, "none")
+    # sigma^2 overflows the volatility Gram matrix, for the contract or an asset
+    big = GeometricBernoulliSpec(100.0, 1e200, 0.2)
+    with np.errstate(all="raise"):  # the overflow is detected without a warning
+        for contract, assets in ((big, (asset,)), (asset, (asset, big))):
+            with pytest.raises(ValueError, match="brownian_vol"):
+                Scenario(bern_measure, contract, assets, grid, 10, SEED, "none")
+        # volatilities and prices whose squares stay finite are accepted
+        Scenario(bern_measure, GeometricBernoulliSpec(1e150, 1e150, 0.2), (asset,), grid, 10, SEED, "single")
 
 
 def test_steps_limit():
