@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -107,11 +107,7 @@ def build_scenario(obj) -> Scenario:
     if isinstance(obj, dict) and "name" in obj:
         _check_object(obj, {"name"}, "scenario", _SCENARIO_OVERRIDES)
         with _config_errors():
-            s = builtin_scenario(obj["name"])
-            overrides = {k: obj[k] for k in ("n_paths", "seed", "hedge_mode", "hedge_asset_index") if k in obj}
-            if "steps" in obj:
-                overrides["grid"] = TimeGrid(s.grid.horizon, obj["steps"])
-            return replace(s, **overrides)
+            return builtin_scenario(**obj)
 
     _check_object(obj, _SCENARIO_REQUIRED, "scenario", {"kernel", "hedge_asset_index"})
     # effective_config.json files written before scenarios lost their kernel carry "kernel": null
@@ -135,17 +131,11 @@ def build_scenario(obj) -> Scenario:
 
 
 def scenario_to_config(s: Scenario) -> dict:
-    def spec(a: GeometricBernoulliSpec) -> dict:
-        return {
-            "initial_price": a.initial_price,
-            "brownian_vol": a.brownian_vol,
-            "jump_exponent": a.jump_exponent,
-        }
-
+    """JSON form of ``s``, the inverse of :func:`build_scenario`."""
     return {
-        "measure": {"atoms": [{"location": a.location, "intensity": a.intensity} for a in s.measure.atoms]},
-        "contract": spec(s.contract),
-        "hedging_assets": [spec(a) for a in s.hedging_assets],
+        "measure": {"atoms": [asdict(a) for a in s.measure.atoms]},
+        "contract": asdict(s.contract),
+        "hedging_assets": [asdict(a) for a in s.hedging_assets],
         "horizon": s.grid.horizon,
         "steps": s.grid.steps,
         "n_paths": s.n_paths,
@@ -153,6 +143,14 @@ def scenario_to_config(s: Scenario) -> dict:
         "hedge_mode": s.hedge_mode,
         "hedge_asset_index": s.hedge_asset_index,
     }
+
+
+def _given_overrides(values: dict) -> dict:
+    """Scenario fields from the "paths", "seed" and "steps" entries of
+    ``values`` (parsed flags or a figures config); an absent or None entry
+    is not given."""
+    names = {"paths": "n_paths", "seed": "seed", "steps": "steps"}
+    return {field: values[key] for key, field in names.items() if values.get(key) is not None}
 
 
 def _load_json(path: str) -> dict:
@@ -170,10 +168,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(obj.get("out_dir", ""), (str, type(None))):
         raise ConfigError("config out_dir must be a string")
     return obj
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 # rows formatted per write: the text held in memory stays bounded at any --steps
@@ -203,7 +197,9 @@ def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_fir
 
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:
-    _write_text(out_dir / "effective_config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+    (out_dir / "effective_config.json").write_text(
+        json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
+    )
 
 
 def _write_run(out: str, scenario: Scenario, tables: dict) -> Path:
@@ -260,11 +256,7 @@ def _figure_csv(name: str, result: ScenarioResult) -> tuple[list[str], np.ndarra
 
 
 def cmd_figures(args) -> int:
-    names = list(args.names)
-    seed = args.seed
-    paths = args.paths
-    steps = args.steps
-    out = args.out
+    cfg = {}
     if args.config:
         cfg = _load_json(args.config)
         keys = {"schema_version", "command", "figures", "seed", "paths", "steps", "out_dir"}
@@ -274,26 +266,21 @@ def cmd_figures(args) -> int:
         figures = cfg.get("figures", [])
         if not (isinstance(figures, list) and all(isinstance(name, str) for name in figures)):
             raise ConfigError("figures must be a list of figure names")
-        names = names or figures
-        seed = seed if seed is not None else cfg.get("seed")
-        paths = paths if paths is not None else cfg.get("paths")
-        steps = steps if steps is not None else cfg.get("steps")
-        out = out or cfg.get("out_dir")
-    names = names or list(FIGURE_NAMES)
-    seed = DEFAULT_SEED if seed is None else seed
-    paths = 1 if paths is None else paths
+    names = list(args.names) or cfg.get("figures") or list(FIGURE_NAMES)
+    # each of --paths, --seed, --steps: the flag, else the config key, else the default
+    overrides = {"n_paths": 1, "seed": DEFAULT_SEED, **_given_overrides(cfg), **_given_overrides(vars(args))}
     # a rejected name or override is reported before any output directory exists
     with _config_errors():
-        scenarios = [with_overrides(builtin_scenario(name), n_paths=paths, seed=seed, steps=steps) for name in names]
-    out_dir = Path(out or ".")
+        scenarios = [builtin_scenario(name, **overrides) for name in names]
+    out_dir = Path(args.out or cfg.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     effective = {
         "schema_version": SCHEMA_VERSION,
         "command": "figures",
         "figures": names,
-        "seed": seed,
-        "paths": paths,
+        "seed": overrides["seed"],
+        "paths": overrides["n_paths"],
         "steps": scenarios[0].grid.steps,
         "out_dir": str(out_dir),
     }
@@ -324,7 +311,7 @@ def _scenario_from_args(args) -> Scenario:
     else:
         raise ConfigError("a scenario name or --config is required")
     with _config_errors():
-        return with_overrides(scenario, n_paths=args.paths, seed=args.seed, steps=args.steps)
+        return with_overrides(scenario, **_given_overrides(vars(args)))
 
 
 def cmd_hedge(args) -> int:
@@ -432,11 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_paths=True):
+    def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master seed")
-        if with_paths:
-            p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
+        p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
         p.add_argument("--steps", type=int, help="grid steps over the horizon")
         p.add_argument("--out", help="output directory")
 

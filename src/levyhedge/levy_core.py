@@ -367,7 +367,8 @@ def exponential_prices(
     )
     values = np.empty(exponent.shape[:-1] + (grid.steps + 1,))
     values[..., 0] = x0
-    values[..., 1:] = x0 * np.exp(exponent)
+    with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
+        values[..., 1:] = x0 * np.exp(exponent)
     return values
 
 

@@ -11,7 +11,7 @@ reporting path (path_index 0) is retained in full for CSV emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .levy_core import (
     _check_integer,
     _checked_prices,
     _noise_blocks,
+    IntegrationError,
     LevyMeasure,
     TimeGrid,
     exponential_prices,
@@ -60,6 +61,10 @@ FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 # rejected before any array is allocated instead of ending in MemoryError.
 _MAX_STEPS = 1_000_000
 
+# Largest path count a scenario accepts: a larger count is rejected before
+# the (n_paths, 6) statistics array is allocated.
+_MAX_PATHS = 10**9
+
 # Largest expected number of arrivals of one atom in one step.  NumPy's
 # Poisson sampler rejects rates above about 9.2e18.
 _MAX_STEP_RATE = 1e18
@@ -72,8 +77,8 @@ class Scenario:
     Asset specs are in benchmark units: hedging needs only the driftless
     natural dynamics, so a scenario carries no pricing kernel.  The natural
     specs are built and validated once, at construction: their volatility
-    Gram matrix and the contract's squared-error scale horizon * C_0^2 must
-    be finite.
+    Gram matrix V, the contract's squared-error scale horizon * C_0^2 and its
+    no-hedge error horizon * C_0^2 * V[0, 0] must be finite.
     """
 
     measure: LevyMeasure
@@ -95,6 +100,8 @@ class Scenario:
         _check_integer(self.hedge_asset_index, "hedge_asset_index")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
+        if self.n_paths > _MAX_PATHS:
+            raise ValueError(f"n_paths must be at most {_MAX_PATHS}, got {self.n_paths}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.grid.steps > _MAX_STEPS:
@@ -127,6 +134,11 @@ class Scenario:
         if not np.isfinite(gram).all():
             raise ValueError(
                 "the volatility Gram matrix overflows: a brownian_vol, jump_exponent or atom intensity is too large"
+            )
+        if not math.isfinite(self.grid.horizon * c0 * c0 * float(gram[0, 0])):
+            raise ValueError(
+                f"the contract's variance rate V[0, 0] = {float(gram[0, 0])!r} of its brownian_vol and jump_exponent "
+                f"overflows the no-hedge error horizon * initial_price**2 * V[0, 0] at initial_price {c0!r}"
             )
         object.__setattr__(self, "_natural", natural)
 
@@ -187,7 +199,6 @@ class GoldenPath:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    scenario: Scenario
     ratios: tuple[float, ...] | None
     delta_analytic: float | None
     rho: float | None
@@ -216,8 +227,9 @@ _SMALL_ASSETS = (
 )
 
 
-def builtin_scenario(name: str, *, n_paths: int = 1000, seed: int = DEFAULT_SEED) -> Scenario:
-    """Named Bernoulli jump-diffusion scenarios.
+def builtin_scenario(name: str, **overrides) -> Scenario:
+    """Named Bernoulli jump-diffusion scenarios, with the scenario fields in
+    ``overrides`` applied by :func:`with_overrides`.
 
     fig1   no hedge (path display);
     fig2a  single-asset hedge with the high-volatility asset;
@@ -226,27 +238,33 @@ def builtin_scenario(name: str, *, n_paths: int = 1000, seed: int = DEFAULT_SEED
     fig4   two-asset hedge with Brownian volatilities reduced to
            (0.003, 0.001) and 0.002 for the contract.
     """
-    common = dict(
+    if name not in FIGURE_NAMES:
+        raise ValueError(f"unknown scenario name {name!r}; expected one of {FIGURE_NAMES}")
+    figure = {
+        "fig1": dict(hedge_mode="none"),
+        "fig2a": dict(hedge_mode="single", hedge_asset_index=0),
+        "fig2b": dict(hedge_mode="single", hedge_asset_index=1),
+        "fig3": dict(hedge_mode="two_asset"),
+        "fig4": dict(hedge_mode="two_asset", contract=_SMALL_CONTRACT, hedging_assets=_SMALL_ASSETS),
+    }[name]
+    base = dict(
         measure=LevyMeasure.bernoulli(rate=15.0, up_prob=0.5, up=1.0, down=-1.0),
+        contract=_BASE_CONTRACT,
+        hedging_assets=_BASE_ASSETS,
         grid=TimeGrid(horizon=1.0, steps=1000),
-        n_paths=n_paths,
-        seed=seed,
+        n_paths=1000,
+        seed=DEFAULT_SEED,
     )
-    if name == "fig1":
-        return Scenario(contract=_BASE_CONTRACT, hedging_assets=_BASE_ASSETS, hedge_mode="none", **common)
-    if name == "fig2a":
-        return Scenario(
-            contract=_BASE_CONTRACT, hedging_assets=_BASE_ASSETS, hedge_mode="single", hedge_asset_index=0, **common
-        )
-    if name == "fig2b":
-        return Scenario(
-            contract=_BASE_CONTRACT, hedging_assets=_BASE_ASSETS, hedge_mode="single", hedge_asset_index=1, **common
-        )
-    if name == "fig3":
-        return Scenario(contract=_BASE_CONTRACT, hedging_assets=_BASE_ASSETS, hedge_mode="two_asset", **common)
-    if name == "fig4":
-        return Scenario(contract=_SMALL_CONTRACT, hedging_assets=_SMALL_ASSETS, hedge_mode="two_asset", **common)
-    raise ValueError(f"unknown scenario name {name!r}; expected one of {FIGURE_NAMES}")
+    return with_overrides(Scenario(**{**base, **figure}), **overrides)
+
+
+def with_overrides(s: Scenario, **fields) -> Scenario:
+    """Copy of ``s`` with the given scenario fields replaced; ``steps``
+    replaces the grid's step count.  A None is applied like any other value,
+    so the scenario rejects it."""
+    if "steps" in fields:
+        fields["grid"] = TimeGrid(s.grid.horizon, fields.pop("steps"))
+    return replace(s, **fields)
 
 
 def scenario_ratios(s: Scenario) -> tuple[float, ...] | None:
@@ -329,21 +347,30 @@ def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray
     return phi, dv, gains
 
 
-def _path_stats(c: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, ...]:
+def _path_stats(c: np.ndarray, dv: np.ndarray, first_path: int) -> tuple[np.ndarray, ...]:
     """The PATH_COLUMNS statistics, one (paths,) array each, of the
-    residuals dV (paths, steps) of hedging the contract values c."""
+    residuals dV (paths, steps) of hedging the contract values c on paths
+    ``first_path``, ``first_path + 1``, ...; raises :class:`IntegrationError`
+    at the first statistic (by path, then column) that overflowed."""
     c0 = c[:, 0]
-    # V_T accumulates on top of V_0 = C_0, as in the portfolio path
-    v_terminal = c0 + np.cumsum(dv, axis=1)[:, -1]
-    z = dv / c[:, :-1]
-    return (
-        (v_terminal - c0) ** 2,
-        (dv * dv).sum(axis=1),
-        c0 * c0 * (z * z).sum(axis=1),
-        dv.sum(axis=1),
-        dv.std(axis=1),
-        np.abs(dv).max(axis=1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        # V_T accumulates on top of V_0 = C_0, as in the portfolio path
+        v_terminal = c0 + np.cumsum(dv, axis=1)[:, -1]
+        z = dv / c[:, :-1]
+        stats = (
+            (v_terminal - c0) ** 2,
+            (dv * dv).sum(axis=1),
+            c0 * c0 * (z * z).sum(axis=1),
+            dv.sum(axis=1),
+            dv.std(axis=1),
+            np.abs(dv).max(axis=1),
+        )
+    bad = ~np.isfinite(stats).T
+    if bad.any():
+        i, k = (int(n) for n in np.argwhere(bad)[0])
+        # a statistic covers the whole path: the failure is dated at its last step
+        raise IntegrationError(dv.shape[1], f"{PATH_COLUMNS[k]} on path {first_path + i} overflows to {stats[k][i]}")
+    return stats
 
 
 def run_scenario(s: Scenario) -> ScenarioResult:
@@ -368,7 +395,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     blocks = _price_blocks(exponential_prices, (contract, *assets), s.measure, s.grid, s.seed, s.n_paths)
     for first, counts, c, a in blocks:
         phi, dv, gains = _hedge(c, a, hedge_ratios)
-        columns[:, first : first + len(dv)] = _path_stats(c, dv)
+        columns[:, first : first + len(dv)] = _path_stats(c, dv, first)
         if first == 0:
             # arrivals and the sum of their marks up to each grid time
             jump_count_path = np.zeros(steps + 1)
@@ -390,16 +417,19 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 
     terminal, integrated, normalized, residual_sum, per_step_std, max_abs = columns
     count = s.n_paths * steps
-    mean = float(residual_sum.sum()) / count
-    aggregate = ScenarioAggregate(
-        mean_delta=float(np.mean(terminal)),
-        mean_delta_integrated=float(np.mean(integrated)),
-        mean_delta_normalized=float(np.mean(normalized)),
-        residual_std=float(np.sqrt(max(float(integrated.sum()) / count - mean * mean, 0.0))),
-        max_abs_residual=float(max_abs.max()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum of finite statistics can overflow
+        mean = float(residual_sum.sum()) / count
+        aggregate = ScenarioAggregate(
+            mean_delta=float(np.mean(terminal)),
+            mean_delta_integrated=float(np.mean(integrated)),
+            mean_delta_normalized=float(np.mean(normalized)),
+            residual_std=float(np.sqrt(max(float(integrated.sum()) / count - mean * mean, 0.0))),
+            max_abs_residual=float(max_abs.max()),
+        )
+    for name, value in asdict(aggregate).items():
+        if not math.isfinite(value):
+            raise IntegrationError(steps, f"{name} over {s.n_paths} paths overflows to {value}")
     return ScenarioResult(
-        scenario=s,
         ratios=ratios,
         delta_analytic=d_analytic,
         rho=rho,
@@ -445,21 +475,3 @@ def brute_force_constant_hedge(
     ratios = np.zeros(len(assets))
     ratios[traded] = [axis[k] for axis, k in zip(axes, best)]
     return BruteForceResult(tuple(ratios), float(deltas[best]), axes, deltas)
-
-
-def with_overrides(
-    s: Scenario,
-    *,
-    n_paths: int | None = None,
-    seed: int | None = None,
-    steps: int | None = None,
-) -> Scenario:
-    """Scenario copy with CLI-style overrides applied."""
-    out = s
-    if n_paths is not None:
-        out = replace(out, n_paths=n_paths)
-    if seed is not None:
-        out = replace(out, seed=seed)
-    if steps is not None:
-        out = replace(out, grid=TimeGrid(out.grid.horizon, steps))
-    return out

@@ -102,7 +102,7 @@ def _hedge_stats(
     stats = np.empty((len(PATH_COLUMNS), len(ratio_sets), n_paths))
     for first, _, c, a in _price_blocks(price, (contract, *assets), measure, grid, seed, n_paths):
         for j, ratios in enumerate(ratio_sets):
-            stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1])
+            stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
     return stats
 
 

@@ -210,8 +210,10 @@ def test_overflowing_jump_exponent_is_config_error(tmp_path: Path, command):
         ({"initial_price": 1e308, "brownian_vol": 0.15, "jump_exponent": 0.25}, "initial_price"),
         # sigma^2 overflows the volatility Gram matrix
         ({"initial_price": 100.0, "brownian_vol": 1e200, "jump_exponent": 0.25}, "brownian_vol"),
+        # the Gram matrix is finite, but not horizon * C_0^2 * V[0, 0]
+        ({"initial_price": 100.0, "brownian_vol": 1e154, "jump_exponent": 0.25}, "brownian_vol"),
     ],
-    ids=["initial_price-1e308", "brownian_vol-1e200"],
+    ids=["initial_price-1e308", "brownian_vol-1e200", "brownian_vol-1e154"],
 )
 def test_overflowing_error_scale_is_config_error(tmp_path: Path, capsys, command, contract, field):
     path = _single_mode_config(tmp_path, contract)
@@ -222,6 +224,38 @@ def test_overflowing_error_scale_is_config_error(tmp_path: Path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1 and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "initial_price, message",
+    [
+        # C_0^2 * 3.4 overflows the squared error of a path
+        (1e154, "on path 1 overflows to inf"),
+        # every path's statistics are finite, but not their sum over the paths
+        (6.9e153, "mean_delta_integrated over 4 paths overflows to inf"),
+    ],
+    ids=["path", "aggregate"],
+)
+def test_overflowing_statistics_exit_numerical_failure(tmp_path: Path, capsys, initial_price, message):
+    contract = {"initial_price": initial_price, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    path = _single_mode_config(tmp_path, contract, hedge_mode="none")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is detected without a warning
+        assert cli.main(["simulate", "--config", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:") and err.count("\n") == 1 and message in err
+
+
+def test_overflowing_asset_prices_exit_without_a_warning(tmp_path: Path):
+    contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    asset = {"initial_price": 1e308, "brownian_vol": 0.2, "jump_exponent": 0.3}
+    path = _single_mode_config(tmp_path, contract, hedging_assets=[asset])
+    cmd = [sys.executable, "-W", "error", "-m", "levyhedge", "simulate", "--config", str(path)]
+    cp = subprocess.run(cmd, capture_output=True, text=True)
+    assert cp.returncode == 4, cp.stderr
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: asset 1 price inf on path")
 
 
 def test_hedge_degeneracy_line_describes_the_traded_assets(tmp_path: Path, capsys):
@@ -411,6 +445,16 @@ def test_steps_above_the_limit_are_rejected_before_simulating(tmp_path: Path, mo
     err = capsys.readouterr().err
     assert err.count(f"steps must be at most {limit}") == 5
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_paths", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_paths_above_the_limit_are_config_errors(tmp_path: Path, capsys, n_paths):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": {"name": "fig3", "n_paths": n_paths}}))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: n_paths must be at most {sim_harness._MAX_PATHS}, got ")
+    assert err.count("\n") == 1
 
 
 def test_simulate_underflowing_prices_exit_numerical_failure(tmp_path: Path):
@@ -615,6 +659,28 @@ def test_csv_writer_special_floats(tmp_path: Path, monkeypatch, chunk, blank_fir
     if blank_first:
         rows[0][-1] = ""
     assert path.read_bytes() == _reference_csv(["a", "b", "c", "d"], rows)
+
+
+@pytest.mark.parametrize("name", sim_harness.FIGURE_NAMES)
+def test_every_front_door_applies_the_same_overrides(tmp_path: Path, name):
+    # flags, a name-form config and a rerun of the effective config give the same run
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert cli.main(["simulate", name, "--paths", "3", "--steps", "20", "--seed", "5", "--out", str(a)]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": {"name": name, "n_paths": 3, "steps": 20, "seed": 5}}))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(b)]) == 0
+    assert cli.main(["simulate", "--config", str(a / "effective_config.json"), "--out", str(c)]) == 0
+    csvs = read_csv_bytes(a)
+    assert sorted(csvs) == ["golden_path.csv", "paths.csv"]
+    configs = []
+    for out in (a, b, c):
+        assert read_csv_bytes(out) == csvs
+        config = json.loads((out / "effective_config.json").read_text())
+        assert config.pop("out_dir") == str(out)
+        configs.append(config)
+    assert configs[0] == configs[1] == configs[2]
+    overridden = sim_harness.builtin_scenario(name, steps=7, hedge_mode="multi")
+    assert overridden == sim_harness.with_overrides(sim_harness.builtin_scenario(name), steps=7, hedge_mode="multi")
 
 
 # ---------------------------------------------------------------- exit codes

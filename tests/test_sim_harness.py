@@ -7,6 +7,7 @@ from conftest import one_path
 from levyhedge import (
     PATH_COLUMNS,
     GeometricBernoulliSpec,
+    IntegrationError,
     LevyMeasure,
     Scenario,
     TimeGrid,
@@ -99,8 +100,23 @@ def test_scenario_rejects_overflowing_error_scales(bern_measure):
         for contract, assets in ((big, (asset,)), (asset, (asset, big))):
             with pytest.raises(ValueError, match="brownian_vol"):
                 Scenario(bern_measure, contract, assets, grid, 10, SEED, "none")
-        # volatilities and prices whose squares stay finite are accepted
-        Scenario(bern_measure, GeometricBernoulliSpec(1e150, 1e150, 0.2), (asset,), grid, 10, SEED, "single")
+        # a price and a volatility whose squares stay finite, but not their
+        # product, the no-hedge error horizon * C_0^2 * V[0, 0]
+        with pytest.raises(ValueError, match="no-hedge error"):
+            Scenario(bern_measure, GeometricBernoulliSpec(1e150, 1e150, 0.2), (asset,), grid, 10, SEED, "single")
+        # one large factor alone is accepted
+        for contract in (GeometricBernoulliSpec(1e150, 0.1, 0.2), GeometricBernoulliSpec(1.0, 1e150, 0.2)):
+            Scenario(bern_measure, contract, (asset,), grid, 10, SEED, "single")
+
+
+def test_path_stats_report_the_first_overflowing_statistic():
+    c = np.ones((3, 3))
+    dv = np.zeros((3, 2))
+    dv[1, 1] = 1e155  # (V_T - C_0)^2 overflows on the second path
+    dv[2] = 1e200
+    with np.errstate(all="raise"):  # the overflow is detected without a warning
+        with pytest.raises(IntegrationError, match="delta_terminal on path 11 overflows to inf"):
+            sim_harness._path_stats(c, dv, 10)
 
 
 def test_steps_limit():
