@@ -25,6 +25,7 @@ from .hedging import _gram_report, DegeneracyError, analytic_delta, volatility_g
 from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
+    _MAX_PATHS,
     DEFAULT_SEED,
     FIGURE_NAMES,
     PATH_COLUMNS,
@@ -329,8 +330,15 @@ def cmd_hedge(args) -> int:
         return EXIT_OK
 
     prices = np.array([a.initial_price for a in assets])
-    phi = np.asarray(ratios) * contract.initial_price / prices
-    theta0 = float(phi @ prices)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        phi = np.asarray(ratios) * contract.initial_price / prices
+        theta0 = float(phi @ prices)
+    for i, units in enumerate(phi, start=1):
+        if not np.isfinite(units):
+            price = assets[i - 1].initial_price
+            raise IntegrationError(0, f"phi_{i} of asset {i} at initial_price {price!r} overflows to {units}")
+    if not np.isfinite(theta0):
+        raise IntegrationError(0, f"theta_0 overflows to {theta0}")
     d_hat = analytic_delta(contract, assets, ratios, scenario.measure, scenario.grid.horizon)
     d_zero = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
     # the degeneracy of the traded assets' Gram block, which the solve inverts
@@ -399,6 +407,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"paths must be at least 2, got {args.paths}: the Monte Carlo standard errors need two paths"
         )
+    if args.paths is not None and args.paths > _MAX_PATHS:
+        raise ConfigError(f"paths must be at most {_MAX_PATHS}, got {args.paths}")
     results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED, n_paths=args.paths)
     failed = 0
     for r in results:

@@ -273,8 +273,16 @@ def hedge_residuals(
     Takes contract values (..., steps + 1), asset values
     (..., steps + 1, n_assets) and holdings (..., steps, n_assets) for one
     path or a block of paths; each path's result is the same either way.
+    The gains are summed in asset-index order, one asset at a time, so
+    their rounding is fixed by this loop and not by NumPy's reduction.
     """
-    gains = (phi * np.diff(asset_values, axis=-2)).sum(axis=-1)
+    ds = np.diff(asset_values, axis=-2)
+    if ds.shape[-1] == 0:  # no hedging assets: no gains
+        gains = np.zeros(ds.shape[:-1])
+    else:
+        gains = phi[..., 0] * ds[..., 0]
+        for k in range(1, ds.shape[-1]):
+            gains += phi[..., k] * ds[..., k]
     return np.diff(contract_values, axis=-1) - gains, gains
 
 

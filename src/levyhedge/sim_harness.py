@@ -318,16 +318,17 @@ def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int,
     a of shape (paths, steps + 1, n_assets).  A price that is not positive
     and finite raises :class:`PriceRangeError`.
     """
+    coeffs = [natural_coefficients(spec, measure) for spec in specs]
     for first, dw, counts in _noise_blocks(measure, grid, seed, n_paths):
 
-        def prices(spec: AssetSpec, what: str) -> np.ndarray:
-            values = price(natural_coefficients(spec, measure), dw, counts, grid, spec.initial_price)
+        def prices(k: int, what: str) -> np.ndarray:
+            values = price(coeffs[k], dw, counts, grid, specs[k].initial_price)
             return _checked_prices(values, what, first)
 
-        c = prices(specs[0], "contract")
+        c = prices(0, "contract")
         a = np.empty(c.shape + (len(specs) - 1,))
-        for k, spec in enumerate(specs[1:], start=1):
-            a[..., k - 1] = prices(spec, f"asset {k}")
+        for k in range(1, len(specs)):
+            a[..., k - 1] = prices(k, f"asset {k}")
         yield first, counts, c, a
 
 
@@ -342,8 +343,13 @@ def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray
     psi = np.asarray(ratios, dtype=float)
     if psi.shape != a.shape[-1:]:
         raise ValueError("need one ratio per hedging asset")
-    phi = psi * (c[..., :-1, None] / a[..., :-1, :])
-    dv, gains = hedge_residuals(c, a, phi)
+    phi = np.empty(a[..., :-1, :].shape)
+    # a tiny asset price overflows phi; _path_stats reports the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one asset at a time: every loop runs along the step axis
+        for k, r in enumerate(psi):
+            phi[..., k] = r * (c[..., :-1] / a[..., :-1, k])
+        dv, gains = hedge_residuals(c, a, phi)
     return phi, dv, gains
 
 

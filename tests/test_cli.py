@@ -258,6 +258,58 @@ def test_overflowing_asset_prices_exit_without_a_warning(tmp_path: Path):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: asset 1 price inf on path")
 
 
+def test_overflowing_holdings_in_simulate_exit_without_a_warning(tmp_path: Path):
+    # phi = psi C / S overflows at an asset price of 1e-307; the statistics report it
+    contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    asset = {"initial_price": 1e-307, "brownian_vol": 0.2, "jump_exponent": 0.3}
+    path = _single_mode_config(tmp_path, contract, hedging_assets=[asset])
+    cp = run_cli("simulate", "--config", str(path))
+    assert cp.returncode == 4, cp.stderr
+    assert cp.stdout == ""
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0] == "numerical failure: delta_terminal on path 0 overflows to nan"
+
+
+def _overflowing_theta_config(tmp_path: Path) -> Path:
+    """Multi-mode config whose holdings phi = (0.95, 0.95) are finite but
+    whose benchmark units theta_0 = sum_i phi_i S^i_0 overflow: the contract
+    moves like 0.95 units of each of two orthogonal assets priced at 1e308."""
+    contract = {"initial_price": 1e308, "brownian_vol": 0.19, "jump_exponent": float(np.log1p(0.95 * np.expm1(0.3)))}
+    assets = [
+        {"initial_price": 1e308, "brownian_vol": 0.2, "jump_exponent": 0.0},
+        {"initial_price": 1e308, "brownian_vol": 0.0, "jump_exponent": 0.3},
+    ]
+    measure = {"atoms": [{"location": 1.0, "intensity": 7.5}]}
+    return _single_mode_config(
+        tmp_path, contract, hedging_assets=assets, measure=measure, horizon=1e-310, hedge_mode="multi"
+    )
+
+
+@pytest.mark.parametrize(
+    "asset_price, message",
+    [
+        (1e-307, "numerical failure: phi_1 of asset 1 at initial_price 1e-307 overflows to inf"),
+        (None, "numerical failure: theta_0 overflows to inf"),
+    ],
+    ids=["phi", "theta"],
+)
+def test_overflowing_hedge_holdings_exit_numerical_failure(tmp_path: Path, capsys, asset_price, message):
+    if asset_price is None:
+        path = _overflowing_theta_config(tmp_path)
+    else:
+        contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+        asset = {"initial_price": asset_price, "brownian_vol": 0.2, "jump_exponent": 0.3}
+        path = _single_mode_config(tmp_path, contract, hedging_assets=[asset])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is detected without a warning
+        assert cli.main(["hedge", "--config", str(path), "--out", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert "inf" not in stdout
+    assert err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_hedge_degeneracy_line_describes_the_traded_assets(tmp_path: Path, capsys):
     # single mode trades the first asset only: an identical second asset
     # makes the full Gram matrix singular but not the traded block
@@ -539,6 +591,20 @@ def test_verify_single_path_is_config_error(suite):
     assert cp.stdout == ""
     assert cp.stderr.startswith("configuration error:") and "two paths" in cp.stderr
     assert "RuntimeWarning" not in cp.stderr and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("paths", [2**63, 10**9 + 1])
+@pytest.mark.parametrize("suite", cli.SUITE_NAMES + ("all",))
+def test_verify_paths_above_the_scenario_bound_is_config_error(monkeypatch, capsys, suite, paths):
+    # the bound simulate applies; the suite is never started
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert cli.main(["verify", suite, "--paths", str(paths)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: paths must be at most {sim_harness._MAX_PATHS}, got {paths}\n"
 
 
 def test_verify_unknown_suite_rejected():

@@ -32,7 +32,7 @@ from levyhedge import (
     TimeGrid,
 )
 from levyhedge import cli, levy_core
-from levyhedge.sim_harness import FIGURE_NAMES, with_overrides
+from levyhedge.sim_harness import FIGURE_NAMES, _hedge, with_overrides
 
 SEED = 2024
 GOLDEN_FIELDS = (
@@ -225,3 +225,62 @@ def test_block_euler_rejects_a_different_measure(bern_measure, unit_grid):
     dw, counts = sample_noise_block(bern_measure, unit_grid, SEED, 0, 2)
     with pytest.raises(ValueError):
         integrate_block(coeffs, dw, counts, unit_grid, 0.0)
+
+
+# ---------------------------------------------------------------- hedge kernel
+
+
+def _kernel_inputs(lead: tuple, n: int, zero: bool):
+    """Positive contract values (*lead, steps + 1) and asset values
+    (*lead, steps + 1, n) on random paths, with n ratios; ``zero`` sets one
+    ratio to 0, as the untraded asset of a single-asset hedge has."""
+    rng = np.random.default_rng([SEED, len(lead), n, zero])
+    steps = 40
+    c = 100.0 * np.exp(np.cumsum(0.05 * rng.standard_normal(lead + (steps + 1,)), axis=-1))
+    a = 100.0 * np.exp(np.cumsum(0.05 * rng.standard_normal(lead + (steps + 1, n)), axis=-2))
+    psi = rng.uniform(-1.0, 2.0, n)
+    if zero:
+        psi[n // 2] = 0.0
+    return c, a, psi
+
+
+def _broadcast_hedge(c, a, psi):
+    """Reference kernel: holdings broadcast along the asset axis and gains
+    summed by NumPy's reduction over it."""
+    phi = psi * (c[..., :-1, None] / a[..., :-1, :])
+    gains = (phi * np.diff(a, axis=-2)).sum(-1)
+    return phi, np.diff(c, axis=-1) - gains, gains
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_hedge_kernel_equals_the_broadcast_reference(lead, n, zero):
+    # below 8 assets NumPy's sum adds the assets in index order, as the kernel does
+    c, a, psi = _kernel_inputs(lead, n, zero)
+    phi, dv, gains = _broadcast_hedge(c, a, psi)
+    for got, want in zip(_hedge(c, a, psi), (phi, dv, gains)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(hedge_residuals(c, a, phi), (dv, gains)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_hedge_kernel_agrees_with_the_pairwise_reference_sum(lead, n):
+    # from 8 assets NumPy sums pairwise; the orders agree to the rounding of n terms
+    c, a, psi = _kernel_inputs(lead, n, True)
+    phi, _, gains_ref = _broadcast_hedge(c, a, psi)
+    got_phi, dv, gains = _hedge(c, a, psi)
+    np.testing.assert_array_equal(got_phi, phi)
+    bound = 8 * n * np.finfo(float).eps * np.abs(phi * np.diff(a, axis=-2)).sum(-1)
+    assert (np.abs(gains - gains_ref) <= bound).all()
+    np.testing.assert_array_equal(dv, np.diff(c, axis=-1) - gains)
+
+
+def test_hedge_kernel_without_assets_has_no_gains():
+    c, a, _ = _kernel_inputs((3,), 1, False)
+    phi, dv, gains = _hedge(c, a[..., :0], [])
+    assert phi.shape == (3, 40, 0)
+    np.testing.assert_array_equal(gains, np.zeros((3, 40)))
+    np.testing.assert_array_equal(dv, np.diff(c, axis=-1))
