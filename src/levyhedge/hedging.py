@@ -14,7 +14,12 @@ Every hedge comes from one volatility Gram matrix over the contract
 and one solve: the optimal scaled ratios psi_i = phi^i S^i / C on a traded
 subset S of the assets solve V_S psi = L_S, with L = V[1:, 0].  One asset
 gives psi = L / M with K = V[0, 0], L = V[1, 0], M = V[1, 1]; the n = 2
-closed form (P - Q) / R is kept separately as an independent oracle.
+closed form (P - Q) / R is kept separately as an independent oracle.  The
+package reads K/L/M and hedges only through :func:`solve_ratios` on
+:func:`volatility_gram`; the price-weighted system (:class:`GramSystem`,
+:func:`gram_system`, :func:`degeneracy_check`, :func:`multi_asset_hedge`)
+and :func:`single_coefficients` remain public only for the benchmark's
+``hedge_sweep`` workload.
 
 Expected squared error for constant scaled ratios psi_i = phi^i S^i / C is
 reported as the time-0 rate times the horizon:
@@ -327,7 +332,9 @@ def analytic_delta(
         raise ValueError("need one scaled ratio per hedging asset")
     c = np.concatenate((np.ones(psi.shape[:-1] + (1,)), -psi), axis=-1)
     rate = ((c @ volatility_gram(contract, assets, measure)) * c).sum(axis=-1)
-    delta = horizon * contract.initial_price**2 * rate
+    c0 = contract.initial_price
+    # the order of Scenario's check: T * C_0 first, so C_0^2 is never formed alone
+    delta = horizon * c0 * c0 * rate
     return float(delta) if psi.ndim == 1 else delta
 
 
@@ -337,12 +344,13 @@ def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) 
     rho = 1 means a perfect single-asset hedge exists; the optimal hedge
     removes the fraction rho of the no-hedge error.
     """
-    co = single_coefficients(contract, asset, measure)
-    scale = max(co.K, co.M)
-    if co.K <= DEGENERACY_RTOL * scale or co.M <= DEGENERACY_RTOL * scale:
+    v = volatility_gram(contract, (asset,), measure)
+    K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
+    scale = max(K, M)
+    if K <= DEGENERACY_RTOL * scale or M <= DEGENERACY_RTOL * scale:
         raise DegeneracyError(
             "rho is undefined when the contract or asset carries no volatility",
-            DegeneracyReport(min(co.K, co.M), np.inf, True),
+            DegeneracyReport(min(K, M), np.inf, True),
         )
     # (L/K)(L/M), not L^2/(KM): K*M underflows to zero for volatilities below ~1e-77
-    return (co.L / co.K) * (co.L / co.M)
+    return (L / K) * (L / M)

@@ -196,10 +196,6 @@ class SymmetricCoefficients:
         if len(self.jump_vol) != len(self.measure):
             raise ValueError("jump_vol length must equal the measure's atom count")
 
-    @classmethod
-    def null(cls, measure: LevyMeasure) -> "SymmetricCoefficients":
-        return cls(0.0, 0.0, (0.0,) * len(measure), measure)
-
     @property
     def jump_vol_array(self) -> np.ndarray:
         return np.asarray(self.jump_vol, dtype=float)

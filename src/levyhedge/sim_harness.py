@@ -211,8 +211,6 @@ class ScenarioResult:
 class BruteForceResult:
     best_ratios: tuple[float, ...]
     best_delta: float
-    axes: tuple[np.ndarray, ...]
-    deltas: np.ndarray
 
 
 _BASE_CONTRACT = GeometricBernoulliSpec(100.0, 0.15, 0.25)
@@ -309,20 +307,21 @@ def scenario_rho(s: Scenario) -> float | None:
 # along one path's steps, so the statistics do not depend on the block size.
 
 
-def _price_blocks(price, specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
-    """Natural prices of the contract specs[0] and the assets specs[1:] on
-    shared noise, one block of paths at a time, from ``price``
+def _price_blocks(price, s: Scenario):
+    """Natural prices of the scenario's contract and hedging assets on
+    shared noise, one block of its paths at a time, from ``price``
     (:func:`exponential_prices` or an Euler integrator).
 
     Yields (first_path, counts, c, a) with c of shape (paths, steps + 1) and
     a of shape (paths, steps + 1, n_assets).  A price that is not positive
     and finite raises :class:`PriceRangeError`.
     """
-    coeffs = [natural_coefficients(spec, measure) for spec in specs]
-    for first, dw, counts in _noise_blocks(measure, grid, seed, n_paths):
+    specs = (s.natural_contract(), *s.natural_assets())
+    coeffs = [natural_coefficients(spec, s.measure) for spec in specs]
+    for first, dw, counts in _noise_blocks(s.measure, s.grid, s.seed, s.n_paths):
 
         def prices(k: int, what: str) -> np.ndarray:
-            values = price(coeffs[k], dw, counts, grid, specs[k].initial_price)
+            values = price(coeffs[k], dw, counts, s.grid, specs[k].initial_price)
             return _checked_prices(values, what, first)
 
         c = prices(0, "contract")
@@ -398,8 +397,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     steps = s.grid.steps
     columns = np.empty((len(PATH_COLUMNS), s.n_paths))
     golden = None
-    blocks = _price_blocks(exponential_prices, (contract, *assets), s.measure, s.grid, s.seed, s.n_paths)
-    for first, counts, c, a in blocks:
+    for first, counts, c, a in _price_blocks(exponential_prices, s):
         phi, dv, gains = _hedge(c, a, hedge_ratios)
         columns[:, first : first + len(dv)] = _path_stats(c, dv, first)
         if first == 0:
@@ -476,8 +474,9 @@ def brute_force_constant_hedge(
         rate = rate + psi[i - 1] * (psi[i - 1] * v[i, i] - 2.0 * v[i, 0])
         for j in range(1, i):
             rate = rate + 2.0 * v[i, j] * psi[i - 1] * psi[j - 1]
-    deltas = s.grid.horizon * contract.initial_price**2 * rate
+    c0 = contract.initial_price
+    deltas = s.grid.horizon * c0 * c0 * rate
     best = np.unravel_index(int(np.argmin(deltas)), deltas.shape)
     ratios = np.zeros(len(assets))
     ratios[traded] = [axis[k] for axis, k in zip(axes, best)]
-    return BruteForceResult(tuple(ratios), float(deltas[best]), axes, deltas)
+    return BruteForceResult(tuple(ratios), float(deltas[best]))

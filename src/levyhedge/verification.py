@@ -27,18 +27,18 @@ from .levy_core import (
     quotient_coefficients,
     sample_noise_block,
 )
-from .market import AssetSpec, PricingKernelSpec, benchmark_coefficients, kernel_coefficients
-from .hedging import (
-    analytic_delta,
-    gram_system,
-    multi_asset_hedge,
-    rho_diagnostic,
-    single_coefficients,
-    two_asset_hedge,
+from .market import (
+    AssetSpec,
+    GeometricBernoulliSpec,
+    PricingKernelSpec,
+    benchmark_coefficients,
+    kernel_coefficients,
 )
+from .hedging import analytic_delta, rho_diagnostic, solve_ratios, two_asset_hedge, volatility_gram
 from .sim_harness import (
     DEFAULT_SEED,
     PATH_COLUMNS,
+    Scenario,
     _hedge,
     _path_stats,
     _price_blocks,
@@ -61,16 +61,6 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _fig_measure() -> LevyMeasure:
-    return LevyMeasure.bernoulli(rate=15.0, up_prob=0.5, up=1.0, down=-1.0)
-
-
-def _fig_assets() -> tuple[AssetSpec, AssetSpec, AssetSpec]:
-    """Natural-unit contract and two hedging assets of the built-in market."""
-    s = builtin_scenario("fig1")
-    return (s.natural_contract(), *s.natural_assets())
-
-
 # ----------------------------------------------------------------------------
 # path blocks
 #
@@ -87,20 +77,20 @@ def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x
     return np.concatenate([integrate_block(coeffs, dw, counts, grid, x0)[:, -1] for _, dw, counts in blocks])
 
 
-def _price_terminals(specs, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int) -> np.ndarray:
-    """Terminal natural prices (n_paths, n_specs) of exact geometric paths."""
-    blocks = _price_blocks(exponential_prices, specs, measure, grid, seed, n_paths)
+def _price_terminals(s: Scenario) -> np.ndarray:
+    """Terminal natural prices (n_paths, 1 + n_assets) of the scenario's
+    exact geometric paths, the contract first."""
+    blocks = _price_blocks(exponential_prices, s)
     return np.concatenate([np.column_stack((c[:, -1], a[:, -1])) for _, _, c, a in blocks])
 
 
-def _hedge_stats(
-    price, contract: AssetSpec, assets, ratio_sets, measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int
-) -> np.ndarray:
-    """Per-path statistics (len(PATH_COLUMNS), n_sets, n_paths) of the hedge
-    at each constant ratio set in ``ratio_sets``, all on the same paths from
-    ``price`` (:func:`exponential_prices` or an Euler integrator)."""
-    stats = np.empty((len(PATH_COLUMNS), len(ratio_sets), n_paths))
-    for first, _, c, a in _price_blocks(price, (contract, *assets), measure, grid, seed, n_paths):
+def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
+    """Per-path statistics (len(PATH_COLUMNS), n_sets, n_paths) of hedging
+    the scenario's contract at each constant ratio set in ``ratio_sets``, all
+    on the scenario's paths from ``price`` (:func:`exponential_prices` or an
+    Euler integrator)."""
+    stats = np.empty((len(PATH_COLUMNS), len(ratio_sets), s.n_paths))
+    for first, _, c, a in _price_blocks(price, s):
         for j, ratios in enumerate(ratio_sets):
             stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
     return stats
@@ -143,8 +133,8 @@ def _euler_gap_ratios(
 def suite_isometry(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:
     """E[(X_T - X_0)^2] of driftless integration equals T (beta^2 + sum gamma^2 w)."""
     results = []
-    measure = _fig_measure()
-    grid = TimeGrid(1.0, 1000)
+    s = builtin_scenario("fig1")
+    measure, grid = s.measure, s.grid
     cases = [
         ("isometry jump-diffusion driver", measure, SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), measure)),
         ("isometry brownian only", LevyMeasure(), SymmetricCoefficients(0.0, 1.0, (), LevyMeasure())),
@@ -173,11 +163,9 @@ def suite_isometry(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Chec
 def suite_martingale(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:
     """Natural prices and driftless integrals keep their initial mean."""
     results = []
-    measure = _fig_measure()
-    grid = TimeGrid(1.0, 1000)
-    contract, a1, a2 = _fig_assets()
-    specs = [("contract", contract), ("asset 1", a1), ("asset 2", a2)]
-    terminals = _price_terminals([spec for _, spec in specs], measure, grid, seed, n_paths)
+    s = builtin_scenario("fig1", n_paths=n_paths, seed=seed)
+    specs = [("contract", s.contract), ("asset 1", s.hedging_assets[0]), ("asset 2", s.hedging_assets[1])]
+    terminals = _price_terminals(s)
     for j, (label, spec) in enumerate(specs):
         mean = float(terminals[:, j].mean())
         se = float(terminals[:, j].std(ddof=1) / np.sqrt(n_paths))
@@ -189,8 +177,8 @@ def suite_martingale(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
             )
         )
 
-    coeffs = SymmetricCoefficients(0.0, 0.4, (0.2, -0.1), measure)
-    x = _euler_terminals(coeffs, grid, seed + 1, 3.0, n_paths)
+    coeffs = SymmetricCoefficients(0.0, 0.4, (0.2, -0.1), s.measure)
+    x = _euler_terminals(coeffs, s.grid, seed + 1, 3.0, n_paths)
     mean = float(x.mean())
     se = float(x.std(ddof=1) / np.sqrt(n_paths))
     results.append(
@@ -216,8 +204,9 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     """Product/quotient coefficient transforms against pathwise oracles."""
     results = []
     rng = np.random.default_rng(seed)
-    measure = _fig_measure()
-    grid = TimeGrid(1.0, 1000)
+    s = builtin_scenario("fig1")
+    measure, grid = s.measure, s.grid
+    a1, a2 = s.natural_assets()
 
     def exact(coeffs: SymmetricCoefficients, noise, grid: TimeGrid, x0: float, what: str, path_index: int):
         # the path of a 1-path noise block; a price that underflowed or
@@ -264,10 +253,11 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     # Euler halving: pure-jump coefficients converge at first order, so the
     # median sup-norm discrepancy (vs. the closed form, and vs. the product
     # of Euler paths) halves when dt halves.  Brownian-bearing coefficients
-    # carry an O(sqrt dt) component, asserted only to shrink.
+    # carry an O(sqrt dt) component, asserted only to shrink.  The jump
+    # volatilities are those of the two hedging assets.
     def euler_gap(beta1: float, beta2: float) -> tuple[float, float]:
-        a = SymmetricCoefficients(0.02, beta1, tuple(np.expm1(0.3 * measure.locations)), measure)
-        b = SymmetricCoefficients(-0.01, beta2, tuple(np.expm1(0.2 * measure.locations)), measure)
+        a = SymmetricCoefficients(0.02, beta1, a1.jump_vol, measure)
+        b = SymmetricCoefficients(-0.01, beta2, a2.jump_vol, measure)
         ratios_cf, ratios_prod = _euler_gap_ratios(a, b, seed + 3, n_paths)
         return float(np.median(ratios_cf)), float(np.median(ratios_prod))
 
@@ -344,21 +334,21 @@ def _random_market(rng: np.random.Generator, n_assets: int) -> tuple[AssetSpec, 
 def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(seed + 10)
-    measure = _fig_measure()
-    contract, a1, a2 = _fig_assets()
     horizon = 1.0
     step = 1e-3
 
-    # 1-D sweep against the closed-form single-asset ratio, built-in market
+    # 1-D sweep against the closed-form single-asset ratio L / M, built-in market
     s2a = builtin_scenario("fig2a")
-    co = single_coefficients(contract, a1, measure)
+    contract, a1 = s2a.natural_contract(), s2a.natural_assets()[0]
+    v = volatility_gram(contract, [a1], s2a.measure)
+    psi_fig = v[1, 0] / v[1, 1]
     sweep = brute_force_constant_hedge(s2a, 0.0, 2.0, step)
-    gap = abs(sweep.best_ratios[0] - co.L / co.M)
+    gap = abs(sweep.best_ratios[0] - psi_fig)
     results.append(
         _check(
             "grid sweep finds the single-asset ratio",
             gap <= step,
-            f"grid={sweep.best_ratios[0]:.4f} closed-form={co.L / co.M:.6f} |diff|={gap:.2e} step={step}",
+            f"grid={sweep.best_ratios[0]:.4f} closed-form={psi_fig:.6f} |diff|={gap:.2e} step={step}",
         )
     )
 
@@ -370,21 +360,22 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     trials = 0
     while trials < 100:
         c, (a,), m = _random_market(rng, 1)
-        co = single_coefficients(c, a, m)
-        if co.M <= 1e-6 * max(co.K, co.M):
+        v = volatility_gram(c, [a], m)
+        K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
+        if M <= 1e-6 * max(K, M):
             continue
         trials += 1
-        psi_hat = co.L / co.M
+        psi_hat = L / M
         # grid offset keeps the optimum generic with respect to the grid
         axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
         full = analytic_delta(c, [a], axis[:, None], m, horizon)
         worst_arg = max(worst_arg, abs(float(axis[np.argmin(full)]) - psi_hat))
-        scale = horizon * c.initial_price**2
-        quadratic = scale * (co.K - 2.0 * axis * co.L + axis**2 * co.M)
+        scale = horizon * c.initial_price * c.initial_price
+        quadratic = scale * (K - 2.0 * axis * L + axis**2 * M)
         worst_sweep = max(worst_sweep, float(np.abs(full - quadratic).max()) / scale)
         psi_alt = psi_hat + float(rng.uniform(-1.0, 1.0))
         gap_lhs = analytic_delta(c, [a], [psi_alt], m, horizon) - analytic_delta(c, [a], [psi_hat], m, horizon)
-        gap_rhs = horizon * co.M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
+        gap_rhs = horizon * M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
         worst_gap = max(worst_gap, abs(gap_lhs - gap_rhs) / max(1.0, abs(gap_rhs)))
         second = full[2:] - 2.0 * full[1:-1] + full[:-2]
         min_curv = min(min_curv, float(second.min()))
@@ -411,21 +402,21 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     )
     results.append(_check("error is strictly convex in the ratio", min_curv > 0.0, f"min second difference={min_curv:.3g}"))
 
-    # closed-form two-asset hedge equals the SPD solve, randomized.  Draws
-    # with a badly conditioned volatility Gram are redrawn (ledgered: the
-    # solve accuracy is conditioning-limited, ~cond * eps).
+    # closed-form two-asset hedge equals the solve that every hedge runs,
+    # randomized.  Draws with a badly conditioned asset block of the
+    # volatility Gram are redrawn (ledgered: the solve accuracy is
+    # conditioning-limited, ~cond * eps).
     worst = 0.0
     trials = 0
     while trials < 1000:
         c, (b1, b2), m = _random_market(rng, 2)
-        prices = (c.initial_price, b1.initial_price, b2.initial_price)
-        system = gram_system(c, [b1, b2], prices[0], prices[1:], m)
-        scaled = system.M / np.outer(system.asset_prices, system.asset_prices)
-        eigs = np.linalg.eigvalsh(scaled)
+        v = volatility_gram(c, [b1, b2], m)
+        eigs = np.linalg.eigvalsh(v[1:, 1:])
         if eigs[0] <= 1e-4 * eigs.mean():
             continue
         trials += 1
-        phi_solve = multi_asset_hedge(system)
+        prices = (c.initial_price, b1.initial_price, b2.initial_price)
+        phi_solve = solve_ratios(v[1:, 1:], v[1:, 0]) * prices[0] / np.array(prices[1:])
         phi_closed = np.array(two_asset_hedge(c, b1, b2, prices, m))
         scale = max(1.0, float(np.abs(phi_solve).max()), float(np.abs(phi_closed).max()))
         worst = max(worst, float(np.abs(phi_solve - phi_closed).max()) / scale)
@@ -452,10 +443,9 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     )
 
     # optimal removes the fraction rho of the no-hedge error
-    rho = rho_diagnostic(contract, a1, measure)
-    co1 = single_coefficients(contract, a1, measure)
-    d_opt = analytic_delta(contract, [a1], [co1.L / co1.M], measure, horizon)
-    d_zero = analytic_delta(contract, [a1], [0.0], measure, horizon)
+    rho = rho_diagnostic(contract, a1, s2a.measure)
+    d_opt = analytic_delta(contract, [a1], [psi_fig], s2a.measure, horizon)
+    d_zero = analytic_delta(contract, [a1], [0.0], s2a.measure, horizon)
     lhs = d_opt
     rhs = (1.0 - rho) * d_zero
     results.append(
@@ -470,14 +460,12 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     # form.  Paths are Euler-integrated: the quadratic form is the exact
     # per-step variance of the linear increments, so the contract-normalized
     # estimator is unbiased for the frozen-price convention.
-    grid = TimeGrid(1.0, 1000)
-    s = builtin_scenario("fig2a", n_paths=n_paths, seed=seed + 5)
+    s = builtin_scenario("fig2a", n_paths=n_paths, seed=seed + 5, hedging_assets=s2a.hedging_assets[:1])
     ratios = scenario_ratios(s)
-    stats = _hedge_stats(integrate_proportional_block, contract, [a1], [ratios[:1]], measure, grid, s.seed, n_paths)
-    samples = stats[PATH_COLUMNS.index("delta_normalized"), 0]
+    samples = _hedge_stats(integrate_proportional_block, s, [ratios])[PATH_COLUMNS.index("delta_normalized"), 0]
     mc = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_paths))
-    analytic = analytic_delta(contract, [a1], [ratios[0]], measure, horizon)
+    analytic = analytic_delta(s.natural_contract(), s.natural_assets(), ratios, s.measure, s.grid.horizon)
     results.append(
         _check(
             "monte carlo error matches the closed form",
@@ -495,18 +483,13 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
 def suite_ordering(seed: int = DEFAULT_SEED, n_paths: int = 1000) -> list[CheckResult]:
     """Two hedging assets beat either one alone, analytically and by Monte Carlo."""
     results = []
-    measure = _fig_measure()
-    grid = TimeGrid(1.0, 1000)
-    contract, a1, a2 = _fig_assets()
-    horizon = grid.horizon
-
+    s = builtin_scenario("fig3", n_paths=n_paths, seed=seed + 6)
     r1 = scenario_ratios(builtin_scenario("fig2a"))
     r2 = scenario_ratios(builtin_scenario("fig2b"))
-    r3 = scenario_ratios(builtin_scenario("fig3"))
-    assets = [a1, a2]
-    d1 = analytic_delta(contract, assets, r1, measure, horizon)
-    d2 = analytic_delta(contract, assets, r2, measure, horizon)
-    d3 = analytic_delta(contract, assets, r3, measure, horizon)
+    r3 = scenario_ratios(s)
+    d1, d2, d3 = (
+        analytic_delta(s.natural_contract(), s.natural_assets(), r, s.measure, s.grid.horizon) for r in (r1, r2, r3)
+    )
     results.append(
         _check(
             "closed form: two assets strictly beat each single hedge",
@@ -516,8 +499,7 @@ def suite_ordering(seed: int = DEFAULT_SEED, n_paths: int = 1000) -> list[CheckR
     )
 
     # paired per-path integrated squared residuals on shared noise
-    stats = _hedge_stats(exponential_prices, contract, assets, (r1, r2, r3), measure, grid, seed + 6, n_paths)
-    ints = stats[PATH_COLUMNS.index("delta_integrated")]
+    ints = _hedge_stats(exponential_prices, s, (r1, r2, r3))[PATH_COLUMNS.index("delta_integrated")]
     for j, label in ((0, "asset 1"), (1, "asset 2")):
         diff = ints[j] - ints[2]
         mean = float(diff.mean())
@@ -542,46 +524,28 @@ def suite_completeness(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[Che
     Paths are Euler-integrated here: replication is an identity of the
     linear per-step increments, so residuals sit at machine precision.
     """
-    results = []
-    grid = TimeGrid(1.0, 1000)
     tol = 1e-9  # times C0
 
-    # one atom, one asset
-    measure1 = LevyMeasure((JumpAtom(1.0, 10.0),))
-    contract1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * measure1.locations)))
-    asset1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * measure1.locations)))
-    co = single_coefficients(contract1, asset1, measure1)
-    stats = _hedge_stats(
-        integrate_proportional_block, contract1, [asset1], [(co.L / co.M,)], measure1, grid, seed + 7, n_paths
-    )
-    worst = float(stats[PATH_COLUMNS.index("max_abs_residual")].max())
-    results.append(
-        _check(
-            "single-asset replication in a one-atom market",
-            worst <= tol * contract1.initial_price,
-            f"max|dV|={worst:.3g} tol={tol * contract1.initial_price:.1e} paths={n_paths}",
-        )
-    )
+    def market(measure: LevyMeasure, exponents, seed: int, hedge_mode: str) -> Scenario:
+        # pure-jump geometric specs, all priced 100, the contract first
+        contract, *assets = (GeometricBernoulliSpec(100.0, 0.0, a) for a in exponents)
+        return Scenario(measure, contract, tuple(assets), TimeGrid(1.0, 1000), n_paths, seed, hedge_mode)
 
-    # two atoms, two assets (jumps only)
-    measure2 = _fig_measure()
-    contract2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.25 * measure2.locations)))
-    b1 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.30 * measure2.locations)))
-    b2 = AssetSpec(100.0, 0.0, tuple(np.expm1(0.20 * measure2.locations)))
-    phi1, phi2 = two_asset_hedge(contract2, b1, b2, (100.0, 100.0, 100.0), measure2)
-    ratios = (phi1 * 100.0 / 100.0, phi2 * 100.0 / 100.0)
-    stats = _hedge_stats(
-        integrate_proportional_block, contract2, [b1, b2], [ratios], measure2, grid, seed + 8, n_paths
-    )
-    worst = float(stats[PATH_COLUMNS.index("max_abs_residual")].max())
-    results.append(
-        _check(
-            "two-asset replication in a two-atom market",
-            worst <= tol * contract2.initial_price,
-            f"max|dV|={worst:.3g} tol={tol * contract2.initial_price:.1e} paths={n_paths}",
-        )
-    )
-    return results
+    def replication(name: str, s: Scenario, ratios) -> CheckResult:
+        stats = _hedge_stats(integrate_proportional_block, s, [ratios])
+        worst = float(stats[PATH_COLUMNS.index("max_abs_residual")].max())
+        c0 = s.contract.initial_price
+        return _check(name, worst <= tol * c0, f"max|dV|={worst:.3g} tol={tol * c0:.1e} paths={n_paths}")
+
+    # one atom, one asset; two atoms, two assets (jumps only)
+    s1 = market(LevyMeasure((JumpAtom(1.0, 10.0),)), (0.25, 0.30), seed + 7, "single")
+    s2 = market(builtin_scenario("fig1").measure, (0.25, 0.30, 0.20), seed + 8, "two_asset")
+    # at unit prices the closed-form holdings are the scaled ratios
+    ratios2 = two_asset_hedge(s2.natural_contract(), *s2.natural_assets(), (1.0, 1.0, 1.0), s2.measure)
+    return [
+        replication("single-asset replication in a one-atom market", s1, scenario_ratios(s1)),
+        replication("two-asset replication in a two-atom market", s2, ratios2),
+    ]
 
 
 _SUITES = {

@@ -247,6 +247,24 @@ def test_overflowing_statistics_exit_numerical_failure(tmp_path: Path, capsys, i
     assert err.startswith("numerical failure:") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("command, code", [("hedge", 0), ("simulate", 4)])
+def test_huge_contract_price_over_a_tiny_horizon(tmp_path: Path, capsys, command, code):
+    # C_0^2 overflows alone, but horizon * C_0 * C_0 = 1e306 does not: the
+    # closed-form error is formed in that order, so hedge runs, and the
+    # paths' overflowing statistics exit 4 with one line
+    contract = {"initial_price": 1e308, "brownian_vol": 0.1, "jump_exponent": 0.0}
+    asset = {"initial_price": 1e308, "brownian_vol": 0.2, "jump_exponent": 0.3}
+    path = _single_mode_config(tmp_path, contract, hedging_assets=[asset], horizon=1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and "no-hedge delta: 1e+304\n" in out
+    else:
+        assert out == "" and err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_overflowing_asset_prices_exit_without_a_warning(tmp_path: Path):
     contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
     asset = {"initial_price": 1e308, "brownian_vol": 0.2, "jump_exponent": 0.3}

@@ -224,7 +224,7 @@ def test_integrate_proportional_matches_scaled_provider(bern_measure):
 
 def test_product_with_null_is_identity(bern_measure):
     a = coeffs(bern_measure, drift=0.2, beta=0.4, gamma=(0.1, -0.3))
-    null = SymmetricCoefficients.null(bern_measure)
+    null = SymmetricCoefficients(0.0, 0.0, (0.0,) * len(bern_measure), bern_measure)
     out = product_coefficients(null, a)
     assert out.drift == pytest.approx(a.drift, abs=1e-15)
     assert out.brownian_vol == a.brownian_vol

@@ -11,6 +11,7 @@ from levyhedge import (
     LevyMeasure,
     Scenario,
     TimeGrid,
+    analytic_delta,
     brute_force_constant_hedge,
     builtin_scenario,
     run_scenario,
@@ -228,13 +229,17 @@ def test_golden_jump_paths_count_the_first_path_arrivals():
 # ---------------------------------------------------------------- brute force
 
 
+def _error_at(s, ratios) -> float:
+    return analytic_delta(s.natural_contract(), s.natural_assets(), ratios, s.measure, s.grid.horizon)
+
+
 def test_sweep_matches_single_asset_closed_form(bern_measure, contract, asset_high):
     co = single_coefficients(contract, asset_high, bern_measure)
-    result = brute_force_constant_hedge(builtin_scenario("fig2a"), 0.0, 2.0, 1e-3)
+    s = builtin_scenario("fig2a")
+    result = brute_force_constant_hedge(s, 0.0, 2.0, 1e-3)
     assert abs(result.best_ratios[0] - co.L / co.M) <= 1e-3
     assert result.best_ratios[1] == 0.0
-    assert result.deltas.shape == result.axes[0].shape
-    assert result.best_delta == result.deltas.min()
+    assert result.best_delta == pytest.approx(_error_at(s, result.best_ratios), rel=1e-12, abs=0)
 
 
 def test_sweep_matches_two_asset_closed_form():
@@ -243,7 +248,29 @@ def test_sweep_matches_two_asset_closed_form():
     result = brute_force_constant_hedge(s, 0.0, 1.0, 1e-3)
     assert abs(result.best_ratios[0] - ratios[0]) <= 1e-3
     assert abs(result.best_ratios[1] - ratios[1]) <= 1e-3
-    assert result.deltas.shape == (len(result.axes[0]), len(result.axes[1]))
+    # the optimum keeps 1e-5 of the no-hedge error: c'Vc cancels that far
+    # below its terms, so the two summation orders agree to 1e-12 of the
+    # no-hedge error, not of the optimum
+    gap = abs(result.best_delta - _error_at(s, result.best_ratios))
+    assert gap <= 1e-12 * _error_at(s, (0.0, 0.0))
+
+
+def test_sweep_at_a_huge_contract_price_over_a_tiny_horizon():
+    # horizon * C_0 * C_0 is finite (1e306) although C_0^2 alone overflows;
+    # the sweep forms the product in that order, as Scenario checks it
+    s = Scenario(
+        measure=LevyMeasure.bernoulli(rate=15.0, up_prob=0.5, up=1.0, down=-1.0),
+        contract=GeometricBernoulliSpec(1e308, 0.1, 0.0),
+        hedging_assets=(GeometricBernoulliSpec(1e308, 0.2, 0.3),),
+        grid=TimeGrid(1e-310, 100),
+        n_paths=4,
+        seed=SEED,
+        hedge_mode="single",
+    )
+    result = brute_force_constant_hedge(s, 0.0, 2.0, 1e-3)
+    assert abs(result.best_ratios[0] - scenario_ratios(s)[0]) <= 1e-3
+    assert np.isfinite(result.best_delta)
+    assert result.best_delta == pytest.approx(_error_at(s, result.best_ratios), rel=1e-12, abs=0)
 
 
 def test_sweep_brownian_only_market():

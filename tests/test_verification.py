@@ -12,7 +12,9 @@ import pytest
 from conftest import coarsen, one_path, ratio_residuals
 from levyhedge import (
     AssetSpec,
+    GeometricBernoulliSpec,
     PriceRangeError,
+    Scenario,
     SymmetricCoefficients,
     TimeGrid,
     builtin_scenario,
@@ -24,14 +26,12 @@ from levyhedge import (
     product_coefficients,
     scenario_ratios,
 )
-from levyhedge import levy_core, verification
+from levyhedge import levy_core, sim_harness, verification
 from levyhedge.levy_core import LevyMeasure
-from levyhedge.sim_harness import PATH_COLUMNS
+from levyhedge.sim_harness import PATH_COLUMNS, with_overrides
 from levyhedge.verification import (
     _euler_gap_ratios,
     _euler_terminals,
-    _fig_assets,
-    _fig_measure,
     _hedge_stats,
     _price_terminals,
     run_suite,
@@ -39,14 +39,20 @@ from levyhedge.verification import (
 
 SEED = 4242
 N_PATHS = 13  # blocks of 8 + 5 paths at 1000 steps, 4 + 4 + 4 + 1 at 2000
-GRID = TimeGrid(1.0, 1000)
-MEASURE = _fig_measure()
-CONTRACT, A1, A2 = _fig_assets()
+FIG = builtin_scenario("fig1", n_paths=N_PATHS, seed=SEED)
+GRID = FIG.grid
+MEASURE = FIG.measure
+CONTRACT, A1, A2 = FIG.natural_contract(), *FIG.natural_assets()
 FIG_RATIOS = tuple(scenario_ratios(builtin_scenario(name)) for name in ("fig2a", "fig2b", "fig3"))
 
 
 def _geometric(beta: float) -> AssetSpec:
     return AssetSpec(100.0, 0.0, tuple(np.expm1(beta * MEASURE.locations)))
+
+
+def _market(contract, assets) -> Scenario:
+    """FIG's measure, grid, paths and seed with other geometric specs."""
+    return with_overrides(FIG, contract=contract, hedging_assets=tuple(assets))
 
 
 def _noise(p: int, grid: TimeGrid = GRID, measure: LevyMeasure = MEASURE):
@@ -84,9 +90,9 @@ def _euler_gap_reference(p, a, b):
     return gaps[1][0] / gaps[0][0], gaps[1][1] / gaps[0][1]
 
 
-def _hedge_column(price, contract, assets, ratio_sets, column):
+def _hedge_column(price, s, ratio_sets, column):
     """One PATH_COLUMNS column, (n_sets, N_PATHS), of the suites' shared hedge statistics."""
-    return _hedge_stats(price, contract, assets, ratio_sets, MEASURE, GRID, SEED, N_PATHS)[PATH_COLUMNS.index(column)]
+    return _hedge_stats(price, s, ratio_sets)[PATH_COLUMNS.index(column)]
 
 
 def _terminal(coeffs, noise, x0):
@@ -98,6 +104,10 @@ _BROWNIAN = SymmetricCoefficients(0.0, 1.0, (), LevyMeasure())
 _GAP_A = SymmetricCoefficients(0.02, 0.15, tuple(np.expm1(0.3 * MEASURE.locations)), MEASURE)
 _GAP_B = SymmetricCoefficients(-0.01, 0.10, tuple(np.expm1(0.2 * MEASURE.locations)), MEASURE)
 _PURE_JUMP = (_geometric(0.25), _geometric(0.30), _geometric(0.20))
+_SINGLE_MARKET = _market(FIG.contract, FIG.hedging_assets[:1])
+_JUMP_MARKET = _market(
+    GeometricBernoulliSpec(100.0, 0.0, 0.25), (GeometricBernoulliSpec(100.0, 0.0, b) for b in (0.30, 0.20))
+)
 _PURE_JUMP_RATIOS = (0.41606008891513463, 0.625390267269132)
 
 # statistic name -> (block statistic, per-path reference)
@@ -115,24 +125,22 @@ STATISTICS = {
         lambda: [_terminal(_DRIVER, _noise(p), 3.0) for p in range(N_PATHS)],
     ),
     "martingale prices": (
-        lambda: _price_terminals([CONTRACT, A1, A2], MEASURE, GRID, SEED, N_PATHS),
+        lambda: _price_terminals(FIG),
         lambda: [[_exact(s, _noise(p))[-1] for s in (CONTRACT, A1, A2)] for p in range(N_PATHS)],
     ),
     "optimality monte carlo": (
-        lambda: _hedge_column(integrate_proportional_block, CONTRACT, [A1], [FIG_RATIOS[0][:1]], "delta_normalized")[0],
+        lambda: _hedge_column(integrate_proportional_block, _SINGLE_MARKET, [FIG_RATIOS[0][:1]], "delta_normalized")[0],
         lambda: [_normalized_reference(p) for p in range(N_PATHS)],
     ),
     "ordering": (
-        lambda: _hedge_column(exponential_prices, CONTRACT, [A1, A2], FIG_RATIOS, "delta_integrated").T,
+        lambda: _hedge_column(exponential_prices, FIG, FIG_RATIOS, "delta_integrated").T,
         lambda: [
             [float(dv @ dv) for dv in (_residuals(_exact, CONTRACT, [A1, A2], r, _noise(p))[1] for r in FIG_RATIOS)]
             for p in range(N_PATHS)
         ],
     ),
     "completeness": (
-        lambda: _hedge_column(
-            integrate_proportional_block, _PURE_JUMP[0], _PURE_JUMP[1:], [_PURE_JUMP_RATIOS], "max_abs_residual"
-        )[0],
+        lambda: _hedge_column(integrate_proportional_block, _JUMP_MARKET, [_PURE_JUMP_RATIOS], "max_abs_residual")[0],
         lambda: [
             float(np.abs(_residuals(_euler, _PURE_JUMP[0], _PURE_JUMP[1:], _PURE_JUMP_RATIOS, _noise(p))[1]).max())
             for p in range(N_PATHS)
@@ -192,9 +200,10 @@ def test_underflowing_price_terminals_raise_price_range_error():
     # late in the horizon on a few paths; at this seed the first of them lies
     # past the first block of 8 paths, so the reported index carries the offset
     seed, n_paths = 11, 40
-    bad = AssetSpec(1.0, 37.0, (0.1, -0.1))
+    s = with_overrides(FIG, hedging_assets=(GeometricBernoulliSpec(1.0, 37.0, 0.1),), seed=seed, n_paths=n_paths)
+    bad = s.natural_assets()[0]
     with pytest.raises(PriceRangeError) as info:
-        _price_terminals([CONTRACT, bad], MEASURE, GRID, seed, n_paths)
+        _price_terminals(s)
     err = info.value
     # per-path reference: the first path whose price reaches zero, and its first such step
     for p in range(n_paths):
@@ -231,3 +240,25 @@ def test_calculus_identities_fail_on_underflowing_paths(monkeypatch):
     assert stderr.getvalue().startswith("numerical failure: calculus factor a price 0.0 on path 0 at step ")
     assert stderr.getvalue().count("\n") == 1
 
+
+CLOSED_FORM = "two-asset closed form equals the linear solve"
+REPLICATION = "two-asset replication in a two-atom market"
+
+
+@pytest.mark.parametrize(
+    "name, factor, failing",
+    [("two_asset_hedge", 1 + 1e-3, {CLOSED_FORM, REPLICATION}), ("solve_ratios", 1 + 1e-6, {CLOSED_FORM})],
+)
+def test_two_asset_checks_fail_on_a_scaled_hedge(monkeypatch, name, factor, failing):
+    real = getattr(verification, name)
+    monkeypatch.setattr(verification, name, lambda *args: np.asarray(real(*args)) * factor)
+    results = run_suite("optimality", SEED, 4) + run_suite("completeness", SEED, 4)
+    assert {r.name for r in results if not r.passed} == failing
+
+
+@pytest.mark.parametrize("module", [cli, sim_harness, verification])
+def test_package_hedges_only_through_the_volatility_gram(module):
+    # the price-weighted layer and the K/L/M dataclass are kept for the
+    # benchmark's hedge_sweep workload alone; the package reads the Gram
+    retired = {"gram_system", "multi_asset_hedge", "degeneracy_check", "single_coefficients", "GramSystem"}
+    assert not retired & set(vars(module))
