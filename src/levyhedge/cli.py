@@ -186,6 +186,9 @@ def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_fir
     rows, width = columns.shape
     cells = ["%.17g"] * width
     row = ",".join(cells) + "\n"
+    # written as a new file: a symlink at the name is replaced, not written
+    # through, and no truncate waits for the old file's pending write-back
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         start = 0
@@ -198,9 +201,9 @@ def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_fir
 
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:
-    (out_dir / "effective_config.json").write_text(
-        json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    path = out_dir / "effective_config.json"
+    path.unlink(missing_ok=True)  # a new file, as in _write_csv
+    path.write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_run(out: str, scenario: Scenario, tables: dict) -> Path:

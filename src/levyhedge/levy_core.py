@@ -220,6 +220,10 @@ def sample_noise_block(
     steps, n_atoms = grid.steps, len(measure)
     scale = np.sqrt(grid.dt)
     rates = measure.intensities * grid.dt
+    if n_atoms and (rates == rates[0]).all():
+        # a scalar rate draws the same counts, element by element in C
+        # order, without broadcasting a rate array
+        rates = float(rates[0])
     dw = np.empty((n_paths, steps))
     counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
     for row, path_index in enumerate(range(first_path, first_path + n_paths)):
@@ -344,27 +348,27 @@ def exponential_prices(
     ``brownian_increments`` has shape (..., steps) and ``jump_counts``
     (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
     result has shape (..., steps + 1) and starts at ``x0``.  Needs
-    1 + gamma_k > 0 for every atom.  Every reduction runs along the step
-    axis of one path or elementwise over the atoms, so each path's values
-    are bitwise the same in any block.
+    1 + gamma_k > 0 for every atom.  The per-step log increments
+    beta dW_i + sum_k log(1 + gamma_k) count_ik are accumulated by one
+    cumsum; the drift term is taken on the grid times, not accumulated.
+    Every reduction runs along the step axis of one path or elementwise over
+    the atoms, so each path's values are bitwise the same in any block.
     """
     _check_noise(coeffs, brownian_increments, jump_counts, grid)
     gam = coeffs.jump_vol_array
     if np.any(1.0 + gam <= 0.0):
         raise ValueError("exponential dynamics need jump volatilities > -1")
-    log_factors = np.log1p(gam)
-    jump_log = np.zeros(brownian_increments.shape)
-    for k, factor in enumerate(log_factors):
-        jump_log += jump_counts[..., k] * factor
-    exponent = (
-        (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
-        + coeffs.brownian_vol * np.cumsum(brownian_increments, axis=-1)
-        + np.cumsum(jump_log, axis=-1)
-    )
-    values = np.empty(exponent.shape[:-1] + (grid.steps + 1,))
+    log_steps = coeffs.brownian_vol * brownian_increments
+    for k, factor in enumerate(np.log1p(gam)):
+        log_steps += jump_counts[..., k] * factor
+    values = np.empty(brownian_increments.shape[:-1] + (grid.steps + 1,))
     values[..., 0] = x0
+    exponent = values[..., 1:]
+    np.cumsum(log_steps, axis=-1, out=exponent)
+    exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
     with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
-        values[..., 1:] = x0 * np.exp(exponent)
+        np.exp(exponent, out=exponent)
+        exponent *= x0
     return values
 
 

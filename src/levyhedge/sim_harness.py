@@ -365,7 +365,7 @@ def _path_stats(c: np.ndarray, dv: np.ndarray, first_path: int) -> tuple[np.ndar
         stats = (
             (v_terminal - c0) ** 2,
             (dv * dv).sum(axis=1),
-            c0 * c0 * (z * z).sum(axis=1),
+            c0 * (c0 * (z * z).sum(axis=1)),
             dv.sum(axis=1),
             dv.std(axis=1),
             np.abs(dv).max(axis=1),

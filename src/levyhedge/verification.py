@@ -9,6 +9,7 @@ bands; algebraic identities are held to 1e-10 or 1e-12 as noted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -97,33 +98,36 @@ def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
 
 
 def _euler_gap_ratios(
-    a: SymmetricCoefficients, b: SymmetricCoefficients, seed: int, n_paths: int
-) -> tuple[np.ndarray, np.ndarray]:
+    pairs: Sequence[tuple[SymmetricCoefficients, SymmetricCoefficients]], seed: int, n_paths: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-path ratios (fine / coarse grid) of the sup-norm gaps between the
     Euler path of ``a`` and its closed form, and between the Euler path of
-    the product coefficients and the product of the Euler paths.
+    the product coefficients and the product of the Euler paths, for each
+    ``(a, b)`` in ``pairs``; every pair is over one measure and sees the same
+    noise, drawn once.
 
     The fine grid has 2000 steps on [0, 1]; the coarse grid merges adjacent
     steps of the same noise.
     """
-    measure = a.measure
-    ab = product_coefficients(a, b)
+    measure = pairs[0][0].measure
+    products = [product_coefficients(a, b) for a, b in pairs]
     fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
-    ratios_cf, ratios_prod = [], []
+    ratios = [([], []) for _ in pairs]
     for _, dw, counts in _noise_blocks(measure, fine_grid, seed, n_paths):
         n = len(dw)
         coarse = (dw.reshape(n, -1, 2).sum(axis=-1), counts.reshape(n, -1, 2, len(measure)).sum(axis=-2))
-        gaps_cf, gaps_prod = [], []
-        for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
-            e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
-            e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
-            e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
-            cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
-            gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
-            gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
-        ratios_cf.append(gaps_cf[1] / gaps_cf[0])
-        ratios_prod.append(gaps_prod[1] / gaps_prod[0])
-    return np.concatenate(ratios_cf), np.concatenate(ratios_prod)
+        for (a, b), ab, (ratios_cf, ratios_prod) in zip(pairs, products, ratios):
+            gaps_cf, gaps_prod = [], []
+            for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
+                e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
+                e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
+                e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
+                cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
+                gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
+                gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
+            ratios_cf.append(gaps_cf[1] / gaps_cf[0])
+            ratios_prod.append(gaps_prod[1] / gaps_prod[0])
+    return [(np.concatenate(cf), np.concatenate(prod)) for cf, prod in ratios]
 
 
 # ----------------------------------------------------------------------------
@@ -255,13 +259,16 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     # of Euler paths) halves when dt halves.  Brownian-bearing coefficients
     # carry an O(sqrt dt) component, asserted only to shrink.  The jump
     # volatilities are those of the two hedging assets.
-    def euler_gap(beta1: float, beta2: float) -> tuple[float, float]:
-        a = SymmetricCoefficients(0.02, beta1, a1.jump_vol, measure)
-        b = SymmetricCoefficients(-0.01, beta2, a2.jump_vol, measure)
-        ratios_cf, ratios_prod = _euler_gap_ratios(a, b, seed + 3, n_paths)
-        return float(np.median(ratios_cf)), float(np.median(ratios_prod))
+    def pair(beta1: float, beta2: float) -> tuple[SymmetricCoefficients, SymmetricCoefficients]:
+        return (
+            SymmetricCoefficients(0.02, beta1, a1.jump_vol, measure),
+            SymmetricCoefficients(-0.01, beta2, a2.jump_vol, measure),
+        )
 
-    r_cf, r_prod = euler_gap(0.0, 0.0)
+    (r_cf, r_prod), (r_cf_mix, r_prod_mix) = (
+        (float(np.median(ratios_cf)), float(np.median(ratios_prod)))
+        for ratios_cf, ratios_prod in _euler_gap_ratios([pair(0.0, 0.0), pair(0.15, 0.10)], seed + 3, n_paths)
+    )
     results.append(
         _check(
             "euler-vs-closed-form error halves with dt (pure jump)",
@@ -276,7 +283,6 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
             f"median ratio={r_prod:.4f} bound=0.55 paths={n_paths}",
         )
     )
-    r_cf_mix, r_prod_mix = euler_gap(0.15, 0.10)
     results.append(
         _check(
             "euler error shrinks with dt (with brownian part)",

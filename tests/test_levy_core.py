@@ -9,10 +9,12 @@ from levyhedge import (
     SingularDenominatorError,
     SymmetricCoefficients,
     TimeGrid,
+    builtin_scenario,
     compensate,
     exponential_prices,
     integrate_block,
     integrate_proportional_block,
+    natural_coefficients,
     product_coefficients,
     quotient_coefficients,
     sample_noise_block,
@@ -98,6 +100,39 @@ def test_mean_total_jump_count_matches_rate(bern_measure, unit_grid):
     ).astype(float)
     se = totals.std(ddof=1) / np.sqrt(n)
     assert abs(totals.mean() - 15.0) <= 3.0 * se
+
+
+def _reference_noise(measure, grid, seed, path_index):
+    """One path's noise drawn straight from its (path_index, 0) and
+    (path_index, 1) substreams, with the jump rates as an array."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, s))) for s in (0, 1)]
+    dw = rngs[0].normal(0.0, np.sqrt(grid.dt), grid.steps)
+    counts = rngs[1].poisson(measure.intensities * grid.dt, size=(grid.steps, len(measure)))
+    return dw, counts
+
+
+@pytest.mark.parametrize(
+    "intensities",
+    [(7.5,), (7.5, 7.5), (3.0, 3.0, 3.0), (2.0, 2.0, 2.0, 2.0), (7.5, 2.5), (1.0, 4.0, 9.0), (5.0, 5.0, 5.0, 0.5)],
+)
+def test_noise_equals_the_array_rate_draw_bitwise(intensities, unit_grid):
+    # equal rates are drawn with a scalar rate, unequal ones with the array
+    measure = LevyMeasure(tuple(JumpAtom(float(x), w) for x, w in enumerate(intensities)))
+    first, n = 2, 5
+    dw, counts = sample_noise_block(measure, unit_grid, SEED, first, n)
+    for row in range(n):
+        ref_dw, ref_counts = _reference_noise(measure, unit_grid, SEED, first + row)
+        np.testing.assert_array_equal(dw[row], ref_dw)
+        np.testing.assert_array_equal(counts[row], ref_counts)
+
+
+def test_fig3_noise_equals_the_array_rate_draw_bitwise():
+    s = builtin_scenario("fig3")
+    dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, 1000)
+    for p in range(1000):
+        ref_dw, ref_counts = _reference_noise(s.measure, s.grid, s.seed, p)
+        np.testing.assert_array_equal(dw[p], ref_dw)
+        np.testing.assert_array_equal(counts[p], ref_counts)
 
 
 def test_noise_shape_validation(bern_measure, unit_grid):
@@ -293,6 +328,38 @@ def test_exponential_product_and_quotient_pointwise(bern_measure, unit_grid):
         quot = exponential_prices(quotient_coefficients(a, b), *noise, unit_grid, 1.2 / 0.8)
         np.testing.assert_allclose(prod, xa * xb, rtol=1e-10)
         np.testing.assert_allclose(quot, xa / xb, rtol=1e-10)
+
+
+def _two_cumsum_prices(c, dw, counts, grid, x0):
+    """exponential_prices with beta W_t and the jump log sum accumulated by
+    separate cumsums."""
+    gam = c.jump_vol_array
+    jump_log = np.zeros(dw.shape)
+    for k, factor in enumerate(np.log1p(gam)):
+        jump_log += counts[..., k] * factor
+    exponent = (
+        (c.drift - 0.5 * c.brownian_vol**2 - compensate(c.measure, gam)) * grid.times[1:]
+        + c.brownian_vol * np.cumsum(dw, axis=-1)
+        + np.cumsum(jump_log, axis=-1)
+    )
+    return np.concatenate([np.full(dw.shape[:-1] + (1,), x0), x0 * np.exp(exponent)], axis=-1)
+
+
+@pytest.mark.parametrize("steps, n_paths, rtol", [(1000, 8, 1e-13), (50_000, 2, 1e-12)])
+def test_exponential_prices_match_the_two_cumsum_formula(steps, n_paths, rtol):
+    # fig3's contract and assets, then random coefficients with drift
+    s = builtin_scenario("fig3")
+    grid = TimeGrid(1.0, steps)
+    noise = sample_noise_block(s.measure, grid, SEED + 5, 0, n_paths)
+    rng = np.random.default_rng(SEED + 6)
+    cases = [natural_coefficients(spec, s.measure) for spec in (s.natural_contract(), *s.natural_assets())] + [
+        coeffs(s.measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
+        for _ in range(5)
+    ]
+    for c in cases:
+        np.testing.assert_allclose(
+            exponential_prices(c, *noise, grid, 100.0), _two_cumsum_prices(c, *noise, grid, 100.0), rtol=rtol, atol=0
+        )
 
 
 def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):

@@ -103,6 +103,8 @@ _DRIVER = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
 _BROWNIAN = SymmetricCoefficients(0.0, 1.0, (), LevyMeasure())
 _GAP_A = SymmetricCoefficients(0.02, 0.15, tuple(np.expm1(0.3 * MEASURE.locations)), MEASURE)
 _GAP_B = SymmetricCoefficients(-0.01, 0.10, tuple(np.expm1(0.2 * MEASURE.locations)), MEASURE)
+# two pairs on the noise drawn once
+_GAP_PAIRS = ((_GAP_A, _GAP_B), (_GAP_B, _GAP_A))
 _PURE_JUMP = (_geometric(0.25), _geometric(0.30), _geometric(0.20))
 _SINGLE_MARKET = _market(FIG.contract, FIG.hedging_assets[:1])
 _JUMP_MARKET = _market(
@@ -147,8 +149,8 @@ STATISTICS = {
         ],
     ),
     "calculus euler halving": (
-        lambda: np.stack(_euler_gap_ratios(_GAP_A, _GAP_B, SEED, N_PATHS), axis=-1),
-        lambda: [_euler_gap_reference(p, _GAP_A, _GAP_B) for p in range(N_PATHS)],
+        lambda: np.stack([np.stack(r, axis=-1) for r in _euler_gap_ratios(_GAP_PAIRS, SEED, N_PATHS)], axis=1),
+        lambda: [[_euler_gap_reference(p, a, b) for a, b in _GAP_PAIRS] for p in range(N_PATHS)],
     ),
 }
 
