@@ -13,13 +13,19 @@ step-start state, which is the grid realization of predictability.
 
 Noise is generated from one master seed with per-path substreams; within a
 path the Brownian and jump draws come from disjoint substreams, so enabling
-or disabling jumps never perturbs the Brownian increments.  Every path is
+or disabling jumps never perturbs the Brownian increments.  The substream
+of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
+SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
+seed words are hashed here in bulk, for a block of paths at once, instead
+of by one SeedSequence object per stream.  Every path is
 made by the block kernels below: noise arrays in, value arrays out, with any
 leading path axes, so a (steps,) array is one path.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +37,9 @@ import numpy as np
 # ~64 KiB each: 8 paths at 1000 steps, 1 path at 50 000 steps.  Results do
 # not depend on it.
 _BLOCK_PATH_STEPS = 8192
+# Paths whose substream seeds _noise_blocks hashes at once: 256 KiB of seed
+# words.  Results do not depend on it.
+_SEED_CHUNK_PATHS = 4096
 
 __all__ = [
     "IntegrationError",
@@ -201,22 +210,137 @@ class SymmetricCoefficients:
         return np.asarray(self.jump_vol, dtype=float)
 
 
-def sample_noise_block(
-    measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the noise of paths first_path .. first_path + n_paths - 1.
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int, rejected as SeedSequence rejects it: a
+    TypeError for a non-integer, a ValueError for a negative one."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    return int(seed)
 
-    Returns the Brownian increments, shape (n_paths, steps), and the jump
-    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
-    own substreams, keyed (path_index, 0) for the Brownian and
-    (path_index, 1) for the jump draws under the master seed, so a path's
-    noise does not depend on the block it is drawn in, paths are
-    independent, and the Brownian part is invariant to the jump measure.
-    """
+
+def _check_paths(first_path, n_paths) -> tuple[int, int]:
+    """Path indices first_path .. first_path + n_paths - 1 as Python ints;
+    each must fit one 32-bit word of a substream key."""
+    _check_integer(first_path, "first_path")
+    _check_integer(n_paths, "n_paths")
     if first_path < 0:
         raise ValueError("path_index must be nonnegative")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if first_path + n_paths > 2**32:
+        raise ValueError(
+            f"path indices must lie in [0, 2**32), got {first_path} .. {first_path + n_paths - 1}"
+        )
+    return int(first_path), int(n_paths)
+
+
+# NumPy's SeedSequence hash (pool size 4), written once for a Python int and
+# for a uint32 array alike: array products wrap modulo 2**32 without a
+# warning, and Python ints are masked to 32 bits.
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(value: int, multiplier: int):
+    """The (xor, multiplier) pairs of successive hash calls: the constant
+    advances by one multiplication per call, whatever the data."""
+    while True:
+        following = (value * multiplier) & _MASK32
+        yield value, following
+        value = following
+
+
+def _hashmix(value, xor: int, multiplier: int):
+    value = ((value ^ xor) * multiplier) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (((0xCA01F9DD * x) & _MASK32) - ((0x4973F715 * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+# SeedSequence.generate_state hashes the pool, cycled twice, into the eight
+# 32-bit words of four uint64 PCG64 seed words.
+_STATE_CONSTANTS = list(itertools.islice(_hash_constants(0x8B51F9DD, 0x58F38DED), 8))
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int):
+    """The part of SeedSequence(seed, spawn_key=(p, s))'s hash that depends
+    on the seed alone: the pool after the seed's words (at least four, zero
+    padded), the constants that mix in the path word, and each stream
+    word's hash into the pool."""
+    words = []
+    while seed or not words:  # little-endian 32-bit words; 0 is one word
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (4 - len(words))
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(w, *next(constants)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(constants)))
+    path_constants = [next(constants) for _ in range(4)]
+    stream_constants = [next(constants) for _ in range(4)]
+    streams = [[_hashmix(stream, *c) for c in stream_constants] for stream in (0, 1)]
+    return pool, path_constants, streams
+
+
+def _substream_seeds(seed: int, paths) -> np.ndarray:
+    """The PCG64 seed words of paths ``paths`` (a Python int, or a 1-D
+    uint32 array of path indices), shape paths.shape + (2, 4), uint64.
+
+    Row [..., s, :] is bitwise SeedSequence(seed, spawn_key=(p, s))
+    .generate_state(4, np.uint64): the same hash, run on every path at once.
+    The path word is mixed into the cached seed pool once for both streams.
+    """
+    pool, path_constants, streams = _seed_pool(_check_seed(seed))
+    path_pool = [_mix(w, _hashmix(paths, *c)) for w, c in zip(pool, path_constants)]
+    state = []
+    for stream in streams:
+        stream_pool = [_mix(w, k) for w, k in zip(path_pool, stream)]
+        state += [_hashmix(stream_pool[i % 4], *c) for i, c in enumerate(_STATE_CONSTANTS)]
+    # (16[, paths]) words to ([paths,] 2, 8), C-contiguous; each uint64 seed
+    # word is a little-endian pair of 32-bit words
+    state = np.ascontiguousarray(np.array(state, dtype="<u4").T).reshape(np.shape(paths) + (2, 8))
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seeded_generator():
+    """``make(words)``: a Generator(PCG64) seeded with four hashed uint64
+    words, as default_rng(SeedSequence) would be.  numpy.random is imported
+    on the first draw, not with the package."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        """A seed sequence whose PCG64 state words are already hashed."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a hashed seed holds exactly 4 uint64 words")
+            return self.words
+
+    def make(words: np.ndarray):
+        return Generator(PCG64(HashedSeed(words)))
+
+    return make
+
+
+def _draw_noise(measure: LevyMeasure, grid: TimeGrid, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise of one path per row of ``seeds`` (paths, 2, 4), drawn from
+    its Brownian and jump substreams; see :func:`sample_noise_block`."""
+    n_paths = len(seeds)
     steps, n_atoms = grid.steps, len(measure)
     scale = np.sqrt(grid.dt)
     rates = measure.intensities * grid.dt
@@ -224,23 +348,58 @@ def sample_noise_block(
         # a scalar rate draws the same counts, element by element in C
         # order, without broadcasting a rate array
         rates = float(rates[0])
+    generator = _seeded_generator()
     dw = np.empty((n_paths, steps))
     counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
-    for row, path_index in enumerate(range(first_path, first_path + n_paths)):
-        brownian_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 0)))
-        dw[row] = brownian_rng.normal(0.0, scale, steps)
+    for row, (brownian, jumps) in enumerate(seeds):
+        dw[row] = generator(brownian).normal(0.0, scale, steps)
         if n_atoms:
-            jump_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, 1)))
-            counts[row] = jump_rng.poisson(rates, size=(steps, n_atoms))
+            counts[row] = generator(jumps).poisson(rates, size=(steps, n_atoms))
     return dw, counts
+
+
+def sample_noise_block(
+    measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the noise of paths first_path .. first_path + n_paths - 1.
+
+    Returns the Brownian increments, shape (n_paths, steps), and the jump
+    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
+    own substreams: the Brownian draws from
+    SeedSequence(seed, spawn_key=(path_index, 0)) and the jump draws from
+    spawn_key (path_index, 1), exactly, with the seeds of all n_paths paths
+    hashed in bulk.  So a path's noise does not depend on the block it is
+    drawn in, paths are independent, and the Brownian part is invariant to
+    the jump measure.  Path indices must lie below 2**32; the seed must be
+    a nonnegative integer.
+    """
+    first_path, n_paths = _check_paths(first_path, n_paths)
+    if n_paths == 1:  # the Python-int hash is cheaper for a single path
+        seeds = _substream_seeds(seed, first_path)[np.newaxis]
+    else:
+        seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
+    return _draw_noise(measure, grid, seeds)
 
 
 def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
     """Noise of paths 0 .. n_paths - 1 as (first_path, dW, counts), one block
-    of at most _BLOCK_PATH_STEPS path-steps (and at least one path) at a time."""
+    of at most _BLOCK_PATH_STEPS path-steps (and at least one path) at a time.
+
+    Each path's substream seeds are those of :func:`sample_noise_block`,
+    hashed _SEED_CHUNK_PATHS paths at a time and handed to the blocks in
+    order; neither size changes a result.
+    """
+    _, n_paths = _check_paths(0, n_paths)
     block = max(1, _BLOCK_PATH_STEPS // grid.steps)
+    seeds = np.empty((0, 2, 4), dtype=np.uint64)  # hashed, not yet drawn
     for first in range(0, n_paths, block):
-        yield (first, *sample_noise_block(measure, grid, seed, first, min(block, n_paths - first)))
+        n = min(block, n_paths - first)
+        while len(seeds) < n:
+            start = first + len(seeds)
+            chunk = np.arange(start, min(start + _SEED_CHUNK_PATHS, n_paths), dtype=np.uint32)
+            seeds = np.concatenate([seeds, _substream_seeds(seed, chunk)])
+        yield (first, *_draw_noise(measure, grid, seeds[:n]))
+        seeds = seeds[n:]
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:

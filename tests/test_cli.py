@@ -582,14 +582,24 @@ def test_simulate_underflowing_prices_exit_numerical_failure(tmp_path: Path):
     assert "mean delta" not in cp.stdout
 
 
-def test_cli_import_does_not_load_scipy():
-    cp = subprocess.run(
-        [sys.executable, "-c", "import sys, levyhedge.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+def _fresh_interpreter(code: str) -> str:
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
+    return cp.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _fresh_interpreter("import sys, levyhedge.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random is imported by the first noise draw, not by the package
+    code = (
+        "import sys, levyhedge.cli; print('numpy.random' in sys.modules); "
+        "from levyhedge import LevyMeasure, TimeGrid, sample_noise_block; "
+        "sample_noise_block(LevyMeasure(), TimeGrid(1.0, 2), 0, 0, 1); print('numpy.random' in sys.modules)"
+    )
+    assert _fresh_interpreter(code).split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------- verify

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import coarsen, euler_loop, noise_blocks, one_path
 from levyhedge import (
@@ -19,6 +20,8 @@ from levyhedge import (
     quotient_coefficients,
     sample_noise_block,
 )
+from levyhedge import levy_core
+from levyhedge.levy_core import _substream_seeds
 
 SEED = 20240
 
@@ -133,6 +136,87 @@ def test_fig3_noise_equals_the_array_rate_draw_bitwise():
         ref_dw, ref_counts = _reference_noise(s.measure, s.grid, s.seed, p)
         np.testing.assert_array_equal(dw[p], ref_dw)
         np.testing.assert_array_equal(counts[p], ref_counts)
+
+
+# seeds across the word boundaries of SeedSequence's entropy, and path
+# indices across the range of one 32-bit word
+EDGE_SEEDS = (0, 1, 7, 1729, 2**32 - 1, 2**32, 2**40 + 5, 2**127 + 3, 2**130 + 99, 2**201 + 17)
+EDGE_PATHS = (0, 1, 2**31, 2**32 - 1)
+
+
+def _seed_sequence_words(seed, path_index, stream):
+    return np.random.SeedSequence(seed, spawn_key=(path_index, stream)).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_substream_seeds_equal_seed_sequence(seed):
+    as_array = _substream_seeds(seed, np.array(EDGE_PATHS, dtype=np.uint32))
+    assert as_array.shape == (len(EDGE_PATHS), 2, 4) and as_array.dtype == np.uint64
+    for row, p in enumerate(EDGE_PATHS):
+        as_int = _substream_seeds(seed, p)
+        assert as_int.shape == (2, 4) and as_int.dtype == np.uint64
+        for stream in (0, 1):
+            expected = _seed_sequence_words(seed, p, stream)
+            np.testing.assert_array_equal(as_int[stream], expected)
+            np.testing.assert_array_equal(as_array[row, stream], expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**256), path_index=st.integers(0, 2**32 - 1))
+def test_substream_seeds_equal_seed_sequence_property(seed, path_index):
+    as_int = _substream_seeds(seed, path_index)
+    as_array = _substream_seeds(seed, np.array([path_index, 0], dtype=np.uint32))
+    for stream in (0, 1):
+        expected = _seed_sequence_words(seed, path_index, stream)
+        np.testing.assert_array_equal(as_int[stream], expected)
+        np.testing.assert_array_equal(as_array[0, stream], expected)
+
+
+def test_noise_across_a_seed_chunk_boundary(bern_measure):
+    # 3 steps put 2730 paths in a block, so the second block takes the last
+    # rows of the first 4096-path seed chunk and the first of the second
+    grid = TimeGrid(1.0, 3)
+    assert levy_core._SEED_CHUNK_PATHS == 4096
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 4101))
+    assert [first for first, _, _ in blocks] == [0, 2730]
+    dw = np.concatenate([b[1] for b in blocks])
+    counts = np.concatenate([b[2] for b in blocks])
+    direct_dw, direct_counts = sample_noise_block(bern_measure, grid, SEED, 4090, 11)
+    for row, p in enumerate(range(4090, 4101)):
+        ref_dw, ref_counts = _reference_noise(bern_measure, grid, SEED, p)
+        for got_dw, got_counts in ((dw[p], counts[p]), (direct_dw[row], direct_counts[row])):
+            np.testing.assert_array_equal(got_dw, ref_dw)
+            np.testing.assert_array_equal(got_counts, ref_counts)
+
+
+def test_noise_at_the_last_path_index(bern_measure, unit_grid):
+    dw, counts = sample_noise_block(bern_measure, unit_grid, SEED, 2**32 - 2, 2)
+    for row, p in enumerate((2**32 - 2, 2**32 - 1)):
+        ref_dw, ref_counts = _reference_noise(bern_measure, unit_grid, SEED, p)
+        np.testing.assert_array_equal(dw[row], ref_dw)
+        np.testing.assert_array_equal(counts[row], ref_counts)
+
+
+@pytest.mark.parametrize("first, n", [(2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1), (0, 10**12)])
+def test_noise_rejects_path_indices_beyond_one_word(bern_measure, unit_grid, first, n):
+    with pytest.raises(ValueError, match=r"path indices must lie in \[0, 2\*\*32\)"):
+        sample_noise_block(bern_measure, unit_grid, SEED, first, n)
+    if first == 0:
+        with pytest.raises(ValueError, match=r"path indices must lie in \[0, 2\*\*32\)"):
+            next(levy_core._noise_blocks(bern_measure, unit_grid, SEED, n))
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(-1, ValueError), (np.int64(-5), ValueError), (1.5, TypeError), ("7", TypeError)]
+)
+def test_noise_rejects_bad_seeds_as_seed_sequence_does(bern_measure, unit_grid, seed, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(seed, spawn_key=(0, 0))
+    for n_paths in (1, 3):  # the Python-int and the array hash
+        with pytest.raises(error):
+            sample_noise_block(bern_measure, unit_grid, seed, 0, n_paths)
+    with pytest.raises(error):
+        next(levy_core._noise_blocks(bern_measure, unit_grid, seed, 3))
 
 
 def test_noise_shape_validation(bern_measure, unit_grid):

@@ -91,6 +91,22 @@ def test_results_do_not_depend_on_block_size(name, n_paths, steps, paths_per_blo
         np.testing.assert_array_equal(getattr(blocked.golden, field), getattr(single.golden, field))
 
 
+@pytest.mark.parametrize("chunk_paths", [1, 3])
+def test_results_do_not_depend_on_seed_chunk_size(chunk_paths):
+    # 8-path blocks over 3-path seed chunks: blocks take rows from several
+    # chunks and leave rows of a chunk to the next block
+    s = with_overrides(builtin_scenario("fig3"), n_paths=11)
+    assert s.grid.steps == 1000
+    default = run_scenario(s)
+    with mock.patch.object(levy_core, "_SEED_CHUNK_PATHS", chunk_paths):
+        chunked = run_scenario(s)
+        blocks = list(levy_core._noise_blocks(s.measure, s.grid, s.seed, s.n_paths))
+    np.testing.assert_array_equal(chunked.path_stats, default.path_stats)
+    dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, s.n_paths)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
+    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
+
+
 def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):
     def simulate(out: Path) -> dict[str, bytes]:
         assert cli.main(["simulate", "fig3", "--paths", "50", "--out", str(out)]) == 0
