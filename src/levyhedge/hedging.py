@@ -135,7 +135,8 @@ class GramSystem:
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """Eigenvalue diagnostics of the price-scaled Gram matrix."""
+    """Eigenvalue diagnostics of an unscaled volatility Gram block (see
+    :func:`_gram_report`, which builds every report)."""
 
     min_eigenvalue: float
     condition_number: float

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levyhedge import cli, sim_harness
 from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
@@ -782,6 +783,58 @@ def test_csv_writer_special_floats(tmp_path: Path, monkeypatch, chunk, blank_fir
     if blank_first:
         rows[0][-1] = ""
     assert path.read_bytes() == _reference_csv(["a", "b", "c", "d"], rows)
+
+
+def _assert_csv_matches_cells(path: Path, columns: np.ndarray, blank_first: bool = False) -> None:
+    header = [f"c{j}" for j in range(columns.shape[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CI commands run under python -W error
+        cli._write_csv(path, header, columns, blank_first=blank_first)
+    rows = [_cells(*row) for row in columns]
+    if blank_first:
+        rows[0][-1] = ""
+    assert path.read_bytes() == _reference_csv(header, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)), elements=st.floats()),
+    st.booleans(),
+)
+def test_csv_writer_matches_cells_on_any_floats(tmp_path_factory, columns, blank_first):
+    # NaN, the infinities, signed zeros and subnormals included
+    _assert_csv_matches_cells(tmp_path_factory.mktemp("csv") / "any.csv", columns, blank_first)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_csv_writer_matches_cells_on_random_bit_patterns(tmp_path: Path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+    n = 200_000 if chunk is None else 3_000
+    bits = np.random.default_rng(20240611).integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+    _assert_csv_matches_cells(tmp_path / "bits.csv", bits.view(np.float64).reshape(-1, 8), blank_first=True)
+
+
+def test_csv_writer_matches_cells_at_powers_of_ten(tmp_path: Path):
+    powers = np.array([float(f"1e{k}") for k in range(-300, 23)])
+    values = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [9.999999999999999e15, 1e16, 1e17]]
+    )
+    _assert_csv_matches_cells(tmp_path / "powers.csv", np.concatenate([values, -values]).reshape(-1, 1))
+
+
+def test_csv_writer_rounds_exact_ties_half_to_even(tmp_path: Path):
+    # x = q / 1024 = q * 5^10 / 10^10 has exactly 18 significant digits, the
+    # last a 5, for odd q from 10^11 + 1 while q * 5^10 < 10^18
+    q = np.arange(10**11 + 1, 10**11 + 4001, 2)
+    assert len(str(int(q[-1]) * 5**10)) == 18
+    ties = q / 1024.0
+    assert format(ties[0], ".17g") == "97656250.000976562"
+    assert format(ties[1], ".17g") == "97656250.002929688"
+    _assert_csv_matches_cells(tmp_path / "ties.csv", ties.reshape(-1, 4))
+    # the exact tie is never settled by the NumPy path
+    *_, proven = cli._digits17(ties)
+    assert not proven.any()
 
 
 @pytest.mark.parametrize("name", sim_harness.FIGURE_NAMES)
