@@ -21,11 +21,8 @@ from .market import (
     GeometricBernoulliSpec,
     PricingKernelSpec,
     benchmark_coefficients,
-    domestic_drift,
-    from_natural,
     kernel_coefficients,
     natural_coefficients,
-    to_natural,
 )
 from .hedging import (
     DegeneracyError,

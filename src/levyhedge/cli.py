@@ -418,11 +418,11 @@ def _figure_csv(name: str, result: ScenarioResult) -> tuple[list[str], np.ndarra
         )
         return header, columns, False
 
-    n_assets = g.asset_values.shape[1]
+    n_hedging = g.asset_values.shape[1]
     header = (
         ["t", "C"]
-        + [f"S{j + 1}" for j in range(n_assets)]
-        + [f"phi{j + 1}" for j in range(n_assets)]
+        + [f"S{j + 1}" for j in range(n_hedging)]
+        + [f"phi{j + 1}" for j in range(n_hedging)]
         + ["theta", "V", "dV"]
     )
     total_gains = (g.contract_values[-1] - g.contract_values[0]) - float(g.residuals.sum())

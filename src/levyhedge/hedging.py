@@ -128,10 +128,6 @@ class GramSystem:
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "asset_prices", s)
 
-    @property
-    def n_assets(self) -> int:
-        return self.M.shape[0]
-
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -277,7 +273,7 @@ def hedge_residuals(
     sum_i phi^i dS^i, both of shape (..., steps).
 
     Takes contract values (..., steps + 1), asset values
-    (..., steps + 1, n_assets) and holdings (..., steps, n_assets) for one
+    (..., steps + 1, n_hedging) and holdings (..., steps, n_hedging) for one
     path or a block of paths; each path's result is the same either way.
     The gains are summed in asset-index order, one asset at a time, so
     their rounding is fixed by this loop and not by NumPy's reduction.
@@ -325,7 +321,7 @@ def analytic_delta(
     T * (K - L^2/M) * C_0^2 and the no-hedge value is T * K * C_0^2.
 
     ``strategy_ratios`` is one ratio vector (a float is returned) or a
-    stack of them, shape (..., n_assets), evaluated on one Gram matrix (an
+    stack of them, shape (..., n_hedging), evaluated on one Gram matrix (an
     array of shape ``psi.shape[:-1]`` is returned).
     """
     psi = np.atleast_1d(np.asarray(strategy_ratios, dtype=float))

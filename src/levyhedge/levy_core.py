@@ -38,7 +38,9 @@ import numpy as np
 # not depend on it.
 _BLOCK_PATH_STEPS = 8192
 # Paths whose substream seeds _noise_blocks hashes at once: 256 KiB of seed
-# words.  Results do not depend on it.
+# words.  A chunk holds whole blocks, at least one, so it is rounded down to
+# a multiple of the block, or up to one block when a block is larger: at one
+# step (8192-path blocks) it holds 512 KiB.  Results do not depend on it.
 _SEED_CHUNK_PATHS = 4096
 
 __all__ = [
@@ -386,20 +388,16 @@ def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int)
     of at most _BLOCK_PATH_STEPS path-steps (and at least one path) at a time.
 
     Each path's substream seeds are those of :func:`sample_noise_block`,
-    hashed _SEED_CHUNK_PATHS paths at a time and handed to the blocks in
-    order; neither size changes a result.
+    hashed one chunk of whole blocks (about _SEED_CHUNK_PATHS paths) at a
+    time; neither size changes a result.
     """
     _, n_paths = _check_paths(0, n_paths)
     block = max(1, _BLOCK_PATH_STEPS // grid.steps)
-    seeds = np.empty((0, 2, 4), dtype=np.uint64)  # hashed, not yet drawn
-    for first in range(0, n_paths, block):
-        n = min(block, n_paths - first)
-        while len(seeds) < n:
-            start = first + len(seeds)
-            chunk = np.arange(start, min(start + _SEED_CHUNK_PATHS, n_paths), dtype=np.uint32)
-            seeds = np.concatenate([seeds, _substream_seeds(seed, chunk)])
-        yield (first, *_draw_noise(measure, grid, seeds[:n]))
-        seeds = seeds[n:]
+    chunk = block * max(1, _SEED_CHUNK_PATHS // block)
+    for start in range(0, n_paths, chunk):
+        seeds = _substream_seeds(seed, np.arange(start, min(start + chunk, n_paths), dtype=np.uint32))
+        for first in range(0, len(seeds), block):
+            yield (start + first, *_draw_noise(measure, grid, seeds[first : first + block]))
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:

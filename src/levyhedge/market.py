@@ -14,10 +14,13 @@ volatilities
     Sigma_bar_k = Sigma_k (1 - Lambda_k) - Lambda_k,
 
 and its natural price is the driftless stochastic exponential of
-(sigma_bar, Sigma_bar).  All specs here are time-independent constants; the
-convention pi_0 = 1 makes domestic and natural prices coincide at t = 0.
-This module turns specs into :class:`SymmetricCoefficients`; the paths of
-those coefficients come from the block kernels of ``levy_core``.
+(sigma_bar, Sigma_bar).  These formulas define the units of the model: every
+:class:`AssetSpec` is given in natural units, (sigma_bar, Sigma_bar), and
+the package ships no function that converts a domestic spec.  All specs here
+are time-independent constants; the convention pi_0 = 1 makes domestic and
+natural prices coincide at t = 0.  This module turns specs into
+:class:`SymmetricCoefficients`; the paths of those coefficients come from
+the block kernels of ``levy_core``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ __all__ = [
     "GeometricBernoulliSpec",
     "kernel_coefficients",
     "benchmark_coefficients",
-    "to_natural",
-    "from_natural",
-    "domestic_drift",
     "natural_coefficients",
 ]
 
@@ -75,10 +75,6 @@ class AssetSpec:
             raise ValueError(f"initial_price must be positive, got {self.initial_price!r}")
         if any(v <= -1.0 for v in self.jump_vol):
             raise ValueError("jump_vol (jump volatilities) must be > -1")
-
-    @property
-    def jump_vol_array(self) -> np.ndarray:
-        return np.asarray(self.jump_vol, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -123,32 +119,6 @@ def benchmark_coefficients(kernel: PricingKernelSpec, measure: LevyMeasure) -> S
     jump_vol = big / (1.0 - big)
     drift = kernel.short_rate + lam * lam + float((big * jump_vol) @ measure.intensities)
     return SymmetricCoefficients(drift, lam, tuple(jump_vol), measure)
-
-
-def to_natural(asset: AssetSpec, kernel: PricingKernelSpec) -> AssetSpec:
-    """Rewrite domestic volatilities in benchmark units (initial price unchanged, pi_0 = 1)."""
-    if len(asset.jump_vol) != len(kernel.jump_mpr):
-        raise ValueError("asset and kernel disagree on the number of jump atoms")
-    big = kernel.jump_mpr_array
-    bar = asset.jump_vol_array * (1.0 - big) - big
-    return AssetSpec(asset.initial_price, asset.brownian_vol - kernel.brownian_mpr, tuple(bar))
-
-
-def from_natural(asset: AssetSpec, kernel: PricingKernelSpec) -> AssetSpec:
-    """Inverse of :func:`to_natural`: sigma = sigma_bar + lambda, Sigma = (Sigma_bar + Lambda)/(1 - Lambda)."""
-    if len(asset.jump_vol) != len(kernel.jump_mpr):
-        raise ValueError("asset and kernel disagree on the number of jump atoms")
-    big = kernel.jump_mpr_array
-    dom = (asset.jump_vol_array + big) / (1.0 - big)
-    return AssetSpec(asset.initial_price, asset.brownian_vol + kernel.brownian_mpr, tuple(dom))
-
-
-def domestic_drift(asset: AssetSpec, kernel: PricingKernelSpec, measure: LevyMeasure) -> float:
-    """No-arbitrage domestic drift rate r + lambda sigma + sum_k Lambda_k Sigma_k w_k."""
-    _check_atoms(len(asset.jump_vol), measure, "asset")
-    _check_atoms(len(kernel.jump_mpr), measure, "kernel")
-    jump_part = float((kernel.jump_mpr_array * asset.jump_vol_array) @ measure.intensities)
-    return kernel.short_rate + kernel.brownian_mpr * asset.brownian_vol + jump_part
 
 
 def natural_coefficients(asset: AssetSpec, measure: LevyMeasure) -> SymmetricCoefficients:

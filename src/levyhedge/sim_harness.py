@@ -190,8 +190,8 @@ class GoldenPath:
     jump_count_path: np.ndarray
     jump_sum_path: np.ndarray
     contract_values: np.ndarray
-    asset_values: np.ndarray  # (steps + 1, n_assets)
-    phi: np.ndarray  # (steps, n_assets)
+    asset_values: np.ndarray  # (steps + 1, n_hedging)
+    phi: np.ndarray  # (steps, n_hedging)
     theta: np.ndarray  # (steps,)
     portfolio_values: np.ndarray
     residuals: np.ndarray  # (steps,)
@@ -313,7 +313,7 @@ def _price_blocks(price, s: Scenario):
     (:func:`exponential_prices` or an Euler integrator).
 
     Yields (first_path, counts, c, a) with c of shape (paths, steps + 1) and
-    a of shape (paths, steps + 1, n_assets).  A price that is not positive
+    a of shape (paths, steps + 1, n_hedging).  A price that is not positive
     and finite raises :class:`PriceRangeError`.
     """
     specs = (s.natural_contract(), *s.natural_assets())
@@ -336,7 +336,7 @@ def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray
     psi, with the residuals dV and the hedge gains they leave.
 
     Takes contract values (..., steps + 1) and asset values
-    (..., steps + 1, n_assets); returns phi (..., steps, n_assets) and dV
+    (..., steps + 1, n_hedging); returns phi (..., steps, n_hedging) and dV
     and gains (..., steps).
     """
     psi = np.asarray(ratios, dtype=float)

@@ -79,7 +79,7 @@ def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x
 
 
 def _price_terminals(s: Scenario) -> np.ndarray:
-    """Terminal natural prices (n_paths, 1 + n_assets) of the scenario's
+    """Terminal natural prices (n_paths, 1 + n_hedging) of the scenario's
     exact geometric paths, the contract first."""
     blocks = _price_blocks(exponential_prices, s)
     return np.concatenate([np.column_stack((c[:, -1], a[:, -1])) for _, _, c, a in blocks])
@@ -320,7 +320,7 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
 # optimality
 
 
-def _random_market(rng: np.random.Generator, n_assets: int) -> tuple[AssetSpec, list[AssetSpec], LevyMeasure]:
+def _random_market(rng: np.random.Generator, n_hedging: int) -> tuple[AssetSpec, list[AssetSpec], LevyMeasure]:
     n_atoms = int(rng.integers(1, 4))
     locs = rng.normal(0.0, 1.0, n_atoms)
     while len(np.unique(locs)) != n_atoms:
@@ -334,7 +334,7 @@ def _random_market(rng: np.random.Generator, n_assets: int) -> tuple[AssetSpec, 
             tuple(rng.uniform(-0.7, 1.5, n_atoms)),
         )
 
-    return spec(), [spec() for _ in range(n_assets)], measure
+    return spec(), [spec() for _ in range(n_hedging)], measure
 
 
 def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:

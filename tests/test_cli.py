@@ -974,14 +974,14 @@ def _config_scenarios(draw):
             draw(st.floats(1e-3, 1e4)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-5.0, 5.0))
         )
 
-    n_assets = draw(st.integers(0, 4))
-    modes = ["none"] + (["single", "multi"] if n_assets >= 1 else []) + (["two_asset"] if n_assets >= 2 else [])
+    n_hedging = draw(st.integers(0, 4))
+    modes = ["none"] + (["single", "multi"] if n_hedging >= 1 else []) + (["two_asset"] if n_hedging >= 2 else [])
     mode = draw(st.sampled_from(modes))
-    index = draw(st.integers(0, n_assets - 1)) if mode == "single" else draw(st.integers(0, 5))
+    index = draw(st.integers(0, n_hedging - 1)) if mode == "single" else draw(st.integers(0, 5))
     return Scenario(
         measure=measure,
         contract=spec(),
-        hedging_assets=tuple(spec() for _ in range(n_assets)),
+        hedging_assets=tuple(spec() for _ in range(n_hedging)),
         grid=TimeGrid(draw(st.floats(1e-3, 100.0)), draw(st.integers(1, sim_harness._MAX_STEPS))),
         n_paths=draw(st.integers(1, 10**9)),
         seed=draw(st.integers(0, 2**64)),

@@ -168,8 +168,8 @@ def test_gram_symmetry_tolerance(scale):
         m = np.array([[scale, 0.5 * scale], [0.5 * scale + asymmetry, 0.8 * scale]])
         return GramSystem(m, np.ones(2), 1.0, np.ones(2))
 
-    assert system(0.9 * tol).n_assets == 2
-    assert system(-0.9 * tol).n_assets == 2
+    assert system(0.9 * tol).M.shape == (2, 2)
+    assert system(-0.9 * tol).M.shape == (2, 2)
     for asymmetry in (1.1 * tol, -1.1 * tol, np.nan):
         with pytest.raises(ValueError, match="symmetric"):
             system(asymmetry)
@@ -436,7 +436,7 @@ def _gram_inputs(draw):
 
 
 @st.composite
-def _scenarios(draw, hedge_mode: str, n_assets: int):
+def _scenarios(draw, hedge_mode: str, n_hedging: int):
     """Scenario with geometric specs Sigma_k = exp(beta x_k) - 1 on a random measure."""
 
     def spec():
@@ -445,7 +445,7 @@ def _scenarios(draw, hedge_mode: str, n_assets: int):
     return Scenario(
         measure=draw(_measures()),
         contract=spec(),
-        hedging_assets=tuple(spec() for _ in range(n_assets)),
+        hedging_assets=tuple(spec() for _ in range(n_hedging)),
         grid=TimeGrid(1.0, 10),
         n_paths=1,
         seed=0,
@@ -500,13 +500,13 @@ def test_single_optimum_removes_the_fraction_rho(s):
     assert abs(d_opt - (1.0 - rho) * d_zero) <= 1e-10 * d_zero
 
 
-def _ratio_stacks(n_assets: int):
-    """Arrays of scaled-ratio vectors, shape (k, n_assets) or (k1, k2, n_assets)."""
+def _ratio_stacks(n_hedging: int):
+    """Arrays of scaled-ratio vectors, shape (k, n_hedging) or (k1, k2, n_hedging)."""
     shapes = st.sampled_from([(1,), (5,), (2, 3)])
     return shapes.flatmap(
         lambda shape: st.lists(
-            _reals(-3.0, 3.0), min_size=int(np.prod(shape)) * n_assets, max_size=int(np.prod(shape)) * n_assets
-        ).map(lambda xs: np.array(xs).reshape(shape + (n_assets,)))
+            _reals(-3.0, 3.0), min_size=int(np.prod(shape)) * n_hedging, max_size=int(np.prod(shape)) * n_hedging
+        ).map(lambda xs: np.array(xs).reshape(shape + (n_hedging,)))
     )
 
 

@@ -11,14 +11,11 @@ from levyhedge import (
     SymmetricCoefficients,
     TimeGrid,
     benchmark_coefficients,
-    domestic_drift,
     exponential_prices,
-    from_natural,
     integrate_proportional_block,
     kernel_coefficients,
     natural_coefficients,
     sample_noise_block,
-    to_natural,
 )
 
 SEED = 61502
@@ -32,14 +29,25 @@ def random_kernel(rng, n_atoms):
     )
 
 
-def domestic_coefficients(asset, kernel, measure):
-    """Proportional coefficients of the domestic price: the no-arbitrage
-    drift with the asset's own volatilities."""
-    return SymmetricCoefficients(domestic_drift(asset, kernel, measure), asset.brownian_vol, asset.jump_vol, measure)
-
-
 def natural_prices(asset, measure, noise, grid):
     return exponential_prices(natural_coefficients(asset, measure), *noise, grid, asset.initial_price)
+
+
+def domestic_price_coefficients(asset, kernel, measure):
+    """Proportional coefficients of a domestic price with volatilities
+    (sigma, Sigma): the no-arbitrage drift r + lambda sigma + sum_k Lambda_k
+    Sigma_k w_k with the asset's own volatilities."""
+    jump_part = float((kernel.jump_mpr_array * np.asarray(asset.jump_vol)) @ measure.intensities)
+    drift = kernel.short_rate + kernel.brownian_mpr * asset.brownian_vol + jump_part
+    return SymmetricCoefficients(drift, asset.brownian_vol, asset.jump_vol, measure)
+
+
+def natural_units(asset, kernel):
+    """The same asset in natural units, by the definition in the ``market``
+    docstring: sigma_bar = sigma - lambda, Sigma_bar = Sigma (1 - Lambda) - Lambda."""
+    big = kernel.jump_mpr_array
+    bar = np.asarray(asset.jump_vol) * (1.0 - big) - big
+    return AssetSpec(asset.initial_price, asset.brownian_vol - kernel.brownian_mpr, tuple(bar))
 
 
 # ---------------------------------------------------------------- specs
@@ -167,55 +175,13 @@ def test_null_kernel_benchmark_grows_at_short_rate():
     assert out.brownian_vol == 0.0
 
 
-# ---------------------------------------------------------------- unit transforms
-
-
-def test_to_natural_worked_example():
-    kernel = PricingKernelSpec(0.0, 0.1, (0.2,))
-    asset = AssetSpec(100.0, 0.2, (0.5,))
-    nat = to_natural(asset, kernel)
-    assert nat.brownian_vol == pytest.approx(0.1, abs=1e-15)
-    assert nat.jump_vol[0] == pytest.approx(0.5 * 0.8 - 0.2, abs=1e-15)
-    assert nat.initial_price == 100.0
-
-
-def test_null_kernel_leaves_asset_unchanged():
-    kernel = PricingKernelSpec(0.0, 0.0, (0.0, 0.0))
-    asset = AssetSpec(42.0, 0.3, (0.4, -0.2))
-    nat = to_natural(asset, kernel)
-    assert nat == asset
-
-
-def test_natural_round_trip_is_exact():
-    rng = np.random.default_rng(SEED + 2)
-    for _ in range(50):
-        n = int(rng.integers(0, 4))
-        kernel = random_kernel(rng, n)
-        asset = AssetSpec(float(rng.uniform(1, 500)), float(rng.normal(0, 0.4)), tuple(rng.uniform(-0.7, 2.0, n)))
-        back = from_natural(to_natural(asset, kernel), kernel)
-        assert back.initial_price == pytest.approx(asset.initial_price, abs=1e-12)
-        assert back.brownian_vol == pytest.approx(asset.brownian_vol, abs=1e-12)
-        np.testing.assert_allclose(back.jump_vol, asset.jump_vol, rtol=0, atol=1e-12)
-
-
-def test_domestic_drift_worked_example():
-    m = LevyMeasure((JumpAtom(1.0, 2.0),))
-    kernel = PricingKernelSpec(0.02, 0.1, (0.5,))
-    asset = AssetSpec(100.0, 0.2, (0.4,))
-    assert domestic_drift(asset, kernel, m) == pytest.approx(0.02 + 0.1 * 0.2 + 0.5 * 0.4 * 2.0, abs=1e-15)
-    assert domestic_drift(asset, kernel, m) == pytest.approx(0.44, abs=1e-15)
-
-
-def test_null_kernel_domestic_drift_is_short_rate(bern_measure):
-    kernel = PricingKernelSpec(0.0, 0.0, (0.0, 0.0))
-    asset = AssetSpec(100.0, 0.2, (0.1, -0.1))
-    assert domestic_drift(asset, kernel, bern_measure) == 0.0
+# ---------------------------------------------------------------- units of the model
 
 
 def test_deflated_domestic_price_is_a_martingale(bern_measure, unit_grid):
     kernel = PricingKernelSpec(0.04, 0.2, (0.3, -0.4))
     asset = AssetSpec(100.0, 0.25, (0.35, -0.2))
-    dom = domestic_coefficients(asset, kernel, bern_measure)
+    dom = domestic_price_coefficients(asset, kernel, bern_measure)
     pi_coeffs = kernel_coefficients(kernel, bern_measure)
     n = 3000
     deflated = np.concatenate(
@@ -233,9 +199,11 @@ def test_natural_price_is_kernel_times_domestic(bern_measure, unit_grid):
     kernel = PricingKernelSpec(0.04, 0.2, (0.3, -0.4))
     asset = AssetSpec(80.0, 0.25, (0.35, -0.2))
     noise = one_path(bern_measure, unit_grid, SEED, 1)
-    dom = exponential_prices(domestic_coefficients(asset, kernel, bern_measure), *noise, unit_grid, asset.initial_price)
+    dom = exponential_prices(
+        domestic_price_coefficients(asset, kernel, bern_measure), *noise, unit_grid, asset.initial_price
+    )
     pi = exponential_prices(kernel_coefficients(kernel, bern_measure), *noise, unit_grid, 1.0)
-    nat = natural_prices(to_natural(asset, kernel), bern_measure, noise, unit_grid)
+    nat = natural_prices(natural_units(asset, kernel), bern_measure, noise, unit_grid)
     np.testing.assert_allclose(nat, pi * dom, rtol=1e-10)
 
 

@@ -93,8 +93,8 @@ def test_results_do_not_depend_on_block_size(name, n_paths, steps, paths_per_blo
 
 @pytest.mark.parametrize("chunk_paths", [1, 3])
 def test_results_do_not_depend_on_seed_chunk_size(chunk_paths):
-    # 8-path blocks over 3-path seed chunks: blocks take rows from several
-    # chunks and leave rows of a chunk to the next block
+    # 8-path blocks over 1- and 3-path seed chunks: a chunk smaller than a
+    # block is rounded up to one whole block
     s = with_overrides(builtin_scenario("fig3"), n_paths=11)
     assert s.grid.steps == 1000
     default = run_scenario(s)
@@ -103,6 +103,40 @@ def test_results_do_not_depend_on_seed_chunk_size(chunk_paths):
         blocks = list(levy_core._noise_blocks(s.measure, s.grid, s.seed, s.n_paths))
     np.testing.assert_array_equal(chunked.path_stats, default.path_stats)
     dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, s.n_paths)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
+    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
+
+
+def test_a_block_larger_than_the_seed_chunk(bern_measure):
+    # at one step a block holds 8192 paths, more than the 4096-path seed
+    # chunk, so the chunk is the block
+    grid = TimeGrid(1.0, 1)
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 9000))
+    assert [b[0] for b in blocks] == [0, 8192]
+    dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, 9000)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
+    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
+
+
+@pytest.mark.parametrize(
+    "steps, n_paths, starts",
+    [
+        (1, 1, [0]),
+        # a 4096-path block fills the chunk exactly
+        (2, 4100, [0, 4096]),
+        # a 2730-path block is a whole chunk on its own
+        (3, 4100, [0, 2730]),
+        # 50 blocks of 81 paths make a 4050-path chunk; the next chunk
+        # starts a new block at path 4050
+        (100, 4100, list(range(0, 4050, 81)) + [4050]),
+        (50000, 3, [0, 1, 2]),
+    ],
+)
+def test_noise_blocks_tile_seed_chunks_with_whole_blocks(bern_measure, steps, n_paths, starts):
+    grid = TimeGrid(1.0, steps)
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, n_paths))
+    assert [b[0] for b in blocks] == starts
+    dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, n_paths)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
 
