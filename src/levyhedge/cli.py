@@ -3,8 +3,8 @@
 Every command is deterministic given its configuration and seed; CSV output
 uses '.' decimals, no thousands separators, and 17-significant-digit floats
 so reruns are byte-identical.  The CSV bytes are those of '%.17g' for every
-float: chunks of rows are formatted in NumPy, and each value whose digits
-the NumPy path cannot prove is formatted by Python's '%.17g' in its place.
+float: :mod:`levyhedge.csv_format` writes the numbers, formatting chunks of
+rows in NumPy, and is imported by the first command that writes a CSV.
 Each output directory receives an ``effective_config.json`` that reruns to
 identical outputs via ``--config``.
 
@@ -19,7 +19,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -182,11 +181,13 @@ _CSV_ROWS = 512
 def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_first: bool = False) -> None:
     """Write ``header`` and the rows of the (rows, width) float array ``columns``.
 
-    Each chunk of rows is formatted by :func:`_csv_rows` and written at
-    once; every cell is the text of ``format(x, '.17g')``, so the bytes do
-    not depend on the chunk size.  ``blank_first`` leaves the last cell of
-    the first row empty.
+    Each chunk of rows is formatted by :func:`csv_format.csv_rows` and
+    written at once; every cell is the text of ``format(x, '.17g')``, so the
+    bytes do not depend on the chunk size.  ``blank_first`` leaves the last
+    cell of the first row empty.
     """
+    from .csv_format import csv_rows  # loaded by the first write, not by every start
+
     columns = np.asarray(columns, dtype=np.float64)
     # written as a new file: a symlink at the name is replaced, not written
     # through, and no truncate waits for the old file's pending write-back
@@ -195,191 +196,11 @@ def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_fir
         fh.write((",".join(header) + "\n").encode())
         start = 0
         if blank_first:
-            line = _csv_rows(columns[:1])
+            line = csv_rows(columns[:1])
             fh.write(line[: line.rfind(b",") + 1] + b"\n")
             start = 1
         for first in range(start, len(columns), _CSV_ROWS):
-            fh.write(_csv_rows(columns[first : first + _CSV_ROWS]))
-
-
-# ----------------------------------------------------------------------------
-# '%.17g' in NumPy
-#
-# A finite |x| in [1e-280, 1e16) with decimal exponent e has the 17 digits
-# D = round(|x| * 10^k), k = 16 - e.  The product is formed as a
-# double-double (Dekker's exact two-product against a double-double 10^k,
-# since NumPy has no fma) with an error below 1e-14, so D is proven unless
-# the product's fraction lies within _TIE_MARGIN of one half or D has not
-# 17 digits.  Python's '%.17g' formats every other element but zero: NaN,
-# the infinities, subnormals, |x| >= 1e16, 17-digit ties and near-ties, and
-# a decimal exponent that log10 got wrong by one.
-#
-# A cell is laid out in 32 bytes: '0' * 7 and the 17 digits at 7..23 (the
-# line), "e-XX" or "e-XXX" at 26..30 and the separator at 31.  Byte masks
-# keep the integer part of the line (by notation) and the fraction, up to
-# the last nonzero digit, from the line moved one byte right; a '.' and a
-# '-' are added, and the zero bytes left between cells are deleted in one
-# pass.
-
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
-_TIE_MARGIN = 1e-9
-_POWERS = 300  # 10^k for k = 16 - e in 0..299 covers e down to -283
-_ZERO_CODE = 22  # notation codes: e + 4 for e in -4..15, 20 for e-XX, 21 for e-XXX
-
-
-def _byte_words(rows: list[bytes]) -> np.ndarray:
-    """32-byte ``rows`` as (4, len(rows)) little-endian words."""
-    return np.ascontiguousarray(np.frombuffer(b"".join(rows), "<u8").reshape(-1, 4).T, np.uint64)
-
-
-@cache
-def _csv_tables() -> dict[str, np.ndarray]:
-    """Lookup tables of :func:`_csv_rows`, built on the first write.
-
-    Each is at most a few KB: a larger table, built after a run's arrays,
-    would sit above them on the heap and keep it from shrinking when they
-    are freed."""
-    p_hi, p_hi_hi, p_lo = [], [], []
-    for k in range(_POWERS):
-        hi = float(10**k)
-        c = _SPLIT * hi
-        p_hi.append(hi)
-        p_hi_hi.append(c - (c - hi))
-        p_lo.append(float(10**k - int(hi)))
-    # per row k: the notation code and the exponent word of e = 16 - k
-    code_of_k, exp_word = [], []
-    for e in range(16, 16 - _POWERS, -1):
-        code_of_k.append(min(e + 4, 19) if e >= -4 else 20 if e > -100 else 21)
-        exp_word.append(int.from_bytes(b"\0\0" + (b"e-%02d" % -e if e < 0 else b""), "little"))
-
-    # per notation code: the bytes kept from the line, the '-' before them
-    # and the point; a zero keeps the '0' before the digits and, its point
-    # at 8, no fraction
-    keep, minus, point = [], [], []
-    for code in range(_ZERO_CODE + 1):
-        e = code - 4 if code < 20 else 0  # d.ddd of d.ddde-XX is laid out as e = 0
-        first, end = (6, 7) if code == _ZERO_CODE else (7 + min(e, 0), 8 + e)
-        exp = {20: 4, 21: 5}.get(code, 0)
-        keep.append(bytes(first) + b"\xff" * (end - first) + bytes(26 - end) + b"\xff" * exp + bytes(5 - exp) + b"\xff")
-        minus.append(bytes(first - 1) + b"-" + bytes(32 - first))
-        point.append(8 + e)
-    ascii_pairs = [int.from_bytes(b"%02d" % pair, "little") for pair in range(100)]
-    tables = {
-        "p_hi": np.array(p_hi),
-        "p_hi_hi": np.array(p_hi_hi),
-        "p_hi_lo": np.array(p_hi) - np.array(p_hi_hi),
-        "p_lo": np.array(p_lo),
-        "code": np.array(code_of_k),
-        "exp_word": np.array(exp_word, np.uint64),
-        # the digit pair p at bytes 2j, 2j + 1 of a word, j = 0..3
-        "pairs": np.array([[pair << 16 * j for pair in ascii_pairs] for j in range(4)], np.uint64),
-        "pair_zeros": np.array([(pair % 10 == 0) + (pair == 0) for pair in range(100)]),
-        # word 0 of the line: '0' * 7 and the leading digit
-        "lead": np.array([int.from_bytes(b"0" * 7 + b"%d" % i, "little") for i in range(10)], np.uint64),
-        "point": np.array(point),
-        "keep": _byte_words(keep),
-        "minus": _byte_words([bytes(32)] * len(minus) + minus),  # by sign * (_ZERO_CODE + 1) + code
-        "below": _byte_words([b"\xff" * b + bytes(32 - b) for b in range(33)]),  # bytes below b
-        "above": _byte_words([bytes(b) + b"\xff" * (32 - b) for b in range(33)]),  # bytes from b on
-        "dot": _byte_words([bytes(b) + b"." + bytes(31 - b) for b in range(32)] + [bytes(32)]),  # '.' at b, none at 32
-    }
-    for table in tables.values():
-        table.flags.writeable = False  # the cache hands the same arrays to every call
-    return tables
-
-
-def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """17 significant digits D of each ``a`` in [1e-280, 1e16) as an int64,
-    the row k = 16 - e of its decimal exponent e in :func:`_csv_tables`, and
-    whether D and e are proven."""
-    t = _csv_tables()
-    k = 16 - np.floor(np.log10(a)).astype(np.intp)
-    p = a * t["p_hi"][k]
-    c = a * _SPLIT
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    h_hi = t["p_hi_hi"][k]
-    h_lo = t["p_hi_lo"][k]
-    p_lo = t["p_lo"][k]
-    # p + lo is a * 10^k: Dekker's exact error of a * p_hi, then a times the low half of 10^k
-    lo = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * p_lo
-    half = lo + 0.5
-    up = np.floor(half)
-    d = p.astype(np.int64) + up.astype(np.int64)
-    proven = (d >= 10**16) & (d < 10**17) & (np.abs(half - up - 0.5) < 0.5 - _TIE_MARGIN)
-    # D = 10^16 also rounds a product just below 10^16, whose exponent is e - 1
-    edge = np.flatnonzero(proven & (d == 10**16))
-    if edge.size:
-        above = (p[edge].astype(np.int64) - 10**16) + lo[edge]
-        proven[edge] = (above >= 0) & ((above > _TIE_MARGIN) | (p_lo[edge] == 0))
-    return d, k, proven
-
-
-def _csv_rows(block: np.ndarray) -> bytes:
-    """CSV lines of the (rows, width) float64 array ``block``, each cell the
-    text of ``format(x, '.17g')``."""
-    t = _csv_tables()
-    rows, width = block.shape
-    x = block.ravel()
-    ax = np.abs(x)
-    zero = ax == 0.0
-    fast = (ax >= 1e-280) & (ax < 1e16)
-    # the other elements go through 1.0, so no floating-point warning can arise
-    d, k, proven = _digits17(np.where(fast, ax, 1.0))
-    ok = fast & proven
-    d = np.where(ok, d, 10**16)
-
-    # D: the leading digit, then eight pairs of digits
-    high = d // 10**8
-    lead = high // 10**8
-    pairs = []
-    for part in (high - lead * 10**8, d - high * 10**8):
-        part = part.astype(np.uint32)
-        quad = part // 10**4
-        for q in (quad, part - quad * 10**4):
-            tens = q // 100
-            pairs += [tens, q - tens * 100]
-    trailing = t["pair_zeros"].take(pairs[-1])
-    more = np.flatnonzero(pairs[-1] == 0)
-    for pair in pairs[-2::-1]:
-        if not more.size:
-            break
-        pm = pair[more]
-        trailing[more] += t["pair_zeros"].take(pm)
-        more = more[pm == 0]
-    digits = 17 - trailing
-
-    code = np.where(zero, _ZERO_CODE, t["code"][k])
-    point = t["point"][code]
-    signed_code = code + np.signbit(x) * (_ZERO_CODE + 1)
-    # the fraction: the moved line from the byte after the point to the last digit
-    frac_start, frac_end = point + 1, digits + 8
-    dot_at = np.where(frac_end > frac_start, point, 32)
-
-    sep = np.full(width, int.from_bytes(b"\0" * 7 + b",", "little"), np.uint64)
-    sep[-1] = int.from_bytes(b"\0" * 7 + b"\n", "little")
-    p = t["pairs"]
-    words = (
-        t["lead"].take(lead),
-        p[0].take(pairs[0]) | p[1].take(pairs[1]) | p[2].take(pairs[2]) | p[3].take(pairs[3]),
-        p[0].take(pairs[4]) | p[1].take(pairs[5]) | p[2].take(pairs[6]) | p[3].take(pairs[7]),
-        (t["exp_word"].take(k).reshape(rows, width) | sep).ravel(),
-    )
-    cells = np.empty((x.size, 4), "<u8")
-    prev = 0
-    for w, word in enumerate(words):
-        shifted = (word << 8) | (prev >> 56)  # the line moved one byte right
-        moved = t["below"][w].take(frac_end) & t["above"][w].take(frac_start)
-        const = t["minus"][w].take(signed_code) | t["dot"][w].take(dot_at)
-        cells[:, w] = (word & t["keep"][w].take(code)) | (shifted & moved) | const
-        prev = word
-
-    slow = np.flatnonzero(~(ok | zero))
-    if slow.size:
-        raw = cells.view(np.uint8)
-        for i, v in zip(slow.tolist(), x[slow].tolist()):
-            raw[i, :31] = np.frombuffer(b"%.17g" % v + b"\0" * 31, np.uint8, 31)
-    return cells.tobytes().translate(None, b"\0")
+            fh.write(csv_rows(columns[first : first + _CSV_ROWS]))
 
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levyhedge import cli, sim_harness
+from levyhedge import cli, csv_format, sim_harness
 from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
 from levyhedge.market import GeometricBernoulliSpec
 from levyhedge.sim_harness import Scenario
@@ -603,6 +604,21 @@ def test_cli_import_does_not_load_numpy_random():
     assert _fresh_interpreter(code).split() == ["False", "True"]
 
 
+def test_csv_formatter_loads_on_the_first_write(tmp_path: Path):
+    # import, --help and a hedge without --out write no CSV; hedge --out writes hedge.csv
+    code = f"""
+import contextlib, io, sys
+from levyhedge import cli
+for argv in ([], ["--help"], ["hedge", "fig3"], ["hedge", "fig3", "--out", {str(tmp_path)!r}]):
+    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+        if argv:
+            cli.main(argv)
+    print("levyhedge.csv_format" in sys.modules)
+"""
+    assert _fresh_interpreter(code).split() == ["False", "False", "False", "True"]
+    assert (tmp_path / "hedge.csv").is_file()
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -815,10 +831,40 @@ def test_csv_writer_matches_cells_on_random_bit_patterns(tmp_path: Path, monkeyp
     _assert_csv_matches_cells(tmp_path / "bits.csv", bits.view(np.float64).reshape(-1, 8), blank_first=True)
 
 
+def _exponent_and_digits(x: float) -> tuple[int, int]:
+    """Decimal exponent and significant digit count of ``format(x, '.17g')``."""
+    mantissa, exp = f"{x:.16e}".split("e")
+    return int(exp), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def _layout_grid() -> list[float]:
+    """Zero, and for every decimal exponent e in -300..16 and digit count n
+    in 1..17 a double near an n-digit decimal at exponent e: among the first
+    1000 such decimals, the first whose double has n digits in '%.17g'
+    (every layout of the fixed notation has one), else the first."""
+    values = [0.0]
+    for e, n in itertools.product(range(-300, 17), range(1, 18)):
+        start = 10 ** (n - 1)
+        for m in range(start, min(10 * start, start + 1000)):
+            x = float(f"{m}e{e - n + 1}")
+            if _exponent_and_digits(x) == (e, n):
+                break
+        else:
+            x = float(f"{start}e{e - n + 1}")
+        values.append(x)
+    return values
+
+
 def test_csv_writer_matches_cells_at_powers_of_ten(tmp_path: Path):
     powers = np.array([float(f"1e{k}") for k in range(-300, 23)])
     values = np.concatenate(
-        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [9.999999999999999e15, 1e16, 1e17]]
+        [
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf),
+            [9.999999999999999e15, 1e16, 1e17],
+            _layout_grid(),
+        ]
     )
     _assert_csv_matches_cells(tmp_path / "powers.csv", np.concatenate([values, -values]).reshape(-1, 1))
 
@@ -833,7 +879,7 @@ def test_csv_writer_rounds_exact_ties_half_to_even(tmp_path: Path):
     assert format(ties[1], ".17g") == "97656250.002929688"
     _assert_csv_matches_cells(tmp_path / "ties.csv", ties.reshape(-1, 4))
     # the exact tie is never settled by the NumPy path
-    *_, proven = cli._digits17(ties)
+    *_, proven = csv_format._digits17(ties)
     assert not proven.any()
 
 
