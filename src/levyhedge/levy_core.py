@@ -19,7 +19,11 @@ SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
 seed words are hashed here in bulk, for a block of paths at once, instead
 of by one SeedSequence object per stream.  Every path is
 made by the block kernels below: noise arrays in, value arrays out, with any
-leading path axes, so a (steps,) array is one path.
+leading path axes, so a (steps,) array is one path.  A path's noise depends
+on its index alone, not on the block, the range of paths or the process it
+is drawn in, so a Monte Carlo run can split its paths into ranges of whole
+blocks and give each range to another process (sim_harness._path_rows)
+without changing a byte.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 # Path-steps simulated together in one block of paths (at least one path
-# per block), read only by _noise_blocks.  It bounds the block arrays to
+# per block), read only by _block_paths.  It bounds the block arrays to
 # ~64 KiB each: 8 paths at 1000 steps, 1 path at 50 000 steps.  Results do
 # not depend on it.
 _BLOCK_PATH_STEPS = 8192
@@ -383,21 +387,28 @@ def sample_noise_block(
     return _draw_noise(measure, grid, seeds)
 
 
-def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, n_paths: int):
-    """Noise of paths 0 .. n_paths - 1 as (first_path, dW, counts), one block
-    of at most _BLOCK_PATH_STEPS path-steps (and at least one path) at a time.
+def _block_paths(steps: int) -> int:
+    """Paths in one block of :func:`_noise_blocks` on a grid of ``steps``
+    steps: at most _BLOCK_PATH_STEPS path-steps, and at least one path."""
+    return max(1, _BLOCK_PATH_STEPS // steps)
+
+
+def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, start: int, stop: int):
+    """Noise of paths start .. stop - 1 as (first_path, dW, counts), one block
+    of :func:`_block_paths` paths at a time, the first block at ``start``.
 
     Each path's substream seeds are those of :func:`sample_noise_block`,
     hashed one chunk of whole blocks (about _SEED_CHUNK_PATHS paths) at a
-    time; neither size changes a result.
+    time; neither size changes a result.  A range that starts at a multiple
+    of the block size is cut into the same blocks as the whole run.
     """
-    _, n_paths = _check_paths(0, n_paths)
-    block = max(1, _BLOCK_PATH_STEPS // grid.steps)
+    start, n_paths = _check_paths(start, stop - start)
+    block = _block_paths(grid.steps)
     chunk = block * max(1, _SEED_CHUNK_PATHS // block)
-    for start in range(0, n_paths, chunk):
-        seeds = _substream_seeds(seed, np.arange(start, min(start + chunk, n_paths), dtype=np.uint32))
-        for first in range(0, len(seeds), block):
-            yield (start + first, *_draw_noise(measure, grid, seeds[first : first + block]))
+    for first in range(start, start + n_paths, chunk):
+        seeds = _substream_seeds(seed, np.arange(first, min(first + chunk, start + n_paths), dtype=np.uint32))
+        for row in range(0, len(seeds), block):
+            yield (first + row, *_draw_noise(measure, grid, seeds[row : row + block]))
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:

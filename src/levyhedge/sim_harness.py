@@ -6,16 +6,30 @@ motion and the same two-atom jump measure (marks +1/-1, total rate 15,
 equal odds).  Everything is expressed in benchmark units, so the scenarios
 carry no pricing kernel.  One master seed makes every run reproducible; the
 reporting path (path_index 0) is retained in full for CSV emission.
+
+Monte Carlo runs fill their per-path arrays through :func:`_path_rows`,
+which splits the paths into contiguous ranges of whole blocks, one range
+per usable CPU when the run is large enough to repay a fork, and computes
+every range but the first in a forked child.  Each path draws from its own
+substreams and every reduction runs along one path, so the results are the
+same bytes whatever the number of processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .levy_core import (
+    _block_paths,
     _check_integer,
     _checked_prices,
     _noise_blocks,
@@ -304,13 +318,116 @@ def scenario_rho(s: Scenario) -> float | None:
 # run_scenario and the verification suites share these steps: price blocks
 # of paths on shared noise, hedge them at constant scaled ratios, and reduce
 # each path's residuals to the PATH_COLUMNS statistics.  Every reduction runs
-# along one path's steps, so the statistics do not depend on the block size.
+# along one path's steps, so the statistics do not depend on the block size
+# or on the process that computes them.
+
+# Fewest path-steps that each process of a run must simulate.  Measured on a
+# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4): fork, _exit and waitpid take
+# a median 4.0 ms in a levyhedge process of 38 MB and of 102 MB, while 2**17
+# path-steps of run_scenario on fig3 take 32-38 ms in one process.  So each
+# process has at least eight times a fork's cost of work: at 263 paths of
+# 1000 steps, just above two processes' threshold, two processes already
+# run 1.16x faster than one.
+_FORK_MIN_PATH_STEPS = 2**17
 
 
-def _price_blocks(price, s: Scenario):
+def _usable_cpus() -> int:
+    """CPUs this process may run on, on Linux; 1 elsewhere: Windows has no
+    fork, and macOS's system libraries (Accelerate, which NumPy may use for
+    BLAS, among them) are not safe to use in a forked child."""
+    if sys.platform != "linux":
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
+    """Paths 0 .. n_paths - 1 cut into contiguous ranges of whole blocks,
+    one per process: at most one per usable CPU and per block, and with at
+    least _FORK_MIN_PATH_STEPS path-steps each."""
+    block = _block_paths(steps)
+    blocks = -(-n_paths // block)
+    workers = max(1, min(_usable_cpus(), blocks, n_paths * steps // _FORK_MIN_PATH_STEPS))
+    edges = [min(n_paths, block * (blocks * k // workers)) for k in range(workers + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _fork_range(fill, rows: np.ndarray, start: int, stop: int) -> int | None:
+    """Fork a child that runs ``fill(rows, start, stop)`` and exits 0, or 1
+    on any exception or warning; returns its pid, or None when the system
+    refuses a new process."""
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a fork in a process with several
+            # threads (OpenBLAS keeps a pool) may deadlock the child.  The
+            # child runs NumPy's elementwise kernels and generators; its one
+            # BLAS call, compensate's dot product over the atoms, is too
+            # short for OpenBLAS to hand to its pool.  It writes to no file
+            # and leaves through os._exit, so it flushes no inherited buffer.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # a range that warns is recomputed by the parent, which
+                    # then warns as a one-process run does
+                    warnings.simplefilter("error")
+                    fill(rows, start, stop)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+    except OSError:
+        return None
+    return pid
+
+
+def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
+    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
+    start, stop)`` writes, range by range, into ``rows[..., start:stop]``.
+
+    The paths are cut into ranges of whole blocks (:func:`_path_ranges`).
+    This process fills the first range, which holds path 0; a forked child
+    fills each other range in shared memory.  A range whose child could not
+    be forked or did not exit with 0 is filled again here, in range order,
+    so an error is raised as a one-process run raises it: the first range's
+    first.  No child outlives the call.
+    """
+    (start, stop), *others = _path_ranges(n_paths, steps)
+    size = (*shape, n_paths)
+    if others:
+        rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
+    else:
+        rows = np.empty(size)
+    children = {}
+    try:
+        for r in others:
+            pid = _fork_range(fill, rows, *r)
+            if pid is not None:
+                children[r] = pid
+        fill(rows, start, stop)
+        done = set()
+        for r, pid in list(children.items()):
+            _, status = os.waitpid(pid, 0)
+            del children[r]
+            if os.waitstatus_to_exitcode(status) == 0:
+                done.add(r)
+    finally:
+        # an interrupt between a waitpid and its del leaves a reaped pid
+        # here; let the exception that got us here propagate, not this one
+        for pid in children.values():
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for r in others:
+        if r not in done:
+            fill(rows, *r)
+    return rows
+
+
+def _price_blocks(price, s: Scenario, start: int, stop: int):
     """Natural prices of the scenario's contract and hedging assets on
-    shared noise, one block of its paths at a time, from ``price``
-    (:func:`exponential_prices` or an Euler integrator).
+    shared noise, for its paths start .. stop - 1, one block at a time,
+    from ``price`` (:func:`exponential_prices` or an Euler integrator).
 
     Yields (first_path, counts, c, a) with c of shape (paths, steps + 1) and
     a of shape (paths, steps + 1, n_hedging).  A price that is not positive
@@ -318,7 +435,7 @@ def _price_blocks(price, s: Scenario):
     """
     specs = (s.natural_contract(), *s.natural_assets())
     coeffs = [natural_coefficients(spec, s.measure) for spec in specs]
-    for first, dw, counts in _noise_blocks(s.measure, s.grid, s.seed, s.n_paths):
+    for first, dw, counts in _noise_blocks(s.measure, s.grid, s.seed, start, stop):
 
         def prices(k: int, what: str) -> np.ndarray:
             values = price(coeffs[k], dw, counts, s.grid, specs[k].initial_price)
@@ -383,9 +500,10 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 
     Every asset on a path consumes the same noise realization; the hedge
     mode never alters the simulated prices.  Paths are simulated in blocks
-    of (paths, steps[, assets]) arrays; every reduction runs along one
-    path's steps, so the results are deterministic in the seed and do not
-    depend on the block size.
+    of (paths, steps[, assets]) arrays, in ranges of whole blocks that may
+    run in forked processes (:func:`_path_rows`); every reduction runs along
+    one path's steps, so the results are deterministic in the seed and do
+    not depend on the block size or the number of processes.
     """
     ratios = scenario_ratios(s)
     contract = s.natural_contract()
@@ -395,30 +513,33 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 
     hedge_ratios = ratios if ratios is not None else (0.0,) * len(assets)
     steps = s.grid.steps
-    columns = np.empty((len(PATH_COLUMNS), s.n_paths))
     golden = None
-    for first, counts, c, a in _price_blocks(exponential_prices, s):
-        phi, dv, gains = _hedge(c, a, hedge_ratios)
-        columns[:, first : first + len(dv)] = _path_stats(c, dv, first)
-        if first == 0:
-            # arrivals and the sum of their marks up to each grid time
-            jump_count_path = np.zeros(steps + 1)
-            np.cumsum(counts[0].sum(axis=1), out=jump_count_path[1:])
-            jump_sum_path = np.zeros(steps + 1)
-            if len(s.measure):
-                np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
-            golden = GoldenPath(
-                times=s.grid.times,
-                jump_count_path=jump_count_path,
-                jump_sum_path=jump_sum_path,
-                contract_values=c[0],
-                asset_values=a[0],
-                phi=phi[0],
-                theta=benchmark_holdings(phi[0], a[0], gains[0]),
-                portfolio_values=portfolio_values(c[0], dv[0]),
-                residuals=dv[0],
-            )
 
+    def fill(columns: np.ndarray, start: int, stop: int) -> None:
+        nonlocal golden
+        for first, counts, c, a in _price_blocks(exponential_prices, s, start, stop):
+            phi, dv, gains = _hedge(c, a, hedge_ratios)
+            columns[:, first : first + len(dv)] = _path_stats(c, dv, first)
+            if first == 0:
+                # arrivals and the sum of their marks up to each grid time
+                jump_count_path = np.zeros(steps + 1)
+                np.cumsum(counts[0].sum(axis=1), out=jump_count_path[1:])
+                jump_sum_path = np.zeros(steps + 1)
+                if len(s.measure):
+                    np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
+                golden = GoldenPath(
+                    times=s.grid.times,
+                    jump_count_path=jump_count_path,
+                    jump_sum_path=jump_sum_path,
+                    contract_values=c[0],
+                    asset_values=a[0],
+                    phi=phi[0],
+                    theta=benchmark_holdings(phi[0], a[0], gains[0]),
+                    portfolio_values=portfolio_values(c[0], dv[0]),
+                    residuals=dv[0],
+                )
+
+    columns = _path_rows((len(PATH_COLUMNS),), s.n_paths, steps, fill)
     terminal, integrated, normalized, residual_sum, per_step_std, max_abs = columns
     count = s.n_paths * steps
     with np.errstate(over="ignore", invalid="ignore"):  # a sum of finite statistics can overflow

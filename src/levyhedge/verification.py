@@ -41,6 +41,7 @@ from .sim_harness import (
     PATH_COLUMNS,
     Scenario,
     _hedge,
+    _path_rows,
     _path_stats,
     _price_blocks,
     builtin_scenario,
@@ -68,21 +69,31 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # The Monte Carlo statistics below are per-path arrays computed on the
 # simulation's blocks of paths (levy_core._noise_blocks and
 # sim_harness._price_blocks), with the simulation's hedge and per-path
-# statistics; every reduction runs along one path's steps, so the statistics
-# do not depend on the block size.
+# statistics, and filled range by range through sim_harness._path_rows;
+# every reduction runs along one path's steps, so the statistics do not
+# depend on the block size or the number of processes.
 
 
 def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x0: float, n_paths: int) -> np.ndarray:
     """Terminal values X_T (n_paths,) of constant-coefficient Euler paths from x0."""
-    blocks = _noise_blocks(coeffs.measure, grid, seed, n_paths)
-    return np.concatenate([integrate_block(coeffs, dw, counts, grid, x0)[:, -1] for _, dw, counts in blocks])
+
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        for first, dw, counts in _noise_blocks(coeffs.measure, grid, seed, start, stop):
+            out[first : first + len(dw)] = integrate_block(coeffs, dw, counts, grid, x0)[:, -1]
+
+    return _path_rows((), n_paths, grid.steps, fill)
 
 
 def _price_terminals(s: Scenario) -> np.ndarray:
     """Terminal natural prices (n_paths, 1 + n_hedging) of the scenario's
     exact geometric paths, the contract first."""
-    blocks = _price_blocks(exponential_prices, s)
-    return np.concatenate([np.column_stack((c[:, -1], a[:, -1])) for _, _, c, a in blocks])
+
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        for first, _, c, a in _price_blocks(exponential_prices, s, start, stop):
+            out[0, first : first + len(c)] = c[:, -1]
+            out[1:, first : first + len(c)] = a[:, -1].T
+
+    return _path_rows((1 + len(s.hedging_assets),), s.n_paths, s.grid.steps, fill).T
 
 
 def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
@@ -90,21 +101,23 @@ def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
     the scenario's contract at each constant ratio set in ``ratio_sets``, all
     on the scenario's paths from ``price`` (:func:`exponential_prices` or an
     Euler integrator)."""
-    stats = np.empty((len(PATH_COLUMNS), len(ratio_sets), s.n_paths))
-    for first, _, c, a in _price_blocks(price, s):
-        for j, ratios in enumerate(ratio_sets):
-            stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
-    return stats
+
+    def fill(stats: np.ndarray, start: int, stop: int) -> None:
+        for first, _, c, a in _price_blocks(price, s, start, stop):
+            for j, ratios in enumerate(ratio_sets):
+                stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
+
+    return _path_rows((len(PATH_COLUMNS), len(ratio_sets)), s.n_paths, s.grid.steps, fill)
 
 
 def _euler_gap_ratios(
     pairs: Sequence[tuple[SymmetricCoefficients, SymmetricCoefficients]], seed: int, n_paths: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-path ratios (fine / coarse grid) of the sup-norm gaps between the
-    Euler path of ``a`` and its closed form, and between the Euler path of
-    the product coefficients and the product of the Euler paths, for each
-    ``(a, b)`` in ``pairs``; every pair is over one measure and sees the same
-    noise, drawn once.
+) -> np.ndarray:
+    """Per-path ratios (len(pairs), 2, n_paths), fine / coarse grid, of the
+    sup-norm gaps between the Euler path of ``a`` and its closed form (row
+    0), and between the Euler path of the product coefficients and the
+    product of the Euler paths (row 1), for each ``(a, b)`` in ``pairs``;
+    every pair is over one measure and sees the same noise, drawn once.
 
     The fine grid has 2000 steps on [0, 1]; the coarse grid merges adjacent
     steps of the same noise.
@@ -112,22 +125,24 @@ def _euler_gap_ratios(
     measure = pairs[0][0].measure
     products = [product_coefficients(a, b) for a, b in pairs]
     fine_grid, coarse_grid = TimeGrid(1.0, 2000), TimeGrid(1.0, 1000)
-    ratios = [([], []) for _ in pairs]
-    for _, dw, counts in _noise_blocks(measure, fine_grid, seed, n_paths):
-        n = len(dw)
-        coarse = (dw.reshape(n, -1, 2).sum(axis=-1), counts.reshape(n, -1, 2, len(measure)).sum(axis=-2))
-        for (a, b), ab, (ratios_cf, ratios_prod) in zip(pairs, products, ratios):
-            gaps_cf, gaps_prod = [], []
-            for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
-                e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
-                e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
-                e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
-                cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
-                gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
-                gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
-            ratios_cf.append(gaps_cf[1] / gaps_cf[0])
-            ratios_prod.append(gaps_prod[1] / gaps_prod[0])
-    return [(np.concatenate(cf), np.concatenate(prod)) for cf, prod in ratios]
+
+    def fill(ratios: np.ndarray, start: int, stop: int) -> None:
+        for first, dw, counts in _noise_blocks(measure, fine_grid, seed, start, stop):
+            n = len(dw)
+            coarse = (dw.reshape(n, -1, 2).sum(axis=-1), counts.reshape(n, -1, 2, len(measure)).sum(axis=-2))
+            for (a, b), ab, pair_ratios in zip(pairs, products, ratios):
+                gaps_cf, gaps_prod = [], []
+                for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
+                    e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
+                    e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
+                    e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
+                    cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
+                    gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
+                    gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
+                pair_ratios[0, first : first + n] = gaps_cf[1] / gaps_cf[0]
+                pair_ratios[1, first : first + n] = gaps_prod[1] / gaps_prod[0]
+
+    return _path_rows((len(pairs), 2), n_paths, fine_grid.steps, fill)
 
 
 # ----------------------------------------------------------------------------

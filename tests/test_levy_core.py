@@ -177,7 +177,7 @@ def test_noise_across_a_seed_chunk_boundary(bern_measure):
     # rows of the first 4096-path seed chunk and the first of the second
     grid = TimeGrid(1.0, 3)
     assert levy_core._SEED_CHUNK_PATHS == 4096
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 4101))
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 4101))
     assert [first for first, _, _ in blocks] == [0, 2730]
     dw = np.concatenate([b[1] for b in blocks])
     counts = np.concatenate([b[2] for b in blocks])
@@ -203,7 +203,7 @@ def test_noise_rejects_path_indices_beyond_one_word(bern_measure, unit_grid, fir
         sample_noise_block(bern_measure, unit_grid, SEED, first, n)
     if first == 0:
         with pytest.raises(ValueError, match=r"path indices must lie in \[0, 2\*\*32\)"):
-            next(levy_core._noise_blocks(bern_measure, unit_grid, SEED, n))
+            next(levy_core._noise_blocks(bern_measure, unit_grid, SEED, 0, n))
 
 
 @pytest.mark.parametrize(
@@ -216,7 +216,7 @@ def test_noise_rejects_bad_seeds_as_seed_sequence_does(bern_measure, unit_grid, 
         with pytest.raises(error):
             sample_noise_block(bern_measure, unit_grid, seed, 0, n_paths)
     with pytest.raises(error):
-        next(levy_core._noise_blocks(bern_measure, unit_grid, seed, 3))
+        next(levy_core._noise_blocks(bern_measure, unit_grid, seed, 0, 3))
 
 
 def test_noise_shape_validation(bern_measure, unit_grid):

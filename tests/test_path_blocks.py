@@ -100,7 +100,7 @@ def test_results_do_not_depend_on_seed_chunk_size(chunk_paths):
     default = run_scenario(s)
     with mock.patch.object(levy_core, "_SEED_CHUNK_PATHS", chunk_paths):
         chunked = run_scenario(s)
-        blocks = list(levy_core._noise_blocks(s.measure, s.grid, s.seed, s.n_paths))
+        blocks = list(levy_core._noise_blocks(s.measure, s.grid, s.seed, 0, s.n_paths))
     np.testing.assert_array_equal(chunked.path_stats, default.path_stats)
     dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, s.n_paths)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
@@ -111,7 +111,7 @@ def test_a_block_larger_than_the_seed_chunk(bern_measure):
     # at one step a block holds 8192 paths, more than the 4096-path seed
     # chunk, so the chunk is the block
     grid = TimeGrid(1.0, 1)
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 9000))
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 9000))
     assert [b[0] for b in blocks] == [0, 8192]
     dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, 9000)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
@@ -134,7 +134,7 @@ def test_a_block_larger_than_the_seed_chunk(bern_measure):
 )
 def test_noise_blocks_tile_seed_chunks_with_whole_blocks(bern_measure, steps, n_paths, starts):
     grid = TimeGrid(1.0, steps)
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, n_paths))
+    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, n_paths))
     assert [b[0] for b in blocks] == starts
     dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, n_paths)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)

@@ -1,0 +1,306 @@
+"""Monte Carlo runs split over processes: the paths are cut into ranges of
+whole blocks, each range but the first runs in a forked child, and every
+result is the same bytes whatever the number of processes, whether a child
+could be forked, was killed or failed."""
+
+import errno
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from levyhedge import (
+    GeometricBernoulliSpec,
+    IntegrationError,
+    SymmetricCoefficients,
+    exponential_prices,
+    integrate_proportional_block,
+    run_scenario,
+    scenario_ratios,
+)
+from levyhedge import cli, levy_core, sim_harness
+from levyhedge.sim_harness import builtin_scenario, with_overrides
+from levyhedge.verification import _euler_gap_ratios, _euler_terminals, _hedge_stats, _price_terminals
+
+from test_path_blocks import GOLDEN_FIELDS
+from test_verification import _GAP_PAIRS
+
+pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks")
+
+# 8-path blocks at 1000 steps: 29 paths end in a block of 5
+N_PATHS = 29
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """Set the number of processes a run uses to ``count``, on any machine,
+    down to runs of a few path-steps."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
+
+    return use
+
+
+def at_each_count(processes, compute):
+    """``compute(count)`` at 1, 2 and 3 processes."""
+    results = []
+    for count in (1, 2, 3):
+        processes(count)
+        results.append(compute(count))
+    return results
+
+
+@pytest.mark.parametrize(
+    "n_paths, steps, cpus, threshold, expected",
+    [
+        # 63 blocks of 8 paths; 5e5 path-steps repay a fork for up to 3 processes
+        (500, 1000, 2, 2**17, [(0, 248), (248, 500)]),
+        (500, 1000, 8, 2**17, [(0, 168), (168, 336), (336, 500)]),
+        # below twice the threshold the run stays in one process
+        (262, 1000, 2, 2**17, [(0, 262)]),
+        (1000, 1000, 1, 2**17, [(0, 1000)]),
+        # one path per block at 50 000 steps: never more processes than blocks
+        (3, 50_000, 8, 1, [(0, 1), (1, 2), (2, 3)]),
+        (8, 50_000, 2, 2**17, [(0, 4), (4, 8)]),
+        (N_PATHS, 1000, 3, 1, [(0, 8), (8, 16), (16, 29)]),
+    ],
+)
+def test_ranges_are_whole_blocks(monkeypatch, n_paths, steps, cpus, threshold, expected):
+    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", threshold)
+    assert sim_harness._path_ranges(n_paths, steps) == expected
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2a", "fig3"])
+@pytest.mark.parametrize("n_paths", [24, N_PATHS])
+def test_run_scenario_does_not_depend_on_the_process_count(processes, name, n_paths):
+    s = with_overrides(builtin_scenario(name), n_paths=n_paths)
+    one, *others = at_each_count(processes, lambda _: run_scenario(s))
+    for result in others:
+        np.testing.assert_array_equal(result.path_stats, one.path_stats)
+        assert result.aggregate == one.aggregate
+        for field in GOLDEN_FIELDS:
+            np.testing.assert_array_equal(getattr(result.golden, field), getattr(one.golden, field))
+
+
+def simulate_csvs(out: Path, *args: str) -> dict[str, bytes]:
+    assert cli.main(["simulate", "fig3", "--paths", str(N_PATHS), *args, "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ("paths.csv", "golden_path.csv")}
+
+
+def test_simulate_csvs_do_not_depend_on_the_process_count(processes, tmp_path, capsys):
+    one, *others = at_each_count(processes, lambda count: simulate_csvs(tmp_path / str(count)))
+    assert all(csvs == one for csvs in others)
+    capsys.readouterr()
+
+
+FIG3 = with_overrides(builtin_scenario("fig3"), n_paths=N_PATHS)
+EULER = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), FIG3.measure)
+HELPERS = {
+    "euler terminals": lambda: _euler_terminals(EULER, FIG3.grid, 7, 3.0, N_PATHS),
+    "price terminals": lambda: _price_terminals(FIG3),
+    "hedge stats": lambda: _hedge_stats(
+        exponential_prices, FIG3, (scenario_ratios(FIG3), scenario_ratios(builtin_scenario("fig2a")))
+    ),
+    "euler hedge stats": lambda: _hedge_stats(integrate_proportional_block, FIG3, [scenario_ratios(FIG3)]),
+    # 2000 steps: 4-path blocks
+    "euler gap ratios": lambda: _euler_gap_ratios(_GAP_PAIRS, 7, N_PATHS),
+}
+
+
+@pytest.mark.parametrize("name", HELPERS)
+def test_verification_helpers_do_not_depend_on_the_process_count(processes, name):
+    one, *others = at_each_count(processes, lambda _: HELPERS[name]())
+    for result in others:
+        np.testing.assert_array_equal(result, one)
+
+
+def test_a_refused_fork_runs_the_range_here(processes, monkeypatch, tmp_path, capsys):
+    processes(1)
+    serial = simulate_csvs(tmp_path / "serial")
+    processes(3)
+
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert simulate_csvs(tmp_path / "refused") == serial
+    assert capsys.readouterr().err == ""
+
+
+def test_a_killed_child_has_its_range_recomputed(processes, monkeypatch, tmp_path, capsys):
+    processes(1)
+    serial = simulate_csvs(tmp_path / "serial")
+    processes(3)
+    parent = os.getpid()
+    filled_here = []
+    price_blocks = sim_harness._price_blocks
+
+    def killed_in_a_child(price, s, start, stop):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        filled_here.append(start)
+        return price_blocks(price, s, start, stop)
+
+    monkeypatch.setattr(sim_harness, "_price_blocks", killed_in_a_child)
+    assert simulate_csvs(tmp_path / "killed") == serial
+    # the first range here, then the two the killed children held
+    assert filled_here == [0, 8, 16]
+    assert capsys.readouterr().err == ""
+
+
+def fail_on_paths(monkeypatch, paths):
+    path_stats = sim_harness._path_stats
+
+    def failing(c, dv, first_path):
+        for p in paths:
+            if first_path <= p < first_path + len(dv):
+                raise IntegrationError(dv.shape[1], f"injected failure on path {p}")
+        return path_stats(c, dv, first_path)
+
+    monkeypatch.setattr(sim_harness, "_path_stats", failing)
+
+
+@pytest.mark.parametrize(
+    "paths, reported",
+    [
+        ((20,), 20),  # in the last range, a child's
+        ((12, 20), 12),  # the earlier of two children's ranges
+        ((3, 20), 3),  # the parent's range wins over a child's
+    ],
+)
+def test_an_error_in_any_range_is_the_serial_error(processes, monkeypatch, tmp_path, capsys, paths, reported):
+    fail_on_paths(monkeypatch, paths)
+    outputs = []
+    for count in (1, 3):
+        processes(count)
+        code = cli.main(["simulate", "fig3", "--paths", str(N_PATHS), "--out", str(tmp_path / str(count))])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    code, captured = outputs[0]
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"numerical failure: injected failure on path {reported}\n"
+
+
+def test_an_exception_here_stops_and_reaps_the_children(processes):
+    processes(3)
+    parent = os.getpid()
+
+    def fill(rows, start, stop):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sim_harness._path_rows((2,), N_PATHS, 1000, fill)
+    assert time.monotonic() - started < 30
+
+
+def test_an_interrupt_just_after_a_reap_is_the_error_raised(processes, monkeypatch):
+    # the interrupt lands after waitpid reaps the first child and before
+    # _path_rows forgets its pid: the clean-up must not replace it
+    processes(3)
+    waitpid = os.waitpid
+    calls = []
+
+    def interrupted(pid, options):
+        result = waitpid(pid, options)
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return result
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sim_harness._path_rows((), N_PATHS, 1000, lambda rows, start, stop: None)
+    monkeypatch.undo()
+    assert len(calls) == 2  # the reaped child is not waited for again
+
+
+def test_a_warning_in_a_child_is_given_here(processes):
+    # the child's range is filled again here, so the warnings come in path
+    # order, as from one process
+    def fill(rows, start, stop):
+        for p in range(start, stop):
+            warnings.warn(f"path {p}", RuntimeWarning)
+        rows[start:stop] = np.arange(start, stop)
+
+    results = []
+    for count in (1, 3):
+        processes(count)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sim_harness._path_rows((), N_PATHS, 1000, fill)
+        results.append((rows.tolist(), [str(w.message) for w in caught]))
+    assert results[0] == results[1] == (list(range(N_PATHS)), [f"path {p}" for p in range(N_PATHS)])
+
+
+def test_usable_cpus_are_the_affinity_mask():
+    assert sim_harness._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_a_price_range_error_in_a_child_is_raised_here(processes):
+    # a Brownian volatility of 37 drives a price to zero on a few paths of
+    # this fig1 market, the first of them outside the first range
+    s = builtin_scenario("fig1", hedging_assets=(GeometricBernoulliSpec(1.0, 37.0, 0.1),), seed=11, n_paths=40)
+    errors = []
+    for count in (1, 3):
+        processes(count)
+        with pytest.raises(levy_core.PriceRangeError) as info:
+            _price_terminals(s)
+        errors.append((str(info.value), info.value.path_index, info.value.step))
+    assert errors[0] == errors[1]
+    assert errors[0][1] >= sim_harness._path_ranges(40, 1000)[1][0]
+
+
+# Forces two processes on any machine, with one live extra thread; -W error
+# turns any warning, Python 3.12's warning about forking a process with
+# threads among them, into an exception on stderr.
+_THREADED_MAIN = """
+import sys, threading
+from levyhedge import cli, sim_harness
+sim_harness._usable_cpus = lambda: 2
+threading.Thread(target=threading.Event().wait, daemon=True).start()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["figures", "--paths", "400"], [f"wrote D/{name}.csv" for name in sim_harness.FIGURE_NAMES]),
+        (["simulate", "fig3", "--paths", "1000"], ["wrote D/paths.csv and D/golden_path.csv"]),
+    ],
+)
+def test_children_write_nothing(tmp_path, args, expected):
+    # stdout to a pipe, block-buffered: a child that flushed its copy of the
+    # buffer would repeat the lines printed before it was forked
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cp = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _THREADED_MAIN, *args, "--out", "D"],
+        cwd=tmp_path,
+        env={**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert cp.returncode == 0 and cp.stderr == ""
+    lines = cp.stdout.splitlines()
+    assert [line for line in lines if line.startswith("wrote")] == expected
+    assert len(lines) == len(set(lines))
