@@ -5,6 +5,8 @@ uses '.' decimals, no thousands separators, and 17-significant-digit floats
 so reruns are byte-identical.  The CSV bytes are those of '%.17g' for every
 float: :mod:`levyhedge.csv_format` writes the numbers, formatting chunks of
 rows in NumPy, and is imported by the first command that writes a CSV.
+:mod:`levyhedge.verification` holds the property suites and the rules for
+their names, seeds and path counts; only ``verify`` imports it.
 Each output directory receives an ``effective_config.json`` that reruns to
 identical outputs via ``--config``.
 
@@ -28,7 +30,6 @@ from .hedging import _gram_report, DegeneracyError, analytic_delta, volatility_g
 from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
-    _MAX_PATHS,
     DEFAULT_SEED,
     FIGURE_NAMES,
     PATH_COLUMNS,
@@ -41,7 +42,6 @@ from .sim_harness import (
     scenario_rho,
     with_overrides,
 )
-from .verification import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -326,11 +326,12 @@ def cmd_hedge(args) -> int:
     contract = scenario.natural_contract()
     assets = scenario.natural_assets()
     ratios = scenario_ratios(scenario)
+    # finite: Scenario checked the no-hedge error horizon * C0^2 * V[0, 0]
+    d_zero = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
 
     print(f"hedge mode: {scenario.hedge_mode}")
     if ratios is None:
-        d0 = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
-        print("no hedge requested; expected squared error:", f"{d0:.10g}")
+        print("no hedge requested; expected squared error:", f"{d_zero:.10g}")
         if args.out:
             _write_run(args.out, scenario, {})
         return EXIT_OK
@@ -346,7 +347,6 @@ def cmd_hedge(args) -> int:
     if not np.isfinite(theta0):
         raise IntegrationError(0, f"theta_0 overflows to {theta0}")
     d_hat = analytic_delta(contract, assets, ratios, scenario.measure, scenario.grid.horizon)
-    d_zero = analytic_delta(contract, assets, [0.0] * len(assets), scenario.measure, scenario.grid.horizon)
     # the degeneracy of the traded assets' Gram block, which the solve inverts
     traded = scenario.traded_assets()
     report = _gram_report(volatility_gram(contract, [assets[i] for i in traded], scenario.measure)[1:, 1:])
@@ -407,15 +407,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if args.paths is not None and args.paths < 2:
-        raise ConfigError(
-            f"paths must be at least 2, got {args.paths}: the Monte Carlo standard errors need two paths"
-        )
-    if args.paths is not None and args.paths > _MAX_PATHS:
-        raise ConfigError(f"paths must be at most {_MAX_PATHS}, got {args.paths}")
-    results = run_suite(args.suite, seed=args.seed if args.seed is not None else DEFAULT_SEED, n_paths=args.paths)
+    from . import verification  # loaded by verify, not by every start
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    # the suite name, seed and path count are checked where the suites live;
+    # a ValueError from a running suite is not a configuration error
+    with _config_errors():
+        verification._check_inputs(args.suite, seed, args.paths)
+    results = verification.run_suite(args.suite, seed=seed, n_paths=args.paths)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -458,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    p.add_argument("suite", help="property suite name, or all")
     p.add_argument("--seed", type=int)
     p.add_argument("--paths", type=int, help="Monte Carlo paths per check (suite default if omitted)")
     p.set_defaults(func=cmd_verify)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levyhedge import cli, csv_format, sim_harness
+from levyhedge import cli, csv_format, sim_harness, verification
 from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
 from levyhedge.market import GeometricBernoulliSpec
 from levyhedge.sim_harness import Scenario
@@ -605,17 +605,26 @@ def test_cli_import_does_not_load_numpy_random():
 
 
 def test_csv_formatter_loads_on_the_first_write(tmp_path: Path):
-    # import, --help and a hedge without --out write no CSV; hedge --out writes hedge.csv
+    # import, --help and a hedge without --out write no CSV; hedge --out writes
+    # hedge.csv; only verify loads the property suites
     code = f"""
 import contextlib, io, sys
 from levyhedge import cli
-for argv in ([], ["--help"], ["hedge", "fig3"], ["hedge", "fig3", "--out", {str(tmp_path)!r}]):
+for argv in ([], ["--help"], ["hedge", "fig3"], ["hedge", "fig3", "--out", {str(tmp_path)!r}],
+             ["verify", "completeness", "--paths", "4"]):
     with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
         if argv:
             cli.main(argv)
-    print("levyhedge.csv_format" in sys.modules)
+    print("levyhedge.csv_format" in sys.modules, "levyhedge.verification" in sys.modules)
 """
-    assert _fresh_interpreter(code).split() == ["False", "False", "False", "True"]
+    loaded = [tuple(line.split()) for line in _fresh_interpreter(code).splitlines()]
+    assert loaded == [
+        ("False", "False"),
+        ("False", "False"),
+        ("False", "False"),
+        ("True", "False"),
+        ("True", "True"),
+    ]
     assert (tmp_path / "hedge.csv").is_file()
 
 
@@ -668,13 +677,13 @@ def test_verify_single_path_is_config_error(suite):
 
 
 @pytest.mark.parametrize("paths", [2**63, 10**9 + 1])
-@pytest.mark.parametrize("suite", cli.SUITE_NAMES + ("all",))
+@pytest.mark.parametrize("suite", verification.SUITE_NAMES + ("all",))
 def test_verify_paths_above_the_scenario_bound_is_config_error(monkeypatch, capsys, suite, paths):
     # the bound simulate applies; the suite is never started
     def no_run(*args, **kwargs):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(verification, "_SUITES", dict.fromkeys(verification.SUITE_NAMES, no_run))
     assert cli.main(["verify", suite, "--paths", str(paths)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -682,8 +691,14 @@ def test_verify_paths_above_the_scenario_bound_is_config_error(monkeypatch, caps
 
 
 def test_verify_unknown_suite_rejected():
+    # verify --help does not list the suites, so the error names each of them
     cp = run_cli("verify", "everything")
     assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert len(cp.stderr.splitlines()) == 1 and "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("configuration error: unknown suite 'everything'; expected one of (")
+    for name in verification.SUITE_NAMES + ("all",):
+        assert repr(name) in cp.stderr
 
 
 def test_hedge_without_hedging_mode_reports_no_hedge(tmp_path: Path):

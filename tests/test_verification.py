@@ -264,3 +264,29 @@ def test_package_hedges_only_through_the_volatility_gram(module):
     # benchmark's hedge_sweep workload alone; the package reads the Gram
     retired = {"gram_system", "multi_asset_hedge", "degeneracy_check", "single_coefficients", "GramSystem"}
     assert not retired & set(vars(module))
+
+
+@pytest.mark.parametrize(
+    "name, seed, n_paths, message",
+    [
+        ("isometry", -1, None, "seed must"),
+        ("isometry", 1.5, None, "seed must"),
+        ("isometry", True, None, "seed must"),
+        ("isometry", "7", None, "seed must"),
+        ("isometry", SEED, 0, "paths must"),
+        ("isometry", SEED, 1, "paths must"),
+        ("isometry", SEED, True, "paths must"),
+        ("isometry", SEED, 2.0, "paths must"),
+        ("all", SEED, 10**9 + 1, "paths must"),
+        ("all", SEED, 2**63, "paths must"),
+        ("everything", SEED, None, "unknown suite"),
+    ],
+)
+def test_run_suite_rejects_bad_inputs_before_any_suite_starts(monkeypatch, name, seed, n_paths, message):
+    # no NaN from a one-path standard error, no TypeError from deep inside a suite
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verification, "_SUITES", dict.fromkeys(verification.SUITE_NAMES, no_run))
+    with pytest.raises(ValueError, match=f"^{message} "):
+        run_suite(name, seed, n_paths)
