@@ -4,7 +4,8 @@ Every command is deterministic given its configuration and seed; CSV output
 uses '.' decimals, no thousands separators, and 17-significant-digit floats
 so reruns are byte-identical.  The CSV bytes are those of '%.17g' for every
 float: :mod:`levyhedge.csv_format` writes the numbers, formatting chunks of
-rows in NumPy, and is imported by the first command that writes a CSV.
+rows in NumPy (a long table's ranges of chunks in forked processes), and is
+imported by the first command that writes a CSV.
 :mod:`levyhedge.verification` holds the property suites and the rules for
 their names, seeds and path counts; only ``verify`` imports it.
 Each output directory receives an ``effective_config.json`` that reruns to
@@ -174,33 +175,12 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-# rows formatted per write: the bytes held in memory stay bounded at any --steps
-_CSV_ROWS = 512
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_first: bool = False) -> None:
-    """Write ``header`` and the rows of the (rows, width) float array ``columns``.
+    """Write ``header`` and the rows of ``columns`` to a new CSV file at
+    ``path`` through :func:`csv_format.write_csv`."""
+    from .csv_format import write_csv  # loaded by the first write, not by every start
 
-    Each chunk of rows is formatted by :func:`csv_format.csv_rows` and
-    written at once; every cell is the text of ``format(x, '.17g')``, so the
-    bytes do not depend on the chunk size.  ``blank_first`` leaves the last
-    cell of the first row empty.
-    """
-    from .csv_format import csv_rows  # loaded by the first write, not by every start
-
-    columns = np.asarray(columns, dtype=np.float64)
-    # written as a new file: a symlink at the name is replaced, not written
-    # through, and no truncate waits for the old file's pending write-back
-    path.unlink(missing_ok=True)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        start = 0
-        if blank_first:
-            line = csv_rows(columns[:1])
-            fh.write(line[: line.rfind(b",") + 1] + b"\n")
-            start = 1
-        for first in range(start, len(columns), _CSV_ROWS):
-            fh.write(csv_rows(columns[first : first + _CSV_ROWS]))
+    write_csv(path, header, columns, blank_first)
 
 
 def _dump_config(cfg: dict, out_dir: Path) -> None:

@@ -217,10 +217,9 @@ class SymmetricCoefficients:
 
 
 def _check_seed(seed) -> int:
-    """``seed`` as a Python int, rejected as SeedSequence rejects it: a
-    TypeError for a non-integer, a ValueError for a negative one."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    """``seed`` as a Python int; a bool, a non-integer or a negative seed is
+    a ValueError, as in ``Scenario``."""
+    _check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     return int(seed)

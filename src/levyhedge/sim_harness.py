@@ -12,7 +12,9 @@ which splits the paths into contiguous ranges of whole blocks, one range
 per usable CPU when the run is large enough to repay a fork, and computes
 every range but the first in a forked child.  Each path draws from its own
 substreams and every reduction runs along one path, so the results are the
-same bytes whatever the number of processes.
+same bytes whatever the number of processes.  :func:`_fork_ranges` is the
+one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a long
+table into ranges of whole chunks of rows through it too.
 """
 
 from __future__ import annotations
@@ -340,39 +342,46 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
-    """Paths 0 .. n_paths - 1 cut into contiguous ranges of whole blocks,
-    one per process: at most one per usable CPU and per block, and with at
-    least _FORK_MIN_PATH_STEPS path-steps each."""
-    block = _block_paths(steps)
-    blocks = -(-n_paths // block)
-    workers = max(1, min(_usable_cpus(), blocks, n_paths * steps // _FORK_MIN_PATH_STEPS))
-    edges = [min(n_paths, block * (blocks * k // workers)) for k in range(workers + 1)]
+def _ranges(n: int, unit: int, most: int) -> list[tuple[int, int]]:
+    """Items 0 .. n - 1 cut into contiguous ranges of whole units of ``unit``
+    items, one per process: at most one per usable CPU, per unit, and at
+    most ``most``."""
+    units = -(-n // unit)
+    workers = max(1, min(_usable_cpus(), units, most))
+    edges = [min(n, unit * (units * k // workers)) for k in range(workers + 1)]
     return list(zip(edges, edges[1:]))
 
 
-def _fork_range(fill, rows: np.ndarray, start: int, stop: int) -> int | None:
-    """Fork a child that runs ``fill(rows, start, stop)`` and exits 0, or 1
-    on any exception or warning; returns its pid, or None when the system
-    refuses a new process."""
+def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
+    """Paths 0 .. n_paths - 1 cut into ranges of whole blocks, with at least
+    _FORK_MIN_PATH_STEPS path-steps each."""
+    return _ranges(n_paths, _block_paths(steps), n_paths * steps // _FORK_MIN_PATH_STEPS)
+
+
+def _fork_range(run, start: int, stop: int) -> int | None:
+    """Fork a child that runs ``run(start, stop)`` and exits 0, or 1 on any
+    exception or warning; returns its pid, or None when the system refuses
+    a new process."""
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that a fork in a process with several
             # threads (OpenBLAS keeps a pool) may deadlock the child.  The
             # child runs NumPy's elementwise kernels and generators; its one
             # BLAS call, compensate's dot product over the atoms, is too
-            # short for OpenBLAS to hand to its pool.  It writes to no file
-            # and leaves through os._exit, so it flushes no inherited buffer.
+            # short for OpenBLAS to hand to its pool.  It writes only what
+            # ``run`` writes (shared memory, or the unnamed temporary file of
+            # a CSV range, which ``run`` flushes) and leaves through os._exit,
+            # so it flushes no inherited buffer.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )
             pid = os.fork()
             if pid == 0:
                 try:
-                    # a range that warns is recomputed by the parent, which
-                    # then warns as a one-process run does
+                    # a range that warns is redone by the parent, which then
+                    # warns as a one-process run does
                     warnings.simplefilter("error")
-                    fill(rows, start, stop)
+                    run(start, stop)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -381,31 +390,23 @@ def _fork_range(fill, rows: np.ndarray, start: int, stop: int) -> int | None:
     return pid
 
 
-def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
-    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
-    start, stop)`` writes, range by range, into ``rows[..., start:stop]``.
+def _fork_ranges(ranges: list[tuple[int, int]], run) -> set[tuple[int, int]]:
+    """Run ``run(start, stop)`` for ``ranges[0]`` in this process and for
+    each other range in a forked child; returns the ranges whose children
+    exited with 0.
 
-    The paths are cut into ranges of whole blocks (:func:`_path_ranges`).
-    This process fills the first range, which holds path 0; a forked child
-    fills each other range in shared memory.  A range whose child could not
-    be forked or did not exit with 0 is filled again here, in range order,
-    so an error is raised as a one-process run raises it: the first range's
-    first.  No child outlives the call.
+    The caller redoes every other range, in range order and in this
+    process, so an error is raised as a one-process run raises it.  No child
+    outlives the call: an exception here kills and reaps them.
     """
-    (start, stop), *others = _path_ranges(n_paths, steps)
-    size = (*shape, n_paths)
-    if others:
-        rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
-    else:
-        rows = np.empty(size)
     children = {}
+    done = set()
     try:
-        for r in others:
-            pid = _fork_range(fill, rows, *r)
+        for r in ranges[1:]:
+            pid = _fork_range(run, *r)
             if pid is not None:
                 children[r] = pid
-        fill(rows, start, stop)
-        done = set()
+        run(*ranges[0])
         for r, pid in list(children.items()):
             _, status = os.waitpid(pid, 0)
             del children[r]
@@ -418,7 +419,28 @@ def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.nda
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    for r in others:
+    return done
+
+
+def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
+    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
+    start, stop)`` writes, range by range, into ``rows[..., start:stop]``.
+
+    The paths are cut into ranges of whole blocks (:func:`_path_ranges`).
+    This process fills the first range, which holds path 0; a forked child
+    fills each other range in shared memory (:func:`_fork_ranges`).  A range
+    whose child could not be forked or did not exit with 0 is filled again
+    here, in range order, so an error is raised as a one-process run raises
+    it: the first range's first.
+    """
+    ranges = _path_ranges(n_paths, steps)
+    size = (*shape, n_paths)
+    if len(ranges) > 1:
+        rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
+    else:
+        rows = np.empty(size)
+    done = _fork_ranges(ranges, lambda start, stop: fill(rows, start, stop))
+    for r in ranges[1:]:
         if r not in done:
             fill(rows, *r)
     return rows

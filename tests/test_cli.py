@@ -777,7 +777,7 @@ def _reference_hedge(s) -> bytes:
 def test_csv_bytes_match_cellwise_reference(tmp_path: Path, monkeypatch, capsys, chunk, steps):
     # 7 steps give 8 rows, 5000 steps 5001: neither fills its last chunk
     if chunk is not None:
-        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+        monkeypatch.setattr(csv_format, "_CSV_ROWS", chunk)
     n_paths, seed = 5, 9
     args = ["--paths", str(n_paths), "--steps", str(steps), "--seed", str(seed)]
     assert cli.main(["simulate", "fig3", *args, "--out", str(tmp_path / "sim")]) == 0
@@ -802,7 +802,7 @@ def test_csv_bytes_match_cellwise_reference(tmp_path: Path, monkeypatch, capsys,
 @pytest.mark.parametrize("blank_first", [False, True])
 def test_csv_writer_special_floats(tmp_path: Path, monkeypatch, chunk, blank_first):
     if chunk is not None:
-        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+        monkeypatch.setattr(csv_format, "_CSV_ROWS", chunk)
     special = [
         -0.0, 0.0, 1e-300, 5e-324, 2.0**53, -(2.0**53), 2.0**53 + 2, float("nan"), float("inf"), -float("inf"),
         0.1, 1 / 3, 1e16, 1e17, 1.7976931348623157e308, 7.0,
@@ -840,7 +840,7 @@ def test_csv_writer_matches_cells_on_any_floats(tmp_path_factory, columns, blank
 @pytest.mark.parametrize("chunk", [1, 3, None])
 def test_csv_writer_matches_cells_on_random_bit_patterns(tmp_path: Path, monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(cli, "_CSV_ROWS", chunk)
+        monkeypatch.setattr(csv_format, "_CSV_ROWS", chunk)
     n = 200_000 if chunk is None else 3_000
     bits = np.random.default_rng(20240611).integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
     _assert_csv_matches_cells(tmp_path / "bits.csv", bits.view(np.float64).reshape(-1, 8), blank_first=True)

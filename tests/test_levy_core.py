@@ -22,6 +22,7 @@ from levyhedge import (
 )
 from levyhedge import levy_core
 from levyhedge.levy_core import _substream_seeds
+from levyhedge.sim_harness import builtin_scenario
 
 SEED = 20240
 
@@ -206,16 +207,16 @@ def test_noise_rejects_path_indices_beyond_one_word(bern_measure, unit_grid, fir
             next(levy_core._noise_blocks(bern_measure, unit_grid, SEED, 0, n))
 
 
-@pytest.mark.parametrize(
-    "seed, error", [(-1, ValueError), (np.int64(-5), ValueError), (1.5, TypeError), ("7", TypeError)]
-)
-def test_noise_rejects_bad_seeds_as_seed_sequence_does(bern_measure, unit_grid, seed, error):
-    with pytest.raises(error):
-        np.random.SeedSequence(seed, spawn_key=(0, 0))
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), 1.5, "7", True])
+def test_noise_rejects_bad_seeds_as_a_scenario_does(bern_measure, unit_grid, seed):
+    # a ValueError, as Scenario raises it; SeedSequence would take True as 1
+    # and raise a TypeError for 1.5 and "7"
+    with pytest.raises(ValueError):
+        builtin_scenario("fig1", seed=seed)
     for n_paths in (1, 3):  # the Python-int and the array hash
-        with pytest.raises(error):
+        with pytest.raises(ValueError, match="seed must be"):
             sample_noise_block(bern_measure, unit_grid, seed, 0, n_paths)
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match="seed must be"):
         next(levy_core._noise_blocks(bern_measure, unit_grid, seed, 0, 3))
 
 

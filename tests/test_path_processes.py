@@ -1,7 +1,8 @@
-"""Monte Carlo runs split over processes: the paths are cut into ranges of
-whole blocks, each range but the first runs in a forked child, and every
-result is the same bytes whatever the number of processes, whether a child
-could be forked, was killed or failed."""
+"""Monte Carlo runs and CSV writes split over processes: the paths are cut
+into ranges of whole blocks and a long table's rows into ranges of whole
+chunks, each range but the first runs in a forked child, and every result
+is the same bytes whatever the number of processes, whether a child could
+be forked, was killed or failed."""
 
 import errno
 import os
@@ -24,7 +25,7 @@ from levyhedge import (
     run_scenario,
     scenario_ratios,
 )
-from levyhedge import cli, levy_core, sim_harness
+from levyhedge import cli, csv_format, levy_core, sim_harness
 from levyhedge.sim_harness import builtin_scenario, with_overrides
 from levyhedge.verification import _euler_gap_ratios, _euler_terminals, _hedge_stats, _price_terminals
 
@@ -46,12 +47,14 @@ def no_child_outlives_a_test():
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Set the number of processes a run uses to ``count``, on any machine,
-    down to runs of a few path-steps."""
+    """Set the number of processes a run or a CSV write uses to ``count``,
+    on any machine, down to runs of a few path-steps and tables of a few
+    cells."""
 
     def use(count: int) -> None:
         monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
         monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
+        monkeypatch.setattr(csv_format, "_FORK_MIN_CELLS", 1)
 
     return use
 
@@ -107,6 +110,111 @@ def test_simulate_csvs_do_not_depend_on_the_process_count(processes, tmp_path, c
     one, *others = at_each_count(processes, lambda count: simulate_csvs(tmp_path / str(count)))
     assert all(csvs == one for csvs in others)
     capsys.readouterr()
+
+
+def table(rows: int) -> np.ndarray:
+    """A (rows, 3) table with every layout of '%.17g': integers, fractions,
+    e-XX exponents, negatives, zeros, NaN and the infinities."""
+    values = np.random.default_rng(rows).standard_normal((rows, 3)) * np.array([1.0, 1e-7, 1e20])
+    flat = values.ravel()
+    flat[::7] = np.resize([0.0, -0.0, 7.0, float("nan"), float("inf"), -float("inf")], flat[::7].size)
+    return values
+
+
+def write_table(path: Path, columns: np.ndarray, blank_first: bool) -> bytes:
+    csv_format.write_csv(path, ["a", "b", "c"], columns, blank_first)
+    return path.read_bytes()
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` made in this process."""
+    calls = []
+    original = getattr(module, name)
+    parent = os.getpid()
+
+    def counted(*args):
+        if os.getpid() == parent:
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("blank_first", [False, True])
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 1537])
+def test_csv_bytes_do_not_depend_on_the_process_count(processes, monkeypatch, tmp_path, rows, blank_first):
+    columns = table(rows)
+    forks = counting(monkeypatch, os, "fork")
+    appends = counting(monkeypatch, csv_format, "_append")
+    outputs = []
+    for count in (1, 2, 3):
+        processes(count)
+        forks.clear()
+        appends.clear()
+        outputs.append(write_table(tmp_path / f"{count}.csv", columns, blank_first))
+        # one range per process, at most one per 512-row chunk, each but the
+        # first formatted by a child and appended here
+        chunks = -(-rows // 512)
+        assert len(forks) == len(appends) == min(count, chunks) - 1
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert sorted(os.listdir(tmp_path)) == ["1.csv", "2.csv", "3.csv"]
+
+
+def refuse_fork(monkeypatch):
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def fail_in_a_child(monkeypatch):
+    parent = os.getpid()
+    csv_rows = csv_format.csv_rows
+
+    def failing(block):
+        if os.getpid() != parent:
+            raise RuntimeError("injected failure in a child")
+        return csv_rows(block)
+
+    monkeypatch.setattr(csv_format, "csv_rows", failing)
+
+
+def refuse_temp_file(monkeypatch):
+    def refuse(**kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(csv_format.tempfile, "TemporaryFile", refuse)
+
+
+@pytest.mark.parametrize("failure", [refuse_fork, fail_in_a_child, refuse_temp_file])
+def test_a_range_no_child_wrote_is_written_here(processes, monkeypatch, tmp_path, failure):
+    columns = table(1537)
+    processes(1)
+    serial = write_table(tmp_path / "serial.csv", columns, True)
+    processes(3)
+    failure(monkeypatch)
+    appends = counting(monkeypatch, csv_format, "_append")
+    assert write_table(tmp_path / "failed.csv", columns, True) == serial
+    assert appends == []
+    assert sorted(os.listdir(tmp_path)) == ["failed.csv", "serial.csv"]
+
+
+def test_an_exception_in_the_parents_range_stops_and_reaps_the_children(processes, monkeypatch, tmp_path):
+    processes(3)
+    parent = os.getpid()
+
+    def csv_rows(block):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(csv_format, "csv_rows", csv_rows)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        csv_format.write_csv(tmp_path / "t.csv", ["a", "b", "c"], table(1537))
+    assert time.monotonic() - started < 30
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 FIG3 = with_overrides(builtin_scenario("fig3"), n_paths=N_PATHS)
@@ -286,6 +394,8 @@ sys.exit(cli.main(sys.argv[1:]))
     [
         (["figures", "--paths", "400"], [f"wrote D/{name}.csv" for name in sim_harness.FIGURE_NAMES]),
         (["simulate", "fig3", "--paths", "1000"], ["wrote D/paths.csv and D/golden_path.csv"]),
+        # 450 009 golden-path cells: the CSV writer forks too
+        (["simulate", "fig3", "--paths", "8", "--steps", "50000"], ["wrote D/paths.csv and D/golden_path.csv"]),
     ],
 )
 def test_children_write_nothing(tmp_path, args, expected):
@@ -304,3 +414,5 @@ def test_children_write_nothing(tmp_path, args, expected):
     lines = cp.stdout.splitlines()
     assert [line for line in lines if line.startswith("wrote")] == expected
     assert len(lines) == len(set(lines))
+    written = {name for line in expected for name in line.split() if name.startswith("D/")}
+    assert {f"D/{name}" for name in os.listdir(tmp_path / "D")} == written | {"D/effective_config.json"}
