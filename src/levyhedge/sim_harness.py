@@ -324,12 +324,16 @@ def scenario_rho(s: Scenario) -> float | None:
 # or on the process that computes them.
 
 # Fewest path-steps that each process of a run must simulate.  Measured on a
-# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4): fork, _exit and waitpid take
-# a median 4.0 ms in a levyhedge process of 38 MB and of 102 MB, while 2**17
-# path-steps of run_scenario on fig3 take 32-38 ms in one process.  So each
-# process has at least eight times a fork's cost of work: at 263 paths of
-# 1000 steps, just above two processes' threshold, two processes already
-# run 1.16x faster than one.
+# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), 60 alternated runs a side: a
+# bare fork, _exit and waitpid take a median 3.4-4.0 ms in a levyhedge
+# process of 38 MiB, but a second process costs about 12-15 ms at this
+# threshold and 20 ms at 500 paths (the two-process time less half the
+# one-process time): copy-on-write faults slow both processes, and the
+# ranges of whole blocks are not quite equal.  2**17 path-steps of
+# run_scenario on fig3 take about 30 ms in one process.  At 263 paths of
+# 1000 steps, just above two processes' threshold, two processes run
+# 1.33-1.42x faster than one (42-43 ms against 57-60 ms), and at 500 paths
+# 1.41-1.44x; 2**18 would run 500 paths in one process.
 _FORK_MIN_PATH_STEPS = 2**17
 
 
@@ -586,9 +590,42 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     )
 
 
-def _ratio_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+# Most cells of the grid that one block of the brute-force sweep holds.
+# A block is whole rows of the first ratio axis; in two-asset mode it sits
+# in two float64 buffers of at most 512 KiB each, reused from block to
+# block, so both stay in a core's 2 MiB L2 cache.  Measured on a 2-CPU Intel Xeon VM (NumPy 2.4) on
+# fig3's 1001 x 1001 grid, median of 200 alternated calls: 2**12 cells
+# 7.6 ms, 2**14 4.2 ms, 2**15 3.8 ms, 2**16 3.8 ms, 2**17 4.5 ms, 2**18
+# 5.0 ms, and the whole grid in one block 11.6 ms (12.1 ms for the
+# sparse-meshgrid expression it replaced).
+_SWEEP_BLOCK_CELLS = 2**16
+
+# Most cells a sweep accepts.  10**8 cells take 0.15-0.2 s on the same
+# machine in two-asset mode (10**4 ratios per axis) and 0.7 s in single
+# mode; a larger grid (a mistyped step, say) is rejected before any array
+# is allocated, instead of running for minutes or hours.
+_MAX_SWEEP_CELLS = 10**8
+
+
+def _ratio_count(lo: float, hi: float, step: float, dims: int) -> int:
+    """Number of ratios lo, lo + step, ... up to hi on each axis of a sweep
+    over ``dims`` ratios; raises ValueError for a bound or a step that is
+    not finite, a step that is not positive, hi < lo, or a grid of more
+    than _MAX_SWEEP_CELLS cells."""
+    for name, value in (("ratio_min", lo), ("ratio_max", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    if hi < lo:
+        raise ValueError(f"ratio_max {hi!r} is below ratio_min {lo!r}")
+    spans = (hi - lo) / step  # inf when hi - lo overflows
+    if spans >= _MAX_SWEEP_CELLS or (int(round(spans)) + 1) ** dims > _MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"a sweep over [{lo!r}, {hi!r}] at step {step!r} in {dims} ratio(s) has more than "
+            f"{_MAX_SWEEP_CELLS} cells; use a coarser step or a narrower range"
+        )
+    return int(round(spans)) + 1
 
 
 def brute_force_constant_hedge(
@@ -597,29 +634,63 @@ def brute_force_constant_hedge(
     """Exhaustive sweep of the closed-form error over constant scaled ratios.
 
     Each traded asset's ratio (one in single mode, two in two-asset mode)
-    is swept over [ratio_min, ratio_max], and the error T C_0^2 c'Vc with
-    c = (1, -psi) is evaluated on the grid of all of them.  This is the
-    independent check that the closed-form hedges sit at the minimum: no
-    solver output enters the sweep.
+    is swept over ratio_min, ratio_min + step, ... up to ratio_max, and the
+    error T C_0^2 c'Vc with c = (1, -psi) is evaluated on the grid of all
+    of them.  This is the independent check that the closed-form hedges sit
+    at the minimum: no solver output enters the sweep.
+
+    The grid is evaluated in blocks of whole rows of the first ratio axis,
+    at most _SWEEP_BLOCK_CELLS cells each (in two-asset mode in two buffers
+    reused from block to block), so the sweep holds about 2 MiB at most,
+    whatever the grid's size.  Every cell is computed by the same
+    operations in the same order as on the whole grid at once, and the
+    first minimum in C order wins, with a NaN before any number as in
+    ``np.argmin``: the result is bitwise that of the whole grid.
+
+    Raises ValueError for a mode other than single or two-asset, a bound or
+    step that is not finite, a step that is not positive, ratio_max below
+    ratio_min, and a grid of more than _MAX_SWEEP_CELLS cells.
     """
     if s.hedge_mode not in ("single", "two_asset"):
         raise ValueError("brute force sweep needs hedge_mode 'single' or 'two_asset'")
     traded = s.traded_assets()
+    n = _ratio_count(ratio_min, ratio_max, step, len(traded))
     contract = s.natural_contract()
     assets = s.natural_assets()
     v = volatility_gram(contract, [assets[i] for i in traded], s.measure)
-    axes = tuple(_ratio_axis(ratio_min, ratio_max, step) for _ in traded)
-    # c'Vc = V_00 + sum_i psi_i (psi_i V_ii - 2 V_i0) + 2 sum_{j<i} psi_i psi_j V_ij
-    # on a sparse grid, so only the terms in two ratios span the full grid
-    psi = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rate = v[0, 0]
-    for i in range(1, len(v)):
-        rate = rate + psi[i - 1] * (psi[i - 1] * v[i, i] - 2.0 * v[i, 0])
-        for j in range(1, i):
-            rate = rate + 2.0 * v[i, j] * psi[i - 1] * psi[j - 1]
     c0 = contract.initial_price
-    deltas = s.grid.horizon * c0 * c0 * rate
-    best = np.unravel_index(int(np.argmin(deltas)), deltas.shape)
+    scale = s.grid.horizon * c0 * c0
+    # c'Vc = V_00 + psi_1 (psi_1 V_11 - 2 V_10)
+    #             [+ psi_2 (psi_2 V_22 - 2 V_20) + 2 V_21 psi_2 psi_1],
+    # row terms in psi_1, column terms in psi_2, added in this order
+    two_asset = len(traded) == 2
+    width = n if two_asset else 1
+    block = max(1, _SWEEP_BLOCK_CELLS // width)
+    if two_asset:
+        psi_2 = ratio_min + step * np.arange(n)
+        columns = psi_2 * (psi_2 * v[2, 2] - 2.0 * v[2, 0])
+        cross = 2.0 * v[2, 1] * psi_2
+        deltas = np.empty((min(block, n), n))
+        products = np.empty_like(deltas)
+    minima, cells = [], []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        psi_1 = ratio_min + step * np.arange(start, stop)[:, None]
+        row = v[0, 0] + psi_1 * (psi_1 * v[1, 1] - 2.0 * v[1, 0])
+        if two_asset:
+            d = deltas[: stop - start]
+            np.add(row, columns, out=d)
+            p = products[: stop - start]
+            np.multiply(cross, psi_1, out=p)
+            d += p
+        else:
+            d = row
+        d *= scale
+        k = int(np.argmin(d))
+        minima.append(d.flat[k])
+        cells.append(start * width + k)
+    b = int(np.argmin(minima))
+    best = np.unravel_index(cells[b], (n,) * len(traded))
     ratios = np.zeros(len(assets))
-    ratios[traded] = [axis[k] for axis, k in zip(axes, best)]
-    return BruteForceResult(tuple(ratios), float(deltas[best]))
+    ratios[traded] = ratio_min + step * np.array(best)
+    return BruteForceResult(tuple(ratios), float(minima[b]))

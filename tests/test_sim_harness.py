@@ -1,7 +1,10 @@
+import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import one_path
 from levyhedge import (
@@ -18,6 +21,7 @@ from levyhedge import (
     scenario_ratios,
     single_coefficients,
     two_asset_hedge,
+    volatility_gram,
 )
 from levyhedge import sim_harness
 from levyhedge.sim_harness import with_overrides
@@ -291,3 +295,185 @@ def test_sweep_brownian_only_market():
 def test_sweep_requires_hedging_mode():
     with pytest.raises(ValueError):
         brute_force_constant_hedge(builtin_scenario("fig1"), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, message",
+    [
+        (1.0, 0.0, 1e-3, "ratio_max 0.0 is below ratio_min 1.0"),
+        (0.0, 1.0, -1e-3, "step must be positive"),
+        (0.0, 1.0, 0.0, "step must be positive"),
+        (math.nan, 1.0, 1e-3, "ratio_min must be finite"),
+        (0.0, math.nan, 1e-3, "ratio_max must be finite"),
+        (0.0, 1.0, math.nan, "step must be finite"),
+        (-math.inf, 1.0, 1e-3, "ratio_min must be finite"),
+        (0.0, math.inf, 1e-3, "ratio_max must be finite"),
+        (0.0, 1.0, math.inf, "step must be finite"),
+        (0.0, 1.0, 1e-6, "more than 100000000 cells"),
+        (-1e308, 1e308, 1.0, "more than 100000000 cells"),  # hi - lo overflows
+    ],
+)
+def test_sweep_rejects_bad_arguments(lo, hi, step, message):
+    with pytest.raises(ValueError, match=message):
+        brute_force_constant_hedge(builtin_scenario("fig3"), lo, hi, step)
+
+
+def test_sweep_cell_limit_counts_the_cells_of_the_whole_grid():
+    # 10**4 ratios per axis are 10**8 cells in two-asset mode, the limit;
+    # one more ratio per axis is over it, but not on one axis alone
+    fig3, fig2a = builtin_scenario("fig3"), builtin_scenario("fig2a")
+    best = brute_force_constant_hedge(fig3, 0.0, 0.9999, 1e-4).best_ratios
+    assert max(abs(b - r) for b, r in zip(best, scenario_ratios(fig3))) <= 1e-3
+    with pytest.raises(ValueError, match="more than 100000000 cells"):
+        brute_force_constant_hedge(fig3, 0.0, 1.0, 1e-4)
+    assert abs(brute_force_constant_hedge(fig2a, 0.0, 1.0, 1e-4).best_ratios[0] - scenario_ratios(fig2a)[0]) <= 1e-4
+
+
+def _full_grid_sweep(s, lo, hi, step):
+    """The sweep as one whole-grid expression: the reference the blocked
+    sweep must reproduce bit for bit."""
+    traded = s.traded_assets()
+    assets = s.natural_assets()
+    v = volatility_gram(s.natural_contract(), [assets[i] for i in traded], s.measure)
+    axes = (lo + step * np.arange(int(round((hi - lo) / step)) + 1),) * len(traded)
+    psi = np.meshgrid(*axes, indexing="ij", sparse=True)
+    rate = v[0, 0]
+    for i in range(1, len(v)):
+        rate = rate + psi[i - 1] * (psi[i - 1] * v[i, i] - 2.0 * v[i, 0])
+        for j in range(1, i):
+            rate = rate + 2.0 * v[i, j] * psi[i - 1] * psi[j - 1]
+    c0 = s.natural_contract().initial_price
+    deltas = s.grid.horizon * c0 * c0 * rate
+    best = np.unravel_index(int(np.argmin(deltas)), deltas.shape)
+    ratios = np.zeros(len(assets))
+    ratios[traded] = [axis[k] for axis, k in zip(axes, best)]
+    return tuple(ratios), float(deltas[best])
+
+
+def _blocked_sweep(s, lo, hi, step, block_rows):
+    n = int(round((hi - lo) / step)) + 1
+    width = n if s.hedge_mode == "two_asset" else 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_harness, "_SWEEP_BLOCK_CELLS", block_rows * width)
+        return brute_force_constant_hedge(s, lo, hi, step)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+_spec = st.builds(
+    GeometricBernoulliSpec,
+    st.floats(0.5, 200.0),
+    st.floats(0.0, 0.5),
+    st.floats(-0.5, 0.5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["single", "two_asset"]),
+    contract=_spec,
+    assets=st.tuples(_spec, _spec),
+    rate=st.floats(0.0, 20.0),
+    lo=st.floats(-2.0, 2.0),
+    step=st.floats(1e-3, 0.5),
+    count=st.integers(1, 80),
+    block=st.sampled_from(["one", "seven", "non-divisor", "beyond"]),
+)
+def test_blocked_sweep_is_bitwise_the_full_grid(mode, contract, assets, rate, lo, step, count, block):
+    s = Scenario(
+        measure=LevyMeasure.bernoulli(rate=rate, up_prob=0.4, up=0.8, down=-1.1) if rate > 0 else LevyMeasure(),
+        contract=contract,
+        hedging_assets=assets,
+        grid=TimeGrid(1.0, 10),
+        n_paths=1,
+        seed=SEED,
+        hedge_mode=mode,
+        hedge_asset_index=1,
+    )
+    hi = lo + step * (count - 1)
+    n = int(round((hi - lo) / step)) + 1
+    block_rows = {
+        "one": 1,
+        "seven": 7,
+        "non-divisor": next((r for r in range(2, n) if n % r), n + 1),
+        "beyond": n + 1,
+    }[block]
+    ratios, delta = _full_grid_sweep(s, lo, hi, step)
+    result = _blocked_sweep(s, lo, hi, step, block_rows)
+    assert _bits(result.best_ratios) == _bits(ratios)
+    assert _bits([result.best_delta]) == _bits([delta])
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi", [("fig2a", 0.0, 2.0), ("fig2b", 0.0, 2.0), ("fig3", 0.0, 1.0), ("fig4", 0.0, 1.0), ("fig3", -0.3, 1.7)]
+)
+def test_figure_sweeps_are_bitwise_the_full_grid(name, lo, hi):
+    # at the default block size: 65 rows of fig3's 1001, the last block short
+    s = builtin_scenario(name)
+    ratios, delta = _full_grid_sweep(s, lo, hi, 1e-3)
+    result = brute_force_constant_hedge(s, lo, hi, 1e-3)
+    assert _bits(result.best_ratios) == _bits(ratios)
+    assert _bits([result.best_delta]) == _bits([delta])
+
+
+def _tie_scenario(mode):
+    # the contract and asset 1 share no source of risk (V_10 = 0), and
+    # asset 2 shares none with asset 1 (V_21 = 0): the error is even in
+    # psi_1, so psi_1 = -0.25 and +0.25 tie exactly
+    return Scenario(
+        measure=LevyMeasure.bernoulli(rate=15.0, up_prob=0.5, up=1.0, down=-1.0),
+        contract=GeometricBernoulliSpec(100.0, 0.15, 0.0),
+        hedging_assets=(GeometricBernoulliSpec(100.0, 0.0, 0.3), GeometricBernoulliSpec(100.0, 0.1, 0.0)),
+        grid=TimeGrid(1.0, 10),
+        n_paths=1,
+        seed=SEED,
+        hedge_mode=mode,
+    )
+
+
+@pytest.mark.parametrize("mode", ["single", "two_asset"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4])
+def test_sweep_tie_across_a_block_edge_goes_to_the_earlier_cell(mode, block_rows):
+    s = _tie_scenario(mode)
+    lo, hi, step = -0.75, 0.75, 0.5  # psi_1 in (-0.75, -0.25, 0.25, 0.75)
+    ratios, delta = _full_grid_sweep(s, lo, hi, step)
+    assert ratios[0] == -0.25
+    result = _blocked_sweep(s, lo, hi, step, block_rows)
+    assert _bits(result.best_ratios) == _bits(ratios)
+    assert _bits([result.best_delta]) == _bits([delta])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 21, 22])
+def test_sweep_takes_the_first_nan_as_np_argmin_does(block_rows):
+    # at |psi| = 1e200 the error overflows: inf in psi_1 and psi_2 alone,
+    # -inf in the cross term where psi_1 psi_2 < 0, so the grid holds
+    # finite, infinite and NaN cells, and its first NaN is the minimum
+    s = builtin_scenario("fig3")
+    lo, hi, step = -1e200, 1e200, 1e199
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios, delta = _full_grid_sweep(s, lo, hi, step)
+        result = _blocked_sweep(s, lo, hi, step, block_rows)
+    assert math.isnan(delta)
+    assert _bits(result.best_ratios) == _bits(ratios)
+    assert math.isnan(result.best_delta)
+
+
+@pytest.mark.parametrize(
+    "name, step, limit_mib",
+    [
+        ("fig3", 1e-3, 2),  # the 1001 x 1001 grid at once peaks at 15.45 MiB
+        ("fig2a", 1e-6, 4),  # 10**6 ratios: the axis alone is 7.6 MiB
+    ],
+)
+def test_sweep_memory_is_bounded(name, step, limit_mib):
+    s = builtin_scenario(name)
+    brute_force_constant_hedge(s, 0.0, 1.0, step)  # compile and cache once
+    tracemalloc.start()
+    try:
+        brute_force_constant_hedge(s, 0.0, 1.0, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
