@@ -6,8 +6,8 @@ so reruns are byte-identical.  The CSV bytes are those of '%.17g' for every
 float: :mod:`levyhedge.csv_format` writes the numbers, formatting chunks of
 rows in NumPy (a long table's ranges of chunks in forked processes), and is
 imported by the first command that writes a CSV.
-:mod:`levyhedge.verification` holds the property suites and the rules for
-their names, seeds and path counts; only ``verify`` imports it.
+:mod:`levyhedge.verification` holds the property suites and checks their
+names, seeds and path counts; only ``verify`` imports it.
 Each output directory receives an ``effective_config.json`` that reruns to
 identical outputs via ``--config``.
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .levy_core import LevyMeasure
+from .levy_core import _check_atoms, LevyMeasure
 from .market import AssetSpec
 
 __all__ = [
@@ -147,10 +147,10 @@ def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: L
     scaled by sqrt(1, w) and multiplied by their own transpose, which keeps
     V exactly symmetric.
     """
-    specs = (contract, *assets)
-    if any(len(spec.jump_vol) != len(measure) for spec in specs):
-        raise ValueError("asset jump entries must match the measure's atom count")
-    b = np.array([(spec.brownian_vol, *spec.jump_vol) for spec in specs])
+    _check_atoms(len(contract.jump_vol), measure, "contract")
+    for asset in assets:
+        _check_atoms(len(asset.jump_vol), measure, "asset")
+    b = np.array([(spec.brownian_vol, *spec.jump_vol) for spec in (contract, *assets)])
     b *= np.sqrt(np.concatenate(([1.0], measure.intensities)))
     return b @ b.T
 

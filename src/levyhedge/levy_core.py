@@ -95,22 +95,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_integer(value, what: str) -> None:
-    """Reject a count that is not an integer; a bool is not taken for one."""
+def _plain(value) -> str:
+    """The repr of a rejected value, a NumPy scalar as the Python value it holds."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+def _check_count(value, what: str, low: int | None = None, high: int | None = None, why_low: str = "") -> int:
+    """Return a count, seed or index as a Python int: the one rule for every
+    integer the package accepts.  A bool is not taken for one; ``low`` and
+    ``high`` are inclusive bounds, and ``why_low`` is appended to the
+    message of a value below ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_plain(value)}")
+    n = int(value)
+    if low is not None and n < low:
+        raise ValueError(f"{what} must be at least {low}, got {n}{why_low}")
+    if high is not None and n > high:
+        raise ValueError(f"{what} must be at most {high}, got {n}")
+    return n
 
 
 def _check_real(value, what: str) -> float:
     """Return a finite real number as a float; a bool is not taken for one."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {_plain(value)}")
     try:
         x = float(value)
     except OverflowError:  # an int beyond the largest float
         x = math.inf
     if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {_plain(value)}")
     return x
 
 
@@ -149,9 +163,15 @@ class LevyMeasure:
     def bernoulli(cls, rate: float, up_prob: float, up: float = 1.0, down: float = -1.0) -> "LevyMeasure":
         """Two-atom measure: marks {up, down} arriving at total rate ``rate``,
         the up mark with probability ``up_prob`` per arrival."""
+        rate, up_prob = _check_real(rate, "rate"), _check_real(up_prob, "up_prob")
+        if rate <= 0.0:
+            raise ValueError(f"rate must be positive, got {rate!r}")
         if not 0.0 < up_prob < 1.0:
             raise ValueError("up_prob must lie in (0, 1)")
-        return cls((JumpAtom(up, rate * up_prob), JumpAtom(down, rate * (1.0 - up_prob))))
+        up_rate, down_rate = rate * up_prob, rate * (1.0 - up_prob)
+        if up_rate == 0.0 or down_rate == 0.0:
+            raise ValueError(f"rate {rate!r} with up_prob {up_prob!r} gives an atom intensity that underflows to 0")
+        return cls((JumpAtom(up, up_rate), JumpAtom(down, down_rate)))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -169,6 +189,13 @@ class LevyMeasure:
         return float(self.intensities.sum())
 
 
+def _check_atoms(n_entries: int, measure: LevyMeasure, what: str) -> None:
+    """The one per-atom length rule: ``what`` holds one jump entry per atom
+    of ``measure``."""
+    if n_entries != len(measure):
+        raise ValueError(f"{what} has {n_entries} jump entries but the measure has {len(measure)} atoms")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_n = horizon with n = steps."""
@@ -180,9 +207,7 @@ class TimeGrid:
         _real_fields(self, "horizon")
         if self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        _check_integer(self.steps, "steps")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
+        object.__setattr__(self, "steps", _check_count(self.steps, "steps", 1))
 
     @property
     def dt(self) -> float:
@@ -208,37 +233,23 @@ class SymmetricCoefficients:
     def __post_init__(self):
         _real_fields(self, "drift", "brownian_vol")
         object.__setattr__(self, "jump_vol", tuple(_check_real(g, "jump_vol") for g in self.jump_vol))
-        if len(self.jump_vol) != len(self.measure):
-            raise ValueError("jump_vol length must equal the measure's atom count")
+        _check_atoms(len(self.jump_vol), self.measure, "jump_vol")
 
     @property
     def jump_vol_array(self) -> np.ndarray:
         return np.asarray(self.jump_vol, dtype=float)
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as a Python int; a bool, a non-integer or a negative seed is
-    a ValueError, as in ``Scenario``."""
-    _check_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    return int(seed)
-
-
 def _check_paths(first_path, n_paths) -> tuple[int, int]:
     """Path indices first_path .. first_path + n_paths - 1 as Python ints;
     each must fit one 32-bit word of a substream key."""
-    _check_integer(first_path, "first_path")
-    _check_integer(n_paths, "n_paths")
-    if first_path < 0:
-        raise ValueError("path_index must be nonnegative")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    first_path = _check_count(first_path, "first_path", 0)
+    n_paths = _check_count(n_paths, "n_paths", 1)
     if first_path + n_paths > 2**32:
         raise ValueError(
             f"path indices must lie in [0, 2**32), got {first_path} .. {first_path + n_paths - 1}"
         )
-    return int(first_path), int(n_paths)
+    return first_path, n_paths
 
 
 # NumPy's SeedSequence hash (pool size 4), written once for a Python int and
@@ -305,7 +316,7 @@ def _substream_seeds(seed: int, paths) -> np.ndarray:
     .generate_state(4, np.uint64): the same hash, run on every path at once.
     The path word is mixed into the cached seed pool once for both streams.
     """
-    pool, path_constants, streams = _seed_pool(_check_seed(seed))
+    pool, path_constants, streams = _seed_pool(_check_count(seed, "seed", 0))
     path_pool = [_mix(w, _hashmix(paths, *c)) for w, c in zip(pool, path_constants)]
     state = []
     for stream in streams:
@@ -401,7 +412,7 @@ def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, start: int, s
     time; neither size changes a result.  A range that starts at a multiple
     of the block size is cut into the same blocks as the whole run.
     """
-    start, n_paths = _check_paths(start, stop - start)
+    start, n_paths = _check_paths(start, _check_count(stop, "stop") - start)
     block = _block_paths(grid.steps)
     chunk = block * max(1, _SEED_CHUNK_PATHS // block)
     for first in range(start, start + n_paths, chunk):
@@ -413,8 +424,7 @@ def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, start: int, s
 def compensate(measure: LevyMeasure, jump_vol) -> float:
     """Compensator integral of a jump volatility: sum_k gamma(x_k) * intensity_k."""
     gam = np.asarray(jump_vol, dtype=float)
-    if gam.shape != (len(measure),):
-        raise ValueError("jump_vol length must equal the measure's atom count")
+    _check_atoms(len(gam), measure, "jump_vol")
     return float(gam @ measure.intensities) if len(measure) else 0.0
 
 
@@ -428,10 +438,9 @@ def _check_noise(
     coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid
 ) -> None:
     """Reject noise whose shape does not match the grid and the measure."""
-    if jump_counts.shape[-1:] != (len(coeffs.measure),):
-        raise ValueError("coefficients and noise use different measures")
     if brownian_increments.shape[-1:] != (grid.steps,) or jump_counts.shape[:-1] != brownian_increments.shape:
         raise ValueError(f"noise must have shapes (..., {grid.steps}) and (..., {grid.steps}, n_atoms) for this grid")
+    _check_atoms(jump_counts.shape[-1], coeffs.measure, "jump_counts")
 
 
 def _euler(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_core import _check_real, _real_fields, LevyMeasure, SymmetricCoefficients
+from .levy_core import _check_atoms, _check_real, _real_fields, LevyMeasure, SymmetricCoefficients
 
 __all__ = [
     "PricingKernelSpec",
@@ -96,14 +96,8 @@ class GeometricBernoulliSpec:
         return AssetSpec(self.initial_price, self.brownian_vol, jump_vol)
 
 
-def _check_atoms(n_spec: int, measure: LevyMeasure, what: str) -> None:
-    if n_spec != len(measure):
-        raise ValueError(f"{what} has {n_spec} jump entries but the measure has {len(measure)} atoms")
-
-
 def kernel_coefficients(kernel: PricingKernelSpec, measure: LevyMeasure) -> SymmetricCoefficients:
     """Proportional coefficients of the pricing kernel pi: (-r, -lambda, -Lambda_k)."""
-    _check_atoms(len(kernel.jump_mpr), measure, "kernel")
     return SymmetricCoefficients(-kernel.short_rate, -kernel.brownian_mpr, tuple(-kernel.jump_mpr_array), measure)
 
 
@@ -123,6 +117,5 @@ def benchmark_coefficients(kernel: PricingKernelSpec, measure: LevyMeasure) -> S
 
 def natural_coefficients(asset: AssetSpec, measure: LevyMeasure) -> SymmetricCoefficients:
     """Driftless proportional coefficients of a natural (benchmark-unit) price."""
-    _check_atoms(len(asset.jump_vol), measure, "asset")
     return SymmetricCoefficients(0.0, asset.brownian_vol, asset.jump_vol, measure)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .levy_core import (
     _block_paths,
-    _check_integer,
+    _check_count,
     _checked_prices,
     _noise_blocks,
     IntegrationError,
@@ -111,17 +111,9 @@ class Scenario:
         object.__setattr__(self, "hedging_assets", tuple(self.hedging_assets))
         if self.hedge_mode not in HEDGE_MODES:
             raise ValueError(f"unknown hedge_mode {self.hedge_mode!r}; expected one of {HEDGE_MODES}")
-        _check_integer(self.n_paths, "n_paths")
-        _check_integer(self.seed, "seed")
-        _check_integer(self.hedge_asset_index, "hedge_asset_index")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
-        if self.n_paths > _MAX_PATHS:
-            raise ValueError(f"n_paths must be at most {_MAX_PATHS}, got {self.n_paths}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.grid.steps > _MAX_STEPS:
-            raise ValueError(f"steps must be at most {_MAX_STEPS}, got {self.grid.steps}")
+        for name, low, high in (("n_paths", 1, _MAX_PATHS), ("seed", 0, None), ("hedge_asset_index", None, None)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low, high))
+        _check_count(self.grid.steps, "steps", high=_MAX_STEPS)
         for k, atom in enumerate(self.measure.atoms):
             if atom.intensity * self.grid.dt > _MAX_STEP_RATE:
                 raise ValueError(

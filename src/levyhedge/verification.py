@@ -4,7 +4,7 @@ Each suite returns a list of :class:`CheckResult` with a measured-statistic
 detail string; the CLI prints one line per check and the acceptance tests
 assert on the same functions.  Monte Carlo assertions use 3-standard-error
 bands; algebraic identities are held to 1e-10 or 1e-12 as noted.  This module
-is the one place that states the rules for a suite name, seed and path count;
+checks a suite name, and a seed and path count by levy_core's count rule;
 ``levyhedge verify`` is the only command that imports it.
 """
 
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .levy_core import (
-    _check_integer,
+    _check_count,
     _checked_prices,
     _noise_blocks,
     LevyMeasure,
@@ -588,20 +588,12 @@ def _check_inputs(name: str, seed: int, n_paths: int | None) -> None:
     """Reject the inputs of :func:`run_suite` that no suite can run: a name
     that is neither a suite nor ``'all'`` (checked first), a seed that is
     not a nonnegative integer, and a path count that is neither None nor an
-    integer in 2 .. ``_MAX_PATHS``, the bound a scenario applies.  A bool
-    is not an integer."""
+    integer in 2 .. ``_MAX_PATHS``, the bound a scenario applies."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}")
-    _check_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if n_paths is None:
-        return
-    _check_integer(n_paths, "paths")
-    if n_paths < 2:
-        raise ValueError(f"paths must be at least 2, got {n_paths}: the Monte Carlo standard errors need two paths")
-    if n_paths > _MAX_PATHS:
-        raise ValueError(f"paths must be at most {_MAX_PATHS}, got {n_paths}")
+    _check_count(seed, "seed", 0)
+    if n_paths is not None:
+        _check_count(n_paths, "paths", 2, _MAX_PATHS, ": the Monte Carlo standard errors need two paths")
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, n_paths: int | None = None) -> list[CheckResult]:

@@ -360,6 +360,18 @@ def test_jump_rate_beyond_the_poisson_sampler_is_config_error(tmp_path: Path):
     assert cp.stderr.startswith("configuration error: atom 1 (location -1.0)")
 
 
+def test_config_errors_print_plain_python_numbers(tmp_path: Path, capsys):
+    # exp(0.25 * 1e300) - 1 overflows to a NumPy inf, reported as a Python float
+    contract = {"initial_price": 100.0, "brownian_vol": 0.15, "jump_exponent": 0.25}
+    measure = {"atoms": [{"location": 1e300, "intensity": 7.5}, {"location": -1.0, "intensity": 7.5}]}
+    path = _single_mode_config(tmp_path, contract, measure=measure)
+    for command in ("hedge", "simulate"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("jump_vol must be finite, got inf\n") and err.count("\n") == 1
+        assert "np.float64(" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "hedge"])
 def test_zero_volatility_contract_hedges_with_undefined_rho(tmp_path: Path, command):
     # the optimal hedge of a constant contract is psi = 0; only rho = L^2/(KM) is undefined
