@@ -12,9 +12,12 @@ which splits the paths into contiguous ranges of whole blocks, one range
 per usable CPU when the run is large enough to repay a fork, and computes
 every range but the first in a forked child.  Each path draws from its own
 substreams and every reduction runs along one path, so the results are the
-same bytes whatever the number of processes.  :func:`_fork_ranges` is the
-one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a long
-table into ranges of whole chunks of rows through it too.
+same bytes whatever the number of processes.  :func:`_trial_rows` splits
+the randomized trials of a verification loop the same way, one trial per
+column, once its caller has drawn every trial's inputs in order.
+:func:`_range_rows` fills both kinds of range, and :func:`_fork_ranges` is
+the one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a
+long table into ranges of whole chunks of rows through it too.
 """
 
 from __future__ import annotations
@@ -328,6 +331,16 @@ def scenario_rho(s: Scenario) -> float | None:
 # 1.41-1.44x; 2**18 would run 500 paths in one process.
 _FORK_MIN_PATH_STEPS = 2**17
 
+# Fewest trials that each process of a trial loop must run.  A trial of
+# verify's randomized checks takes about 0.18 ms (one two-asset market) to
+# 0.34 ms (one pricing kernel on a 500-step path), and a second process
+# costs about 10 ms in a process that has run verify all.  Measured on the
+# 2-CPU Intel Xeon VM above, median of 40 alternated calls, two processes
+# against one: 100 kernels 27.6 ms against 34.5 ms, 60 kernels 19.5 ms
+# against 15.6 ms; 1000 markets 117 ms against 185 ms, 200 markets 25.6 ms
+# against 34.7 ms, and 100 markets 17.3 ms against 17.8 ms.
+_FORK_MIN_TRIALS = 50
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on, on Linux; 1 elsewhere: Windows has no
@@ -352,6 +365,12 @@ def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
     """Paths 0 .. n_paths - 1 cut into ranges of whole blocks, with at least
     _FORK_MIN_PATH_STEPS path-steps each."""
     return _ranges(n_paths, _block_paths(steps), n_paths * steps // _FORK_MIN_PATH_STEPS)
+
+
+def _trial_ranges(n_trials: int) -> list[tuple[int, int]]:
+    """Trials 0 .. n_trials - 1 cut into ranges of at least
+    _FORK_MIN_TRIALS trials each."""
+    return _ranges(n_trials, 1, n_trials // _FORK_MIN_TRIALS)
 
 
 def _fork_range(run, start: int, stop: int) -> int | None:
@@ -418,19 +437,18 @@ def _fork_ranges(ranges: list[tuple[int, int]], run) -> set[tuple[int, int]]:
     return done
 
 
-def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
-    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
-    start, stop)`` writes, range by range, into ``rows[..., start:stop]``.
+def _range_rows(shape: tuple[int, ...], n: int, ranges: list[tuple[int, int]], fill) -> np.ndarray:
+    """The array of shape (*shape, n) that ``fill(rows, start, stop)``
+    writes, range by range, into ``rows[..., start:stop]``, for contiguous
+    ``ranges`` that cover items 0 .. n - 1.
 
-    The paths are cut into ranges of whole blocks (:func:`_path_ranges`).
-    This process fills the first range, which holds path 0; a forked child
-    fills each other range in shared memory (:func:`_fork_ranges`).  A range
-    whose child could not be forked or did not exit with 0 is filled again
-    here, in range order, so an error is raised as a one-process run raises
-    it: the first range's first.
+    This process fills the first range; a forked child fills each other
+    range in shared memory (:func:`_fork_ranges`).  A range whose child
+    could not be forked or did not exit with 0 is filled again here, in
+    range order, so an error is raised as a one-process run raises it: the
+    first range's first.
     """
-    ranges = _path_ranges(n_paths, steps)
-    size = (*shape, n_paths)
+    size = (*shape, n)
     if len(ranges) > 1:
         rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
     else:
@@ -440,6 +458,21 @@ def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.nda
         if r not in done:
             fill(rows, *r)
     return rows
+
+
+def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
+    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
+    start, stop)`` writes into ``rows[..., start:stop]``, over the ranges of
+    whole blocks of :func:`_path_ranges` (:func:`_range_rows`); the first
+    range, which holds path 0, is filled in this process."""
+    return _range_rows(shape, n_paths, _path_ranges(n_paths, steps), fill)
+
+
+def _trial_rows(shape: tuple[int, ...], n_trials: int, fill) -> np.ndarray:
+    """The per-trial array of shape (*shape, n_trials) that ``fill(rows,
+    start, stop)`` writes into ``rows[..., start:stop]``, over the ranges of
+    :func:`_trial_ranges` (:func:`_range_rows`)."""
+    return _range_rows(shape, n_trials, _trial_ranges(n_trials), fill)
 
 
 def _price_blocks(price, s: Scenario, start: int, stop: int):

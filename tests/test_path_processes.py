@@ -1,8 +1,9 @@
-"""Monte Carlo runs and CSV writes split over processes: the paths are cut
-into ranges of whole blocks and a long table's rows into ranges of whole
-chunks, each range but the first runs in a forked child, and every result
-is the same bytes whatever the number of processes, whether a child could
-be forked, was killed or failed."""
+"""Monte Carlo runs, verify's randomized trials and CSV writes split over
+processes: the paths are cut into ranges of whole blocks, the trials into
+ranges of trials and a long table's rows into ranges of whole chunks, each
+range but the first runs in a forked child, and every result is the same
+bytes whatever the number of processes, whether a child could be forked,
+was killed or failed."""
 
 import errno
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from levyhedge import (
+    DegeneracyError,
     GeometricBernoulliSpec,
     IntegrationError,
     SymmetricCoefficients,
@@ -25,12 +27,12 @@ from levyhedge import (
     run_scenario,
     scenario_ratios,
 )
-from levyhedge import cli, csv_format, levy_core, sim_harness
+from levyhedge import cli, csv_format, levy_core, sim_harness, verification
 from levyhedge.sim_harness import builtin_scenario, with_overrides
-from levyhedge.verification import _euler_gap_ratios, _euler_terminals, _hedge_stats, _price_terminals
+from levyhedge.verification import _euler_gap_ratios, _euler_terminals, _hedge_stats, _price_terminals, run_suite
 
 from test_path_blocks import GOLDEN_FIELDS
-from test_verification import _GAP_PAIRS
+from test_verification import _GAP_PAIRS, SEED
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks")
 
@@ -47,13 +49,14 @@ def no_child_outlives_a_test():
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Set the number of processes a run or a CSV write uses to ``count``,
-    on any machine, down to runs of a few path-steps and tables of a few
-    cells."""
+    """Set the number of processes a run, a trial loop or a CSV write uses
+    to ``count``, on any machine, down to runs of a few path-steps, loops of
+    a few trials and tables of a few cells."""
 
     def use(count: int) -> None:
         monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
         monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
+        monkeypatch.setattr(sim_harness, "_FORK_MIN_TRIALS", 1)
         monkeypatch.setattr(csv_format, "_FORK_MIN_CELLS", 1)
 
     return use
@@ -236,6 +239,75 @@ def test_verification_helpers_do_not_depend_on_the_process_count(processes, name
     one, *others = at_each_count(processes, lambda _: HELPERS[name]())
     for result in others:
         np.testing.assert_array_equal(result, one)
+
+
+@pytest.mark.parametrize(
+    "n_trials, cpus, expected",
+    [
+        (1000, 2, [(0, 500), (500, 1000)]),
+        (20, 2, [(0, 20)]),
+        (1000, 1, [(0, 1000)]),
+    ],
+)
+def test_trial_ranges(monkeypatch, n_trials, cpus, expected):
+    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: cpus)
+    assert sim_harness._trial_ranges(n_trials) == expected
+
+
+@pytest.mark.parametrize("suite", ["optimality", "calculus"])
+def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeypatch, suite):
+    # the suites' results, and every per-trial array behind them
+    trial_rows = verification._trial_rows
+    arrays = []
+
+    def recorded(*args):
+        arrays.append(trial_rows(*args))
+        return arrays[-1]
+
+    monkeypatch.setattr(verification, "_trial_rows", recorded)
+
+    def run(_):
+        arrays.clear()
+        return run_suite(suite, SEED, 4), [a.copy() for a in arrays]
+
+    (one, one_arrays), *others = at_each_count(processes, run)
+    assert one_arrays
+    for results, trial_arrays in others:
+        assert results == one
+        for a, b in zip(trial_arrays, one_arrays, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_an_error_in_a_childs_trial_is_the_serial_error(processes, monkeypatch):
+    # the closed form raises on one market of the second of two ranges of
+    # the 1000 two-asset draws (the 751st accepted market is draw 750 or
+    # later): its child fails, and the range is checked again here, so the
+    # error is the one a single process raises
+    processes(1)
+    contracts = []
+    real = verification.two_asset_hedge
+
+    def recorded(c, *args):
+        contracts.append(c)
+        return real(c, *args)
+
+    monkeypatch.setattr(verification, "two_asset_hedge", recorded)
+    run_suite("optimality", SEED, 4)
+    target = contracts[750]
+
+    def degenerate_once(c, *args):
+        if c == target:
+            raise DegeneracyError(f"injected degeneracy at initial price {c.initial_price!r}")
+        return real(c, *args)
+
+    monkeypatch.setattr(verification, "two_asset_hedge", degenerate_once)
+    errors = []
+    for count in (1, 2):
+        processes(count)
+        with pytest.raises(DegeneracyError) as info:
+            run_suite("optimality", SEED, 4)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == f"injected degeneracy at initial price {target.initial_price!r}"
 
 
 def test_a_refused_fork_runs_the_range_here(processes, monkeypatch, tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import coarsen, one_path, ratio_residuals
 from levyhedge import (
     AssetSpec,
     GeometricBernoulliSpec,
+    JumpAtom,
     PriceRangeError,
     Scenario,
     SymmetricCoefficients,
@@ -30,6 +31,8 @@ from levyhedge import levy_core, sim_harness, verification
 from levyhedge.levy_core import LevyMeasure
 from levyhedge.sim_harness import PATH_COLUMNS, with_overrides
 from levyhedge.verification import (
+    _build_market,
+    _draw_market,
     _euler_gap_ratios,
     _euler_terminals,
     _hedge_stats,
@@ -241,6 +244,34 @@ def test_calculus_identities_fail_on_underflowing_paths(monkeypatch):
     assert out.getvalue() == ""
     assert stderr.getvalue().startswith("numerical failure: calculus factor a price 0.0 on path 0 at step ")
     assert stderr.getvalue().count("\n") == 1
+
+
+def _random_market(rng, n_hedging):
+    """A random market drawn one generator call at a time: the oracle for
+    _draw_market and _build_market."""
+    n_atoms = int(rng.integers(1, 4))
+    locs = rng.normal(0.0, 1.0, n_atoms)
+    while len(np.unique(locs)) != n_atoms:
+        locs = rng.normal(0.0, 1.0, n_atoms)
+    measure = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locs, rng.uniform(0.5, 15.0, n_atoms))))
+
+    def spec():
+        return AssetSpec(
+            float(rng.uniform(20.0, 300.0)),
+            float(rng.uniform(0.05, 0.6)),
+            tuple(rng.uniform(-0.7, 1.5, n_atoms)),
+        )
+
+    return spec(), [spec() for _ in range(n_hedging)], measure
+
+
+@pytest.mark.parametrize("n_hedging", [1, 2])
+def test_drawn_markets_are_those_of_one_draw_at_a_time(n_hedging):
+    one_at_a_time, split = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for _ in range(2000):
+        c, assets, m = _random_market(one_at_a_time, n_hedging)
+        assert _build_market(*_draw_market(split, n_hedging)) == (c, assets, m)
+        assert split.bit_generator.state == one_at_a_time.bit_generator.state
 
 
 CLOSED_FORM = "two-asset closed form equals the linear solve"
