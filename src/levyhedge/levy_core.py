@@ -22,7 +22,7 @@ made by the block kernels below: noise arrays in, value arrays out, with any
 leading path axes, so a (steps,) array is one path.  A path's noise depends
 on its index alone, not on the block, the range of paths or the process it
 is drawn in, so a Monte Carlo run can split its paths into ranges of whole
-blocks and give each range to another process (sim_harness._path_rows)
+blocks and give each range to another process (sim_harness._range_rows)
 without changing a byte.
 """
 

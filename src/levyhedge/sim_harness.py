@@ -7,17 +7,17 @@ equal odds).  Everything is expressed in benchmark units, so the scenarios
 carry no pricing kernel.  One master seed makes every run reproducible; the
 reporting path (path_index 0) is retained in full for CSV emission.
 
-Monte Carlo runs fill their per-path arrays through :func:`_path_rows`,
-which splits the paths into contiguous ranges of whole blocks, one range
-per usable CPU when the run is large enough to repay a fork, and computes
-every range but the first in a forked child.  Each path draws from its own
-substreams and every reduction runs along one path, so the results are the
-same bytes whatever the number of processes.  :func:`_trial_rows` splits
-the randomized trials of a verification loop the same way, one trial per
-column, once its caller has drawn every trial's inputs in order.
-:func:`_range_rows` fills both kinds of range, and :func:`_fork_ranges` is
-the one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a
-long table into ranges of whole chunks of rows through it too.
+Monte Carlo runs fill their per-path arrays through :func:`_range_rows`
+over :func:`_path_ranges`, which splits the paths into contiguous ranges of
+whole blocks, one range per usable CPU when the run is large enough to
+repay a fork; every range but the first is computed in a forked child.
+Each path draws from its own substreams and every reduction runs along one
+path, so the results are the same bytes whatever the number of processes.
+A verification loop fills one column per randomized trial the same way,
+over :func:`_trial_ranges`, once its caller has drawn every trial's inputs
+in order.  :func:`_fork_ranges` is the one fork loop: the CSV writer
+(:mod:`levyhedge.csv_format`) cuts a long table into ranges of whole chunks
+of rows through it too.
 """
 
 from __future__ import annotations
@@ -381,12 +381,18 @@ def _fork_range(run, start: int, stop: int) -> int | None:
         with warnings.catch_warnings():
             # Python 3.12+ warns that a fork in a process with several
             # threads (OpenBLAS keeps a pool) may deadlock the child.  The
-            # child runs NumPy's elementwise kernels and generators; its one
-            # BLAS call, compensate's dot product over the atoms, is too
-            # short for OpenBLAS to hand to its pool.  It writes only what
-            # ``run`` writes (shared memory, or the unnamed temporary file of
-            # a CSV range, which ``run`` flushes) and leaves through os._exit,
-            # so it flushes no inherited buffer.
+            # child runs NumPy's elementwise kernels and generators, and
+            # BLAS and LAPACK only on operands of a few elements:
+            # compensate's dot product over the atoms, volatility_gram's
+            # matmul, eigvalsh and np.linalg.solve on blocks of at most
+            # 3 x 3, and analytic_delta's (501, 2) @ (2, 2) product.  Each
+            # is far below the size at which OpenBLAS hands work to its
+            # pool: with NumPy 2.4's OpenBLAS 0.3.31, a child that makes
+            # these calls keeps its one thread (other BLAS builds are
+            # unchecked).  It writes only what ``run`` writes (shared
+            # memory, or the unnamed temporary file of a CSV range, which
+            # ``run`` flushes) and leaves through os._exit, so it flushes no
+            # inherited buffer.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )
@@ -437,18 +443,19 @@ def _fork_ranges(ranges: list[tuple[int, int]], run) -> set[tuple[int, int]]:
     return done
 
 
-def _range_rows(shape: tuple[int, ...], n: int, ranges: list[tuple[int, int]], fill) -> np.ndarray:
+def _range_rows(shape: tuple[int, ...], ranges: list[tuple[int, int]], fill) -> np.ndarray:
     """The array of shape (*shape, n) that ``fill(rows, start, stop)``
     writes, range by range, into ``rows[..., start:stop]``, for contiguous
-    ``ranges`` that cover items 0 .. n - 1.
+    ``ranges`` that cover items 0 .. n - 1 (:func:`_path_ranges` or
+    :func:`_trial_ranges`); n is the last range's stop.
 
-    This process fills the first range; a forked child fills each other
-    range in shared memory (:func:`_fork_ranges`).  A range whose child
-    could not be forked or did not exit with 0 is filled again here, in
-    range order, so an error is raised as a one-process run raises it: the
-    first range's first.
+    This process fills the first range, which holds path 0 of a run; a
+    forked child fills each other range in shared memory
+    (:func:`_fork_ranges`).  A range whose child could not be forked or did
+    not exit with 0 is filled again here, in range order, so an error is
+    raised as a one-process run raises it: the first range's first.
     """
-    size = (*shape, n)
+    size = (*shape, ranges[-1][1])
     if len(ranges) > 1:
         rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
     else:
@@ -458,21 +465,6 @@ def _range_rows(shape: tuple[int, ...], n: int, ranges: list[tuple[int, int]], f
         if r not in done:
             fill(rows, *r)
     return rows
-
-
-def _path_rows(shape: tuple[int, ...], n_paths: int, steps: int, fill) -> np.ndarray:
-    """The per-path array of shape (*shape, n_paths) that ``fill(rows,
-    start, stop)`` writes into ``rows[..., start:stop]``, over the ranges of
-    whole blocks of :func:`_path_ranges` (:func:`_range_rows`); the first
-    range, which holds path 0, is filled in this process."""
-    return _range_rows(shape, n_paths, _path_ranges(n_paths, steps), fill)
-
-
-def _trial_rows(shape: tuple[int, ...], n_trials: int, fill) -> np.ndarray:
-    """The per-trial array of shape (*shape, n_trials) that ``fill(rows,
-    start, stop)`` writes into ``rows[..., start:stop]``, over the ranges of
-    :func:`_trial_ranges` (:func:`_range_rows`)."""
-    return _range_rows(shape, n_trials, _trial_ranges(n_trials), fill)
 
 
 def _price_blocks(price, s: Scenario, start: int, stop: int):
@@ -552,7 +544,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     Every asset on a path consumes the same noise realization; the hedge
     mode never alters the simulated prices.  Paths are simulated in blocks
     of (paths, steps[, assets]) arrays, in ranges of whole blocks that may
-    run in forked processes (:func:`_path_rows`); every reduction runs along
+    run in forked processes (:func:`_range_rows`); every reduction runs along
     one path's steps, so the results are deterministic in the seed and do
     not depend on the block size or the number of processes.
     """
@@ -590,7 +582,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                     residuals=dv[0],
                 )
 
-    columns = _path_rows((len(PATH_COLUMNS),), s.n_paths, steps, fill)
+    columns = _range_rows((len(PATH_COLUMNS),), _path_ranges(s.n_paths, steps), fill)
     terminal, integrated, normalized, residual_sum, per_step_std, max_abs = columns
     count = s.n_paths * steps
     with np.errstate(over="ignore", invalid="ignore"):  # a sum of finite statistics can overflow

@@ -46,10 +46,11 @@ from .sim_harness import (
     Scenario,
     _MAX_PATHS,
     _hedge,
-    _path_rows,
+    _path_ranges,
     _path_stats,
     _price_blocks,
-    _trial_rows,
+    _range_rows,
+    _trial_ranges,
     builtin_scenario,
     brute_force_constant_hedge,
     scenario_ratios,
@@ -75,9 +76,10 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # The Monte Carlo statistics below are per-path arrays computed on the
 # simulation's blocks of paths (levy_core._noise_blocks and
 # sim_harness._price_blocks), with the simulation's hedge and per-path
-# statistics, and filled range by range through sim_harness._path_rows;
-# every reduction runs along one path's steps, so the statistics do not
-# depend on the block size or the number of processes.
+# statistics, and filled range by range through sim_harness._range_rows
+# over sim_harness._path_ranges; every reduction runs along one path's
+# steps, so the statistics do not depend on the block size or the number
+# of processes.
 
 
 def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x0: float, n_paths: int) -> np.ndarray:
@@ -87,7 +89,7 @@ def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x
         for first, dw, counts in _noise_blocks(coeffs.measure, grid, seed, start, stop):
             out[first : first + len(dw)] = integrate_block(coeffs, dw, counts, grid, x0)[:, -1]
 
-    return _path_rows((), n_paths, grid.steps, fill)
+    return _range_rows((), _path_ranges(n_paths, grid.steps), fill)
 
 
 def _price_terminals(s: Scenario) -> np.ndarray:
@@ -99,7 +101,7 @@ def _price_terminals(s: Scenario) -> np.ndarray:
             out[0, first : first + len(c)] = c[:, -1]
             out[1:, first : first + len(c)] = a[:, -1].T
 
-    return _path_rows((1 + len(s.hedging_assets),), s.n_paths, s.grid.steps, fill).T
+    return _range_rows((1 + len(s.hedging_assets),), _path_ranges(s.n_paths, s.grid.steps), fill).T
 
 
 def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
@@ -113,7 +115,7 @@ def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
             for j, ratios in enumerate(ratio_sets):
                 stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
 
-    return _path_rows((len(PATH_COLUMNS), len(ratio_sets)), s.n_paths, s.grid.steps, fill)
+    return _range_rows((len(PATH_COLUMNS), len(ratio_sets)), _path_ranges(s.n_paths, s.grid.steps), fill)
 
 
 def _euler_gap_ratios(
@@ -148,7 +150,7 @@ def _euler_gap_ratios(
                 pair_ratios[0, first : first + n] = gaps_cf[1] / gaps_cf[0]
                 pair_ratios[1, first : first + n] = gaps_prod[1] / gaps_prod[0]
 
-    return _path_rows((len(pairs), 2), n_paths, fine_grid.steps, fill)
+    return _range_rows((len(pairs), 2), _path_ranges(n_paths, fine_grid.steps), fill)
 
 
 # ----------------------------------------------------------------------------
@@ -331,7 +333,7 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
             xi = exact(benchmark_coefficients(kernel, m), noise, sgrid, 1.0, "benchmark", trial)
             errs[trial] = np.abs(pi * xi - 1.0).max()
 
-    errs = _trial_rows((), len(kernels), reciprocal_errors)
+    errs = _range_rows((), _trial_ranges(len(kernels)), reciprocal_errors)
     worst = float(np.max(errs))
     results.append(
         _check("kernel times benchmark is 1", worst <= 1e-10, f"max|pi*xi-1|={worst:.3g} tol=1e-10 kernels=100")
@@ -376,7 +378,7 @@ def _build_market(locations: np.ndarray, uniforms: np.ndarray) -> tuple[AssetSpe
 
 def _two_asset_errors(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Rows (accepted, error), one column per two-asset market draw, checked
-    on every usable CPU (:func:`sim_harness._trial_rows`).  A market whose
+    on every usable CPU (:func:`sim_harness._range_rows`).  A market whose
     asset block of the volatility Gram is badly conditioned is not accepted
     and reads (0, 0) (ledgered: the solve accuracy is conditioning-limited,
     ~cond * eps); the error of an accepted one is the largest gap between
@@ -397,7 +399,7 @@ def _two_asset_errors(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndar
             scale = max(1.0, float(np.abs(phi_solve).max()), float(np.abs(phi_closed).max()))
             rows[:, i] = 1.0, float(np.abs(phi_solve - phi_closed).max()) / scale
 
-    return _trial_rows((2,), len(draws), fill)
+    return _range_rows((2,), _trial_ranges(len(draws)), fill)
 
 
 def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:
@@ -421,33 +423,36 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
         )
     )
 
-    # randomized specs: argmin location, strict convexity, error-gap identity
-    worst_arg = 0.0
-    worst_gap = 0.0
-    worst_sweep = 0.0
-    min_curv = np.inf
-    trials = 0
-    while trials < 100:
-        c, (a,), m = _build_market(*_draw_market(rng, 1))
-        v = volatility_gram(c, [a], m)
-        K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
-        if M <= 1e-6 * max(K, M):
-            continue
-        trials += 1
-        psi_hat = L / M
-        # grid offset keeps the optimum generic with respect to the grid
-        axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
-        full = analytic_delta(c, [a], axis[:, None], m, horizon)
-        worst_arg = max(worst_arg, abs(float(axis[np.argmin(full)]) - psi_hat))
-        scale = horizon * c.initial_price * c.initial_price
-        quadratic = scale * (K - 2.0 * axis * L + axis**2 * M)
-        worst_sweep = max(worst_sweep, float(np.abs(full - quadratic).max()) / scale)
-        psi_alt = psi_hat + float(rng.uniform(-1.0, 1.0))
-        gap_lhs = analytic_delta(c, [a], [psi_alt], m, horizon) - analytic_delta(c, [a], [psi_hat], m, horizon)
-        gap_rhs = horizon * M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
-        worst_gap = max(worst_gap, abs(gap_lhs - gap_rhs) / max(1.0, abs(gap_rhs)))
-        second = full[2:] - 2.0 * full[1:-1] + full[:-2]
-        min_curv = min(min_curv, float(second.min()))
+    # randomized specs: argmin location, quadratic form, error-gap identity
+    # and strict convexity on 100 random markets, drawn here in order and
+    # checked on every usable CPU; np.max and np.min fail a check on a NaN
+    draws = [(*_draw_market(rng, 1), rng.uniform(-1.0, 1.0)) for _ in range(100)]
+
+    def single_asset_errors(rows: np.ndarray, start: int, stop: int) -> None:
+        for i in range(start, stop):
+            locations, uniforms, offset = draws[i]
+            c, (a,), m = _build_market(locations, uniforms)
+            v = volatility_gram(c, [a], m)
+            K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
+            psi_hat = L / M
+            # grid offset keeps the optimum generic with respect to the grid
+            axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
+            full = analytic_delta(c, [a], axis[:, None], m, horizon)
+            scale = horizon * c.initial_price * c.initial_price
+            quadratic = scale * (K - 2.0 * axis * L + axis**2 * M)
+            psi_alt = psi_hat + offset
+            gap_lhs = analytic_delta(c, [a], [psi_alt], m, horizon) - analytic_delta(c, [a], [psi_hat], m, horizon)
+            gap_rhs = horizon * M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
+            rows[:, i] = (
+                abs(float(axis[np.argmin(full)]) - psi_hat),
+                float(np.abs(full - quadratic).max()) / scale,
+                abs(gap_lhs - gap_rhs) / max(1.0, abs(gap_rhs)),
+                float((full[2:] - 2.0 * full[1:-1] + full[:-2]).min()),
+            )
+
+    single = _range_rows((4,), _trial_ranges(len(draws)), single_asset_errors)
+    worst_arg, worst_sweep, worst_gap = (float(np.max(row)) for row in single[:3])
+    min_curv = float(np.min(single[3]))
     results.append(
         _check(
             "grid values agree with the quadratic form",
@@ -477,13 +482,11 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     # as are still missing, so no market past the 1000th accepted one is
     # drawn or checked: the generator and any error are those of a loop
     # that draws and checks one market at a time.
-    worst = 0.0
-    accepted = 0
-    while accepted < 1000:
-        rows = _two_asset_errors([_draw_market(rng, 2) for _ in range(1000 - accepted)])
-        for err in rows[1, rows[0] == 1.0]:
-            worst = max(worst, float(err))
-        accepted += int(rows[0].sum())
+    errs = []
+    while len(errs) < 1000:
+        rows = _two_asset_errors([_draw_market(rng, 2) for _ in range(1000 - len(errs))])
+        errs.extend(rows[1, rows[0] == 1.0])
+    worst = float(np.max(errs))
     results.append(
         _check(
             "two-asset closed form equals the linear solve",

@@ -47,21 +47,6 @@ def no_child_outlives_a_test():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def processes(monkeypatch):
-    """Set the number of processes a run, a trial loop or a CSV write uses
-    to ``count``, on any machine, down to runs of a few path-steps, loops of
-    a few trials and tables of a few cells."""
-
-    def use(count: int) -> None:
-        monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
-        monkeypatch.setattr(sim_harness, "_FORK_MIN_TRIALS", 1)
-        monkeypatch.setattr(csv_format, "_FORK_MIN_CELLS", 1)
-
-    return use
-
-
 def at_each_count(processes, compute):
     """``compute(count)`` at 1, 2 and 3 processes."""
     results = []
@@ -254,24 +239,33 @@ def test_trial_ranges(monkeypatch, n_trials, cpus, expected):
     assert sim_harness._trial_ranges(n_trials) == expected
 
 
-@pytest.mark.parametrize("suite", ["optimality", "calculus"])
-def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeypatch, suite):
-    # the suites' results, and every per-trial array behind them
-    trial_rows = verification._trial_rows
+@pytest.mark.parametrize(
+    "suite, trial_shape",
+    [
+        # argmin gap, quadratic-form error, gap-identity error and least
+        # second difference of the 100 single-asset markets
+        ("optimality", (4, 100)),
+        # the 100 pricing kernels' largest |pi * xi - 1|
+        ("calculus", (100,)),
+    ],
+)
+def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeypatch, suite, trial_shape):
+    # the suites' results, and every per-trial and per-path array behind them
+    range_rows = verification._range_rows
     arrays = []
 
     def recorded(*args):
-        arrays.append(trial_rows(*args))
+        arrays.append(range_rows(*args))
         return arrays[-1]
 
-    monkeypatch.setattr(verification, "_trial_rows", recorded)
+    monkeypatch.setattr(verification, "_range_rows", recorded)
 
     def run(_):
         arrays.clear()
         return run_suite(suite, SEED, 4), [a.copy() for a in arrays]
 
     (one, one_arrays), *others = at_each_count(processes, run)
-    assert one_arrays
+    assert trial_shape in [a.shape for a in one_arrays]
     for results, trial_arrays in others:
         assert results == one
         for a, b in zip(trial_arrays, one_arrays, strict=True):
@@ -388,13 +382,13 @@ def test_an_exception_here_stops_and_reaps_the_children(processes):
 
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        sim_harness._path_rows((2,), N_PATHS, 1000, fill)
+        sim_harness._range_rows((2,), sim_harness._path_ranges(N_PATHS, 1000), fill)
     assert time.monotonic() - started < 30
 
 
 def test_an_interrupt_just_after_a_reap_is_the_error_raised(processes, monkeypatch):
     # the interrupt lands after waitpid reaps the first child and before
-    # _path_rows forgets its pid: the clean-up must not replace it
+    # _fork_ranges forgets its pid: the clean-up must not replace it
     processes(3)
     waitpid = os.waitpid
     calls = []
@@ -408,7 +402,7 @@ def test_an_interrupt_just_after_a_reap_is_the_error_raised(processes, monkeypat
 
     monkeypatch.setattr(os, "waitpid", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        sim_harness._path_rows((), N_PATHS, 1000, lambda rows, start, stop: None)
+        sim_harness._range_rows((), sim_harness._path_ranges(N_PATHS, 1000), lambda rows, start, stop: None)
     monkeypatch.undo()
     assert len(calls) == 2  # the reaped child is not waited for again
 
@@ -426,7 +420,7 @@ def test_a_warning_in_a_child_is_given_here(processes):
         processes(count)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = sim_harness._path_rows((), N_PATHS, 1000, fill)
+            rows = sim_harness._range_rows((), sim_harness._path_ranges(N_PATHS, 1000), fill)
         results.append((rows.tolist(), [str(w.message) for w in caught]))
     assert results[0] == results[1] == (list(range(N_PATHS)), [f"path {p}" for p in range(N_PATHS)])
 

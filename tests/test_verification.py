@@ -4,6 +4,7 @@ block size."""
 
 import contextlib
 import io
+import sys
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from levyhedge import (
     natural_coefficients,
     product_coefficients,
     scenario_ratios,
+    volatility_gram,
 )
 from levyhedge import levy_core, sim_harness, verification
 from levyhedge.levy_core import LevyMeasure
@@ -40,6 +42,7 @@ from levyhedge.verification import (
     run_suite,
 )
 
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks")
 SEED = 4242
 N_PATHS = 13  # blocks of 8 + 5 paths at 1000 steps, 4 + 4 + 4 + 1 at 2000
 FIG = builtin_scenario("fig1", n_paths=N_PATHS, seed=SEED)
@@ -193,7 +196,10 @@ def test_optimality_sweep_makes_one_call_per_market():
         calls.append(np.shape(args[2]))
         return real(*args)
 
-    with mock.patch.object(verification, "analytic_delta", counted):
+    # one process: a forked child's calls would not be counted here
+    with mock.patch.object(verification, "analytic_delta", counted), mock.patch.object(
+        sim_harness, "_usable_cpus", lambda: 1
+    ):
         run_suite("optimality", SEED, 4)
     # per randomized market: one stacked sweep of 501 ratios and two points
     assert calls.count((501, 1)) == 100
@@ -274,8 +280,32 @@ def test_drawn_markets_are_those_of_one_draw_at_a_time(n_hedging):
         assert split.bit_generator.state == one_at_a_time.bit_generator.state
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_drawn_single_asset_markets_are_never_degenerate(n_atoms):
+    # the single-asset check divides by M = V[1, 1] and rejects no market:
+    # bounds that let M fall to 1e-6 of K = V[0, 0] (a near-degenerate
+    # market) fail here instead of feeding that divide
+    lows, highs = verification._market_bounds(n_atoms, 2)
+    w_low, w_high = lows[:n_atoms], highs[:n_atoms]
+    # per spec: initial price, Brownian volatility, jump volatilities
+    least_sq = np.where(lows * highs <= 0.0, 0.0, np.minimum(lows**2, highs**2))[n_atoms:].reshape(2, -1)
+    most_sq = np.maximum(lows**2, highs**2)[n_atoms:].reshape(2, -1)
+    largest_k = most_sq[0, 1] + most_sq[0, 2:] @ w_high
+    least_m = least_sq[1, 1] + least_sq[1, 2:] @ w_low
+    assert least_m / largest_k > 1e-6
+    # and the bounds hold on drawn markets
+    rng = np.random.default_rng(SEED)
+    drawn = [_build_market(*_draw_market(rng, 1)) for _ in range(600)]
+    grams = [volatility_gram(c, assets, m) for c, assets, m in drawn if len(m) == n_atoms]
+    assert len(grams) > 100
+    assert max(v[0, 0] for v in grams) <= largest_k
+    assert min(v[1, 1] for v in grams) >= least_m
+
+
 CLOSED_FORM = "two-asset closed form equals the linear solve"
 REPLICATION = "two-asset replication in a two-atom market"
+QUADRATIC_FORM = "grid values agree with the quadratic form"
+CONVEXITY = "error is strictly convex in the ratio"
 
 
 @pytest.mark.parametrize(
@@ -287,6 +317,53 @@ def test_two_asset_checks_fail_on_a_scaled_hedge(monkeypatch, name, factor, fail
     monkeypatch.setattr(verification, name, lambda *args: np.asarray(real(*args)) * factor)
     results = run_suite("optimality", SEED, 4) + run_suite("completeness", SEED, 4)
     assert {r.name for r in results if not r.passed} == failing
+
+
+@pytest.mark.parametrize("count", [1, pytest.param(2, marks=FORKS)])
+@pytest.mark.parametrize(
+    "name, market, index, failing",
+    [
+        # the first holding of the 751st accepted two-asset market, in the
+        # second of two ranges of the first 1000 draws
+        ("two_asset_hedge", 750, 0, {CLOSED_FORM}),
+        # the middle of the 76th single-asset market's stacked sweep, in the
+        # second of two ranges of 100 markets; the argmin lands on the NaN,
+        # one grid offset from L / M, and passes
+        ("analytic_delta", 75, 250, {QUADRATIC_FORM, CONVEXITY}),
+    ],
+    ids=["two-asset holding", "single-asset sweep"],
+)
+def test_a_nan_error_fails_its_optimality_check(processes, monkeypatch, name, market, index, failing, count):
+    real = getattr(verification, name)
+
+    def counted(args) -> bool:
+        # every two_asset_hedge call; of analytic_delta, the stacked sweeps
+        return name == "two_asset_hedge" or np.ndim(args[1]) == 2
+
+    contracts = []
+
+    def recorded(c, *args):
+        if counted(args):
+            contracts.append(c)
+        return real(c, *args)
+
+    processes(1)
+    monkeypatch.setattr(verification, name, recorded)
+    run_suite("optimality", SEED, 4)
+    target = contracts[market]
+
+    def poisoned(c, *args):
+        out = real(c, *args)
+        if c == target and counted(args):
+            out = np.array(out, dtype=float)
+            out[index] = np.nan
+        return out
+
+    processes(count)
+    monkeypatch.setattr(verification, name, poisoned)
+    failed = {r.name: r.detail for r in run_suite("optimality", SEED, 4) if not r.passed}
+    assert set(failed) == failing
+    assert all("=nan" in detail for detail in failed.values())
 
 
 @pytest.mark.parametrize("module", [cli, sim_harness, verification])
