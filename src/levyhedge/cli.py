@@ -11,13 +11,15 @@ names, seeds and path counts; only ``verify`` imports it.
 Each output directory receives an ``effective_config.json`` that reruns to
 identical outputs via ``--config``.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate hedge system,
-4 property or numerical failure, 5 I/O failure.
+Exit codes: 0 success, 2 configuration error (an allocation the system
+refuses included), 3 degenerate hedge system, 4 property or numerical
+failure, 5 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from contextlib import contextmanager
@@ -462,9 +464,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (MemoryError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        # a refused allocation (NumPy's, or a shared mapping's): a run too
+        # large for this machine, rejected as a count above _MAX_PATHS is
+        print(
+            f"configuration error: cannot allocate memory for this run ({exc}); use fewer paths or steps", file=sys.stderr
+        )
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

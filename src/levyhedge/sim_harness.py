@@ -81,7 +81,10 @@ FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "fig4")
 _MAX_STEPS = 1_000_000
 
 # Largest path count a scenario accepts: a larger count is rejected before
-# the (n_paths, 6) statistics array is allocated.
+# anything is allocated.  The cap bounds the count, not the memory: at 10**9
+# paths the (6, n_paths) statistics array alone is 44.7 GiB, and an
+# allocation the system refuses is reported by cli.main as a configuration
+# error, as a count above the cap is.
 _MAX_PATHS = 10**9
 
 # Largest expected number of arrivals of one atom in one step.  NumPy's
@@ -449,17 +452,17 @@ def _range_rows(shape: tuple[int, ...], ranges: list[tuple[int, int]], fill) -> 
     ``ranges`` that cover items 0 .. n - 1 (:func:`_path_ranges` or
     :func:`_trial_ranges`); n is the last range's stop.
 
-    This process fills the first range, which holds path 0 of a run; a
-    forked child fills each other range in shared memory
-    (:func:`_fork_ranges`).  A range whose child could not be forked or did
-    not exit with 0 is filled again here, in range order, so an error is
-    raised as a one-process run raises it: the first range's first.
+    The array is one anonymous shared mapping at any number of ranges, so
+    the number of usable CPUs decides only how many children run: a refused
+    mapping is the same ``OSError`` (``errno.ENOMEM``) at one range as at
+    several.  This process fills the first range, which holds path 0 of a
+    run; a forked child fills each other range (:func:`_fork_ranges`).  A
+    range whose child could not be forked or did not exit with 0 is filled
+    again here, in range order, so an error is raised as a one-process run
+    raises it: the first range's first.
     """
     size = (*shape, ranges[-1][1])
-    if len(ranges) > 1:
-        rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
-    else:
-        rows = np.empty(size)
+    rows = np.ndarray(size, buffer=mmap.mmap(-1, 8 * math.prod(size)))  # MAP_SHARED
     done = _fork_ranges(ranges, lambda start, stop: fill(rows, start, stop))
     for r in ranges[1:]:
         if r not in done:

@@ -443,8 +443,10 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
             psi_alt = psi_hat + offset
             gap_lhs = analytic_delta(c, [a], [psi_alt], m, horizon) - analytic_delta(c, [a], [psi_hat], m, horizon)
             gap_rhs = horizon * M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
+            # np.argmin lands on a NaN, so a sweep that holds one has no argmin
+            argmin = np.nan if np.isnan(full).any() else float(axis[np.argmin(full)])
             rows[:, i] = (
-                abs(float(axis[np.argmin(full)]) - psi_hat),
+                abs(argmin - psi_hat),
                 float(np.abs(full - quadratic).max()) / scale,
                 abs(gap_lhs - gap_rhs) / max(1.0, abs(gap_rhs)),
                 float((full[2:] - 2.0 * full[1:-1] + full[:-2]).min()),

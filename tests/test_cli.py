@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import itertools
 import json
+import mmap
 import shutil
 import subprocess
 import sys
@@ -568,6 +570,33 @@ def test_paths_above_the_limit_are_config_errors(tmp_path: Path, capsys, n_paths
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: n_paths must be at most {sim_harness._MAX_PATHS}, got ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize(
+    "refusal, code, prefix",
+    [
+        (OSError(errno.ENOMEM, "Cannot allocate memory"), 2, "configuration error: cannot allocate memory"),
+        (MemoryError("Unable to allocate 44.7 GiB"), 2, "configuration error: cannot allocate memory"),
+        (OSError(errno.EIO, "Input/output error"), 5, "I/O error:"),
+    ],
+    ids=["ENOMEM", "MemoryError", "EIO"],
+)
+def test_a_refused_allocation_is_a_config_error_at_any_process_count(
+    processes, monkeypatch, capsys, count, refusal, code, prefix
+):
+    # every per-path array is one shared mapping, whatever the process count,
+    # so a refused one ends every run the same way; other OS errors are I/O
+    def refuse(*args, **kwargs):
+        raise refusal
+
+    processes(count)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    for argv in (["simulate", "fig3", "--paths", "4"], ["verify", "isometry", "--paths", "4"]):
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_simulate_underflowing_prices_exit_numerical_failure(tmp_path: Path):

@@ -305,6 +305,7 @@ def test_drawn_single_asset_markets_are_never_degenerate(n_atoms):
 CLOSED_FORM = "two-asset closed form equals the linear solve"
 REPLICATION = "two-asset replication in a two-atom market"
 QUADRATIC_FORM = "grid values agree with the quadratic form"
+ARGMIN = "randomized argmin within one grid step"
 CONVEXITY = "error is strictly convex in the ratio"
 
 
@@ -327,9 +328,9 @@ def test_two_asset_checks_fail_on_a_scaled_hedge(monkeypatch, name, factor, fail
         # second of two ranges of the first 1000 draws
         ("two_asset_hedge", 750, 0, {CLOSED_FORM}),
         # the middle of the 76th single-asset market's stacked sweep, in the
-        # second of two ranges of 100 markets; the argmin lands on the NaN,
-        # one grid offset from L / M, and passes
-        ("analytic_delta", 75, 250, {QUADRATIC_FORM, CONVEXITY}),
+        # second of two ranges of 100 markets; np.argmin would land on the
+        # NaN, one grid offset from L / M, so that market's argmin gap is NaN
+        ("analytic_delta", 75, 250, {QUADRATIC_FORM, ARGMIN, CONVEXITY}),
     ],
     ids=["two-asset holding", "single-asset sweep"],
 )
