@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hedging import _gram_report, DegeneracyError, analytic_delta, volatility_gram
+from .hedging import _gram_report, DegeneracyError, analytic_delta, benchmark_holdings, volatility_gram
 from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
@@ -170,7 +170,7 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
+    if type(obj.get("schema_version")) is not int or obj["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     if not isinstance(obj.get("out_dir", ""), (str, type(None))):
         raise ConfigError("config out_dir must be a string")
@@ -228,15 +228,13 @@ def _figure_csv(name: str, result: ScenarioResult) -> tuple[list[str], np.ndarra
         + [f"phi{j + 1}" for j in range(n_hedging)]
         + ["theta", "V", "dV"]
     )
-    total_gains = (g.contract_values[-1] - g.contract_values[0]) - float(g.residuals.sum())
-    theta_terminal = float((g.phi[-1] * g.asset_values[-1]).sum()) - total_gains
     columns = np.column_stack(
         [
             g.times,
             g.contract_values,
             g.asset_values,
-            np.vstack([g.phi, g.phi[-1:]]),  # the last holdings carry to the terminal row
-            np.append(g.theta, theta_terminal),
+            g.phi,
+            g.theta,
             g.portfolio_values,
             np.append(0.0, g.residuals),  # row 0 is written blank
         ]
@@ -320,8 +318,9 @@ def cmd_hedge(args) -> int:
 
     prices = np.array([a.initial_price for a in assets])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        phi = np.asarray(ratios) * contract.initial_price / prices
-        theta0 = float(phi @ prices)
+        # as sim_harness._hedge forms the golden path's first row, bit for bit
+        phi = np.asarray(ratios) * (contract.initial_price / prices)
+        theta0 = float(benchmark_holdings(phi[None], prices[None], ())[0])
     for i, units in enumerate(phi, start=1):
         if not np.isfinite(units):
             price = assets[i - 1].initial_price

@@ -299,10 +299,9 @@ def portfolio_values(contract_values: np.ndarray, residuals: np.ndarray) -> np.n
 
 
 def benchmark_holdings(phi: np.ndarray, asset_values: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Benchmark units theta_i = sum_j phi_ij S^j_i - sum_{u<i} phi_u . dS_u
-    held after the rebalance at t_i, for one path."""
-    cum_gains = np.concatenate(([0.0], np.cumsum(gains)[:-1]))
-    return (phi * asset_values[:-1]).sum(axis=1) - cum_gains
+    """Benchmark units theta_i = sum_j phi_ij S^j_i - sum_{u<i} phi_u . dS_u at every grid
+    time t_i of one path, from holdings and asset values (steps + 1, n_hedging)."""
+    return (phi * asset_values).sum(axis=1) - np.concatenate(([0.0], np.cumsum(gains)))
 
 
 def analytic_delta(

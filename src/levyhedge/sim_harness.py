@@ -205,8 +205,8 @@ class GoldenPath:
     jump_sum_path: np.ndarray
     contract_values: np.ndarray
     asset_values: np.ndarray  # (steps + 1, n_hedging)
-    phi: np.ndarray  # (steps, n_hedging)
-    theta: np.ndarray  # (steps,)
+    phi: np.ndarray  # (steps + 1, n_hedging); the last row repeats the one before
+    theta: np.ndarray  # (steps + 1,), from hedging.benchmark_holdings
     portfolio_values: np.ndarray
     residuals: np.ndarray  # (steps,)
 
@@ -573,14 +573,15 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                 jump_sum_path = np.zeros(steps + 1)
                 if len(s.measure):
                     np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
+                phi = np.vstack([phi[0], phi[0, -1:]])  # path 0's holdings, the last row carried to t_N
                 golden = GoldenPath(
                     times=s.grid.times,
                     jump_count_path=jump_count_path,
                     jump_sum_path=jump_sum_path,
                     contract_values=c[0],
                     asset_values=a[0],
-                    phi=phi[0],
-                    theta=benchmark_holdings(phi[0], a[0], gains[0]),
+                    phi=phi,
+                    theta=benchmark_holdings(phi, a[0], gains[0]),
                     portfolio_values=portfolio_values(c[0], dv[0]),
                     residuals=dv[0],
                 )

@@ -401,10 +401,14 @@ def test_unknown_config_key_is_rejected(tmp_path: Path):
     assert "typo_key" in cp.stderr
 
 
-def test_bad_schema_version_rejected(tmp_path: Path):
+@pytest.mark.parametrize("version", [2, True, 1.0, "1"], ids=["two", "true", "float", "string"])
+def test_bad_schema_version_rejected(tmp_path: Path, capsys, version):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"schema_version": 2, "scenario": {"name": "fig1"}}))
+    path.write_text(json.dumps({"schema_version": version, "scenario": {"name": "fig1"}}))
     assert run_cli("simulate", "--config", str(path)).returncode == 2
+    # only the integer 1 is version 1: not a bool, a float or a string
+    assert cli.main(["hedge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "configuration error: config schema_version must be 1\n"
 
 
 @pytest.mark.parametrize(
@@ -754,6 +758,29 @@ def test_hedge_without_hedging_mode_reports_no_hedge(tmp_path: Path):
     assert rerun.stdout == cp.stdout
 
 
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3", "fig4"])
+def test_hedge_is_the_golden_paths_first_row(tmp_path: Path, monkeypatch, capsys, name):
+    # hedge's theta_0 is the value benchmark_holdings returned to it
+    thetas, ledger = [], cli.benchmark_holdings
+
+    def recorded(*args):
+        thetas.append(ledger(*args))
+        return thetas[-1]
+
+    monkeypatch.setattr(cli, "benchmark_holdings", recorded)
+    assert cli.main(["hedge", name, "--out", str(tmp_path / "hedge")]) == 0
+    monkeypatch.undo()
+    assert cli.main(["simulate", name, "--paths", "1", "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+
+    hedge_phi = [row.split(",")[2] for row in (tmp_path / "hedge" / "hedge.csv").read_text().splitlines()[1:]]
+    header, first = (tmp_path / "sim" / "golden_path.csv").read_text().splitlines()[:2]
+    golden_phi = [cell for col, cell in zip(header.split(","), first.split(",")) if col.startswith("phi")]
+    assert hedge_phi == golden_phi
+    golden = sim_harness.run_scenario(sim_harness.builtin_scenario(name, n_paths=1)).golden
+    assert len(thetas) == 1 and thetas[0].tobytes() == golden.theta[:1].tobytes()
+
+
 # ---------------------------------------------------------------- CSV bytes
 #
 # The reference formats cell by cell with format(float(x), ".17g") and joins
@@ -781,12 +808,9 @@ def _reference_figure(name: str, result) -> bytes:
         return _reference_csv(header, rows)
     k = g.asset_values.shape[1]
     header = ["t", "C", *(f"S{j + 1}" for j in range(k)), *(f"phi{j + 1}" for j in range(k)), "theta", "V", "dV"]
-    gains = (g.contract_values[-1] - g.contract_values[0]) - float(g.residuals.sum())
-    theta_terminal = float((g.phi[-1] * g.asset_values[-1]).sum()) - gains
     rows = []
     for i in range(n + 1):
-        theta = g.theta[i] if i < n else theta_terminal
-        row = _cells(g.times[i], g.contract_values[i], *g.asset_values[i], *g.phi[min(i, n - 1)], theta)
+        row = _cells(g.times[i], g.contract_values[i], *g.asset_values[i], *g.phi[i], g.theta[i])
         row += _cells(g.portfolio_values[i]) + ([""] if i == 0 else _cells(g.residuals[i - 1]))
         rows.append(row)
     return _reference_csv(header, rows)
@@ -805,7 +829,7 @@ def _reference_hedge(s) -> bytes:
     ratios = sim_harness.scenario_ratios(s)
     assets = s.natural_assets()
     prices = np.array([a.initial_price for a in assets])
-    phi = np.asarray(ratios) * s.natural_contract().initial_price / prices
+    phi = np.asarray(ratios) * (s.natural_contract().initial_price / prices)
     rows = [[str(i + 1)] + _cells(ratios[i], phi[i], prices[i]) for i in range(len(assets))]
     return _reference_csv(["asset", "psi", "phi", "S0"], rows)
 

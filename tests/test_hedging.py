@@ -14,6 +14,7 @@ from levyhedge import (
     TimeGrid,
     analytic_delta,
     benchmark_holdings,
+    builtin_scenario,
     degeneracy_check,
     exponential_prices,
     gram_system,
@@ -22,6 +23,7 @@ from levyhedge import (
     multi_asset_hedge,
     portfolio_values,
     rho_diagnostic,
+    run_scenario,
     sample_noise_block,
     scenario_ratios,
     single_coefficients,
@@ -289,11 +291,13 @@ def test_zero_strategy_tracks_the_contract(bern_measure, unit_grid, contract, as
     noise = one_path(bern_measure, unit_grid, SEED, 2)
     prices = spec_prices(exponential_prices, (contract, asset_high), bern_measure, noise, unit_grid)
     c, s = prices[:, 0], prices[:, 1:]
-    phi = np.zeros((unit_grid.steps, 1))
-    dv, gains = hedge_residuals(c, s, phi)
+    phi = np.zeros((unit_grid.steps + 1, 1))  # holdings at every grid time
+    dv, gains = hedge_residuals(c, s, phi[:-1])
     np.testing.assert_allclose(portfolio_values(c, dv), c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dv, np.diff(c), rtol=0, atol=1e-12)
-    assert np.all(benchmark_holdings(phi, s, gains) == 0.0)
+    theta = benchmark_holdings(phi, s, gains)
+    assert theta.shape == (unit_grid.steps + 1,)
+    assert np.all(theta == 0.0)
 
 
 def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asset_high, asset_low):
@@ -302,22 +306,41 @@ def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asse
     c, s = prices[:, 0], prices[:, 1:]
     phi = np.array([0.4, 0.5]) * (c[:-1, None] / s[:-1])  # psi_i C_left / S^i_left
     dv, gains = hedge_residuals(c, s, phi)
-    theta = benchmark_holdings(phi, s, gains)
+    held = np.vstack([phi, phi[-1:]])  # the holdings of t_{N-1} carry to t_N
+    theta = benchmark_holdings(held, s, gains)
+    assert theta.shape == (unit_grid.steps + 1,)
 
-    # theta replays the self-financing ledger step by step
+    # theta replays the self-financing ledger step by step, through row N
     total = 0.0
-    for i in range(unit_grid.steps):
-        expected_theta = float(phi[i] @ s[i]) - total
+    for i in range(unit_grid.steps + 1):
+        expected_theta = float(held[i] @ s[i]) - total
         assert theta[i] == pytest.approx(expected_theta, rel=1e-12, abs=1e-9)
-        total += float(phi[i] @ (s[i + 1] - s[i]))
+        if i < unit_grid.steps:
+            total += float(phi[i] @ (s[i + 1] - s[i]))
 
-    # portfolio value decomposes as V = C - phi.S + theta at step starts
+    # portfolio value decomposes as V = C - phi.S + theta at every grid time
     v = portfolio_values(c, dv)
-    recon = c[:-1] - (phi * s[:-1]).sum(axis=1) + theta
-    np.testing.assert_allclose(v[:-1], recon, rtol=1e-9)
+    recon = c - (held * s).sum(axis=1) + theta
+    np.testing.assert_allclose(v, recon, rtol=1e-9)
     # initial value equals the contract value
     assert v[0] == c[0]
     np.testing.assert_allclose(v[1:] - v[:-1], np.diff(c) - (phi * np.diff(s, axis=0)).sum(axis=1), rtol=0, atol=1e-9)
+
+
+def _theta_before_the_terminal_row(phi, s, gains):
+    """The ledger as it stood when holdings covered t_0..t_{N-1} only:
+    theta at those N times, from holdings (steps, n_hedging)."""
+    cum_gains = np.concatenate(([0.0], np.cumsum(gains)[:-1]))
+    return (phi * s[:-1]).sum(axis=1) - cum_gains
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3", "fig4"])
+def test_terminal_row_leaves_earlier_theta_bitwise_unchanged(name):
+    g = run_scenario(builtin_scenario(name, n_paths=1)).golden
+    phi = g.phi[:-1]
+    np.testing.assert_array_equal(g.phi[-1], phi[-1])
+    gains = hedge_residuals(g.contract_values, g.asset_values, phi)[1]
+    np.testing.assert_array_equal(g.theta[:-1], _theta_before_the_terminal_row(phi, g.asset_values, gains))
 
 
 # ---------------------------------------------------------------- analytic error

@@ -156,7 +156,8 @@ def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):
 def _reference_path(s, p: int) -> dict:
     """Path p of a scenario, computed alone: its noise as a 1-path block,
     exact prices, holdings phi^i = psi_i C_left / S^i_left from step-start
-    prices and the self-financing ledger of that one path."""
+    prices (the last carried to t_N) and the self-financing ledger of that
+    one path."""
     dw, counts = one_path(s.measure, s.grid, s.seed, p)
 
     def prices(spec):
@@ -170,7 +171,8 @@ def _reference_path(s, p: int) -> dict:
     v = portfolio_values(c, dv)
     z = dv / c[:-1]
     stats = ((v[-1] - v[0]) ** 2, dv @ dv, c[0] ** 2 * (z @ z), dv.sum(), dv.std(), np.abs(dv).max())
-    golden = dict(contract_values=c, asset_values=a, phi=phi, theta=benchmark_holdings(phi, a, gains))
+    held = np.vstack([phi, phi[-1:]])  # the holdings of t_{N-1} carry to t_N
+    golden = dict(contract_values=c, asset_values=a, phi=held, theta=benchmark_holdings(held, a, gains))
     return dict(stats=stats, counts=counts, portfolio_values=v, residuals=dv, **golden)
 
 
