@@ -272,19 +272,16 @@ def hedge_residuals(
     """Residual increments dV = dC - sum_i phi^i dS^i and the hedge gains
     sum_i phi^i dS^i, both of shape (..., steps).
 
-    Takes contract values (..., steps + 1), asset values
-    (..., steps + 1, n_hedging) and holdings (..., steps, n_hedging) for one
-    path or a block of paths; each path's result is the same either way.
-    The gains are summed in asset-index order, one asset at a time, so
-    their rounding is fixed by this loop and not by NumPy's reduction.
+    Takes contract values (..., steps + 1), and asset values
+    (n_hedging, ..., steps + 1) and holdings (n_hedging, ..., steps), one
+    row per asset, for one path or a block of paths; each path's result is
+    the same either way.  The gains are added to zero in asset-index order,
+    row by row, so their rounding is fixed by this loop, not by NumPy's
+    reduction.
     """
-    ds = np.diff(asset_values, axis=-2)
-    if ds.shape[-1] == 0:  # no hedging assets: no gains
-        gains = np.zeros(ds.shape[:-1])
-    else:
-        gains = phi[..., 0] * ds[..., 0]
-        for k in range(1, ds.shape[-1]):
-            gains += phi[..., k] * ds[..., k]
+    gains = np.zeros(contract_values[..., 1:].shape)
+    for held, values in zip(phi, asset_values):
+        gains += held * np.diff(values, axis=-1)
     return np.diff(contract_values, axis=-1) - gains, gains
 
 

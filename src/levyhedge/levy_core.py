@@ -18,8 +18,14 @@ of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
 SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
 seed words are hashed here in bulk, for a block of paths at once, instead
 of by one SeedSequence object per stream.  Every path is
-made by the block kernels below: noise arrays in, value arrays out, with any
-leading path axes, so a (steps,) array is one path.  A path's noise depends
+made by the block kernels below.  Each prices a sequence of coefficient
+specs over one measure, with one initial value each, on noise as
+:func:`sample_noise_block` draws it, dW (..., steps) and counts
+(..., steps, n_atoms) with any leading path axes (a (steps,) array is one
+path), into one row per spec: shape (n_specs, ..., steps + 1), row k from
+the k-th initial value.  Rows are formed one at a time and every reduction
+runs along one path's steps or elementwise over the atoms, so a path's
+values are bitwise the same in any block and beside any other specs.  A path's noise depends
 on its index alone, not on the block, the range of paths or the process it
 is drawn in, so a Monte Carlo run can split its paths into ranges of whole
 blocks and give each range to another process (sim_harness._range_rows)
@@ -33,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -434,131 +441,125 @@ def _check_same_measure(a: SymmetricCoefficients, b: SymmetricCoefficients) -> L
     return a.measure
 
 
-def _check_noise(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid
-) -> None:
-    """Reject noise whose shape does not match the grid and the measure."""
+_Specs = Sequence[SymmetricCoefficients]  # the specs of one block kernel call, over one measure
+
+
+def _check_specs(specs: _Specs, x0s, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid) -> None:
+    """Reject anything but one or more specs over one measure, one initial
+    value each, and noise whose shape does not fit the grid and that measure."""
+    if not specs or len(x0s) != len(specs):
+        raise ValueError(f"need one initial value per spec and at least one spec, got {len(x0s)} for {len(specs)}")
+    for spec in specs[1:]:
+        _check_same_measure(specs[0], spec)
     if brownian_increments.shape[-1:] != (grid.steps,) or jump_counts.shape[:-1] != brownian_increments.shape:
         raise ValueError(f"noise must have shapes (..., {grid.steps}) and (..., {grid.steps}, n_atoms) for this grid")
-    _check_atoms(jump_counts.shape[-1], coeffs.measure, "jump_counts")
+    _check_atoms(jump_counts.shape[-1], specs[0].measure, "jump_counts")
 
 
 def _euler(
-    coeffs: SymmetricCoefficients,
+    specs: _Specs,
     brownian_increments: np.ndarray,
     jump_counts: np.ndarray,
     grid: TimeGrid,
-    x0: float,
+    x0s: Sequence[float],
     proportional: bool,
 ) -> np.ndarray:
-    """Euler values (..., steps + 1) of constant-coefficient dynamics, for
-    noise with any leading (path) axes.
-
-    Each step adds alpha dt + beta dW_i + sum_k gamma_k (count_ik - w_k dt),
-    scaled by the step-start state when ``proportional``.  Every reduction
-    runs along the step axis of one path or elementwise over the atoms, so a
-    path's result does not depend on the other paths drawn with it.  Raises
-    :class:`IntegrationError` at the first non-finite state.
-    """
-    _check_noise(coeffs, brownian_increments, jump_counts, grid)
-    gam = coeffs.jump_vol_array
+    """Euler values of constant-coefficient dynamics, shaped as the module
+    docstring says.  Each step adds
+    alpha dt + beta dW_i + sum_k gamma_k (count_ik - w_k dt), scaled by the
+    step-start state when ``proportional``.  Raises
+    :class:`IntegrationError` at the first non-finite state, by spec, then
+    path, then step."""
+    _check_specs(specs, x0s, brownian_increments, jump_counts, grid)
     dt = grid.dt
-    jump_terms = np.zeros(brownian_increments.shape)
-    values = np.empty(brownian_increments.shape[:-1] + (grid.steps + 1,))
-    values[..., 0] = x0
+    values = np.empty((len(specs),) + brownian_increments.shape[:-1] + (grid.steps + 1,))
     # overflow produces non-finite states that are reported as typed errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, g in enumerate(gam):
-            jump_terms += jump_counts[..., k] * g
-        inc = (
-            coeffs.drift * dt
-            + coeffs.brownian_vol * brownian_increments
-            + jump_terms
-            - compensate(coeffs.measure, gam) * dt
-        )
-        if proportional:
-            np.cumprod(1.0 + inc, axis=-1, out=values[..., 1:])
-            values[..., 1:] *= x0
-        else:
-            np.cumsum(inc, axis=-1, out=values[..., 1:])
-            values[..., 1:] += x0
+        for coeffs, x0, row in zip(specs, x0s, values):
+            gam = coeffs.jump_vol_array
+            jump_terms = np.zeros(brownian_increments.shape)
+            for k, g in enumerate(gam):
+                jump_terms += jump_counts[..., k] * g
+            inc = coeffs.drift * dt + coeffs.brownian_vol * brownian_increments + jump_terms
+            inc -= compensate(coeffs.measure, gam) * dt
+            row[..., 0] = x0
+            if proportional:
+                np.cumprod(1.0 + inc, axis=-1, out=row[..., 1:])
+                row[..., 1:] *= x0
+            else:
+                np.cumsum(inc, axis=-1, out=row[..., 1:])
+                row[..., 1:] += x0
     if not np.isfinite(values).all():
-        path, index = (int(i) for i in np.argwhere(~np.isfinite(values.reshape(-1, grid.steps + 1)))[0])
-        where = f" on block path {path}" if values.ndim > 1 else ""
+        rows = values.reshape(len(specs), -1, grid.steps + 1)
+        _, path, index = (int(i) for i in np.argwhere(~np.isfinite(rows))[0])
+        where = f" on block path {path}" if values.ndim > 2 else ""
         raise IntegrationError(index - 1, f"non-finite state{where} at step {index - 1}")
     return values
 
 
 def integrate_block(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+    specs: _Specs, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0s: Sequence[float]
 ) -> np.ndarray:
     """Euler values of constant-coefficient compensated dynamics for a block
-    of paths.
-
-    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
-    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
-    result has shape (..., steps + 1) and starts at ``x0``; a (steps,)
-    array of increments is one path.  Each path's values are bitwise the
-    same in any block.  Raises :class:`IntegrationError` at the first
-    non-finite state.
-    """
-    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=False)
+    of paths, one row per spec (see the module docstring).  Raises
+    :class:`IntegrationError` at the first non-finite state."""
+    return _euler(specs, brownian_increments, jump_counts, grid, x0s, proportional=False)
 
 
 def integrate_proportional_block(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+    specs: _Specs, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0s: Sequence[float]
 ) -> np.ndarray:
     """Euler values of proportional dynamics dX = X_left (alpha dt + beta dW
     + jumps) for a block of paths, shaped as :func:`integrate_block`."""
-    return _euler(coeffs, brownian_increments, jump_counts, grid, x0, proportional=True)
+    return _euler(specs, brownian_increments, jump_counts, grid, x0s, proportional=True)
 
 
 def exponential_prices(
-    coeffs: SymmetricCoefficients, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0: float
+    specs: _Specs, brownian_increments: np.ndarray, jump_counts: np.ndarray, grid: TimeGrid, x0s: Sequence[float]
 ) -> np.ndarray:
-    """Grid values of the stochastic exponential for a block of paths,
+    """Grid values of the stochastic exponential for a block of paths, one
+    row per spec (see the module docstring),
 
         X_t = x0 exp( (alpha - beta^2/2) t + beta W_t
                       + sum_jumps log(1 + gamma(x)) - t sum_k gamma_k w_k ).
 
-    ``brownian_increments`` has shape (..., steps) and ``jump_counts``
-    (..., steps, n_atoms), as drawn by :func:`sample_noise_block`; the
-    result has shape (..., steps + 1) and starts at ``x0``.  Needs
-    1 + gamma_k > 0 for every atom.  The per-step log increments
-    beta dW_i + sum_k log(1 + gamma_k) count_ik are accumulated by one
-    cumsum; the drift term is taken on the grid times, not accumulated.
-    Every reduction runs along the step axis of one path or elementwise over
-    the atoms, so each path's values are bitwise the same in any block.
+    Needs 1 + gamma_k > 0 for every atom of every spec.  A row's per-step
+    log increments beta dW_i + sum_k log(1 + gamma_k) count_ik are added
+    elementwise in atom order (a matrix product may reorder the sum) and
+    accumulated by one cumsum; the drift term is taken on the grid times.
     """
-    _check_noise(coeffs, brownian_increments, jump_counts, grid)
-    gam = coeffs.jump_vol_array
-    if np.any(1.0 + gam <= 0.0):
+    _check_specs(specs, x0s, brownian_increments, jump_counts, grid)
+    if any(np.any(1.0 + coeffs.jump_vol_array <= 0.0) for coeffs in specs):
         raise ValueError("exponential dynamics need jump volatilities > -1")
-    log_steps = coeffs.brownian_vol * brownian_increments
-    for k, factor in enumerate(np.log1p(gam)):
-        log_steps += jump_counts[..., k] * factor
-    values = np.empty(brownian_increments.shape[:-1] + (grid.steps + 1,))
-    values[..., 0] = x0
-    exponent = values[..., 1:]
-    np.cumsum(log_steps, axis=-1, out=exponent)
-    exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
-    with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
-        np.exp(exponent, out=exponent)
-        exponent *= x0
+    values = np.empty((len(specs),) + brownian_increments.shape[:-1] + (grid.steps + 1,))
+    for coeffs, x0, row in zip(specs, x0s, values):
+        gam = coeffs.jump_vol_array
+        log_steps = coeffs.brownian_vol * brownian_increments
+        for k, factor in enumerate(np.log1p(gam)):
+            log_steps += jump_counts[..., k] * factor
+        row[..., 0] = x0
+        exponent = row[..., 1:]
+        np.cumsum(log_steps, axis=-1, out=exponent)
+        del log_steps  # one row's temporaries at a time
+        exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
+        with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
+            np.exp(exponent, out=exponent)
+            exponent *= x0
     return values
 
 
-def _checked_prices(values: np.ndarray, what: str, first_path: int) -> np.ndarray:
-    """``values`` (paths, steps + 1) of the prices ``what`` on paths
-    ``first_path``, ``first_path + 1``, ...; raises :class:`PriceRangeError`
-    at the first price (by path, then step) that underflowed to zero or left
-    the finite floats, so no statistic is computed from it."""
+def _checked_prices(values: np.ndarray, names: Sequence[str], first_path: int) -> np.ndarray:
+    """``values`` (n_specs, paths, steps + 1), row k the prices of
+    ``names[k]`` on paths ``first_path``, ``first_path + 1``, ...; raises
+    :class:`PriceRangeError` at the first price (by spec, then path, then
+    step) that underflowed to zero or left the finite floats, so no
+    statistic is computed from it."""
     if not (values.min() > 0.0 and values.max() < np.inf):  # NaN fails both
-        row, step = (int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
+        spec, row, step = (int(i) for i in np.argwhere(~((values > 0.0) & (values < np.inf)))[0])
         raise PriceRangeError(
             first_path + row,
             step,
-            f"{what} price {float(values[row, step])!r} on path {first_path + row} at step {step} "
+            f"{names[spec]} price {float(values[spec, row, step])!r} on path {first_path + row} at step {step} "
             "is not positive and finite",
         )
     return values

@@ -475,23 +475,18 @@ def _price_blocks(price, s: Scenario, start: int, stop: int):
     shared noise, for its paths start .. stop - 1, one block at a time,
     from ``price`` (:func:`exponential_prices` or an Euler integrator).
 
-    Yields (first_path, counts, c, a) with c of shape (paths, steps + 1) and
-    a of shape (paths, steps + 1, n_hedging).  A price that is not positive
-    and finite raises :class:`PriceRangeError`.
+    Yields (first_path, counts, prices), with prices of shape
+    (1 + n_hedging, paths, steps + 1) from one kernel call per block: row 0
+    the contract, row k asset k.  A price that is not positive and finite
+    raises :class:`PriceRangeError`, the contract's before asset k's and a
+    lower path's before a higher one's.
     """
     specs = (s.natural_contract(), *s.natural_assets())
     coeffs = [natural_coefficients(spec, s.measure) for spec in specs]
+    x0s = [spec.initial_price for spec in specs]
+    names = ["contract", *(f"asset {k}" for k in range(1, len(specs)))]
     for first, dw, counts in _noise_blocks(s.measure, s.grid, s.seed, start, stop):
-
-        def prices(k: int, what: str) -> np.ndarray:
-            values = price(coeffs[k], dw, counts, s.grid, specs[k].initial_price)
-            return _checked_prices(values, what, first)
-
-        c = prices(0, "contract")
-        a = np.empty(c.shape + (len(specs) - 1,))
-        for k in range(1, len(specs)):
-            a[..., k - 1] = prices(k, f"asset {k}")
-        yield first, counts, c, a
+        yield first, counts, _checked_prices(price(coeffs, dw, counts, s.grid, x0s), names, first)
 
 
 def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -499,18 +494,18 @@ def _hedge(c: np.ndarray, a: np.ndarray, ratios) -> tuple[np.ndarray, np.ndarray
     psi, with the residuals dV and the hedge gains they leave.
 
     Takes contract values (..., steps + 1) and asset values
-    (..., steps + 1, n_hedging); returns phi (..., steps, n_hedging) and dV
-    and gains (..., steps).
+    (n_hedging, ..., steps + 1), row k asset k + 1, as :func:`_price_blocks`
+    yields them; returns phi (n_hedging, ..., steps), one row per asset,
+    and dV and gains (..., steps).
     """
     psi = np.asarray(ratios, dtype=float)
-    if psi.shape != a.shape[-1:]:
+    if psi.shape != a.shape[:1]:
         raise ValueError("need one ratio per hedging asset")
-    phi = np.empty(a[..., :-1, :].shape)
     # a tiny asset price overflows phi; _path_stats reports the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        # one asset at a time: every loop runs along the step axis
-        for k, r in enumerate(psi):
-            phi[..., k] = r * (c[..., :-1] / a[..., :-1, k])
+        # psi broadcasts over the leading asset axis: every row runs along the steps
+        phi = c[..., :-1] / a[..., :-1]
+        phi *= psi.reshape(psi.shape + (1,) * c.ndim)
         dv, gains = hedge_residuals(c, a, phi)
     return phi, dv, gains
 
@@ -546,7 +541,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 
     Every asset on a path consumes the same noise realization; the hedge
     mode never alters the simulated prices.  Paths are simulated in blocks
-    of (paths, steps[, assets]) arrays, in ranges of whole blocks that may
+    of (specs, paths, steps + 1) prices, in ranges of whole blocks that may
     run in forked processes (:func:`_range_rows`); every reduction runs along
     one path's steps, so the results are deterministic in the seed and do
     not depend on the block size or the number of processes.
@@ -563,7 +558,8 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 
     def fill(columns: np.ndarray, start: int, stop: int) -> None:
         nonlocal golden
-        for first, counts, c, a in _price_blocks(exponential_prices, s, start, stop):
+        for first, counts, prices in _price_blocks(exponential_prices, s, start, stop):
+            c, a = prices[0], prices[1:]
             phi, dv, gains = _hedge(c, a, hedge_ratios)
             columns[:, first : first + len(dv)] = _path_stats(c, dv, first)
             if first == 0:
@@ -573,15 +569,19 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                 jump_sum_path = np.zeros(steps + 1)
                 if len(s.measure):
                     np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
-                phi = np.vstack([phi[0], phi[0, -1:]])  # path 0's holdings, the last row carried to t_N
+                # path 0's rows as C-contiguous (steps + 1, n_hedging) copies, so
+                # benchmark_holdings sums each grid time's assets as it always has
+                # (pairwise from 8 assets); the holdings of t_{N-1} carry to t_N
+                asset_values = np.ascontiguousarray(a[:, 0].T)
+                held = np.ascontiguousarray(np.vstack([phi[:, 0].T, phi[:, 0, -1]]))
                 golden = GoldenPath(
                     times=s.grid.times,
                     jump_count_path=jump_count_path,
                     jump_sum_path=jump_sum_path,
                     contract_values=c[0],
-                    asset_values=a[0],
-                    phi=phi,
-                    theta=benchmark_holdings(phi, a[0], gains[0]),
+                    asset_values=asset_values,
+                    phi=held,
+                    theta=benchmark_holdings(held, asset_values, gains[0]),
                     portfolio_values=portfolio_values(c[0], dv[0]),
                     residuals=dv[0],
                 )

@@ -87,7 +87,7 @@ def _euler_terminals(coeffs: SymmetricCoefficients, grid: TimeGrid, seed: int, x
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         for first, dw, counts in _noise_blocks(coeffs.measure, grid, seed, start, stop):
-            out[first : first + len(dw)] = integrate_block(coeffs, dw, counts, grid, x0)[:, -1]
+            out[first : first + len(dw)] = integrate_block([coeffs], dw, counts, grid, [x0])[0, :, -1]
 
     return _range_rows((), _path_ranges(n_paths, grid.steps), fill)
 
@@ -97,9 +97,8 @@ def _price_terminals(s: Scenario) -> np.ndarray:
     exact geometric paths, the contract first."""
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
-        for first, _, c, a in _price_blocks(exponential_prices, s, start, stop):
-            out[0, first : first + len(c)] = c[:, -1]
-            out[1:, first : first + len(c)] = a[:, -1].T
+        for first, _, prices in _price_blocks(exponential_prices, s, start, stop):
+            out[:, first : first + prices.shape[1]] = prices[..., -1]
 
     return _range_rows((1 + len(s.hedging_assets),), _path_ranges(s.n_paths, s.grid.steps), fill).T
 
@@ -111,7 +110,8 @@ def _hedge_stats(price, s: Scenario, ratio_sets) -> np.ndarray:
     Euler integrator)."""
 
     def fill(stats: np.ndarray, start: int, stop: int) -> None:
-        for first, _, c, a in _price_blocks(price, s, start, stop):
+        for first, _, prices in _price_blocks(price, s, start, stop):
+            c, a = prices[0], prices[1:]
             for j, ratios in enumerate(ratio_sets):
                 stats[:, j, first : first + len(c)] = _path_stats(c, _hedge(c, a, ratios)[1], first)
 
@@ -141,10 +141,8 @@ def _euler_gap_ratios(
             for (a, b), ab, pair_ratios in zip(pairs, products, ratios):
                 gaps_cf, gaps_prod = [], []
                 for grid, (g_dw, g_counts) in ((coarse_grid, coarse), (fine_grid, (dw, counts))):
-                    e_a = integrate_proportional_block(a, g_dw, g_counts, grid, 1.0)
-                    e_b = integrate_proportional_block(b, g_dw, g_counts, grid, 1.0)
-                    e_ab = integrate_proportional_block(ab, g_dw, g_counts, grid, 1.0)
-                    cf = exponential_prices(a, g_dw, g_counts, grid, 1.0)
+                    e_a, e_b, e_ab = integrate_proportional_block([a, b, ab], g_dw, g_counts, grid, [1.0] * 3)
+                    cf = exponential_prices([a], g_dw, g_counts, grid, [1.0])[0]
                     gaps_cf.append(np.abs(e_a - cf).max(axis=-1))
                     gaps_prod.append(np.abs(e_ab - e_a * e_b).max(axis=-1))
                 pair_ratios[0, first : first + n] = gaps_cf[1] / gaps_cf[0]
@@ -235,24 +233,23 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
     measure, grid = s.measure, s.grid
     a1, a2 = s.natural_assets()
 
-    def exact(coeffs: SymmetricCoefficients, noise, grid: TimeGrid, x0: float, what: str, path_index: int):
-        # the path of a 1-path noise block; a price that underflowed or
-        # overflowed raises instead of entering a relative error as NaN
-        return _checked_prices(exponential_prices(coeffs, *noise, grid, x0), what, path_index)[0]
+    def exact(specs: Sequence[SymmetricCoefficients], noise, grid: TimeGrid, x0s, names, path_index: int):
+        # each spec's path on a 1-path noise block, from one kernel call; a price
+        # that underflowed or overflowed raises instead of entering an error as NaN
+        return _checked_prices(exponential_prices(specs, *noise, grid, x0s), names, path_index)[:, 0]
 
     # closed-form identity: path of the product/quotient coefficients equals
     # the pointwise product/quotient of the individual closed-form paths
     # (relative error; the paths themselves range over orders of magnitude).
     # The worst errors are taken with np.max, so a NaN error fails the check.
     errs_prod, errs_quot = [], []
+    names = ["calculus factor a", "calculus factor b", "calculus product", "calculus quotient"]
     for trial in range(20):
         a = _random_coefficients(rng, measure)
         b = _random_coefficients(rng, measure)
         noise = sample_noise_block(measure, grid, seed + 2, trial, 1)
-        xa = exact(a, noise, grid, 1.3, "calculus factor a", trial)
-        xb = exact(b, noise, grid, 0.7, "calculus factor b", trial)
-        xp = exact(product_coefficients(a, b), noise, grid, 1.3 * 0.7, "calculus product", trial)
-        xq = exact(quotient_coefficients(a, b), noise, grid, 1.3 / 0.7, "calculus quotient", trial)
+        specs = [a, b, product_coefficients(a, b), quotient_coefficients(a, b)]
+        xa, xb, xp, xq = exact(specs, noise, grid, [1.3, 0.7, 1.3 * 0.7, 1.3 / 0.7], names, trial)
         errs_prod.append(float(np.abs(xp / (xa * xb) - 1.0).max()))
         errs_quot.append(float(np.abs(xq / (xa / xb) - 1.0).max()))
     worst_prod, worst_quot = float(np.max(errs_prod)), float(np.max(errs_quot))
@@ -329,8 +326,8 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
             m = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locs, rates)))
             kernel = PricingKernelSpec(short_rate, brownian_mpr, tuple(jump_mpr))
             noise = sample_noise_block(m, sgrid, seed + 4, trial, 1)
-            pi = exact(kernel_coefficients(kernel, m), noise, sgrid, 1.0, "pricing kernel", trial)
-            xi = exact(benchmark_coefficients(kernel, m), noise, sgrid, 1.0, "benchmark", trial)
+            specs = [kernel_coefficients(kernel, m), benchmark_coefficients(kernel, m)]
+            pi, xi = exact(specs, noise, sgrid, [1.0, 1.0], ["pricing kernel", "benchmark"], trial)
             errs[trial] = np.abs(pi * xi - 1.0).max()
 
     errs = _range_rows((), _trial_ranges(len(kernels)), reciprocal_errors)

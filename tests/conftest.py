@@ -81,19 +81,20 @@ def coarsen(dw: np.ndarray, counts: np.ndarray):
 
 
 def spec_prices(price, specs, measure: LevyMeasure, noise, grid: TimeGrid) -> np.ndarray:
-    """Natural prices (..., steps + 1, n_specs) of ``specs`` on shared noise
-    (dW, counts), from the block kernel ``price``."""
-    return np.stack(
-        [price(natural_coefficients(spec, measure), *noise, grid, spec.initial_price) for spec in specs], axis=-1
+    """Natural prices (n_specs, ..., steps + 1) of ``specs`` on shared noise
+    (dW, counts), from one call of the block kernel ``price``."""
+    return price(
+        [natural_coefficients(spec, measure) for spec in specs], *noise, grid, [spec.initial_price for spec in specs]
     )
 
 
 def ratio_residuals(prices: np.ndarray, ratios) -> np.ndarray:
-    """Residual increments dV (..., steps) of the contract prices[..., 0]
-    hedged with the assets prices[..., 1:] at constant scaled ratios, with
-    holdings phi^i = psi_i C_left / S^i_left."""
-    c, a = prices[..., 0], prices[..., 1:]
-    phi = np.asarray(ratios, dtype=float) * (c[..., :-1, None] / a[..., :-1, :])
+    """Residual increments dV (..., steps) of the contract prices[0] hedged
+    with the assets prices[1:] at constant scaled ratios, with holdings
+    phi^i = psi_i C_left / S^i_left."""
+    c, a = prices[0], prices[1:]
+    psi = np.asarray(ratios, dtype=float)
+    phi = psi.reshape(psi.shape + (1,) * c.ndim) * (c[..., :-1] / a[..., :-1])
     return hedge_residuals(c, a, phi)[0]
 
 

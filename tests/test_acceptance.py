@@ -65,7 +65,7 @@ def test_criterion_1_quadratic_variation_identity():
     coeffs = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
     analytic = GRID.horizon * (0.20**2 + 7.5 * (0.3**2 + 0.3**2))
     blocks = noise_blocks(MEASURE, GRID, SEED, n)
-    sq = np.concatenate([integrate_block(coeffs, dw, counts, GRID, 0.0)[:, -1] ** 2 for dw, counts in blocks])
+    sq = np.concatenate([integrate_block([coeffs], dw, counts, GRID, [0.0])[0, :, -1] ** 2 for dw, counts in blocks])
     se = sq.std(ddof=1) / np.sqrt(n)
     diff = abs(sq.mean() - analytic)
     report(
@@ -80,12 +80,12 @@ def test_criterion_2_natural_price_martingale():
     n = 10_000
     specs = (CONTRACT, ASSET1, ASSET2)
     blocks = noise_blocks(MEASURE, GRID, SEED + 1, n)
-    terminals = np.concatenate([spec_prices(exponential_prices, specs, MEASURE, noise, GRID)[:, -1] for noise in blocks])
+    terminals = np.concatenate([spec_prices(exponential_prices, specs, MEASURE, noise, GRID)[..., -1] for noise in blocks], axis=1)
     details = []
     ok = True
     for j, label in enumerate(("contract", "asset1", "asset2")):
-        mean = terminals[:, j].mean()
-        se = terminals[:, j].std(ddof=1) / np.sqrt(n)
+        mean = terminals[j].mean()
+        se = terminals[j].std(ddof=1) / np.sqrt(n)
         ok &= abs(mean - 100.0) <= 3.0 * se
         details.append(f"{label}: mean={mean:.3f} 3se={3 * se:.3f}")
     report("criterion 2 (natural-price martingale)", ok, "; ".join(details) + f" N={n}")
@@ -105,8 +105,9 @@ def test_criterion_3_kernel_benchmark_identity():
             tuple(rng.uniform(-0.5, 0.9, len(m))),
         )
         noise = one_path(m, GRID, SEED + 2, trial)
-        pi = exponential_prices(kernel_coefficients(kernel, m), *noise, GRID, 1.0)
-        xi = exponential_prices(benchmark_coefficients(kernel, m), *noise, GRID, 1.0)
+        pi, xi = exponential_prices(
+            [kernel_coefficients(kernel, m), benchmark_coefficients(kernel, m)], *noise, GRID, [1.0, 1.0]
+        )
         worst = max(worst, float(np.abs(pi * xi - 1.0).max()))
     report("criterion 3 (kernel/benchmark identity)", worst <= 1e-10, f"max|pi*xi-1|={worst:.3g} tol=1e-10 kernels=100")
 
@@ -279,10 +280,9 @@ def test_criterion_9_calculus_identities_and_convergence():
             tuple(rng.uniform(-0.6, 1.5, 2)), MEASURE,
         )
         noise = one_path(MEASURE, GRID, SEED + 9, trial)
-        xa = exponential_prices(a, *noise, GRID, 1.1)
-        xb = exponential_prices(b, *noise, GRID, 0.9)
-        prod = exponential_prices(product_coefficients(a, b), *noise, GRID, 1.1 * 0.9)
-        quot = exponential_prices(quotient_coefficients(a, b), *noise, GRID, 1.1 / 0.9)
+        xa, xb, prod, quot = exponential_prices(
+            [a, b, product_coefficients(a, b), quotient_coefficients(a, b)], *noise, GRID, [1.1, 0.9, 1.1 * 0.9, 1.1 / 0.9]
+        )
         worst_rel = max(worst_rel, float(np.abs(prod / (xa * xb) - 1.0).max()))
         worst_rel = max(worst_rel, float(np.abs(quot / (xa / xb) - 1.0).max()))
 
@@ -292,8 +292,8 @@ def test_criterion_9_calculus_identities_and_convergence():
     fine = sample_noise_block(MEASURE, fine_grid, SEED + 10, 0, 100)
     gaps = []
     for grid, noise in ((GRID, coarsen(*fine)), (fine_grid, fine)):
-        euler = integrate_proportional_block(coeffs, *noise, grid, 1.0)
-        gaps.append(np.abs(euler - exponential_prices(coeffs, *noise, grid, 1.0)).max(axis=1))
+        euler = integrate_proportional_block([coeffs], *noise, grid, [1.0])[0]
+        gaps.append(np.abs(euler - exponential_prices([coeffs], *noise, grid, [1.0])[0]).max(axis=1))
     med = float(np.median(gaps[1] / gaps[0]))
     ok = worst_rel <= 1e-10 and med <= 0.55
     report(

@@ -517,6 +517,30 @@ def test_configs_with_a_null_kernel_still_rerun(tmp_path: Path, capsys):
     assert not (tmp_path / "k").exists()
 
 
+def test_a_market_without_hedging_assets_simulates_fig1s_contract(tmp_path: Path, capsys):
+    # fig1's config with "hedging_assets": [] prices the contract alone; its
+    # golden-path C column is fig1's, byte for byte
+    a, z = tmp_path / "a", tmp_path / "z"
+    assert cli.main(["simulate", "fig1", "--paths", "12", "--out", str(a)]) == 0
+    cfg = json.loads((a / "effective_config.json").read_text())
+    cfg["scenario"]["hedging_assets"] = []
+    del cfg["out_dir"]
+    path = tmp_path / "no_assets.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", str(path), "--out", str(z)]) == 0
+    capsys.readouterr()
+
+    def contract_column(out: Path) -> list[str]:
+        rows = [line.split(",") for line in (out / "golden_path.csv").read_text().splitlines()]
+        assert rows[0][1] == "C"
+        return [row[1] for row in rows]
+
+    assert (z / "golden_path.csv").read_text().splitlines()[0] == "t,C,theta,V,dV"
+    assert contract_column(z) == contract_column(a)
+
+
 def test_simulate_out_path_collision_is_io_error(tmp_path: Path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -21,6 +21,7 @@ from levyhedge import (
     hedge_residuals,
     integrate_proportional_block,
     multi_asset_hedge,
+    natural_coefficients,
     portfolio_values,
     rho_diagnostic,
     run_scenario,
@@ -31,6 +32,7 @@ from levyhedge import (
     two_asset_hedge,
     volatility_gram,
 )
+from levyhedge import sim_harness
 
 SEED = 9118
 
@@ -290,12 +292,12 @@ def test_zero_volatility_single_asset_is_degenerate(bern_measure, contract):
 def test_zero_strategy_tracks_the_contract(bern_measure, unit_grid, contract, asset_high):
     noise = one_path(bern_measure, unit_grid, SEED, 2)
     prices = spec_prices(exponential_prices, (contract, asset_high), bern_measure, noise, unit_grid)
-    c, s = prices[:, 0], prices[:, 1:]
-    phi = np.zeros((unit_grid.steps + 1, 1))  # holdings at every grid time
-    dv, gains = hedge_residuals(c, s, phi[:-1])
+    c, s = prices[0], prices[1:]
+    phi = np.zeros((1, unit_grid.steps + 1))  # holdings at every grid time
+    dv, gains = hedge_residuals(c, s, phi[:, :-1])
     np.testing.assert_allclose(portfolio_values(c, dv), c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dv, np.diff(c), rtol=0, atol=1e-12)
-    theta = benchmark_holdings(phi, s, gains)
+    theta = benchmark_holdings(phi.T, s.T, gains)
     assert theta.shape == (unit_grid.steps + 1,)
     assert np.all(theta == 0.0)
 
@@ -303,9 +305,10 @@ def test_zero_strategy_tracks_the_contract(bern_measure, unit_grid, contract, as
 def test_portfolio_accounting_identities(bern_measure, unit_grid, contract, asset_high, asset_low):
     specs = (contract, asset_high, asset_low)
     prices = spec_prices(exponential_prices, specs, bern_measure, one_path(bern_measure, unit_grid, SEED, 3), unit_grid)
-    c, s = prices[:, 0], prices[:, 1:]
-    phi = np.array([0.4, 0.5]) * (c[:-1, None] / s[:-1])  # psi_i C_left / S^i_left
+    c, s = prices[0], prices[1:]
+    phi = np.array([[0.4], [0.5]]) * (c[:-1] / s[:, :-1])  # psi_i C_left / S^i_left
     dv, gains = hedge_residuals(c, s, phi)
+    phi, s = phi.T, s.T  # one row per grid time, as the golden path holds them
     held = np.vstack([phi, phi[-1:]])  # the holdings of t_{N-1} carry to t_N
     theta = benchmark_holdings(held, s, gains)
     assert theta.shape == (unit_grid.steps + 1,)
@@ -339,8 +342,42 @@ def test_terminal_row_leaves_earlier_theta_bitwise_unchanged(name):
     g = run_scenario(builtin_scenario(name, n_paths=1)).golden
     phi = g.phi[:-1]
     np.testing.assert_array_equal(g.phi[-1], phi[-1])
-    gains = hedge_residuals(g.contract_values, g.asset_values, phi)[1]
+    gains = hedge_residuals(g.contract_values, g.asset_values.T, phi.T)[1]
     np.testing.assert_array_equal(g.theta[:-1], _theta_before_the_terminal_row(phi, g.asset_values, gains))
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_golden_theta_sums_each_grid_time_as_a_contiguous_row(monkeypatch, n):
+    # from 8 assets NumPy sums a contiguous row pairwise and a strided one in
+    # index order: the golden path holds C-contiguous (steps + 1, n) arrays,
+    # so theta is bitwise the ledger formula on such arrays of each asset
+    # priced alone, whatever the price blocks' layout
+    rng = np.random.default_rng([SEED, n])
+    assets = tuple(
+        GeometricBernoulliSpec(float(rng.uniform(50.0, 150.0)), float(rng.uniform(0.05, 0.4)), float(rng.uniform(-0.5, 0.5)))
+        for _ in range(n)
+    )
+    s = builtin_scenario("fig3", hedging_assets=assets, hedge_mode="multi", n_paths=1)
+    ratios = tuple(rng.uniform(-1.0, 2.0, n))  # arbitrary: the n-asset Gram here is singular
+    monkeypatch.setattr(sim_harness, "scenario_ratios", lambda _: ratios)
+    g = run_scenario(s).golden
+    assert g.asset_values.flags.c_contiguous and g.phi.flags.c_contiguous
+
+    dw, counts = one_path(s.measure, s.grid, s.seed, 0)
+
+    def alone(spec):
+        return exponential_prices([natural_coefficients(spec, s.measure)], dw, counts, s.grid, [spec.initial_price])[0]
+
+    c = alone(s.natural_contract())
+    a = np.stack([alone(spec) for spec in s.natural_assets()], axis=1)  # C-contiguous (steps + 1, n)
+    phi = np.asarray(ratios) * (c[:-1, None] / a[:-1])
+    held = np.vstack([phi, phi[-1:]])
+    gains = phi[:, 0] * np.diff(a[:, 0])
+    for k in range(1, n):
+        gains += phi[:, k] * np.diff(a[:, k])
+    np.testing.assert_array_equal(g.asset_values, a)
+    np.testing.assert_array_equal(g.phi, held)
+    np.testing.assert_array_equal(g.theta, (held * a).sum(axis=1) - np.concatenate(([0.0], np.cumsum(gains))))
 
 
 # ---------------------------------------------------------------- analytic error
@@ -378,7 +415,7 @@ def test_monte_carlo_error_matches_analytic(bern_measure, unit_grid, contract, a
     samples = []
     for noise in noise_blocks(bern_measure, unit_grid, SEED + 6, n):
         prices = spec_prices(integrate_proportional_block, (contract, asset_high), bern_measure, noise, unit_grid)
-        rel = ratio_residuals(prices, ratios) / prices[:, :-1, 0]
+        rel = ratio_residuals(prices, ratios) / prices[0, :, :-1]
         samples.append(100.0**2 * (rel * rel).sum(axis=1))
     samples = np.concatenate(samples)
     analytic = analytic_delta(contract, [asset_high], ratios, bern_measure, 1.0)

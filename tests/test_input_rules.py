@@ -148,8 +148,8 @@ _WRONG_COUNTS = (np.zeros(10), np.zeros((10, 3), dtype=np.int64))
         pytest.param(lambda: natural_coefficients(_SHORT, MEASURE), "jump_vol", 1, id="natural_coefficients"),
         pytest.param(lambda: kernel_coefficients(_KERNEL, MEASURE), "jump_vol", 3, id="kernel_coefficients"),
         pytest.param(lambda: benchmark_coefficients(_KERNEL, MEASURE), "kernel", 3, id="benchmark_coefficients"),
-        pytest.param(lambda: exponential_prices(_COEFFS, *_WRONG_COUNTS, GRID, 1.0), "jump_counts", 3, id="exponential_prices"),
-        pytest.param(lambda: integrate_block(_COEFFS, *_WRONG_COUNTS, GRID, 1.0), "jump_counts", 3, id="integrate_block"),
+        pytest.param(lambda: exponential_prices([_COEFFS], *_WRONG_COUNTS, GRID, [1.0]), "jump_counts", 3, id="exponential_prices"),
+        pytest.param(lambda: integrate_block([_COEFFS], *_WRONG_COUNTS, GRID, [1.0]), "jump_counts", 3, id="integrate_block"),
     ],
 )
 def test_every_per_atom_length_is_checked_by_one_rule(call, what, n):

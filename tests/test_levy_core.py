@@ -225,14 +225,19 @@ def test_noise_shape_validation(bern_measure, unit_grid):
     kernels = (integrate_block, integrate_proportional_block, exponential_prices)
     dw, counts = np.zeros(1000), np.zeros((1000, 2), dtype=np.int64)
     for kernel in kernels:
-        assert kernel(c, dw, counts, unit_grid, 1.0).shape == (1001,)
+        assert kernel([c], dw, counts, unit_grid, [1.0]).shape == (1, 1001)
+        assert kernel([c, c, c], dw, counts, unit_grid, [1.0, 2.0, 3.0]).shape == (3, 1001)
         # noise of another grid, and noise of another measure
         with pytest.raises(ValueError):
-            kernel(c, np.zeros(999), np.zeros((999, 2), dtype=np.int64), unit_grid, 1.0)
+            kernel([c], np.zeros(999), np.zeros((999, 2), dtype=np.int64), unit_grid, [1.0])
         with pytest.raises(ValueError):
-            kernel(c, dw, np.zeros((1000, 1), dtype=np.int64), unit_grid, 1.0)
+            kernel([c], dw, np.zeros((1000, 1), dtype=np.int64), unit_grid, [1.0])
         with pytest.raises(ValueError):
-            kernel(c, np.zeros((3, 1000)), np.zeros((2, 1000, 2), dtype=np.int64), unit_grid, 1.0)
+            kernel([c], np.zeros((3, 1000)), np.zeros((2, 1000, 2), dtype=np.int64), unit_grid, [1.0])
+        # no spec, an initial value short, and specs over two measures
+        for specs, x0s in (([], []), ([c, c], [1.0]), ([c, coeffs(LevyMeasure.bernoulli(1.0, 0.5))], [1.0, 1.0])):
+            with pytest.raises(ValueError):
+                kernel(specs, dw, counts, unit_grid, x0s)
 
 
 # ---------------------------------------------------------------- compensate
@@ -274,12 +279,12 @@ def test_compensate_length_mismatch(bern_measure):
 
 
 def test_null_dynamics_stay_constant(bern_measure, unit_grid):
-    path = integrate_block(coeffs(bern_measure), *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, 5.0)
+    path = integrate_block([coeffs(bern_measure)], *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, [5.0])[0]
     assert np.all(path == 5.0)
 
 
 def test_pure_drift_is_exact(bern_measure, unit_grid):
-    path = integrate_block(coeffs(bern_measure, drift=1.0), *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, 2.0)
+    path = integrate_block([coeffs(bern_measure, drift=1.0)], *one_path(bern_measure, unit_grid, SEED, 0), unit_grid, [2.0])[0]
     assert path[-1] == pytest.approx(3.0, abs=1e-12)
 
 
@@ -288,7 +293,7 @@ def test_callable_provider_matches_constant(bern_measure):
     grid = TimeGrid(1.0, 200)
     noise = one_path(bern_measure, grid, SEED, 2)
     const = coeffs(bern_measure, drift=0.1, beta=0.3, gamma=(0.2, -0.1))
-    a = integrate_block(const, *noise, grid, 1.5)
+    a = integrate_block([const], *noise, grid, [1.5])[0]
     b = euler_loop(lambda step, x: const, *noise, bern_measure, grid, 1.5)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
@@ -301,7 +306,7 @@ def test_nonfinite_state_raises_with_step():
     counts = np.zeros((10, 1), dtype=np.int64)
     counts[[6, 7], 0] = 1
     with pytest.raises(IntegrationError) as err:
-        integrate_block(coeffs(measure, gamma=(1.7e308,)), np.zeros(10), counts, grid, 0.0)
+        integrate_block([coeffs(measure, gamma=(1.7e308,))], np.zeros(10), counts, grid, [0.0])
     assert err.value.step == 7
 
 
@@ -310,7 +315,7 @@ def test_isometry_brownian_only(unit_grid):
     n = 3000
     c = coeffs(m, beta=1.0)
     blocks = noise_blocks(m, unit_grid, SEED, n)
-    sq = np.concatenate([integrate_block(c, dw, counts, unit_grid, 0.0)[:, -1] ** 2 for dw, counts in blocks])
+    sq = np.concatenate([integrate_block([c], dw, counts, unit_grid, [0.0])[0, :, -1] ** 2 for dw, counts in blocks])
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - 1.0) <= 3.0 * se
 
@@ -319,7 +324,7 @@ def test_driftless_integration_keeps_mean(bern_measure, unit_grid):
     n = 3000
     c = coeffs(bern_measure, beta=0.5, gamma=(0.3, -0.3))
     blocks = noise_blocks(bern_measure, unit_grid, SEED + 1, n)
-    x = np.concatenate([integrate_block(c, dw, counts, unit_grid, 2.0)[:, -1] for dw, counts in blocks])
+    x = np.concatenate([integrate_block([c], dw, counts, unit_grid, [2.0])[0, :, -1] for dw, counts in blocks])
     se = x.std(ddof=1) / np.sqrt(n)
     assert abs(x.mean() - 2.0) <= 3.0 * se
 
@@ -334,7 +339,7 @@ def test_integrate_proportional_matches_scaled_provider(bern_measure):
             c.drift * x, c.brownian_vol * x, tuple(np.asarray(c.jump_vol) * x), bern_measure
         )
 
-    a = integrate_proportional_block(c, *noise, grid, 1.0)
+    a = integrate_proportional_block([c], *noise, grid, [1.0])[0]
     b = euler_loop(scaled, *noise, bern_measure, grid, 1.0)
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
@@ -407,10 +412,9 @@ def test_exponential_product_and_quotient_pointwise(bern_measure, unit_grid):
         a = coeffs(bern_measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
         b = coeffs(bern_measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
         noise = one_path(bern_measure, unit_grid, SEED + 3, trial)
-        xa = exponential_prices(a, *noise, unit_grid, 1.2)
-        xb = exponential_prices(b, *noise, unit_grid, 0.8)
-        prod = exponential_prices(product_coefficients(a, b), *noise, unit_grid, 1.2 * 0.8)
-        quot = exponential_prices(quotient_coefficients(a, b), *noise, unit_grid, 1.2 / 0.8)
+        xa, xb, prod, quot = exponential_prices(
+            [a, b, product_coefficients(a, b), quotient_coefficients(a, b)], *noise, unit_grid, [1.2, 0.8, 1.2 * 0.8, 1.2 / 0.8]
+        )
         np.testing.assert_allclose(prod, xa * xb, rtol=1e-10)
         np.testing.assert_allclose(quot, xa / xb, rtol=1e-10)
 
@@ -441,16 +445,14 @@ def test_exponential_prices_match_the_two_cumsum_formula(steps, n_paths, rtol):
         coeffs(s.measure, rng.normal(0, 0.3), rng.normal(0, 0.4), tuple(rng.uniform(-0.6, 1.2, 2)))
         for _ in range(5)
     ]
-    for c in cases:
-        np.testing.assert_allclose(
-            exponential_prices(c, *noise, grid, 100.0), _two_cumsum_prices(c, *noise, grid, 100.0), rtol=rtol, atol=0
-        )
+    for c, prices in zip(cases, exponential_prices(cases, *noise, grid, [100.0] * len(cases))):
+        np.testing.assert_allclose(prices, _two_cumsum_prices(c, *noise, grid, 100.0), rtol=rtol, atol=0)
 
 
 def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):
     noise = one_path(bern_measure, unit_grid, SEED, 0)
     with pytest.raises(ValueError):
-        exponential_prices(coeffs(bern_measure, gamma=(-1.0, 0.0)), *noise, unit_grid, 1.0)
+        exponential_prices([coeffs(bern_measure, gamma=(-1.0, 0.0))], *noise, unit_grid, [1.0])
 
 
 def test_euler_paths_approach_closed_form_at_first_order(bern_measure):
@@ -461,6 +463,6 @@ def test_euler_paths_approach_closed_form_at_first_order(bern_measure):
     fine = sample_noise_block(bern_measure, fine_grid, SEED + 4, 0, 40)
     gaps = []
     for grid, noise in ((coarse_grid, coarsen(*fine)), (fine_grid, fine)):
-        euler = integrate_proportional_block(c, *noise, grid, 1.0)
-        gaps.append(np.abs(euler - exponential_prices(c, *noise, grid, 1.0)).max(axis=1))
+        euler = integrate_proportional_block([c], *noise, grid, [1.0])[0]
+        gaps.append(np.abs(euler - exponential_prices([c], *noise, grid, [1.0])[0]).max(axis=1))
     assert np.median(gaps[1] / gaps[0]) <= 0.55

@@ -30,7 +30,7 @@ def random_kernel(rng, n_atoms):
 
 
 def natural_prices(asset, measure, noise, grid):
-    return exponential_prices(natural_coefficients(asset, measure), *noise, grid, asset.initial_price)
+    return exponential_prices([natural_coefficients(asset, measure)], *noise, grid, [asset.initial_price])[0]
 
 
 def domestic_price_coefficients(asset, kernel, measure):
@@ -123,13 +123,13 @@ def test_geometric_spec_converts_marks_to_jump_vols(bern_measure):
 def test_null_kernel_path_is_one(bern_measure, unit_grid):
     noise = one_path(bern_measure, unit_grid, SEED, 0)
     coeffs = kernel_coefficients(PricingKernelSpec(0.0, 0.0, (0.0, 0.0)), bern_measure)
-    assert np.all(exponential_prices(coeffs, *noise, unit_grid, 1.0) == 1.0)
+    assert np.all(exponential_prices([coeffs], *noise, unit_grid, [1.0]) == 1.0)
 
 
 def test_deterministic_discounting(bern_measure, unit_grid):
     noise = one_path(bern_measure, unit_grid, SEED, 0)
     coeffs = kernel_coefficients(PricingKernelSpec(0.05, 0.0, (0.0, 0.0)), bern_measure)
-    pi = exponential_prices(coeffs, *noise, unit_grid, 1.0)
+    pi = exponential_prices([coeffs], *noise, unit_grid, [1.0])[0]
     np.testing.assert_allclose(pi, np.exp(-0.05 * unit_grid.times), rtol=1e-14)
 
 
@@ -151,8 +151,9 @@ def test_kernel_times_benchmark_is_one(unit_grid):
         m = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locs, rng.uniform(0.5, 10.0, len(locs)))))
         kernel = random_kernel(rng, len(m))
         noise = one_path(m, unit_grid, SEED + 1, trial)
-        pi = exponential_prices(kernel_coefficients(kernel, m), *noise, unit_grid, 1.0)
-        xi = exponential_prices(benchmark_coefficients(kernel, m), *noise, unit_grid, 1.0)
+        pi, xi = exponential_prices(
+            [kernel_coefficients(kernel, m), benchmark_coefficients(kernel, m)], *noise, unit_grid, [1.0, 1.0]
+        )
         worst = max(worst, float(np.abs(pi * xi - 1.0).max()))
     assert worst <= 1e-10
 
@@ -186,8 +187,7 @@ def test_deflated_domestic_price_is_a_martingale(bern_measure, unit_grid):
     n = 3000
     deflated = np.concatenate(
         [
-            exponential_prices(pi_coeffs, *noise, unit_grid, 1.0)[:, -1]
-            * exponential_prices(dom, *noise, unit_grid, asset.initial_price)[:, -1]
+            np.prod(exponential_prices([pi_coeffs, dom], *noise, unit_grid, [1.0, asset.initial_price])[..., -1], axis=0)
             for noise in noise_blocks(bern_measure, unit_grid, SEED + 3, n)
         ]
     )
@@ -199,10 +199,12 @@ def test_natural_price_is_kernel_times_domestic(bern_measure, unit_grid):
     kernel = PricingKernelSpec(0.04, 0.2, (0.3, -0.4))
     asset = AssetSpec(80.0, 0.25, (0.35, -0.2))
     noise = one_path(bern_measure, unit_grid, SEED, 1)
-    dom = exponential_prices(
-        domestic_price_coefficients(asset, kernel, bern_measure), *noise, unit_grid, asset.initial_price
+    dom, pi = exponential_prices(
+        [domestic_price_coefficients(asset, kernel, bern_measure), kernel_coefficients(kernel, bern_measure)],
+        *noise,
+        unit_grid,
+        [asset.initial_price, 1.0],
     )
-    pi = exponential_prices(kernel_coefficients(kernel, bern_measure), *noise, unit_grid, 1.0)
     nat = natural_prices(natural_units(asset, kernel), bern_measure, noise, unit_grid)
     np.testing.assert_allclose(nat, pi * dom, rtol=1e-10)
 
@@ -258,8 +260,8 @@ def test_euler_natural_dynamics_converge_to_closed_form(bern_measure):
         fine = sample_noise_block(bern_measure, fine_grid, seed, 0, 40)
         out = []
         for grid, noise in ((coarse_grid, coarsen(*fine)), (fine_grid, fine)):
-            euler = integrate_proportional_block(coeffs, *noise, grid, 100.0)
-            closed = exponential_prices(coeffs, *noise, grid, 100.0)
+            euler = integrate_proportional_block([coeffs], *noise, grid, [100.0])[0]
+            closed = exponential_prices([coeffs], *noise, grid, [100.0])[0]
             if terminal_only:
                 out.append(np.abs(euler[:, -1] - closed[:, -1]) / closed[:, -1])
             else:
@@ -280,4 +282,4 @@ def test_mismatched_noise_is_rejected(bern_measure, unit_grid, asset_high):
         natural_prices(asset_high, bern_measure, noise, unit_grid)
     kernel = PricingKernelSpec(0.0, 0.0, (0.0, 0.0))
     with pytest.raises(ValueError):
-        exponential_prices(kernel_coefficients(kernel, bern_measure), *noise, unit_grid, 1.0)
+        exponential_prices([kernel_coefficients(kernel, bern_measure)], *noise, unit_grid, [1.0])

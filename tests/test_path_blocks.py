@@ -31,7 +31,7 @@ from levyhedge import (
     SymmetricCoefficients,
     TimeGrid,
 )
-from levyhedge import cli, levy_core
+from levyhedge import cli, levy_core, sim_harness
 from levyhedge.sim_harness import FIGURE_NAMES, _hedge, with_overrides
 
 SEED = 2024
@@ -161,13 +161,13 @@ def _reference_path(s, p: int) -> dict:
     dw, counts = one_path(s.measure, s.grid, s.seed, p)
 
     def prices(spec):
-        return exponential_prices(natural_coefficients(spec, s.measure), dw, counts, s.grid, spec.initial_price)
+        return exponential_prices([natural_coefficients(spec, s.measure)], dw, counts, s.grid, [spec.initial_price])[0]
 
     c = prices(s.natural_contract())
-    a = np.stack([prices(spec) for spec in s.natural_assets()], axis=1)
+    a = np.stack([prices(spec) for spec in s.natural_assets()], axis=1)  # (steps + 1, n_hedging)
     ratios = scenario_ratios(s)
     phi = np.asarray(ratios) * (c[:-1, None] / a[:-1]) if ratios is not None else np.zeros((s.grid.steps, a.shape[1]))
-    dv, gains = hedge_residuals(c, a, phi)
+    dv, gains = hedge_residuals(c, a.T, phi.T)
     v = portfolio_values(c, dv)
     z = dv / c[:-1]
     stats = ((v[-1] - v[0]) ** 2, dv @ dv, c[0] ** 2 * (z @ z), dv.sum(), dv.std(), np.abs(dv).max())
@@ -207,8 +207,71 @@ def test_underflowing_price_is_a_typed_error():
     # the first bad path in the run: every earlier path has positive prices
     coeffs = natural_coefficients(s.natural_contract(), s.measure)
     for p in range(err.path_index):
-        assert exponential_prices(coeffs, *one_path(s.measure, s.grid, s.seed, p), s.grid, 100.0).min() > 0.0
+        assert exponential_prices([coeffs], *one_path(s.measure, s.grid, s.seed, p), s.grid, [100.0]).min() > 0.0
 
+
+@pytest.mark.parametrize("kernel", [exponential_prices, integrate_proportional_block])
+def test_a_row_does_not_depend_on_the_specs_priced_with_it(kernel):
+    # a block's contract alone, then with one and two assets: the contract
+    # row, and each asset's, is bitwise the spec priced alone
+    s = builtin_scenario("fig3")
+    specs = (s.natural_contract(), *s.natural_assets())
+    coeffs = [natural_coefficients(spec, s.measure) for spec in specs]
+    x0s = [spec.initial_price for spec in specs]
+    dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, 8)
+    alone = [kernel([c], dw, counts, s.grid, [x0])[0] for c, x0 in zip(coeffs, x0s)]
+    for n in (0, 1, 2):
+        rows = kernel(coeffs[: 1 + n], dw, counts, s.grid, x0s[: 1 + n])
+        assert rows.shape == (1 + n, 8, s.grid.steps + 1)
+        for row, want in zip(rows, alone):
+            np.testing.assert_array_equal(row, want)
+
+
+def _two_failing_paths(monkeypatch, contract_vol: float, asset_vol: float, dw: np.ndarray):
+    """A 4-path, 10-step fig1 block whose contract and one asset have the
+    given Brownian volatilities, priced on the Brownian increments ``dw``
+    (no jumps) through _price_blocks."""
+    s = builtin_scenario(
+        "fig1",
+        contract=GeometricBernoulliSpec(100.0, contract_vol, 0.0),
+        hedging_assets=(GeometricBernoulliSpec(100.0, asset_vol, 0.0),),
+        n_paths=4,
+        steps=10,
+    )
+    counts = np.zeros(dw.shape + (len(s.measure),), dtype=np.int64)
+    monkeypatch.setattr(sim_harness, "_noise_blocks", lambda *args: iter([(0, dw, counts)]))
+    return s
+
+
+def test_a_stacked_block_reports_the_contract_before_an_earlier_asset_path(monkeypatch):
+    # W_T = -20 takes the contract (vol 30) to exp(-450 - 600) = 0 on path 3,
+    # W_T = +20 the asset (vol -30) on path 1: the contract's row is checked first
+    dw = np.zeros((4, 10))
+    dw[1, -1], dw[3, -1] = 20.0, -20.0
+    s = _two_failing_paths(monkeypatch, 30.0, -30.0, dw)
+    with pytest.raises(PriceRangeError) as info:
+        list(sim_harness._price_blocks(exponential_prices, s, 0, 4))
+    assert (info.value.path_index, info.value.step) == (3, 10)
+    assert str(info.value) == "contract price 0.0 on path 3 at step 10 is not positive and finite"
+    # the asset alone fails on its own earlier path
+    s = _two_failing_paths(monkeypatch, 0.1, -30.0, dw)
+    with pytest.raises(PriceRangeError, match="^asset 1 price 0.0 on path 1 at step 10 "):
+        list(sim_harness._price_blocks(exponential_prices, s, 0, 4))
+
+
+def test_a_stacked_euler_block_reports_the_contract_before_an_earlier_asset_path(monkeypatch):
+    # two steps of (1 + vol * dW) overflow the asset (vol 1e10) at dW = 1e150
+    # on path 1 and both at dW = 1e200 on path 3; the contract's row is first
+    dw = np.zeros((4, 10))
+    dw[1, 5:7], dw[3, 5:7] = 1e150, 1e200
+    s = _two_failing_paths(monkeypatch, 1.0, 1e10, dw)
+    with pytest.raises(IntegrationError) as info:
+        list(sim_harness._price_blocks(integrate_proportional_block, s, 0, 4))
+    assert info.value.step == 6
+    assert str(info.value) == "non-finite state on block path 3 at step 6"
+    dw[3] = 0.0
+    with pytest.raises(IntegrationError, match="^non-finite state on block path 1 at step 6$"):
+        list(sim_harness._price_blocks(integrate_proportional_block, s, 0, 4))
 
 
 def _scaled(c: SymmetricCoefficients, x: float) -> SymmetricCoefficients:
@@ -230,13 +293,13 @@ def test_block_euler_matches_per_path_integrators(block_fn, step_coeffs, measure
     coeffs = SymmetricCoefficients(0.03, 0.2, (0.3, -0.25)[: len(measure)], measure)
     dw, counts = sample_noise_block(measure, unit_grid, SEED, 0, 6)
     # any leading path axes: here (2, 3) paths
-    values = block_fn(coeffs, dw.reshape(2, 3, -1), counts.reshape(2, 3, *counts.shape[1:]), unit_grid, 1.5)
-    assert values.shape == (2, 3, unit_grid.steps + 1)
+    values = block_fn([coeffs], dw.reshape(2, 3, -1), counts.reshape(2, 3, *counts.shape[1:]), unit_grid, [1.5])
+    assert values.shape == (1, 2, 3, unit_grid.steps + 1)
     for row, path in enumerate(values.reshape(6, -1)):
         # bitwise the 1-path block at the path's own index, in both shapes
         noise = one_path(measure, unit_grid, SEED, row)
-        np.testing.assert_array_equal(path, block_fn(coeffs, *noise, unit_grid, 1.5))
-        np.testing.assert_array_equal(path, block_fn(coeffs, noise[0][None], noise[1][None], unit_grid, 1.5)[0])
+        np.testing.assert_array_equal(path, block_fn([coeffs], *noise, unit_grid, [1.5])[0])
+        np.testing.assert_array_equal(path, block_fn([coeffs], noise[0][None], noise[1][None], unit_grid, [1.5])[0, 0])
         if row == 0:
             reference = euler_loop(lambda step, x: step_coeffs(coeffs, x), *noise, measure, unit_grid, 1.5)
             np.testing.assert_allclose(path, reference, rtol=1e-10)
@@ -246,10 +309,10 @@ def test_block_euler_matches_per_path_integrators(block_fn, step_coeffs, measure
 def test_block_exponential_prices_equal_one_path_blocks(measure, unit_grid):
     coeffs = SymmetricCoefficients(0.03, 0.2, (0.3, -0.25)[: len(measure)], measure)
     dw, counts = sample_noise_block(measure, unit_grid, SEED, 4, 6)
-    values = exponential_prices(coeffs, dw.reshape(3, 2, -1), counts.reshape(3, 2, *counts.shape[1:]), unit_grid, 1.5)
+    values = exponential_prices([coeffs], dw.reshape(3, 2, -1), counts.reshape(3, 2, *counts.shape[1:]), unit_grid, [1.5])
     for row, path in enumerate(values.reshape(6, -1)):
         noise = one_path(measure, unit_grid, SEED, 4 + row)
-        np.testing.assert_array_equal(path, exponential_prices(coeffs, *noise, unit_grid, 1.5))
+        np.testing.assert_array_equal(path, exponential_prices([coeffs], *noise, unit_grid, [1.5])[0])
 
 
 @pytest.mark.parametrize("block_fn, step_coeffs", EULER)
@@ -263,20 +326,20 @@ def test_block_euler_overflow_is_a_typed_error(block_fn, step_coeffs):
     counts[1, [2, 5], 0] = 1  # path 1 overflows at step 5
     counts[2, 6, 0] = 1
     with pytest.raises(IntegrationError) as block_err:
-        block_fn(coeffs, dw, counts, grid, 1.0)
+        block_fn([coeffs], dw, counts, grid, [1.0])
     assert block_err.value.step == 5 and "path 1" in str(block_err.value)
     with pytest.raises(IntegrationError) as path_err:
-        block_fn(coeffs, dw[1:2], counts[1:2], grid, 1.0)
+        block_fn([coeffs], dw[1:2], counts[1:2], grid, [1.0])
     assert path_err.value.step == 5
     # the paths without a second jump stay finite
-    assert np.isfinite(block_fn(coeffs, dw[::2], counts[::2], grid, 1.0)).all()
+    assert np.isfinite(block_fn([coeffs], dw[::2], counts[::2], grid, [1.0])).all()
 
 
 def test_block_euler_rejects_a_different_measure(bern_measure, unit_grid):
     coeffs = SymmetricCoefficients(0.0, 0.2, (), LevyMeasure())
     dw, counts = sample_noise_block(bern_measure, unit_grid, SEED, 0, 2)
     with pytest.raises(ValueError):
-        integrate_block(coeffs, dw, counts, unit_grid, 0.0)
+        integrate_block([coeffs], dw, counts, unit_grid, [0.0])
 
 
 # ---------------------------------------------------------------- hedge kernel
@@ -284,23 +347,26 @@ def test_block_euler_rejects_a_different_measure(bern_measure, unit_grid):
 
 def _kernel_inputs(lead: tuple, n: int, zero: bool):
     """Positive contract values (*lead, steps + 1) and asset values
-    (*lead, steps + 1, n) on random paths, with n ratios; ``zero`` sets one
+    (n, *lead, steps + 1) on random paths, with n ratios; ``zero`` sets one
     ratio to 0, as the untraded asset of a single-asset hedge has."""
     rng = np.random.default_rng([SEED, len(lead), n, zero])
     steps = 40
     c = 100.0 * np.exp(np.cumsum(0.05 * rng.standard_normal(lead + (steps + 1,)), axis=-1))
-    a = 100.0 * np.exp(np.cumsum(0.05 * rng.standard_normal(lead + (steps + 1, n)), axis=-2))
+    a = 100.0 * np.exp(np.cumsum(0.05 * rng.standard_normal((n,) + lead + (steps + 1,)), axis=-1))
     psi = rng.uniform(-1.0, 2.0, n)
     if zero:
         psi[n // 2] = 0.0
     return c, a, psi
 
 
-def _broadcast_hedge(c, a, psi):
+def _broadcast_hedge(c, a, psi, asset_last: bool = False):
     """Reference kernel: holdings broadcast along the asset axis and gains
-    summed by NumPy's reduction over it."""
-    phi = psi * (c[..., :-1, None] / a[..., :-1, :])
-    gains = (phi * np.diff(a, axis=-2)).sum(-1)
+    summed by NumPy's reduction over it, the asset axis first or, with
+    ``asset_last``, moved last into a C-contiguous array, as the golden
+    path holds it."""
+    phi = psi.reshape(psi.shape + (1,) * c.ndim) * (c[..., :-1] / a[..., :-1])
+    terms = phi * np.diff(a, axis=-1)
+    gains = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1) if asset_last else terms.sum(0)
     return phi, np.diff(c, axis=-1) - gains, gains
 
 
@@ -308,7 +374,7 @@ def _broadcast_hedge(c, a, psi):
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_hedge_kernel_equals_the_broadcast_reference(lead, n, zero):
-    # below 8 assets NumPy's sum adds the assets in index order, as the kernel does
+    # NumPy's sum over the leading asset axis adds the rows in index order, as the kernel does
     c, a, psi = _kernel_inputs(lead, n, zero)
     phi, dv, gains = _broadcast_hedge(c, a, psi)
     for got, want in zip(_hedge(c, a, psi), (phi, dv, gains)):
@@ -320,19 +386,20 @@ def test_hedge_kernel_equals_the_broadcast_reference(lead, n, zero):
 @pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_hedge_kernel_agrees_with_the_pairwise_reference_sum(lead, n):
-    # from 8 assets NumPy sums pairwise; the orders agree to the rounding of n terms
+    # from 8 assets NumPy sums a contiguous asset axis pairwise; the orders
+    # agree to the rounding of n terms
     c, a, psi = _kernel_inputs(lead, n, True)
-    phi, _, gains_ref = _broadcast_hedge(c, a, psi)
+    phi, _, gains_ref = _broadcast_hedge(c, a, psi, asset_last=True)
     got_phi, dv, gains = _hedge(c, a, psi)
     np.testing.assert_array_equal(got_phi, phi)
-    bound = 8 * n * np.finfo(float).eps * np.abs(phi * np.diff(a, axis=-2)).sum(-1)
+    bound = 8 * n * np.finfo(float).eps * np.abs(phi * np.diff(a, axis=-1)).sum(0)
     assert (np.abs(gains - gains_ref) <= bound).all()
     np.testing.assert_array_equal(dv, np.diff(c, axis=-1) - gains)
 
 
 def test_hedge_kernel_without_assets_has_no_gains():
     c, a, _ = _kernel_inputs((3,), 1, False)
-    phi, dv, gains = _hedge(c, a[..., :0], [])
-    assert phi.shape == (3, 40, 0)
+    phi, dv, gains = _hedge(c, a[:0], [])
+    assert phi.shape == (0, 3, 40)
     np.testing.assert_array_equal(gains, np.zeros((3, 40)))
     np.testing.assert_array_equal(dv, np.diff(c, axis=-1))

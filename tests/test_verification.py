@@ -66,16 +66,16 @@ def _noise(p: int, grid: TimeGrid = GRID, measure: LevyMeasure = MEASURE):
 
 
 def _residuals(price, contract, assets, ratios, noise) -> tuple:
-    prices = np.stack([price(spec, noise) for spec in (contract, *assets)], axis=1)
-    return prices[:, 0], ratio_residuals(prices, ratios)
+    prices = np.stack([price(spec, noise) for spec in (contract, *assets)])
+    return prices[0], ratio_residuals(prices, ratios)
 
 
 def _euler(spec, noise):
-    return integrate_proportional_block(natural_coefficients(spec, MEASURE), *noise, GRID, spec.initial_price)
+    return integrate_proportional_block([natural_coefficients(spec, MEASURE)], *noise, GRID, [spec.initial_price])[0]
 
 
 def _exact(spec, noise):
-    return exponential_prices(natural_coefficients(spec, MEASURE), *noise, GRID, spec.initial_price)
+    return exponential_prices([natural_coefficients(spec, MEASURE)], *noise, GRID, [spec.initial_price])[0]
 
 
 def _normalized_reference(p):
@@ -88,10 +88,11 @@ def _euler_gap_reference(p, a, b):
     fine = _noise(p, TimeGrid(1.0, 2000))
     gaps = []
     for grid, noise in ((TimeGrid(1.0, 1000), coarsen(*fine)), (TimeGrid(1.0, 2000), fine)):
-        e_a = integrate_proportional_block(a, *noise, grid, 1.0)
-        e_b = integrate_proportional_block(b, *noise, grid, 1.0)
-        e_ab = integrate_proportional_block(product_coefficients(a, b), *noise, grid, 1.0)
-        cf = exponential_prices(a, *noise, grid, 1.0)
+        # each spec priced alone, one call per spec
+        e_a = integrate_proportional_block([a], *noise, grid, [1.0])[0]
+        e_b = integrate_proportional_block([b], *noise, grid, [1.0])[0]
+        e_ab = integrate_proportional_block([product_coefficients(a, b)], *noise, grid, [1.0])[0]
+        cf = exponential_prices([a], *noise, grid, [1.0])[0]
         gaps.append((np.abs(e_a - cf).max(), np.abs(e_ab - e_a * e_b).max()))
     return gaps[1][0] / gaps[0][0], gaps[1][1] / gaps[0][1]
 
@@ -102,7 +103,7 @@ def _hedge_column(price, s, ratio_sets, column):
 
 
 def _terminal(coeffs, noise, x0):
-    return integrate_block(coeffs, *noise, GRID, x0)[-1]
+    return integrate_block([coeffs], *noise, GRID, [x0])[0, -1]
 
 
 _DRIVER = SymmetricCoefficients(0.0, 0.20, (0.3, -0.3), MEASURE)
@@ -218,7 +219,7 @@ def test_underflowing_price_terminals_raise_price_range_error():
     err = info.value
     # per-path reference: the first path whose price reaches zero, and its first such step
     for p in range(n_paths):
-        values = exponential_prices(natural_coefficients(bad, MEASURE), *one_path(MEASURE, GRID, seed, p), GRID, 1.0)
+        values = exponential_prices([natural_coefficients(bad, MEASURE)], *one_path(MEASURE, GRID, seed, p), GRID, [1.0])[0]
         if values.min() <= 0.0:
             break
     assert p >= levy_core._BLOCK_PATH_STEPS // GRID.steps
@@ -250,6 +251,21 @@ def test_calculus_identities_fail_on_underflowing_paths(monkeypatch):
     assert out.getvalue() == ""
     assert stderr.getvalue().startswith("numerical failure: calculus factor a price 0.0 on path 0 at step ")
     assert stderr.getvalue().count("\n") == 1
+
+
+def test_calculus_reports_factor_a_before_an_earlier_product_underflow(monkeypatch):
+    # one kernel call prices a, b, their product and quotient, checked row by
+    # row: factor a is named although the product (volatility 80) reaches
+    # zero at an earlier step of the same path
+    monkeypatch.setattr(verification, "_random_coefficients", _violent_coefficients)
+    with pytest.raises(PriceRangeError) as info:
+        run_suite("calculus", SEED, 4)
+    rng = np.random.default_rng(SEED)
+    a, b = _violent_coefficients(rng, MEASURE), _violent_coefficients(rng, MEASURE)
+    noise = one_path(MEASURE, GRID, SEED + 2, 0)
+    product = exponential_prices([product_coefficients(a, b)], *noise, GRID, [1.3 * 0.7])[0]
+    assert product.min() == 0.0 and int(np.argmax(product == 0.0)) < info.value.step
+    assert str(info.value).startswith("calculus factor a price 0.0 on path 0 at step ")
 
 
 def _random_market(rng, n_hedging):
