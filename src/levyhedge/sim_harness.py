@@ -571,19 +571,20 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                     np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
                 # path 0's rows as C-contiguous (steps + 1, n_hedging) copies, so
                 # benchmark_holdings sums each grid time's assets as it always has
-                # (pairwise from 8 assets); the holdings of t_{N-1} carry to t_N
-                asset_values = np.ascontiguousarray(a[:, 0].T)
+                # (pairwise from 8 assets); the holdings of t_{N-1} carry to t_N.
+                # Every row is copied, so the golden path keeps no block alive
+                asset_values = a[:, 0].T.copy()
                 held = np.ascontiguousarray(np.vstack([phi[:, 0].T, phi[:, 0, -1]]))
                 golden = GoldenPath(
                     times=s.grid.times,
                     jump_count_path=jump_count_path,
                     jump_sum_path=jump_sum_path,
-                    contract_values=c[0],
+                    contract_values=c[0].copy(),
                     asset_values=asset_values,
                     phi=held,
                     theta=benchmark_holdings(held, asset_values, gains[0]),
                     portfolio_values=portfolio_values(c[0], dv[0]),
-                    residuals=dv[0],
+                    residuals=dv[0].copy(),
                 )
 
     columns = _range_rows((len(PATH_COLUMNS),), _path_ranges(s.n_paths, steps), fill)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,7 +34,7 @@ from levyhedge import (
     two_asset_hedge,
     volatility_gram,
 )
-from levyhedge import sim_harness
+from levyhedge import hedging, sim_harness
 
 SEED = 9118
 
@@ -518,6 +520,15 @@ def _scenarios(draw, hedge_mode: str, n_hedging: int):
 def test_volatility_gram_matches_double_loop(inputs):
     measure, contract, assets = inputs
     v = volatility_gram(contract, assets, measure)
+    # a second call on the same objects returns the kept Gram, and equal
+    # copies of the specs build it afresh: both give exactly its bits
+    again = volatility_gram(contract, tuple(assets), measure)
+    fresh = volatility_gram(replace(contract), [replace(a) for a in assets], measure)
+    assert again is v and fresh is not v
+    assert again.tobytes() == v.tobytes() == fresh.tobytes()
+    for kept in (v, fresh):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
     specs = [contract, *assets]
     loop = np.empty((len(specs), len(specs)))
     bound = np.empty_like(loop)  # sum of |terms|: the error scale of each sum
@@ -531,6 +542,42 @@ def test_volatility_gram_matches_double_loop(inputs):
     assert np.array_equal(v, v.T)
     # Cauchy-Schwarz L^2 <= K M for every asset against the contract
     assert np.all(v[1:, 0] ** 2 <= v[0, 0] * np.diag(v)[1:] * (1.0 + 1e-12))
+
+
+def test_volatility_gram_keys_on_identity_not_value():
+    # -0.0 == 0.0, so a table keyed on values would hand one spec the
+    # other's Gram; each must get what a fresh build of its own specs gives
+    measure = LevyMeasure((JumpAtom(1.0, 2.0),))
+    asset = AssetSpec(80.0, 0.2, (0.3,))
+    for sign in (-0.0, 0.0, -0.0):
+        contract = AssetSpec(100.0, sign, (sign,))
+        v = volatility_gram(contract, [asset], measure)
+        fresh = volatility_gram(replace(contract), [replace(asset)], measure)
+        assert v is not fresh
+        assert v.tobytes() == fresh.tobytes()
+        assert np.array_equal(np.signbit(v), np.signbit(fresh))
+
+
+def test_gram_table_stays_within_its_bound():
+    rng = np.random.default_rng(SEED)
+    for _ in range(1000):
+        n_atoms = int(rng.integers(0, 4))
+        measure = LevyMeasure(tuple(JumpAtom(float(x), 1.0) for x in rng.permutation(8)[:n_atoms] - 4.0))
+        specs = [AssetSpec(100.0, float(rng.uniform(0.05, 0.6)), tuple(rng.uniform(-0.5, 1.0, n_atoms))) for _ in range(3)]
+        volatility_gram(specs[0], specs[1:], measure)
+        analytic_delta(specs[0], specs[1:], [0.5, 0.5], measure, 1.0)
+        assert len(hedging._gram_table) <= hedging._GRAM_TABLE_SIZE
+
+
+def test_an_overflowing_gram_is_never_kept(bern_measure, contract):
+    # kept, it would return without its warning, and -W error runs would
+    # no longer see the overflow
+    huge = AssetSpec(100.0, 0.1, (1e200, 0.1))
+    for _ in range(3):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            v = volatility_gram(contract, [huge], bern_measure)
+        assert not np.isfinite(v).all()
+        assert all(kept is not v for _, kept in hedging._gram_table.values())
 
 
 @settings(max_examples=200, deadline=None)

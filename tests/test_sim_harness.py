@@ -230,6 +230,16 @@ def test_golden_jump_paths_count_the_first_path_arrivals():
     assert g.jump_count_path[-1] == counts.sum() > 0
 
 
+@pytest.mark.parametrize("name", sim_harness.FIGURE_NAMES)
+def test_golden_path_keeps_no_block_alive(name):
+    # a view of a (1 + n, paths, steps + 1) price block or of the (paths,
+    # steps) residuals would hold the whole block for one path's rows
+    g = run_scenario(builtin_scenario(name, n_paths=3, steps=20, seed=SEED)).golden
+    for f in fields(g):
+        a = getattr(g, f.name)
+        assert a.base is None or a.base.nbytes == a.nbytes, f.name
+
+
 # ---------------------------------------------------------------- brute force
 
 
