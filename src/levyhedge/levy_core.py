@@ -44,14 +44,21 @@ from typing import Sequence
 import numpy as np
 
 # Path-steps simulated together in one block of paths (at least one path
-# per block), read only by _block_paths.  It bounds the block arrays to
-# ~64 KiB each: 8 paths at 1000 steps, 1 path at 50 000 steps.  Results do
-# not depend on it.
-_BLOCK_PATH_STEPS = 8192
+# per block), read only by _block_paths: 16 paths at 1000 steps, 1 path at
+# 50 000 steps, 128 KiB per block array of doubles.  A block pays a fixed
+# cost (noise generators, kernel calls) whatever its size.  Measured on a
+# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), run_scenario on fig3 with
+# 512 paths, median of 31 alternated rounds, time relative to 8192 on one
+# CPU / two CPUs: 2048 1.41 / 1.43, 4096 1.16 / 1.19, 16384 0.95 / 0.90,
+# 32768 0.93 / 0.92, 65536 0.97 / 1.00.  The six verify suites at 150
+# paths (12 rounds) took 0.97 on one CPU at 16384 and 1.00 at 32768, and
+# 0.96 against 1.03 on two, so the block is not larger.  Results do not
+# depend on it.
+_BLOCK_PATH_STEPS = 16384
 # Paths whose substream seeds _noise_blocks hashes at once: 256 KiB of seed
 # words.  A chunk holds whole blocks, at least one, so it is rounded down to
 # a multiple of the block, or up to one block when a block is larger: at one
-# step (8192-path blocks) it holds 512 KiB.  Results do not depend on it.
+# step (16384-path blocks) it holds 1 MiB.  Results do not depend on it.
 _SEED_CHUNK_PATHS = 4096
 
 __all__ = [
@@ -230,6 +237,12 @@ class SymmetricCoefficients:
     """Constant coefficient triple (drift, brownian_vol, jump_vol) over a measure.
 
     ``jump_vol`` holds one gamma(x_k) per atom of ``measure``, in atom order.
+    The block kernels read three constants of a spec, each computed once
+    per spec object on first use and then cached: ``jump_vol_array``, the
+    jump volatilities as a read-only float array; the compensator
+    sum_k gamma_k w_k; and the log jump factors log(1 + gamma_k), read by
+    :func:`exponential_prices` only after it has checked gamma_k > -1 on
+    that call.
     """
 
     drift: float
@@ -242,9 +255,17 @@ class SymmetricCoefficients:
         object.__setattr__(self, "jump_vol", tuple(_check_real(g, "jump_vol") for g in self.jump_vol))
         _check_atoms(len(self.jump_vol), self.measure, "jump_vol")
 
-    @property
+    @cached_property
     def jump_vol_array(self) -> np.ndarray:
-        return np.asarray(self.jump_vol, dtype=float)
+        return _readonly(np.array(self.jump_vol, dtype=float))
+
+    @cached_property
+    def _compensator(self) -> float:
+        return compensate(self.measure, self.jump_vol_array)
+
+    @cached_property
+    def _log_jump_factors(self) -> tuple[float, ...]:
+        return tuple(np.log1p(self.jump_vol_array).tolist())
 
 
 def _check_paths(first_path, n_paths) -> tuple[int, int]:
@@ -375,9 +396,12 @@ def _draw_noise(measure: LevyMeasure, grid: TimeGrid, seeds: np.ndarray) -> tupl
     dw = np.empty((n_paths, steps))
     counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
     for row, (brownian, jumps) in enumerate(seeds):
-        dw[row] = generator(brownian).normal(0.0, scale, steps)
+        generator(brownian).standard_normal(steps, out=dw[row])
         if n_atoms:
             counts[row] = generator(jumps).poisson(rates, size=(steps, n_atoms))
+    # normal(0.0, scale) draws 0.0 + scale * z: the same double as scale * z
+    # for every z but an exact zero, where only the sign of a zero changes
+    dw *= scale
     return dw, counts
 
 
@@ -476,12 +500,11 @@ def _euler(
     # overflow produces non-finite states that are reported as typed errors
     with np.errstate(over="ignore", invalid="ignore"):
         for coeffs, x0, row in zip(specs, x0s, values):
-            gam = coeffs.jump_vol_array
             jump_terms = np.zeros(brownian_increments.shape)
-            for k, g in enumerate(gam):
+            for k, g in enumerate(coeffs.jump_vol):
                 jump_terms += jump_counts[..., k] * g
             inc = coeffs.drift * dt + coeffs.brownian_vol * brownian_increments + jump_terms
-            inc -= compensate(coeffs.measure, gam) * dt
+            inc -= coeffs._compensator * dt
             row[..., 0] = x0
             if proportional:
                 np.cumprod(1.0 + inc, axis=-1, out=row[..., 1:])
@@ -529,19 +552,18 @@ def exponential_prices(
     accumulated by one cumsum; the drift term is taken on the grid times.
     """
     _check_specs(specs, x0s, brownian_increments, jump_counts, grid)
-    if any(np.any(1.0 + coeffs.jump_vol_array <= 0.0) for coeffs in specs):
+    if any(1.0 + g <= 0.0 for coeffs in specs for g in coeffs.jump_vol):
         raise ValueError("exponential dynamics need jump volatilities > -1")
     values = np.empty((len(specs),) + brownian_increments.shape[:-1] + (grid.steps + 1,))
     for coeffs, x0, row in zip(specs, x0s, values):
-        gam = coeffs.jump_vol_array
         log_steps = coeffs.brownian_vol * brownian_increments
-        for k, factor in enumerate(np.log1p(gam)):
+        for k, factor in enumerate(coeffs._log_jump_factors):
             log_steps += jump_counts[..., k] * factor
         row[..., 0] = x0
         exponent = row[..., 1:]
         np.cumsum(log_steps, axis=-1, out=exponent)
         del log_steps  # one row's temporaries at a time
-        exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - compensate(coeffs.measure, gam)) * grid.times[1:]
+        exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - coeffs._compensator) * grid.times[1:]
         with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
             np.exp(exponent, out=exponent)
             exponent *= x0

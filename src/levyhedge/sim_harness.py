@@ -324,14 +324,16 @@ def scenario_rho(s: Scenario) -> float | None:
 # Fewest path-steps that each process of a run must simulate.  Measured on a
 # 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), 60 alternated runs a side: a
 # bare fork, _exit and waitpid take a median 3.4-4.0 ms in a levyhedge
-# process of 38 MiB, but a second process costs about 12-15 ms at this
-# threshold and 20 ms at 500 paths (the two-process time less half the
-# one-process time): copy-on-write faults slow both processes, and the
-# ranges of whole blocks are not quite equal.  2**17 path-steps of
-# run_scenario on fig3 take about 30 ms in one process.  At 263 paths of
-# 1000 steps, just above two processes' threshold, two processes run
-# 1.33-1.42x faster than one (42-43 ms against 57-60 ms), and at 500 paths
-# 1.41-1.44x; 2**18 would run 500 paths in one process.
+# process of 38 MiB, but a second process costs more (the two-process time
+# less half the one-process time): copy-on-write faults slow both
+# processes, and the ranges of whole blocks are not quite equal.  Ranges
+# are whole 16-path blocks at 1000 steps, so 263 paths split at path 128
+# and 500 at path 256.  Median of 60 alternated runs a side, three times:
+# 2**17 path-steps of run_scenario on fig3 take about 20 ms in one process,
+# and a second process costs 7-10 ms.  At 263 paths of 1000 steps, just
+# above two processes' threshold, two processes run 1.30-1.52x faster than
+# one (28-29 ms against 37-44 ms), and at 500 paths 1.59-1.70x (46-48 ms
+# against 73-79 ms); 2**18 would run 500 paths in one process.
 _FORK_MIN_PATH_STEPS = 2**17
 
 # Fewest trials that each process of a trial loop must run.  A trial of

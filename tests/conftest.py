@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ from levyhedge import (
     natural_coefficients,
     sample_noise_block,
 )
-from levyhedge import csv_format, sim_harness
+from levyhedge import csv_format, levy_core, sim_harness
+
+
+def blocks_of_8192_path_steps():
+    """Pin the block cap to 8192 path-steps (8-path blocks at 1000 steps):
+    the geometry for which a test's expected block starts, process ranges
+    or path indices were worked out."""
+    return mock.patch.object(levy_core, "_BLOCK_PATH_STEPS", 8192)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import coarsen, euler_loop, noise_blocks, one_path
+from conftest import blocks_of_8192_path_steps, coarsen, euler_loop, noise_blocks, one_path
 from levyhedge import (
     IntegrationError,
     JumpAtom,
@@ -18,11 +20,12 @@ from levyhedge import (
     natural_coefficients,
     product_coefficients,
     quotient_coefficients,
+    run_scenario,
     sample_noise_block,
 )
-from levyhedge import levy_core
+from levyhedge import levy_core, sim_harness
 from levyhedge.levy_core import _substream_seeds
-from levyhedge.sim_harness import builtin_scenario
+from levyhedge.sim_harness import builtin_scenario, with_overrides
 
 SEED = 20240
 
@@ -130,6 +133,18 @@ def test_noise_equals_the_array_rate_draw_bitwise(intensities, unit_grid):
         np.testing.assert_array_equal(counts[row], ref_counts)
 
 
+@pytest.mark.parametrize("horizon, steps", [(1.0, 1000), (1e-310, 1000), (1.0, 1)])
+def test_brownian_noise_is_the_normal_draw_bitwise(bern_measure, horizon, steps):
+    # scaled standard normals are normal(0.0, sqrt(dt))'s doubles, down to the
+    # sign of a zero, also when dt is subnormal
+    grid = TimeGrid(horizon, steps)
+    dw, _ = sample_noise_block(bern_measure, grid, SEED, 0, 5)
+    for p in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(p, 0)))
+        ref = rng.normal(0.0, np.sqrt(grid.dt), steps)
+        np.testing.assert_array_equal(dw[p].view(np.uint64), ref.view(np.uint64))
+
+
 def test_fig3_noise_equals_the_array_rate_draw_bitwise():
     s = builtin_scenario("fig3")
     dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, 1000)
@@ -178,7 +193,8 @@ def test_noise_across_a_seed_chunk_boundary(bern_measure):
     # rows of the first 4096-path seed chunk and the first of the second
     grid = TimeGrid(1.0, 3)
     assert levy_core._SEED_CHUNK_PATHS == 4096
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 4101))
+    with blocks_of_8192_path_steps():
+        blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 4101))
     assert [first for first, _, _ in blocks] == [0, 2730]
     dw = np.concatenate([b[1] for b in blocks])
     counts = np.concatenate([b[2] for b in blocks])
@@ -450,9 +466,36 @@ def test_exponential_prices_match_the_two_cumsum_formula(steps, n_paths, rtol):
 
 
 def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):
+    # the rule is checked on each call, before any row is priced: a failed
+    # check is not cached, and no log(1 + gamma) is taken
+    good = coeffs(bern_measure, gamma=(0.2, 0.3))
     noise = one_path(bern_measure, unit_grid, SEED, 0)
-    with pytest.raises(ValueError):
-        exponential_prices([coeffs(bern_measure, gamma=(-1.0, 0.0))], *noise, unit_grid, [1.0])
+    for bad in (coeffs(bern_measure, gamma=(-1.0, 0.0)), coeffs(bern_measure, gamma=(0.2, -1.5))):
+        for _ in range(2):
+            with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="exponential dynamics need jump volatilities > -1"
+            ):
+                exponential_prices([good, bad], *noise, unit_grid, [1.0, 1.0])
+
+
+def test_jump_vol_array_is_one_read_only_array(bern_measure):
+    c = coeffs(bern_measure, gamma=(0.2, -0.3))
+    gam = c.jump_vol_array
+    assert c.jump_vol_array is gam
+    np.testing.assert_array_equal(gam, [0.2, -0.3])
+    with pytest.raises(ValueError, match="read-only"):
+        gam[0] = 1.0
+
+
+def test_a_run_compensates_each_spec_once(monkeypatch):
+    # fig3's contract and two assets over several blocks, in one process:
+    # each spec's compensator is computed on its first block and then read
+    s = with_overrides(builtin_scenario("fig3"), n_paths=40)
+    assert len(s.hedging_assets) == 2 and levy_core._block_paths(s.grid.steps) < s.n_paths
+    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: 1)
+    with mock.patch.object(levy_core, "compensate", wraps=levy_core.compensate) as counted:
+        run_scenario(s)
+    assert counted.call_count == 3
 
 
 def test_euler_paths_approach_closed_form_at_first_order(bern_measure):

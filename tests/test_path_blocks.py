@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import euler_loop, one_path
+from conftest import blocks_of_8192_path_steps, euler_loop, one_path
 from levyhedge import (
     GeometricBernoulliSpec,
     IntegrationError,
@@ -111,7 +111,8 @@ def test_a_block_larger_than_the_seed_chunk(bern_measure):
     # at one step a block holds 8192 paths, more than the 4096-path seed
     # chunk, so the chunk is the block
     grid = TimeGrid(1.0, 1)
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 9000))
+    with blocks_of_8192_path_steps():
+        blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 9000))
     assert [b[0] for b in blocks] == [0, 8192]
     dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, 9000)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
@@ -134,11 +135,24 @@ def test_a_block_larger_than_the_seed_chunk(bern_measure):
 )
 def test_noise_blocks_tile_seed_chunks_with_whole_blocks(bern_measure, steps, n_paths, starts):
     grid = TimeGrid(1.0, steps)
-    blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, n_paths))
+    with blocks_of_8192_path_steps():
+        blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, n_paths))
     assert [b[0] for b in blocks] == starts
     dw, counts = sample_noise_block(bern_measure, grid, SEED, 0, n_paths)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
+
+
+def test_production_block_geometry(monkeypatch):
+    # 16-path blocks at 1000 steps and one path at 50 000; 500 fig3 paths on
+    # two CPUs split at a whole block; at 4 steps 4096-path blocks fill the
+    # seed chunk exactly, so 4100 paths cross it (the -W error CI run)
+    s = builtin_scenario("fig3")
+    assert levy_core._block_paths(s.grid.steps) == 16
+    assert levy_core._block_paths(50_000) == 1
+    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: 2)
+    assert sim_harness._path_ranges(500, s.grid.steps) == [(0, 256), (256, 500)]
+    assert [b[0] for b in levy_core._noise_blocks(s.measure, TimeGrid(1.0, 4), SEED, 0, 4100)] == [0, 4096]
 
 
 def test_simulate_csvs_do_not_depend_on_block_size(tmp_path: Path, capsys):

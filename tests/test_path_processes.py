@@ -31,6 +31,7 @@ from levyhedge import cli, csv_format, levy_core, sim_harness, verification
 from levyhedge.sim_harness import builtin_scenario, with_overrides
 from levyhedge.verification import _euler_gap_ratios, _euler_terminals, _hedge_stats, _price_terminals, run_suite
 
+from conftest import blocks_of_8192_path_steps
 from test_path_blocks import GOLDEN_FIELDS
 from test_verification import _GAP_PAIRS, SEED
 
@@ -38,6 +39,15 @@ pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux fork
 
 # 8-path blocks at 1000 steps: 29 paths end in a block of 5
 N_PATHS = 29
+
+
+@pytest.fixture(autouse=True)
+def eight_path_blocks():
+    # the expected ranges, block starts and failing paths below, and the
+    # three ranges that three processes get, are worked out for 8-path
+    # blocks at 1000 steps (4-path blocks at 2000)
+    with blocks_of_8192_path_steps():
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import coarsen, one_path, ratio_residuals
+from conftest import blocks_of_8192_path_steps, coarsen, one_path, ratio_residuals
 from levyhedge import (
     AssetSpec,
     GeometricBernoulliSpec,
@@ -214,7 +214,7 @@ def test_underflowing_price_terminals_raise_price_range_error():
     seed, n_paths = 11, 40
     s = with_overrides(FIG, hedging_assets=(GeometricBernoulliSpec(1.0, 37.0, 0.1),), seed=seed, n_paths=n_paths)
     bad = s.natural_assets()[0]
-    with pytest.raises(PriceRangeError) as info:
+    with blocks_of_8192_path_steps(), pytest.raises(PriceRangeError) as info:
         _price_terminals(s)
     err = info.value
     # per-path reference: the first path whose price reaches zero, and its first such step
@@ -222,7 +222,7 @@ def test_underflowing_price_terminals_raise_price_range_error():
         values = exponential_prices([natural_coefficients(bad, MEASURE)], *one_path(MEASURE, GRID, seed, p), GRID, [1.0])[0]
         if values.min() <= 0.0:
             break
-    assert p >= levy_core._BLOCK_PATH_STEPS // GRID.steps
+    assert p >= 8192 // GRID.steps
     step = int(np.argmax(values <= 0.0))
     assert (err.path_index, err.step) == (p, step)
     assert str(err) == f"asset 1 price 0.0 on path {p} at step {step} is not positive and finite"
