@@ -21,12 +21,12 @@ package reads K/L/M and hedges only through :func:`solve_ratios` on
 and :func:`single_coefficients` remain public only for the benchmark's
 ``hedge_sweep`` workload.
 
-:func:`volatility_gram` keeps the Grams it built in ``_gram_table`` and
-returns a kept one again for a call on the same spec objects; every Gram it
-returns is read-only.  The key is the identity of the measure and of each
-spec, not their values: the frozen specs always give the same bits, value
-equality would match -0.0 to 0.0, and hashing the float tuples costs about
-a fifth of a build.
+:func:`volatility_gram` keeps the last finite Gram it built in one slot,
+``_gram_slot``, and returns it again for a call on the same objects; every
+Gram it returns is read-only.  A call matches the slot by the identity of
+the measure and of each spec, not by their values: the frozen specs always
+give the same bits, value equality would match -0.0 to 0.0, and hashing the
+float tuples costs about a fifth of a build.
 
 Expected squared error for constant scaled ratios psi_i = phi^i S^i / C is
 reported as the time-0 rate times the horizon:
@@ -146,17 +146,14 @@ class DegeneracyReport:
     degenerate: bool
 
 
-# Most Grams that volatility_gram keeps.  Its callers ask for one spec set
-# several times in a row (a solve, then analytic_delta at three ratios), so
-# one entry holds every repeat: the benchmark's hedge_sweep body builds 254
-# Grams for 1158 calls, and verify optimality 1121 for 2428, with 1, 2, 4 or
-# 64 entries alike.
-_GRAM_TABLE_SIZE = 1
-
-# (id(measure), id(contract), *map(id, assets)) -> ((measure, contract,
-# *assets), V), oldest first.  Each entry holds its spec objects, so no id
-# in its key can pass to another object while it lives.
-_gram_table: dict[tuple[int, ...], tuple[tuple, np.ndarray]] = {}
+# The last finite Gram volatility_gram built, with the (measure, contract,
+# *assets) objects it was built from, held so that no other object can take
+# their identity.  Its callers ask for one spec set several times in a
+# row (a solve, then analytic_delta at three ratios), so one slot holds
+# every repeat: the benchmark's hedge_sweep body builds 254 Grams for 1158
+# calls, and verify optimality 1121 for 2428, as a table of 2, 4 or 64
+# entries would.
+_gram_slot: tuple[tuple, np.ndarray | None] = ((), None)
 
 
 def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: LevyMeasure) -> np.ndarray:
@@ -167,15 +164,16 @@ def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: L
     scaled by sqrt(1, w) and multiplied by their own transpose, which keeps
     V exactly symmetric.
 
-    A call on the spec objects of a kept Gram returns that array (see the
+    A call on the objects of the kept Gram returns that array (see the
     module docstring).  A non-finite Gram is never kept, so its overflow
     warning is raised on every call.
     """
-    specs = (contract, *assets)
-    key = (id(measure), *map(id, specs))
-    entry = _gram_table.get(key)
-    if entry is not None:
-        return entry[1]
+    global _gram_slot
+    objects = (measure, contract, *assets)
+    kept, v = _gram_slot
+    if len(kept) == len(objects) and all(x is y for x, y in zip(kept, objects)):
+        return v
+    specs = objects[1:]
     _check_atoms(len(contract.jump_vol), measure, "contract")
     for asset in specs[1:]:
         _check_atoms(len(asset.jump_vol), measure, "asset")
@@ -184,9 +182,7 @@ def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: L
     v = b @ b.T
     v.setflags(write=False)
     if np.isfinite(v).all():
-        if len(_gram_table) >= _GRAM_TABLE_SIZE:
-            del _gram_table[next(iter(_gram_table))]
-        _gram_table[key] = ((measure, *specs), v)
+        _gram_slot = (objects, v)
     return v
 
 

@@ -16,26 +16,26 @@ path the Brownian and jump draws come from disjoint substreams, so enabling
 or disabling jumps never perturbs the Brownian increments.  The substream
 of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
 SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
-seed words are hashed here in bulk, for a block of paths at once, instead
-of by one SeedSequence object per stream.  Every path is
-made by the block kernels below.  Each prices a sequence of coefficient
-specs over one measure, with one initial value each, on noise as
-:func:`sample_noise_block` draws it, dW (..., steps) and counts
-(..., steps, n_atoms) with any leading path axes (a (steps,) array is one
-path), into one row per spec: shape (n_specs, ..., steps + 1), row k from
-the k-th initial value.  Rows are formed one at a time and every reduction
-runs along one path's steps or elementwise over the atoms, so a path's
-values are bitwise the same in any block and beside any other specs.  A path's noise depends
-on its index alone, not on the block, the range of paths or the process it
-is drawn in, so a Monte Carlo run can split its paths into ranges of whole
-blocks and give each range to another process (sim_harness._range_rows)
-without changing a byte.
+seed words are hashed here, in one broadcast pass over a uint32 array of
+path indices for one path or thousands alike, instead of by one
+SeedSequence object per stream.  Every path is made by the block kernels
+below.  Each prices a sequence of coefficient specs over one measure, with
+one initial value each, on noise as :func:`sample_noise_block` draws it, dW
+(..., steps) and counts (..., steps, n_atoms) with any leading path axes (a
+(steps,) array is one path), into one row per spec: shape
+(n_specs, ..., steps + 1), row k from the k-th initial value.  Rows are
+formed one at a time and every reduction runs along one path's steps or
+elementwise over the atoms, so a path's values are bitwise the same in any
+block and beside any other specs.  A path's noise depends on its index
+alone, not on the block, the range of paths or the process it is drawn in,
+so a Monte Carlo run can split its paths into ranges of whole blocks and
+give each range to another process (sim_harness._range_rows) without
+changing a byte.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -280,9 +280,10 @@ def _check_paths(first_path, n_paths) -> tuple[int, int]:
     return first_path, n_paths
 
 
-# NumPy's SeedSequence hash (pool size 4), written once for a Python int and
-# for a uint32 array alike: array products wrap modulo 2**32 without a
-# warning, and Python ints are masked to 32 bits.
+# NumPy's SeedSequence hash (pool size 4), on the Python ints of _seed_pool
+# and the uint32 arrays of _substream_seeds alike: a value is masked to 32
+# bits before its shift, and array products wrap modulo 2**32 (silently in
+# one or more dimensions).  The first step makes the array the others update.
 _MASK32 = 0xFFFFFFFF
 
 
@@ -295,27 +296,30 @@ def _hash_constants(value: int, multiplier: int):
         value = following
 
 
-def _hashmix(value, xor: int, multiplier: int):
-    value = ((value ^ xor) * multiplier) & _MASK32
-    return value ^ (value >> 16)
+def _hashmix(value, xor, multiplier):
+    value = value ^ xor
+    value *= multiplier
+    value &= _MASK32
+    value ^= value >> 16
+    return value
 
 
 def _mix(x, y):
-    value = (((0xCA01F9DD * x) & _MASK32) - ((0x4973F715 * y) & _MASK32)) & _MASK32
-    return value ^ (value >> 16)
-
-
-# SeedSequence.generate_state hashes the pool, cycled twice, into the eight
-# 32-bit words of four uint64 PCG64 seed words.
-_STATE_CONSTANTS = list(itertools.islice(_hash_constants(0x8B51F9DD, 0x58F38DED), 8))
+    value = 0xCA01F9DD * x - 0x4973F715 * y
+    value &= _MASK32
+    value ^= value >> 16
+    return value
 
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int):
     """The part of SeedSequence(seed, spawn_key=(p, s))'s hash that depends
-    on the seed alone: the pool after the seed's words (at least four, zero
-    padded), the constants that mix in the path word, and each stream
-    word's hash into the pool."""
+    on the seed alone, hashed on Python ints, as uint32 arrays that broadcast
+    against a row of path words: the pool after the seed's words (at least
+    four, zero padded), (4, 1); the xor and multiplier that mix the path word
+    into each pool word, (4, 1) each; each stream word's hash, (2, 4, 1); and
+    the xor and multiplier of generate_state, which hashes the pool, cycled
+    twice, into the eight 32-bit words of four uint64 seed words, (8, 1) each."""
     words = []
     while seed or not words:  # little-endian 32-bit words; 0 is one word
         words.append(seed & _MASK32)
@@ -330,29 +334,32 @@ def _seed_pool(seed: int):
     for w in words[4:]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hashmix(w, *next(constants)))
-    path_constants = [next(constants) for _ in range(4)]
+    path_xor, path_multiplier = zip(*(next(constants) for _ in range(4)))
     stream_constants = [next(constants) for _ in range(4)]
     streams = [[_hashmix(stream, *c) for c in stream_constants] for stream in (0, 1)]
-    return pool, path_constants, streams
+    state_constants = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    state_xor, state_multiplier = zip(*(next(state_constants) for _ in range(8)))
+    parts = (pool, path_xor, path_multiplier, streams, state_xor, state_multiplier)
+    return tuple(_readonly(np.array(part, dtype=np.uint32)[..., np.newaxis]) for part in parts)
 
 
-def _substream_seeds(seed: int, paths) -> np.ndarray:
-    """The PCG64 seed words of paths ``paths`` (a Python int, or a 1-D
-    uint32 array of path indices), shape paths.shape + (2, 4), uint64.
+def _substream_seeds(seed: int, paths: np.ndarray) -> np.ndarray:
+    """The PCG64 seed words of ``paths``, a 1-D uint32 array of path
+    indices: shape (len(paths), 2, 4), uint64.
 
-    Row [..., s, :] is bitwise SeedSequence(seed, spawn_key=(p, s))
-    .generate_state(4, np.uint64): the same hash, run on every path at once.
-    The path word is mixed into the cached seed pool once for both streams.
+    Row [i, s] is bitwise SeedSequence(seed, spawn_key=(paths[i], s))
+    .generate_state(4, np.uint64): the same hash, run in one broadcast pass
+    over the n path words on the cached seed pool.  The path word is mixed
+    into the pool's (4, n) words once for both streams, each stream word
+    into (2, 4, n) words, and generate_state makes (2, 8, n) words.
     """
-    pool, path_constants, streams = _seed_pool(_check_count(seed, "seed", 0))
-    path_pool = [_mix(w, _hashmix(paths, *c)) for w, c in zip(pool, path_constants)]
-    state = []
-    for stream in streams:
-        stream_pool = [_mix(w, k) for w, k in zip(path_pool, stream)]
-        state += [_hashmix(stream_pool[i % 4], *c) for i, c in enumerate(_STATE_CONSTANTS)]
-    # (16[, paths]) words to ([paths,] 2, 8), C-contiguous; each uint64 seed
-    # word is a little-endian pair of 32-bit words
-    state = np.ascontiguousarray(np.array(state, dtype="<u4").T).reshape(np.shape(paths) + (2, 8))
+    pool, path_xor, path_multiplier, streams, state_xor, state_multiplier = _seed_pool(_check_count(seed, "seed", 0))
+    path_pool = _mix(pool, _hashmix(paths, path_xor, path_multiplier))
+    stream_pool = _mix(path_pool, streams)
+    state = _hashmix(np.concatenate((stream_pool, stream_pool), axis=1), state_xor, state_multiplier)
+    # (2, 8, n) words to (n, 2, 8), C-contiguous; each uint64 seed word is a
+    # little-endian pair of 32-bit words
+    state = np.ascontiguousarray(state.transpose(2, 0, 1), dtype="<u4")
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -415,16 +422,13 @@ def sample_noise_block(
     own substreams: the Brownian draws from
     SeedSequence(seed, spawn_key=(path_index, 0)) and the jump draws from
     spawn_key (path_index, 1), exactly, with the seeds of all n_paths paths
-    hashed in bulk.  So a path's noise does not depend on the block it is
+    hashed in one pass.  So a path's noise does not depend on the block it is
     drawn in, paths are independent, and the Brownian part is invariant to
     the jump measure.  Path indices must lie below 2**32; the seed must be
     a nonnegative integer.
     """
     first_path, n_paths = _check_paths(first_path, n_paths)
-    if n_paths == 1:  # the Python-int hash is cheaper for a single path
-        seeds = _substream_seeds(seed, first_path)[np.newaxis]
-    else:
-        seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
+    seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
     return _draw_noise(measure, grid, seeds)
 
 
@@ -456,7 +460,7 @@ def compensate(measure: LevyMeasure, jump_vol) -> float:
     """Compensator integral of a jump volatility: sum_k gamma(x_k) * intensity_k."""
     gam = np.asarray(jump_vol, dtype=float)
     _check_atoms(len(gam), measure, "jump_vol")
-    return float(gam @ measure.intensities) if len(measure) else 0.0
+    return float(gam @ measure.intensities)
 
 
 def _check_same_measure(a: SymmetricCoefficients, b: SymmetricCoefficients) -> LevyMeasure:

@@ -569,8 +569,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
                 jump_count_path = np.zeros(steps + 1)
                 np.cumsum(counts[0].sum(axis=1), out=jump_count_path[1:])
                 jump_sum_path = np.zeros(steps + 1)
-                if len(s.measure):
-                    np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
+                np.cumsum(counts[0] @ s.measure.locations, out=jump_sum_path[1:])
                 # path 0's rows as C-contiguous (steps + 1, n_hedging) copies, so
                 # benchmark_holdings sums each grid time's assets as it always has
                 # (pairwise from 8 assets); the holdings of t_{N-1} carry to t_N.

@@ -558,15 +558,19 @@ def test_volatility_gram_keys_on_identity_not_value():
         assert np.array_equal(np.signbit(v), np.signbit(fresh))
 
 
-def test_gram_table_stays_within_its_bound():
+def test_gram_slot_holds_the_last_finite_gram():
     rng = np.random.default_rng(SEED)
     for _ in range(1000):
         n_atoms = int(rng.integers(0, 4))
         measure = LevyMeasure(tuple(JumpAtom(float(x), 1.0) for x in rng.permutation(8)[:n_atoms] - 4.0))
         specs = [AssetSpec(100.0, float(rng.uniform(0.05, 0.6)), tuple(rng.uniform(-0.5, 1.0, n_atoms))) for _ in range(3)]
-        volatility_gram(specs[0], specs[1:], measure)
+        v = volatility_gram(specs[0], specs[1:], measure)
         analytic_delta(specs[0], specs[1:], [0.5, 0.5], measure, 1.0)
-        assert len(hedging._gram_table) <= hedging._GRAM_TABLE_SIZE
+        assert np.isfinite(v).all()
+        kept, kept_v = hedging._gram_slot
+        assert len(kept) == 4 and all(x is y for x, y in zip(kept, (measure, *specs)))
+        assert kept_v is v and not kept_v.flags.writeable
+        assert volatility_gram(specs[0], specs[1:], measure) is v
 
 
 def test_an_overflowing_gram_is_never_kept(bern_measure, contract):
@@ -577,7 +581,7 @@ def test_an_overflowing_gram_is_never_kept(bern_measure, contract):
         with pytest.warns(RuntimeWarning, match="overflow"):
             v = volatility_gram(contract, [huge], bern_measure)
         assert not np.isfinite(v).all()
-        assert all(kept is not v for _, kept in hedging._gram_table.values())
+        assert hedging._gram_slot[1] is not v
 
 
 @settings(max_examples=200, deadline=None)

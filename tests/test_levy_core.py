@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -166,26 +167,38 @@ def _seed_sequence_words(seed, path_index, stream):
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_substream_seeds_equal_seed_sequence(seed):
+    # every edge path at once, and each alone in an array of length 1
     as_array = _substream_seeds(seed, np.array(EDGE_PATHS, dtype=np.uint32))
     assert as_array.shape == (len(EDGE_PATHS), 2, 4) and as_array.dtype == np.uint64
     for row, p in enumerate(EDGE_PATHS):
-        as_int = _substream_seeds(seed, p)
-        assert as_int.shape == (2, 4) and as_int.dtype == np.uint64
+        one_path = _substream_seeds(seed, np.array([p], dtype=np.uint32))
+        assert one_path.shape == (1, 2, 4) and one_path.dtype == np.uint64
         for stream in (0, 1):
             expected = _seed_sequence_words(seed, p, stream)
-            np.testing.assert_array_equal(as_int[stream], expected)
+            np.testing.assert_array_equal(one_path[0, stream], expected)
             np.testing.assert_array_equal(as_array[row, stream], expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**256), path_index=st.integers(0, 2**32 - 1))
 def test_substream_seeds_equal_seed_sequence_property(seed, path_index):
-    as_int = _substream_seeds(seed, path_index)
+    one_path = _substream_seeds(seed, np.array([path_index], dtype=np.uint32))
     as_array = _substream_seeds(seed, np.array([path_index, 0], dtype=np.uint32))
     for stream in (0, 1):
         expected = _seed_sequence_words(seed, path_index, stream)
-        np.testing.assert_array_equal(as_int[stream], expected)
+        np.testing.assert_array_equal(one_path[0, stream], expected)
         np.testing.assert_array_equal(as_array[0, stream], expected)
+
+
+def test_one_path_at_the_last_index_draws_without_a_warning(bern_measure, unit_grid):
+    # uint32 products wrap silently only in arrays of one or more
+    # dimensions, so one path hashes as a row of length 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dw, counts = sample_noise_block(bern_measure, unit_grid, SEED, 2**32 - 1, 1)
+    ref_dw, ref_counts = _reference_noise(bern_measure, unit_grid, SEED, 2**32 - 1)
+    np.testing.assert_array_equal(dw[0], ref_dw)
+    np.testing.assert_array_equal(counts[0], ref_counts)
 
 
 def test_noise_across_a_seed_chunk_boundary(bern_measure):
@@ -229,7 +242,7 @@ def test_noise_rejects_bad_seeds_as_a_scenario_does(bern_measure, unit_grid, see
     # and raise a TypeError for 1.5 and "7"
     with pytest.raises(ValueError):
         builtin_scenario("fig1", seed=seed)
-    for n_paths in (1, 3):  # the Python-int and the array hash
+    for n_paths in (1, 3):  # one path and three take the same hash
         with pytest.raises(ValueError, match="seed must be"):
             sample_noise_block(bern_measure, unit_grid, seed, 0, n_paths)
     with pytest.raises(ValueError, match="seed must be"):

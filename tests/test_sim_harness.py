@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from levyhedge import (
     analytic_delta,
     brute_force_constant_hedge,
     builtin_scenario,
+    compensate,
     run_scenario,
     scenario_ratios,
     single_coefficients,
@@ -228,6 +230,27 @@ def test_golden_jump_paths_count_the_first_path_arrivals():
     np.testing.assert_array_equal(np.diff(g.jump_count_path), counts[:, 0] + counts[:, 1])
     np.testing.assert_array_equal(np.diff(g.jump_sum_path), counts[:, 0] - counts[:, 1])
     assert g.jump_count_path[-1] == counts.sum() > 0
+
+
+def test_brownian_only_jump_terms_are_positive_zeros():
+    # the empty measure takes the general expressions, with no warning: a
+    # (steps, 0) @ (0,) product is zeros(steps), an empty dot product +0.0
+    s = Scenario(
+        measure=LevyMeasure(),
+        contract=GeometricBernoulliSpec(100.0, 0.15, 0.0),
+        hedging_assets=(GeometricBernoulliSpec(100.0, 0.20, 0.0),),
+        grid=TimeGrid(1.0, 100),
+        n_paths=2,
+        seed=SEED,
+        hedge_mode="single",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jump_sum_path = run_scenario(s).golden.jump_sum_path
+        compensator = compensate(LevyMeasure(), ())
+    assert jump_sum_path.shape == (101,) and not jump_sum_path.any()
+    assert not np.signbit(jump_sum_path).any()
+    assert compensator == 0.0 and math.copysign(1.0, compensator) == 1.0
 
 
 @pytest.mark.parametrize("name", sim_harness.FIGURE_NAMES)
