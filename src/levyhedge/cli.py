@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hedging import _gram_report, DegeneracyError, analytic_delta, benchmark_holdings, volatility_gram
+from .hedging import _gram_report, DegeneracyError, analytic_delta, benchmark_holdings
 from .market import GeometricBernoulliSpec
 from .levy_core import IntegrationError, JumpAtom, LevyMeasure, TimeGrid
 from .sim_harness import (
@@ -329,8 +329,7 @@ def cmd_hedge(args) -> int:
         raise IntegrationError(0, f"theta_0 overflows to {theta0}")
     d_hat = analytic_delta(contract, assets, ratios, scenario.measure, scenario.grid.horizon)
     # the degeneracy of the traded assets' Gram block, which the solve inverts
-    traded = scenario.traded_assets()
-    report = _gram_report(volatility_gram(contract, [assets[i] for i in traded], scenario.measure)[1:, 1:])
+    report = _gram_report(scenario.traded()[1][1:, 1:])
 
     for i, (psi, units) in enumerate(zip(ratios, phi), start=1):
         print(f"phi_{i}: {units:.10g}  (scaled ratio psi_{i} = {psi:.10g})")

@@ -22,11 +22,12 @@ and :func:`single_coefficients` remain public only for the benchmark's
 ``hedge_sweep`` workload.
 
 :func:`volatility_gram` keeps the last finite Gram it built in one slot,
-``_gram_slot``, and returns it again for a call on the same objects; every
-Gram it returns is read-only.  A call matches the slot by the identity of
-the measure and of each spec, not by their values: the frozen specs always
-give the same bits, value equality would match -0.0 to 0.0, and hashing the
-float tuples costs about a fifth of a build.
+``_gram_slot``, and returns it again for a repeat call on the same objects
+(on random markets: a scenario's closed forms read the block its
+``Scenario`` kept); every Gram it returns is read-only.  A call matches the
+slot by the identity of the measure and of each spec, not by their values:
+the frozen specs always give the same bits, value equality would match -0.0
+to 0.0, and hashing the float tuples costs about a fifth of a build.
 
 Expected squared error for constant scaled ratios psi_i = phi^i S^i / C is
 reported as the time-0 rate times the horizon:
@@ -150,9 +151,9 @@ class DegeneracyReport:
 # *assets) objects it was built from, held so that no other object can take
 # their identity.  Its callers ask for one spec set several times in a
 # row (a solve, then analytic_delta at three ratios), so one slot holds
-# every repeat: the benchmark's hedge_sweep body builds 254 Grams for 1158
-# calls, and verify optimality 1121 for 2428, as a table of 2, 4 or 64
-# entries would.
+# every repeat: the benchmark's hedge_sweep body builds 250 Grams for 1150
+# calls, and verify optimality 1121 for 2424 on one CPU, as a table of 2, 4
+# or 64 entries would.
 _gram_slot: tuple[tuple, np.ndarray | None] = ((), None)
 
 
@@ -370,7 +371,11 @@ def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) 
     rho = 1 means a perfect single-asset hedge exists; the optimal hedge
     removes the fraction rho of the no-hedge error.
     """
-    v = volatility_gram(contract, (asset,), measure)
+    return _rho(volatility_gram(contract, (asset,), measure))
+
+
+def _rho(v: np.ndarray) -> float:
+    """:func:`rho_diagnostic` on the Gram block of a contract (row 0) and one asset."""
     K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
     scale = max(K, M)
     if K <= DEGENERACY_RTOL * scale or M <= DEGENERACY_RTOL * scale:

@@ -45,12 +45,12 @@ from .levy_core import (
 )
 from .market import AssetSpec, GeometricBernoulliSpec, natural_coefficients
 from .hedging import (
+    _rho,
     DegeneracyError,
     analytic_delta,
     benchmark_holdings,
     hedge_residuals,
     portfolio_values,
-    rho_diagnostic,
     solve_ratios,
     volatility_gram,
 )
@@ -100,7 +100,9 @@ class Scenario:
     natural dynamics, so a scenario carries no pricing kernel.  The natural
     specs are built and validated once, at construction: their volatility
     Gram matrix V, the contract's squared-error scale horizon * C_0^2 and its
-    no-hedge error horizon * C_0^2 * V[0, 0] must be finite.
+    no-hedge error horizon * C_0^2 * V[0, 0] must be finite.  The hedge mode
+    is resolved there too, into the :meth:`traded` assets and their block of
+    V, which every closed form of the scenario reads.
     """
 
     measure: LevyMeasure
@@ -112,6 +114,7 @@ class Scenario:
     hedge_mode: str
     hedge_asset_index: int = 0
     _natural: tuple[AssetSpec, ...] = field(init=False, repr=False, compare=False)
+    _traded: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hedging_assets", tuple(self.hedging_assets))
@@ -133,6 +136,7 @@ class Scenario:
             raise ValueError("two_asset mode needs at least two hedging assets")
         if self.hedge_mode == "multi" and n < 1:
             raise ValueError("multi mode needs at least one hedging asset")
+        traded = {"single": [self.hedge_asset_index], "two_asset": [0, 1], "multi": range(n)}.get(self.hedge_mode)
         try:
             natural = tuple(g.to_asset_spec(self.measure) for g in (self.contract, *self.hedging_assets))
         except ValueError as exc:
@@ -155,6 +159,12 @@ class Scenario:
                 f"overflows the no-hedge error horizon * initial_price**2 * V[0, 0] at initial_price {c0!r}"
             )
         object.__setattr__(self, "_natural", natural)
+        if traded is not None:
+            rows = [0, *(i + 1 for i in traded)]
+            traded = np.array(traded), gram[np.ix_(rows, rows)]
+            for a in traded:
+                a.setflags(write=False)
+        object.__setattr__(self, "_traded", traded)
 
     def natural_contract(self) -> AssetSpec:
         return self._natural[0]
@@ -162,15 +172,10 @@ class Scenario:
     def natural_assets(self) -> tuple[AssetSpec, ...]:
         return self._natural[1:]
 
-    def traded_assets(self) -> list[int] | None:
-        """Indices of the assets the hedge mode trades, or None for no hedge."""
-        if self.hedge_mode == "none":
-            return None
-        if self.hedge_mode == "single":
-            return [self.hedge_asset_index]
-        if self.hedge_mode == "two_asset":
-            return [0, 1]
-        return list(range(len(self.hedging_assets)))
+    def traded(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Indices of the assets the hedge mode trades and their volatility Gram
+        block, contract first (both read-only), or None for no hedge."""
+        return self._traded
 
 
 # Columns of ScenarioResult.path_stats, one row per path: the per-path hedge
@@ -288,12 +293,10 @@ def scenario_ratios(s: Scenario) -> tuple[float, ...] | None:
     specs make the optimal scaled ratios time-independent, so they are
     computed once at t = 0.
     """
-    traded = s.traded_assets()
-    if traded is None:
+    if s.traded() is None:
         return None
-    assets = s.natural_assets()
-    v = volatility_gram(s.natural_contract(), [assets[i] for i in traded], s.measure)
-    ratios = np.zeros(len(assets))
+    traded, v = s.traded()
+    ratios = np.zeros(len(s.hedging_assets))
     ratios[traded] = solve_ratios(v[1:, 1:], v[1:, 0])
     return tuple(float(r) for r in ratios)
 
@@ -305,7 +308,7 @@ def scenario_rho(s: Scenario) -> float | None:
     if s.hedge_mode != "single":
         return None
     try:
-        rho = rho_diagnostic(s.natural_contract(), s.natural_assets()[s.hedge_asset_index], s.measure)
+        rho = _rho(s.traded()[1])
     except DegeneracyError:
         return None
     # clamp: rounding can land an epsilon above the Cauchy-Schwarz bound
@@ -676,12 +679,9 @@ def brute_force_constant_hedge(
     """
     if s.hedge_mode not in ("single", "two_asset"):
         raise ValueError("brute force sweep needs hedge_mode 'single' or 'two_asset'")
-    traded = s.traded_assets()
+    traded, v = s.traded()
     n = _ratio_count(ratio_min, ratio_max, step, len(traded))
-    contract = s.natural_contract()
-    assets = s.natural_assets()
-    v = volatility_gram(contract, [assets[i] for i in traded], s.measure)
-    c0 = contract.initial_price
+    c0 = s.natural_contract().initial_price
     scale = s.grid.horizon * c0 * c0
     # c'Vc = V_00 + psi_1 (psi_1 V_11 - 2 V_10)
     #             [+ psi_2 (psi_2 V_22 - 2 V_20) + 2 V_21 psi_2 psi_1],
@@ -714,6 +714,6 @@ def brute_force_constant_hedge(
         cells.append(start * width + k)
     b = int(np.argmin(minima))
     best = np.unravel_index(cells[b], (n,) * len(traded))
-    ratios = np.zeros(len(assets))
+    ratios = np.zeros(len(s.hedging_assets))
     ratios[traded] = ratio_min + step * np.array(best)
     return BruteForceResult(tuple(ratios), float(minima[b]))

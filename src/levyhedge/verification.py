@@ -410,7 +410,7 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
     # 1-D sweep against the closed-form single-asset ratio L / M, built-in market
     s2a = builtin_scenario("fig2a")
     contract, a1 = s2a.natural_contract(), s2a.natural_assets()[0]
-    v = volatility_gram(contract, [a1], s2a.measure)
+    _, v = s2a.traded()
     psi_fig = v[1, 0] / v[1, 1]
     sweep = brute_force_constant_hedge(s2a, 0.0, 2.0, step)
     gap = abs(sweep.best_ratios[0] - psi_fig)
@@ -644,10 +644,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, n_paths: int | None = None) -
     ``n_paths`` None each suite runs its own default path count.  The
     inputs are checked by :func:`_check_inputs` before any suite starts."""
     _check_inputs(name, seed, n_paths)
-    if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, seed, n_paths))
-        return out
-    suite = _SUITES[name]
-    return suite(seed) if n_paths is None else suite(seed, n_paths)
+    args = (seed,) if n_paths is None else (seed, n_paths)
+    return [result for suite in (SUITE_NAMES if name == "all" else (name,)) for result in _SUITES[suite](*args)]

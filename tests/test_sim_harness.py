@@ -12,6 +12,7 @@ from levyhedge import (
     PATH_COLUMNS,
     GeometricBernoulliSpec,
     IntegrationError,
+    JumpAtom,
     LevyMeasure,
     Scenario,
     TimeGrid,
@@ -19,13 +20,15 @@ from levyhedge import (
     brute_force_constant_hedge,
     builtin_scenario,
     compensate,
+    rho_diagnostic,
     run_scenario,
     scenario_ratios,
+    scenario_rho,
     single_coefficients,
     two_asset_hedge,
     volatility_gram,
 )
-from levyhedge import sim_harness
+from levyhedge import cli, hedging, sim_harness
 from levyhedge.sim_harness import with_overrides
 
 SEED = 333
@@ -166,6 +169,100 @@ def test_multi_mode_agrees_with_two_asset(bern_measure):
 
 def test_no_hedge_mode_has_no_ratios():
     assert scenario_ratios(builtin_scenario("fig1")) is None
+
+
+# ---------------------------------------------------------------- the traded block
+
+
+def _assert_block_is_the_traded_gram(s, monkeypatch):
+    """The block a scenario keeps is, bit for bit, the Gram built afresh
+    from its traded specs, and neither it nor the indices can be written."""
+    traded, block = s.traded()
+    assets = s.natural_assets()
+    monkeypatch.setattr(hedging, "_gram_slot", ((), None))
+    fresh = volatility_gram(s.natural_contract(), [assets[i] for i in traded], s.measure)
+    assert block.shape == fresh.shape
+    assert np.array_equal(block.view(np.uint64), fresh.view(np.uint64))
+    assert not block.flags.writeable and not traded.flags.writeable
+
+
+def _random_scenarios(count: int, seed: int) -> list[Scenario]:
+    """Scenarios on random markets of 1 to 8 assets and 1 to 4 atoms, in
+    single, two-asset and multi mode in turn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        mode = ("single", "two_asset", "multi")[i % 3]
+        n = int(rng.integers(2 if mode == "two_asset" else 1, 9))
+        atoms = int(rng.integers(1, 5))
+        measure = LevyMeasure(
+            tuple(JumpAtom(float(x), float(w)) for x, w in zip(rng.uniform(-1, 1, atoms), rng.uniform(0.1, 20, atoms)))
+        )
+        # initial price, brownian_vol and jump_exponent of the contract and each asset
+        specs = [GeometricBernoulliSpec(*map(float, u)) for u in rng.uniform((50, 0, -1), (150, 0.5, 1), (n + 1, 3))]
+        out.append(Scenario(measure, specs[0], specs[1:], TimeGrid(1.0, 10), 1, SEED, mode, int(rng.integers(n))))
+    return out
+
+
+def test_figure_blocks_are_the_traded_gram(monkeypatch):
+    assert builtin_scenario("fig1").traded() is None
+    for name in ("fig2a", "fig2b", "fig3", "fig4"):
+        _assert_block_is_the_traded_gram(builtin_scenario(name), monkeypatch)
+
+
+@pytest.mark.parametrize("k, name", [(0, "fig2a"), (1, "fig2b")])
+def test_single_mode_override_resolves_the_mode_again(k, name, monkeypatch):
+    fig3 = builtin_scenario("fig3")
+    s = with_overrides(fig3, hedge_mode="single", hedge_asset_index=k)
+    _assert_block_is_the_traded_gram(s, monkeypatch)
+    figure = builtin_scenario(name)
+    assert s == figure and hash(s) == hash(figure)
+    (traded, block), (figure_traded, figure_block) = s.traded(), figure.traded()
+    assert traded.tolist() == figure_traded.tolist() == [k]
+    assert np.array_equal(block.view(np.uint64), figure_block.view(np.uint64))
+    assert scenario_ratios(s) == scenario_ratios(figure)
+    assert fig3.traded()[0].tolist() == [0, 1]
+
+
+def test_random_scenario_blocks_are_the_traded_gram(monkeypatch):
+    scenarios = _random_scenarios(240, SEED)
+    assert {s.hedge_mode for s in scenarios} == {"single", "two_asset", "multi"}
+    for s in scenarios:
+        _assert_block_is_the_traded_gram(s, monkeypatch)
+
+
+def test_replace_keeps_equality_hash_and_repr():
+    for name in sim_harness.FIGURE_NAMES:
+        s = builtin_scenario(name)
+        copy = replace(s)
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert "_traded" not in repr(s)
+        if s.traded() is not None:
+            assert copy.traded() is not s.traded()  # replace resolves the mode again
+
+
+def test_closed_forms_build_no_gram_after_construction(monkeypatch):
+    scenarios = [builtin_scenario(name) for name in ("fig2a", "fig2b", "fig3", "fig4")]
+    strict_subset = _random_scenarios(30, SEED + 1)[::3]  # single mode
+    expected = []
+    for s in scenarios + strict_subset:
+        rho = None
+        if s.hedge_mode == "single":
+            asset = s.natural_assets()[s.hedge_asset_index]
+            rho = min(rho_diagnostic(s.natural_contract(), asset, s.measure), 1.0)
+        expected.append((scenario_ratios(s), brute_force_constant_hedge(s, 0.0, 2.0, 1e-2), rho))
+
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was built after construction")
+
+    monkeypatch.setattr(sim_harness, "volatility_gram", no_gram)
+    monkeypatch.setattr(hedging, "volatility_gram", no_gram)
+    for s, (ratios, sweep, rho) in zip(scenarios + strict_subset, expected):
+        assert scenario_ratios(s) == ratios
+        assert scenario_rho(s) == rho
+        got = brute_force_constant_hedge(s, 0.0, 2.0, 1e-2)
+        assert (got.best_ratios, got.best_delta) == (sweep.best_ratios, sweep.best_delta)
+    assert "volatility_gram" not in vars(cli)
 
 
 # ---------------------------------------------------------------- running
@@ -365,7 +462,7 @@ def test_sweep_cell_limit_counts_the_cells_of_the_whole_grid():
 def _full_grid_sweep(s, lo, hi, step):
     """The sweep as one whole-grid expression: the reference the blocked
     sweep must reproduce bit for bit."""
-    traded = s.traded_assets()
+    traded, _ = s.traded()
     assets = s.natural_assets()
     v = volatility_gram(s.natural_contract(), [assets[i] for i in traded], s.measure)
     axes = (lo + step * np.arange(int(round((hi - lo) / step)) + 1),) * len(traded)

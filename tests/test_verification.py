@@ -391,6 +391,15 @@ def test_package_hedges_only_through_the_volatility_gram(module):
     assert not retired & set(vars(module))
 
 
+def test_run_suite_all_checks_its_inputs_once(monkeypatch):
+    check = mock.Mock(wraps=verification._check_inputs)
+    monkeypatch.setattr(verification, "_check_inputs", check)
+    suites = {name: (lambda seed, n, name=name: [(name, seed, n)]) for name in verification.SUITE_NAMES}
+    monkeypatch.setattr(verification, "_SUITES", suites)
+    assert run_suite("all", SEED, 4) == [(name, SEED, 4) for name in verification.SUITE_NAMES]
+    check.assert_called_once_with("all", SEED, 4)
+
+
 @pytest.mark.parametrize(
     "name, seed, n_paths, message",
     [
