@@ -29,6 +29,15 @@ slot by the identity of the measure and of each spec, not by their values:
 the frozen specs always give the same bits, value equality would match -0.0
 to 0.0, and hashing the float tuples costs about a fifth of a build.
 
+The arithmetic of the one-market functions also runs on stacks of markets,
+along leading axes: :func:`solve_ratios` takes Gram blocks (..., n, n),
+and the private kernels that :func:`volatility_gram` (``_gram``),
+:func:`two_asset_hedge` (``_two_asset_ratios``) and :func:`analytic_delta`
+(``_delta``) call take loadings (..., n_specs, 1 + m), Grams (..., 3, 3)
+and Grams (..., n + 1, n + 1).  A one-market call runs the same code on a
+stack of none, so each market of a stack gets the bits it gets alone;
+verify optimality checks its random markets this way.
+
 Expected squared error for constant scaled ratios psi_i = phi^i S^i / C is
 reported as the time-0 rate times the horizon:
 
@@ -152,8 +161,8 @@ class DegeneracyReport:
 # their identity.  Its callers ask for one spec set several times in a
 # row (a solve, then analytic_delta at three ratios), so one slot holds
 # every repeat: the benchmark's hedge_sweep body builds 250 Grams for 1150
-# calls, and verify optimality 1121 for 2424 on one CPU, as a table of 2, 4
-# or 64 entries would.
+# calls, as a table of 2, 4 or 64 entries would.  verify optimality's
+# random markets bypass the slot: their Grams are built as stacks (_gram).
 _gram_slot: tuple[tuple, np.ndarray | None] = ((), None)
 
 
@@ -161,9 +170,7 @@ def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: L
     """Volatility Gram matrix V = B diag(1, w) B^T, (n + 1) x (n + 1), read-only.
 
     B has one row (sigma, Sigma_1..Sigma_m) per spec, the contract first, so
-    V[a, b] = sigma_a sigma_b + sum_k Sigma_a_k Sigma_b_k w_k.  The rows are
-    scaled by sqrt(1, w) and multiplied by their own transpose, which keeps
-    V exactly symmetric.
+    V[a, b] = sigma_a sigma_b + sum_k Sigma_a_k Sigma_b_k w_k (:func:`_gram`).
 
     A call on the objects of the kept Gram returns that array (see the
     module docstring).  A non-finite Gram is never kept, so its overflow
@@ -178,13 +185,28 @@ def volatility_gram(contract: AssetSpec, assets: Sequence[AssetSpec], measure: L
     _check_atoms(len(contract.jump_vol), measure, "contract")
     for asset in specs[1:]:
         _check_atoms(len(asset.jump_vol), measure, "asset")
-    b = np.array([(spec.brownian_vol, *spec.jump_vol) for spec in specs])
-    b *= np.sqrt(np.concatenate(([1.0], measure.intensities)))
-    v = b @ b.T
+    v = _gram(np.array([(spec.brownian_vol, *spec.jump_vol) for spec in specs]), measure.intensities)
     v.setflags(write=False)
     if np.isfinite(v).all():
         _gram_slot = (objects, v)
     return v
+
+
+def _gram(loadings: np.ndarray, intensities: np.ndarray) -> np.ndarray:
+    """Volatility Grams (..., n_specs, n_specs) of loadings B (..., n_specs,
+    1 + m), one row (sigma, Sigma_1..Sigma_m) per spec, and intensities w
+    (..., m).  The rows are scaled by sqrt(1, w) and multiplied by their
+    own transpose, which keeps each Gram exactly symmetric.
+
+    Each Gram of a stack has the bits of a Gram built alone, because every
+    block of a stack has the same m: padding a stack to a common atom
+    count adds zero columns, which can reorder the sums over the atoms.
+    """
+    scale = np.empty(intensities.shape[:-1] + (1 + intensities.shape[-1],))
+    scale[..., 0] = 1.0
+    np.sqrt(intensities, out=scale[..., 1:])
+    b = loadings * scale[..., None, :]
+    return b @ b.swapaxes(-1, -2)
 
 
 def _gram_report(v: np.ndarray) -> DegeneracyReport:
@@ -202,17 +224,39 @@ def _gram_report(v: np.ndarray) -> DegeneracyReport:
     return DegeneracyReport(min_eig, cond, bool(min_eig <= DEGENERACY_RTOL * mean_eig))
 
 
+def _check_blocks(v: np.ndarray, message: str, underflow: tuple[np.ndarray, str] | None = None) -> None:
+    """Raise :class:`DegeneracyError` with the report of the first of the
+    Gram blocks ``v``, (n, n) or (..., n, n), that fails: with ``message``
+    when the block is degenerate by :func:`_gram_report`'s rule, else with
+    the message of ``underflow``, a (mask, message) pair, when its mask
+    entry is set.  That is the error a loop over the blocks raises first; a
+    block of a stack is named by its index."""
+    eigs = np.linalg.eigvalsh(v)
+    # .T[0].T, not [..., 0]: one block's entries are then NumPy scalars,
+    # whose arithmetic costs a tenth of a 0-d array's
+    degenerate = eigs.T[0].T <= DEGENERACY_RTOL * (np.add.reduce(eigs, axis=-1) / eigs.shape[-1])
+    failed = degenerate if underflow is None else degenerate | underflow[0]
+    if not np.count_nonzero(failed):
+        return
+    block = np.unravel_index(np.argmax(failed), failed.shape)
+    if not degenerate[block]:
+        message = underflow[1]
+    if failed.ndim:
+        message += f" (block {', '.join(map(str, block))})"
+    raise DegeneracyError(message, _gram_report(v[block]))
+
+
 def solve_ratios(v_traded: np.ndarray, l_traded: np.ndarray) -> np.ndarray:
     """Optimal scaled ratios psi solving V_S psi = L_S on the traded block.
 
-    ``v_traded`` is the traded assets' block of the volatility Gram and
-    ``l_traded`` their column against the contract.  Raises
-    :class:`DegeneracyError` (report attached) on a degenerate block.
+    ``v_traded`` is the traded assets' block of the volatility Gram, (n, n)
+    or a stack (..., n, n), and ``l_traded`` their column against the
+    contract, (n,) or (..., n); the ratios have the shape of ``l_traded``.
+    Raises :class:`DegeneracyError` (report attached) on a degenerate
+    block, the first of a stack.
     """
-    report = _gram_report(v_traded)
-    if report.degenerate:
-        raise DegeneracyError("hedging assets are degenerate (rank-deficient Gram matrix)", report)
-    return np.linalg.solve(v_traded, l_traded)
+    _check_blocks(v_traded, "hedging assets are degenerate (rank-deficient Gram matrix)")
+    return np.linalg.solve(v_traded, np.asarray(l_traded)[..., None])[..., 0]
 
 
 def single_coefficients(
@@ -283,19 +327,29 @@ def two_asset_hedge(
     c_left, s1_left, s2_left = prices_left
     if c_left <= 0.0 or s1_left <= 0.0 or s2_left <= 0.0:
         raise ValueError("prices must be positive")
-    v = volatility_gram(contract, (asset1, asset2), measure)
-    report = _gram_report(v[1:, 1:])
-    if report.degenerate:
-        raise DegeneracyError("two-asset system is degenerate", report)
-    l1, l2 = float(v[1, 0]), float(v[2, 0])
-    v11, v22, v12 = float(v[1, 1]), float(v[2, 2]), float(v[2, 1])
-    r = v11 * v22 - v12 * v12
-    if not r > 0.0:
-        # the eigenvalue rule passed, so the determinant underflowed
-        raise DegeneracyError("two-asset determinant underflows at this volatility scale", report)
-    psi1 = (l1 * v22 - v12 * l2) / r
-    psi2 = (l2 * v11 - v12 * l1) / r
+    psi1, psi2 = _two_asset_ratios(volatility_gram(contract, (asset1, asset2), measure)).tolist()
     return psi1 * c_left / s1_left, psi2 * c_left / s2_left
+
+
+def _two_asset_ratios(v: np.ndarray) -> np.ndarray:
+    """The closed-form scaled ratios (..., 2) of :func:`two_asset_hedge` on
+    Grams (..., 3, 3), the contract first: (L_1 V_22 - V_12 L_2) / R and
+    (L_2 V_11 - V_12 L_1) / R with R = V_11 V_22 - V_12^2.
+
+    Raises :class:`DegeneracyError` on the first block whose asset pair is
+    degenerate by :func:`solve_ratios`'s rule, or whose R underflowed
+    although the eigenvalue rule passed.
+    """
+    # entries of the transpose, the stack axes reversed: one Gram's entries
+    # are then NumPy scalars (see _check_blocks)
+    vt = v.T
+    l1, l2 = vt[0, 1], vt[0, 2]
+    v11, v22, v12 = vt[1, 1], vt[2, 2], vt[1, 2]
+    r = v11 * v22 - v12 * v12
+    # a pair that passes the eigenvalue rule with R <= 0 had its R underflow
+    underflow = ((~(r > 0.0)).T, "two-asset determinant underflows at this volatility scale")
+    _check_blocks(v[..., 1:, 1:], "two-asset system is degenerate", underflow)
+    return np.array([(l1 * v22 - v12 * l2) / r, (l2 * v11 - v12 * l1) / r]).T
 
 
 def hedge_residuals(
@@ -355,14 +409,23 @@ def analytic_delta(
     psi = np.atleast_1d(np.asarray(strategy_ratios, dtype=float))
     if psi.shape[-1:] != (len(assets),):
         raise ValueError("need one scaled ratio per hedging asset")
+    delta = _delta(volatility_gram(contract, assets, measure), psi, contract.initial_price, horizon)
+    return float(delta) if psi.ndim == 1 else delta
+
+
+def _delta(v: np.ndarray, psi: np.ndarray, c0, horizon: float) -> np.ndarray:
+    """T * C_0^2 * c'Vc with c = (1, -psi), for ratios ``psi`` (..., n) on
+    Grams ``v`` (..., n + 1, n + 1) and contract prices ``c0``, all
+    broadcast as ``c @ v`` and ``c0 * rate`` are: one ratio vector (n,)
+    against one Gram, a stack (k, n) against one Gram, or a stack (..., k,
+    n) against as many Grams (..., n + 1, n + 1) and prices (..., 1).
+    """
     c = np.empty(psi.shape[:-1] + (1 + psi.shape[-1],))
     c[..., 0] = 1.0
     np.negative(psi, out=c[..., 1:])
-    rate = ((c @ volatility_gram(contract, assets, measure)) * c).sum(axis=-1)
-    c0 = contract.initial_price
+    rate = ((c @ v) * c).sum(axis=-1)
     # the order of Scenario's check: T * C_0 first, so C_0^2 is never formed alone
-    delta = horizon * c0 * c0 * rate
-    return float(delta) if psi.ndim == 1 else delta
+    return horizon * c0 * c0 * rate
 
 
 def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) -> float:

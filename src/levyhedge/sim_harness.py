@@ -13,11 +13,11 @@ whole blocks, one range per usable CPU when the run is large enough to
 repay a fork; every range but the first is computed in a forked child.
 Each path draws from its own substreams and every reduction runs along one
 path, so the results are the same bytes whatever the number of processes.
-A verification loop fills one column per randomized trial the same way,
-over :func:`_trial_ranges`, once its caller has drawn every trial's inputs
-in order.  :func:`_fork_ranges` is the one fork loop: the CSV writer
-(:mod:`levyhedge.csv_format`) cuts a long table into ranges of whole chunks
-of rows through it too.
+The one randomized trial loop, verify calculus's 100 pricing kernels,
+fills one column per trial the same way, over :func:`_trial_ranges`, once
+its caller has drawn every trial's inputs in order.  :func:`_fork_ranges`
+is the one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a
+long table into ranges of whole chunks of rows through it too.
 """
 
 from __future__ import annotations
@@ -340,13 +340,11 @@ def scenario_rho(s: Scenario) -> float | None:
 _FORK_MIN_PATH_STEPS = 2**17
 
 # Fewest trials that each process of a trial loop must run.  A trial of
-# verify's randomized checks takes about 0.18 ms (one two-asset market) to
-# 0.34 ms (one pricing kernel on a 500-step path), and a second process
-# costs about 10 ms in a process that has run verify all.  Measured on the
-# 2-CPU Intel Xeon VM above, median of 40 alternated calls, two processes
-# against one: 100 kernels 27.6 ms against 34.5 ms, 60 kernels 19.5 ms
-# against 15.6 ms; 1000 markets 117 ms against 185 ms, 200 markets 25.6 ms
-# against 34.7 ms, and 100 markets 17.3 ms against 17.8 ms.
+# verify calculus's one such loop (one pricing kernel on a 500-step path)
+# takes about 0.34 ms, and a second process costs about 10 ms in a process
+# that has run verify all.  Measured on the 2-CPU Intel Xeon VM above,
+# median of 40 alternated calls, two processes against one: 100 kernels
+# 27.6 ms against 34.5 ms, 60 kernels 19.5 ms against 15.6 ms.
 _FORK_MIN_TRIALS = 50
 
 
@@ -390,17 +388,15 @@ def _fork_range(run, start: int, stop: int) -> int | None:
             # Python 3.12+ warns that a fork in a process with several
             # threads (OpenBLAS keeps a pool) may deadlock the child.  The
             # child runs NumPy's elementwise kernels and generators, and
-            # BLAS and LAPACK only on operands of a few elements:
-            # compensate's dot product over the atoms, volatility_gram's
-            # matmul, eigvalsh and np.linalg.solve on blocks of at most
-            # 3 x 3, and analytic_delta's (501, 2) @ (2, 2) product.  Each
-            # is far below the size at which OpenBLAS hands work to its
-            # pool: with NumPy 2.4's OpenBLAS 0.3.31, a child that makes
-            # these calls keeps its one thread (other BLAS builds are
-            # unchecked).  It writes only what ``run`` writes (shared
-            # memory, or the unnamed temporary file of a CSV range, which
-            # ``run`` flushes) and leaves through os._exit, so it flushes no
-            # inherited buffer.
+            # BLAS only on operands of a few elements: the dot products over
+            # the atoms of compensate and of a pricing kernel's benchmark
+            # coefficients.  Each is far below the size at which OpenBLAS
+            # hands work to its pool: with NumPy 2.4's OpenBLAS 0.3.31, a
+            # child that makes these calls keeps its one thread (other BLAS
+            # builds are unchecked).  It writes only what ``run`` writes
+            # (shared memory, or the unnamed temporary file of a CSV range,
+            # which ``run`` flushes) and leaves through os._exit, so it
+            # flushes no inherited buffer.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )

@@ -33,13 +33,12 @@ from .levy_core import (
     sample_noise_block,
 )
 from .market import (
-    AssetSpec,
     GeometricBernoulliSpec,
     PricingKernelSpec,
     benchmark_coefficients,
     kernel_coefficients,
 )
-from .hedging import analytic_delta, rho_diagnostic, solve_ratios, two_asset_hedge, volatility_gram
+from .hedging import _delta, _gram, _two_asset_ratios, analytic_delta, rho_diagnostic, solve_ratios, two_asset_hedge
 from .sim_harness import (
     DEFAULT_SEED,
     PATH_COLUMNS,
@@ -366,42 +365,48 @@ def _draw_market(rng: np.random.Generator, n_hedging: int) -> tuple[np.ndarray, 
     return locs, rng.uniform(*_market_bounds(n_atoms, 1 + n_hedging))
 
 
-def _build_market(locations: np.ndarray, uniforms: np.ndarray) -> tuple[AssetSpec, list[AssetSpec], LevyMeasure]:
-    """The contract, hedging assets and jump measure of one
-    :func:`_draw_market` draw."""
-    n = len(locations)
-    measure = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locations, uniforms[:n])))
-    specs = [AssetSpec(float(u[0]), float(u[1]), tuple(u[2:])) for u in uniforms[n:].reshape(-1, 2 + n)]
-    return specs[0], specs[1:], measure
+def _market_groups(draws: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """Yields, for each atom count 1 to 3 of the :func:`_draw_market` draws,
+    their indices, intensities (k, n_atoms), initial prices (k, n_specs) and
+    loadings (k, n_specs, 1 + n_atoms), a row (sigma, Sigma_1..Sigma_m) per
+    spec, the contract first."""
+    for n_atoms in (1, 2, 3):
+        indices = [i for i, (locations, _) in enumerate(draws) if len(locations) == n_atoms]
+        if indices:
+            uniforms = np.array([draws[i][1] for i in indices])
+            specs = uniforms[:, n_atoms:].reshape(len(indices), -1, 2 + n_atoms)
+            yield indices, uniforms[:, :n_atoms], specs[..., 0], specs[..., 1:]
 
 
 def _two_asset_errors(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Rows (accepted, error), one column per two-asset market draw, checked
-    on every usable CPU (:func:`sim_harness._range_rows`).  A market whose
-    asset block of the volatility Gram is badly conditioned is not accepted
-    and reads (0, 0) (ledgered: the solve accuracy is conditioning-limited,
+    """Errors of the accepted two-asset market draws, in draw order, from
+    one Gram stack per atom count and one stack of the accepted markets.  A
+    market whose asset block of the volatility Gram is badly conditioned is
+    not accepted (ledgered: the solve accuracy is conditioning-limited,
     ~cond * eps); the error of an accepted one is the largest gap between
-    the holdings of :func:`two_asset_hedge` and those of
+    the closed-form holdings of :func:`two_asset_hedge` and those of
     :func:`solve_ratios`, relative to the largest holding or 1."""
-
-    def fill(rows: np.ndarray, start: int, stop: int) -> None:
-        for i in range(start, stop):
-            c, (b1, b2), m = _build_market(*draws[i])
-            v = volatility_gram(c, [b1, b2], m)
-            eigs = np.linalg.eigvalsh(v[1:, 1:])
-            if eigs[0] <= 1e-4 * eigs.mean():
-                rows[:, i] = 0.0
-                continue
-            prices = (c.initial_price, b1.initial_price, b2.initial_price)
-            phi_solve = solve_ratios(v[1:, 1:], v[1:, 0]) * prices[0] / np.array(prices[1:])
-            phi_closed = np.array(two_asset_hedge(c, b1, b2, prices, m))
-            scale = max(1.0, float(np.abs(phi_solve).max()), float(np.abs(phi_closed).max()))
-            rows[:, i] = 1.0, float(np.abs(phi_solve - phi_closed).max()) / scale
-
-    return _range_rows((2,), _trial_ranges(len(draws)), fill)
+    prices, v = np.empty((len(draws), 3)), np.empty((len(draws), 3, 3))
+    for indices, intensities, initial_prices, loadings in _market_groups(draws):
+        prices[indices], v[indices] = initial_prices, _gram(loadings, intensities)
+    eigs = np.linalg.eigvalsh(v[:, 1:, 1:])
+    accepted = ~(eigs[:, 0] <= 1e-4 * eigs.mean(axis=-1))
+    v, c0, s = v[accepted], prices[accepted, :1], prices[accepted, 1:]
+    phi_solve = solve_ratios(v[:, 1:, 1:], v[:, 1:, 0]) * c0 / s
+    phi_closed = _two_asset_ratios(v) * c0 / s
+    scale = np.maximum(1.0, np.maximum(np.abs(phi_solve).max(axis=-1), np.abs(phi_closed).max(axis=-1)))
+    return np.abs(phi_solve - phi_closed).max(axis=-1) / scale
 
 
 def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[CheckResult]:
+    """The closed-form hedge minimizes the expected squared error, in 9
+    checks: grid sweeps on fig2a (1-D) and fig3 (2-D) find the closed-form
+    ratios; on 100 random single-asset markets the swept error is its
+    quadratic form, with its argmin at L / M, the error-gap identity and
+    strict convexity; on 1000 random two-asset markets the closed form is
+    the linear solve; the optimal error is (1 - rho) times the no-hedge
+    error; and the Monte Carlo error of the optimal hedge is the closed form.
+    """
     results = []
     rng = np.random.default_rng(seed + 10)
     horizon = 1.0
@@ -424,69 +429,58 @@ def suite_optimality(seed: int = DEFAULT_SEED, n_paths: int = 10_000) -> list[Ch
 
     # randomized specs: argmin location, quadratic form, error-gap identity
     # and strict convexity on 100 random markets, drawn here in order and
-    # checked on every usable CPU; np.max and np.min fail a check on a NaN
-    draws = [(*_draw_market(rng, 1), rng.uniform(-1.0, 1.0)) for _ in range(100)]
-
-    def single_asset_errors(rows: np.ndarray, start: int, stop: int) -> None:
-        for i in range(start, stop):
-            locations, uniforms, offset = draws[i]
-            c, (a,), m = _build_market(locations, uniforms)
-            v = volatility_gram(c, [a], m)
-            K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
-            psi_hat = L / M
-            # grid offset keeps the optimum generic with respect to the grid
-            axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
-            full = analytic_delta(c, [a], axis[:, None], m, horizon)
-            scale = horizon * c.initial_price * c.initial_price
-            quadratic = scale * (K - 2.0 * axis * L + axis**2 * M)
-            psi_alt = psi_hat + offset
-            gap_lhs = analytic_delta(c, [a], [psi_alt], m, horizon) - analytic_delta(c, [a], [psi_hat], m, horizon)
-            gap_rhs = horizon * M * (psi_alt - psi_hat) ** 2 * c.initial_price**2
-            # np.argmin lands on a NaN, so a sweep that holds one has no argmin
-            argmin = np.nan if np.isnan(full).any() else float(axis[np.argmin(full)])
-            rows[:, i] = (
-                abs(argmin - psi_hat),
-                float(np.abs(full - quadratic).max()) / scale,
-                abs(gap_lhs - gap_rhs) / max(1.0, abs(gap_rhs)),
-                float((full[2:] - 2.0 * full[1:-1] + full[:-2]).min()),
-            )
-
-    single = _range_rows((4,), _trial_ranges(len(draws)), single_asset_errors)
+    # checked on one stack per atom count, which keeps the sweeps' arrays
+    # under a megabyte; np.max and np.min fail a check on a NaN
+    draws, offsets = zip(*((_draw_market(rng, 1), rng.uniform(-1.0, 1.0)) for _ in range(100)))
+    single = np.empty((4, len(draws)))
+    for indices, intensities, prices, loadings in _market_groups(draws):
+        v, c0 = _gram(loadings, intensities), prices[:, :1]
+        K, L, M = v[:, :1, 0], v[:, 1:, 0], v[:, 1:, 1]
+        psi_hat = L / M
+        # grid offset keeps the optimum generic with respect to the grid
+        axis = (psi_hat - 0.25 + 0.000123) + step * np.arange(501)
+        full = _delta(v, axis[..., None], c0, horizon)
+        scale = horizon * c0 * c0
+        quadratic = scale * (K - 2.0 * axis * L + axis**2 * M)
+        psi_alt = psi_hat + np.array(offsets)[indices, None]
+        gap_lhs = _delta(v, psi_alt[..., None], c0, horizon) - _delta(v, psi_hat[..., None], c0, horizon)
+        # squares by Python's float power, as one market's scalars were: libm's
+        # pow and np.square's x * x round apart on about one double in 1500
+        gap_sq, c0_sq = ((x.astype(object) ** 2).astype(float) for x in (psi_alt - psi_hat, c0))
+        gap_rhs = horizon * M * gap_sq * c0_sq
+        # np.argmin lands on a NaN, so a sweep that holds one has no argmin
+        argmin = np.where(np.isnan(full).any(axis=-1), np.nan, axis[np.arange(len(v)), np.argmin(full, axis=-1)])
+        single[:, indices] = (
+            np.abs(argmin - psi_hat[:, 0]),
+            np.abs(full - quadratic).max(axis=-1) / scale[:, 0],
+            np.abs(gap_lhs - gap_rhs)[:, 0] / np.maximum(1.0, np.abs(gap_rhs[:, 0])),
+            (full[:, 2:] - 2.0 * full[:, 1:-1] + full[:, :-2]).min(axis=-1),
+        )
     worst_arg, worst_sweep, worst_gap = (float(np.max(row)) for row in single[:3])
     min_curv = float(np.min(single[3]))
-    results.append(
-        _check(
-            "grid values agree with the quadratic form",
-            worst_sweep <= 1e-12,
-            f"worst rel err={worst_sweep:.3g} tol=1e-12",
-        )
-    )
-    results.append(
+    results += [
+        _check("grid values agree with the quadratic form", worst_sweep <= 1e-12, f"worst rel err={worst_sweep:.3g} tol=1e-12"),
         _check(
             "randomized argmin within one grid step",
             worst_arg <= step,
             f"worst |grid-argmin - L/M|={worst_arg:.2e} step={step} specs=100",
-        )
-    )
-    results.append(
+        ),
         _check(
             "error-gap identity",
             worst_gap <= 1e-10,
             f"worst rel err={worst_gap:.3g} tol=1e-10 (gap = T*M*S^2*(psi-psi_hat)^2 in ratio units)",
-        )
-    )
-    results.append(_check("error is strictly convex in the ratio", min_curv > 0.0, f"min second difference={min_curv:.3g}"))
+        ),
+        _check("error is strictly convex in the ratio", min_curv > 0.0, f"min second difference={min_curv:.3g}"),
+    ]
 
     # closed-form two-asset hedge equals the solve that every hedge runs, on
-    # the first 1000 accepted random markets.  The markets are drawn here in
-    # order and checked on every usable CPU.  Each round draws only as many
-    # as are still missing, so no market past the 1000th accepted one is
-    # drawn or checked: the generator and any error are those of a loop
-    # that draws and checks one market at a time.
+    # the first 1000 accepted random markets, drawn here in order.  Each
+    # round draws only as many as are still missing, so no market past the
+    # 1000th accepted one is drawn or checked: the generator and any error
+    # are those of a loop that draws and checks one market at a time.
     errs = []
     while len(errs) < 1000:
-        rows = _two_asset_errors([_draw_market(rng, 2) for _ in range(1000 - len(errs))])
-        errs.extend(rows[1, rows[0] == 1.0])
+        errs.extend(_two_asset_errors([_draw_market(rng, 2) for _ in range(1000 - len(errs))]))
     worst = float(np.max(errs))
     results.append(
         _check(

@@ -248,6 +248,41 @@ def test_two_asset_determinant_underflow_is_degenerate():
     assert err.value.report is not None and not err.value.report.degenerate
 
 
+def _raised(call, *args) -> DegeneracyError:
+    with pytest.raises(DegeneracyError) as err:
+        call(*args)
+    return err.value
+
+
+def test_a_stack_raises_for_its_first_failing_block(bern_measure, contract, asset_high, asset_low):
+    # blocks: a sound pair, a duplicated pair (degenerate), the pair of a
+    # Gram ~1e-192 whose determinant underflows; each failure is raised by
+    # the block a loop would reach first, named, with that block's report
+    m = LevyMeasure.bernoulli(15.0, 0.5)
+    vol = 1.6e-96
+    tiny = [AssetSpec(100.0, vol, (vol, -vol)), AssetSpec(100.0, vol, (2.0 * vol, 0.0)), AssetSpec(100.0, 0.0, (0.0, 3.0 * vol))]
+    sound = volatility_gram(contract, [asset_high, asset_low], bern_measure)
+    duplicated = volatility_gram(contract, [asset_high, asset_high], bern_measure)
+    underflow = volatility_gram(tiny[0], tiny[1:], m)
+    degenerate = _raised(two_asset_hedge, contract, asset_high, asset_high, (1.0,) * 3, bern_measure)
+    underflows = _raised(two_asset_hedge, *tiny, (1.0,) * 3, m)
+    assert degenerate.report.degenerate and not underflows.report.degenerate
+    for blocks, first, one in [
+        ((sound, duplicated, underflow), 1, degenerate),
+        ((sound, underflow, duplicated), 1, underflows),
+        ((sound, sound, sound, duplicated), 3, degenerate),
+    ]:
+        err = _raised(hedging._two_asset_ratios, np.stack(blocks))
+        assert str(err) == f"{one} (block {first})" and err.report == one.report
+    # solve_ratios's rule on a stack of two-dimensional stacks: the
+    # duplicated pair at (1, 0), the first in C order
+    v = np.stack([np.stack([sound, sound]), np.stack([duplicated, sound])])
+    err = _raised(solve_ratios, v[..., 1:, 1:], v[..., 1:, 0])
+    one = _raised(solve_ratios, duplicated[1:, 1:], duplicated[1:, 0])
+    assert str(err) == f"{one} (block 1, 0)" and err.report == one.report and err.report.degenerate
+    assert np.array_equal(solve_ratios(v[:1, :, 1:, 1:], v[:1, :, 1:, 0])[0, 1], solve_ratios(sound[1:, 1:], sound[1:, 0]))
+
+
 def test_duplicated_assets_are_degenerate(bern_measure, contract, asset_high):
     with pytest.raises(DegeneracyError) as err:
         two_asset_hedge(contract, asset_high, asset_high, (100.0, 100.0, 100.0), bern_measure)

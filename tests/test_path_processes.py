@@ -252,9 +252,9 @@ def test_trial_ranges(monkeypatch, n_trials, cpus, expected):
 @pytest.mark.parametrize(
     "suite, trial_shape",
     [
-        # argmin gap, quadratic-form error, gap-identity error and least
-        # second difference of the 100 single-asset markets
-        ("optimality", (4, 100)),
+        # the per-path statistics of the Monte Carlo check, one ratio set on
+        # 4 paths; the random markets run on stacks in this process
+        ("optimality", (6, 1, 4)),
         # the 100 pricing kernels' largest |pi * xi - 1|
         ("calculus", (100,)),
     ],
@@ -283,35 +283,36 @@ def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeyp
 
 
 def test_an_error_in_a_childs_trial_is_the_serial_error(processes, monkeypatch):
-    # the closed form raises on one market of the second of two ranges of
-    # the 1000 two-asset draws (the 751st accepted market is draw 750 or
-    # later): its child fails, and the range is checked again here, so the
-    # error is the one a single process raises
+    # the kernel coefficients raise on the 76th of the calculus suite's 100
+    # random pricing kernels, in the second of two ranges: its child fails,
+    # and the range is checked again here, so the error is the one a single
+    # process raises
     processes(1)
-    contracts = []
-    real = verification.two_asset_hedge
+    kernels = []
+    real = verification.kernel_coefficients
 
-    def recorded(c, *args):
-        contracts.append(c)
-        return real(c, *args)
+    def recorded(kernel, *args):
+        kernels.append(kernel)
+        return real(kernel, *args)
 
-    monkeypatch.setattr(verification, "two_asset_hedge", recorded)
-    run_suite("optimality", SEED, 4)
-    target = contracts[750]
+    monkeypatch.setattr(verification, "kernel_coefficients", recorded)
+    run_suite("calculus", SEED, 4)
+    target = kernels[75]
 
-    def degenerate_once(c, *args):
-        if c == target:
-            raise DegeneracyError(f"injected degeneracy at initial price {c.initial_price!r}")
-        return real(c, *args)
+    def degenerate_once(kernel, *args):
+        if kernel == target:
+            raise DegeneracyError(f"injected degeneracy at short rate {kernel.short_rate!r}")
+        return real(kernel, *args)
 
-    monkeypatch.setattr(verification, "two_asset_hedge", degenerate_once)
+    monkeypatch.setattr(verification, "kernel_coefficients", degenerate_once)
     errors = []
     for count in (1, 2):
         processes(count)
         with pytest.raises(DegeneracyError) as info:
-            run_suite("optimality", SEED, 4)
+            run_suite("calculus", SEED, 4)
         errors.append(str(info.value))
-    assert errors[0] == errors[1] == f"injected degeneracy at initial price {target.initial_price!r}"
+    assert len(kernels) == 100
+    assert errors[0] == errors[1] == f"injected degeneracy at short rate {target.short_rate!r}"
 
 
 def test_a_refused_fork_runs_the_range_here(processes, monkeypatch, tmp_path, capsys):

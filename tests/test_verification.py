@@ -29,15 +29,16 @@ from levyhedge import (
     scenario_ratios,
     volatility_gram,
 )
-from levyhedge import levy_core, sim_harness, verification
+from levyhedge import hedging, levy_core, sim_harness, verification
+from levyhedge.hedging import _delta, _two_asset_ratios, analytic_delta, solve_ratios, two_asset_hedge
 from levyhedge.levy_core import LevyMeasure
 from levyhedge.sim_harness import PATH_COLUMNS, with_overrides
 from levyhedge.verification import (
-    _build_market,
     _draw_market,
     _euler_gap_ratios,
     _euler_terminals,
     _hedge_stats,
+    _market_groups,
     _price_terminals,
     run_suite,
 )
@@ -189,22 +190,32 @@ def test_suite_results_do_not_depend_on_block_size(suite):
     assert run_suite(suite, SEED, N_PATHS) == single
 
 
-def test_optimality_sweep_makes_one_call_per_market():
-    calls = []
-    real = verification.analytic_delta
+def test_optimality_random_markets_make_one_call_per_stack():
+    calls = {name: [] for name in ("_delta", "analytic_delta", "solve_ratios", "_two_asset_ratios")}
 
-    def counted(*args):
-        calls.append(np.shape(args[2]))
-        return real(*args)
+    def counted(name):
+        real = getattr(verification, name)
 
-    # one process: a forked child's calls would not be counted here
-    with mock.patch.object(verification, "analytic_delta", counted), mock.patch.object(
-        sim_harness, "_usable_cpus", lambda: 1
-    ):
+        def call(*args):
+            calls[name].append(np.shape(args[1] if name == "_delta" else args[0]))
+            return real(*args)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in calls:
+            stack.enter_context(mock.patch.object(verification, name, counted(name)))
         run_suite("optimality", SEED, 4)
-    # per randomized market: one stacked sweep of 501 ratios and two points
-    assert calls.count((501, 1)) == 100
-    assert len(calls) == 3 * 100 + 3
+    # the 100 single-asset markets, one stack per atom count: a sweep of 501
+    # ratios and two points; then the two-asset markets: one solve and one
+    # closed form per round of draws, the first round holding most of the 1000
+    sizes = [shape[0] for shape in calls["_delta"][::3]]
+    assert calls["_delta"] == [shape for n in sizes for shape in ((n, 501, 1), (n, 1, 1), (n, 1, 1))]
+    assert len(sizes) == 3 and sum(sizes) == 100
+    assert len(calls["analytic_delta"]) == 3
+    rounds = calls["_two_asset_ratios"]
+    assert calls["solve_ratios"] == [(n, 2, 2) for n, _, _ in rounds]
+    assert sum(n for n, _, _ in rounds) == 1000 and len(rounds) <= 3 and rounds[0][0] > 900
 
 
 def test_underflowing_price_terminals_raise_price_range_error():
@@ -270,7 +281,7 @@ def test_calculus_reports_factor_a_before_an_earlier_product_underflow(monkeypat
 
 def _random_market(rng, n_hedging):
     """A random market drawn one generator call at a time: the oracle for
-    _draw_market and _build_market."""
+    _draw_market and the stacks of _market_groups."""
     n_atoms = int(rng.integers(1, 4))
     locs = rng.normal(0.0, 1.0, n_atoms)
     while len(np.unique(locs)) != n_atoms:
@@ -287,13 +298,67 @@ def _random_market(rng, n_hedging):
     return spec(), [spec() for _ in range(n_hedging)], measure
 
 
+def _drawn_markets(n_hedging, n_markets=2000):
+    """n_markets draws of _draw_market and the same markets of _random_market,
+    each pair from its own generator of one seed."""
+    one_at_a_time, split = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    draws, markets = [], []
+    for _ in range(n_markets):
+        markets.append(_random_market(one_at_a_time, n_hedging))
+        draws.append(_draw_market(split, n_hedging))
+        assert split.bit_generator.state == one_at_a_time.bit_generator.state
+    return draws, markets
+
+
+def _market_grams(draws):
+    """Initial prices and volatility Grams of the draws in draw order, from
+    the Gram stacks of _market_groups."""
+    prices, grams = [None] * len(draws), [None] * len(draws)
+    for indices, intensities, initial_prices, loadings in _market_groups(draws):
+        for i, p, v in zip(indices, initial_prices, hedging._gram(loadings, intensities)):
+            prices[i], grams[i] = p, v
+    return np.array(prices), np.array(grams)
+
+
 @pytest.mark.parametrize("n_hedging", [1, 2])
 def test_drawn_markets_are_those_of_one_draw_at_a_time(n_hedging):
-    one_at_a_time, split = np.random.default_rng(SEED), np.random.default_rng(SEED)
-    for _ in range(2000):
-        c, assets, m = _random_market(one_at_a_time, n_hedging)
-        assert _build_market(*_draw_market(split, n_hedging)) == (c, assets, m)
-        assert split.bit_generator.state == one_at_a_time.bit_generator.state
+    draws, markets = _drawn_markets(n_hedging)
+    seen = []
+    for indices, intensities, prices, loadings in _market_groups(draws):
+        n_atoms = intensities.shape[1]
+        assert loadings.shape == (len(indices), 1 + n_hedging, 1 + n_atoms)
+        for j, i in enumerate(indices):
+            c, assets, m = markets[i]
+            assert len(m) == n_atoms and draws[i][0].tolist() == m.locations.tolist()
+            assert intensities[j].tolist() == m.intensities.tolist()
+            for k, spec in enumerate((c, *assets)):
+                assert prices[j, k] == spec.initial_price
+                assert loadings[j, k].tolist() == [spec.brownian_vol, *spec.jump_vol]
+        seen += indices
+    assert sorted(seen) == list(range(len(draws)))
+
+
+@pytest.mark.parametrize("n_hedging", [1, 2])
+def test_stacked_kernels_are_bitwise_the_one_market_calls(n_hedging):
+    # every atom count 1-3 among 2000 markets; each stacked kernel against
+    # the public call on the market's AssetSpecs, held to the last bit
+    draws, markets = _drawn_markets(n_hedging)
+    assert {len(m) for _, _, m in markets} == {1, 2, 3}
+    prices, v = _market_grams(draws)
+    psi = np.random.default_rng(SEED + 1).normal(0.5, 0.5, (len(draws), 3, n_hedging))
+    sweeps = _delta(v, psi, prices[:, :1], 1.3)
+    points = _delta(v, psi[:, :1], prices[:, :1], 1.3)
+    ratios = solve_ratios(v[:, 1:, 1:], v[:, 1:, 0])
+    closed = _two_asset_ratios(v) * prices[:, :1] / prices[:, 1:] if n_hedging == 2 else None
+    for i, (c, assets, m) in enumerate(markets):
+        one = volatility_gram(c, assets, m)
+        assert np.array_equal(prices[i], [spec.initial_price for spec in (c, *assets)])
+        assert np.array_equal(v[i], one)
+        assert np.array_equal(ratios[i], solve_ratios(one[1:, 1:], one[1:, 0]))
+        assert np.array_equal(sweeps[i], analytic_delta(c, assets, psi[i], m, 1.3))
+        assert points[i, 0] == analytic_delta(c, assets, psi[i, 0], m, 1.3)
+        if n_hedging == 2:
+            assert np.array_equal(closed[i], two_asset_hedge(c, *assets, tuple(prices[i]), m))
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
@@ -311,11 +376,11 @@ def test_drawn_single_asset_markets_are_never_degenerate(n_atoms):
     assert least_m / largest_k > 1e-6
     # and the bounds hold on drawn markets
     rng = np.random.default_rng(SEED)
-    drawn = [_build_market(*_draw_market(rng, 1)) for _ in range(600)]
-    grams = [volatility_gram(c, assets, m) for c, assets, m in drawn if len(m) == n_atoms]
+    drawn = [_draw_market(rng, 1) for _ in range(600)]
+    grams = _market_grams(drawn)[1][[len(locations) == n_atoms for locations, _ in drawn]]
     assert len(grams) > 100
-    assert max(v[0, 0] for v in grams) <= largest_k
-    assert min(v[1, 1] for v in grams) >= least_m
+    assert grams[:, 0, 0].max() <= largest_k
+    assert grams[:, 1, 1].min() >= least_m
 
 
 CLOSED_FORM = "two-asset closed form equals the linear solve"
@@ -327,11 +392,15 @@ CONVEXITY = "error is strictly convex in the ratio"
 
 @pytest.mark.parametrize(
     "name, factor, failing",
-    [("two_asset_hedge", 1 + 1e-3, {CLOSED_FORM, REPLICATION}), ("solve_ratios", 1 + 1e-6, {CLOSED_FORM})],
+    [("_two_asset_ratios", 1 + 1e-3, {CLOSED_FORM, REPLICATION}), ("solve_ratios", 1 + 1e-6, {CLOSED_FORM})],
 )
 def test_two_asset_checks_fail_on_a_scaled_hedge(monkeypatch, name, factor, failing):
+    # the stacked kernel, in every module that binds it: the closed form
+    # reaches the optimality suite's stack and, through two_asset_hedge, the
+    # completeness suite's replication
     real = getattr(verification, name)
-    monkeypatch.setattr(verification, name, lambda *args: np.asarray(real(*args)) * factor)
+    for module in (hedging, verification):
+        monkeypatch.setattr(module, name, lambda *args: real(*args) * factor)
     results = run_suite("optimality", SEED, 4) + run_suite("completeness", SEED, 4)
     assert {r.name for r in results if not r.passed} == failing
 
@@ -341,44 +410,50 @@ def test_two_asset_checks_fail_on_a_scaled_hedge(monkeypatch, name, factor, fail
     "name, market, index, failing",
     [
         # the first holding of the 751st accepted two-asset market, in the
-        # second of two ranges of the first 1000 draws
-        ("two_asset_hedge", 750, 0, {CLOSED_FORM}),
-        # the middle of the 76th single-asset market's stacked sweep, in the
-        # second of two ranges of 100 markets; np.argmin would land on the
-        # NaN, one grid offset from L / M, so that market's argmin gap is NaN
-        ("analytic_delta", 75, 250, {QUADRATIC_FORM, ARGMIN, CONVEXITY}),
+        # stack of the accepted ones of the first 1000 draws
+        ("_two_asset_ratios", 750, 0, {CLOSED_FORM}),
+        # the middle of the 76th single-asset market's sweep, in the stack
+        # of its atom count; np.argmin would land on the NaN, one grid
+        # offset from L / M, so that market's argmin gap is NaN
+        ("_delta", 75, 250, {QUADRATIC_FORM, ARGMIN, CONVEXITY}),
     ],
     ids=["two-asset holding", "single-asset sweep"],
 )
 def test_a_nan_error_fails_its_optimality_check(processes, monkeypatch, name, market, index, failing, count):
+    # the random markets run in this process on stacks, at any process
+    # count; the Monte Carlo check forks at count 2
     real = getattr(verification, name)
+    grams = []
 
-    def counted(args) -> bool:
-        # every two_asset_hedge call; of analytic_delta, the stacked sweeps
-        return name == "two_asset_hedge" or np.ndim(args[1]) == 2
-
-    contracts = []
-
-    def recorded(c, *args):
-        if counted(args):
-            contracts.append(c)
-        return real(c, *args)
+    def recorded(v, *args):
+        out = real(v, *args)
+        # every closed-form stack; of _delta, the stacked sweeps
+        if name == "_two_asset_ratios" or out.shape[-1] == 501:
+            grams.extend(v)
+        return out
 
     processes(1)
     monkeypatch.setattr(verification, name, recorded)
     run_suite("optimality", SEED, 4)
-    target = contracts[market]
+    # the closed form's stacks follow the draw order; the sweeps' stacks go
+    # by atom count, so the 76th market is found by the suite's first draws
+    rng, draws = np.random.default_rng(SEED + 10), []
+    for _ in range(100):
+        draws.append(_draw_market(rng, 1))
+        rng.uniform(-1.0, 1.0)  # the market's ratio offset
+    target = grams[market] if name == "_two_asset_ratios" else _market_grams(draws)[1][market]
+    assert name == "_two_asset_ratios" or sum((v == target).all() for v in grams) == 1
 
-    def poisoned(c, *args):
-        out = real(c, *args)
-        if c == target and counted(args):
-            out = np.array(out, dtype=float)
-            out[index] = np.nan
+    def poisoned(v, *args):
+        out = real(v, *args)
+        if name == "_two_asset_ratios" or out.shape[-1] == 501:
+            out[(v == target).all(axis=(-2, -1)), index] = np.nan
         return out
 
     processes(count)
     monkeypatch.setattr(verification, name, poisoned)
     failed = {r.name: r.detail for r in run_suite("optimality", SEED, 4) if not r.passed}
+    assert len(grams) == (1000 if name == "_two_asset_ratios" else 100)
     assert set(failed) == failing
     assert all("=nan" in detail for detail in failed.values())
 
