@@ -13,11 +13,10 @@ whole blocks, one range per usable CPU when the run is large enough to
 repay a fork; every range but the first is computed in a forked child.
 Each path draws from its own substreams and every reduction runs along one
 path, so the results are the same bytes whatever the number of processes.
-The one randomized trial loop, verify calculus's 100 pricing kernels,
-fills one column per trial the same way, over :func:`_trial_ranges`, once
-its caller has drawn every trial's inputs in order.  :func:`_fork_ranges`
-is the one fork loop: the CSV writer (:mod:`levyhedge.csv_format`) cuts a
-long table into ranges of whole chunks of rows through it too.
+The randomized trial loops of :mod:`levyhedge.verification` run in the
+calling process.  :func:`_fork_ranges` is the one fork loop: the CSV writer
+(:mod:`levyhedge.csv_format`) cuts a long table into ranges of whole chunks
+of rows through it too.
 """
 
 from __future__ import annotations
@@ -339,15 +338,6 @@ def scenario_rho(s: Scenario) -> float | None:
 # against 73-79 ms); 2**18 would run 500 paths in one process.
 _FORK_MIN_PATH_STEPS = 2**17
 
-# Fewest trials that each process of a trial loop must run.  A trial of
-# verify calculus's one such loop (one pricing kernel on a 500-step path)
-# takes about 0.34 ms, and a second process costs about 10 ms in a process
-# that has run verify all.  Measured on the 2-CPU Intel Xeon VM above,
-# median of 40 alternated calls, two processes against one: 100 kernels
-# 27.6 ms against 34.5 ms, 60 kernels 19.5 ms against 15.6 ms.
-_FORK_MIN_TRIALS = 50
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, on Linux; 1 elsewhere: Windows has no
     fork, and macOS's system libraries (Accelerate, which NumPy may use for
@@ -373,12 +363,6 @@ def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
     return _ranges(n_paths, _block_paths(steps), n_paths * steps // _FORK_MIN_PATH_STEPS)
 
 
-def _trial_ranges(n_trials: int) -> list[tuple[int, int]]:
-    """Trials 0 .. n_trials - 1 cut into ranges of at least
-    _FORK_MIN_TRIALS trials each."""
-    return _ranges(n_trials, 1, n_trials // _FORK_MIN_TRIALS)
-
-
 def _fork_range(run, start: int, stop: int) -> int | None:
     """Fork a child that runs ``run(start, stop)`` and exits 0, or 1 on any
     exception or warning; returns its pid, or None when the system refuses
@@ -389,14 +373,13 @@ def _fork_range(run, start: int, stop: int) -> int | None:
             # threads (OpenBLAS keeps a pool) may deadlock the child.  The
             # child runs NumPy's elementwise kernels and generators, and
             # BLAS only on operands of a few elements: the dot products over
-            # the atoms of compensate and of a pricing kernel's benchmark
-            # coefficients.  Each is far below the size at which OpenBLAS
-            # hands work to its pool: with NumPy 2.4's OpenBLAS 0.3.31, a
-            # child that makes these calls keeps its one thread (other BLAS
-            # builds are unchecked).  It writes only what ``run`` writes
-            # (shared memory, or the unnamed temporary file of a CSV range,
-            # which ``run`` flushes) and leaves through os._exit, so it
-            # flushes no inherited buffer.
+            # the atoms of compensate.  Each is far below the size at which
+            # OpenBLAS hands work to its pool: with NumPy 2.4's OpenBLAS
+            # 0.3.31, a child that makes these calls keeps its one thread
+            # (other BLAS builds are unchecked).  It writes only what ``run``
+            # writes (shared memory, or the unnamed temporary file of a CSV
+            # range, which ``run`` flushes) and leaves through os._exit, so
+            # it flushes no inherited buffer.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )
@@ -450,8 +433,8 @@ def _fork_ranges(ranges: list[tuple[int, int]], run) -> set[tuple[int, int]]:
 def _range_rows(shape: tuple[int, ...], ranges: list[tuple[int, int]], fill) -> np.ndarray:
     """The array of shape (*shape, n) that ``fill(rows, start, stop)``
     writes, range by range, into ``rows[..., start:stop]``, for contiguous
-    ``ranges`` that cover items 0 .. n - 1 (:func:`_path_ranges` or
-    :func:`_trial_ranges`); n is the last range's stop.
+    ``ranges`` that cover items 0 .. n - 1 (:func:`_path_ranges`); n is the
+    last range's stop.
 
     The array is one anonymous shared mapping at any number of ranges, so
     the number of usable CPUs decides only how many children run: a refused

@@ -23,14 +23,13 @@ def blocks_of_8192_path_steps():
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Set the number of processes a run, a trial loop or a CSV write uses
-    to ``count``, on any machine, down to runs of a few path-steps, loops of
-    a few trials and tables of a few cells."""
+    """Set the number of processes a run or a CSV write uses to ``count``,
+    on any machine, down to runs of a few path-steps and tables of a few
+    cells."""
 
     def use(count: int) -> None:
         monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
         monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
-        monkeypatch.setattr(sim_harness, "_FORK_MIN_TRIALS", 1)
         monkeypatch.setattr(csv_format, "_FORK_MIN_CELLS", 1)
 
     return use

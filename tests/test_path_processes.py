@@ -1,9 +1,9 @@
-"""Monte Carlo runs, verify's randomized trials and CSV writes split over
-processes: the paths are cut into ranges of whole blocks, the trials into
-ranges of trials and a long table's rows into ranges of whole chunks, each
-range but the first runs in a forked child, and every result is the same
-bytes whatever the number of processes, whether a child could be forked,
-was killed or failed."""
+"""Monte Carlo runs and CSV writes split over processes: the paths are cut
+into ranges of whole blocks and a long table's rows into ranges of whole
+chunks, each range but the first runs in a forked child, and every result
+is the same bytes whatever the number of processes, whether a child could
+be forked, was killed or failed.  verify's randomized trial loops run in
+the calling process, at any process count."""
 
 import errno
 import os
@@ -237,30 +237,18 @@ def test_verification_helpers_do_not_depend_on_the_process_count(processes, name
 
 
 @pytest.mark.parametrize(
-    "n_trials, cpus, expected",
-    [
-        (1000, 2, [(0, 500), (500, 1000)]),
-        (20, 2, [(0, 20)]),
-        (1000, 1, [(0, 1000)]),
-    ],
-)
-def test_trial_ranges(monkeypatch, n_trials, cpus, expected):
-    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: cpus)
-    assert sim_harness._trial_ranges(n_trials) == expected
-
-
-@pytest.mark.parametrize(
-    "suite, trial_shape",
+    "suite, shapes",
     [
         # the per-path statistics of the Monte Carlo check, one ratio set on
         # 4 paths; the random markets run on stacks in this process
-        ("optimality", (6, 1, 4)),
-        # the 100 pricing kernels' largest |pi * xi - 1|
-        ("calculus", (100,)),
+        ("optimality", [(6, 1, 4)]),
+        # the Euler gap's two error ratios for each of its two coefficient
+        # pairs on 4 paths; the 100 pricing kernels run in this process
+        ("calculus", [(2, 2, 4)]),
     ],
 )
-def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeypatch, suite, trial_shape):
-    # the suites' results, and every per-trial and per-path array behind them
+def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeypatch, suite, shapes):
+    # the suites' results, and every per-path array behind them
     range_rows = verification._range_rows
     arrays = []
 
@@ -275,18 +263,18 @@ def test_randomized_suites_do_not_depend_on_the_process_count(processes, monkeyp
         return run_suite(suite, SEED, 4), [a.copy() for a in arrays]
 
     (one, one_arrays), *others = at_each_count(processes, run)
-    assert trial_shape in [a.shape for a in one_arrays]
+    assert [a.shape for a in one_arrays] == shapes
     for results, trial_arrays in others:
         assert results == one
         for a, b in zip(trial_arrays, one_arrays, strict=True):
             np.testing.assert_array_equal(a, b)
 
 
-def test_an_error_in_a_childs_trial_is_the_serial_error(processes, monkeypatch):
+def test_an_error_in_a_kernel_is_the_same_at_any_process_count(processes, monkeypatch):
     # the kernel coefficients raise on the 76th of the calculus suite's 100
-    # random pricing kernels, in the second of two ranges: its child fails,
-    # and the range is checked again here, so the error is the one a single
-    # process raises
+    # random pricing kernels; the kernels run in this process, after the
+    # Euler gap's forked ranges at two processes, so the error is the one a
+    # single process raises
     processes(1)
     kernels = []
     real = verification.kernel_coefficients

@@ -361,12 +361,39 @@ def test_stacked_kernels_are_bitwise_the_one_market_calls(n_hedging):
             assert np.array_equal(closed[i], two_asset_hedge(c, *assets, tuple(prices[i]), m))
 
 
+@pytest.mark.parametrize("n_hedging", [1, 2])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_bulk_uniforms_are_those_of_numpys_uniform(n_atoms, n_hedging):
+    """_draw_market maps one rng.random draw as low + span * u; on 2000
+    markets of n_atoms atoms, and on every market drawn among them, that is
+    bitwise rng.uniform(low, low + span), whose range is the span, and the
+    generator ends in the same state.  A NumPy build that contracts
+    uniform's low + range * u to one fused multiply-add rounds once where
+    the map rounds twice, and fails here: this test is there to catch it."""
+    lows, spans = verification._market_bounds(n_atoms, 1 + n_hedging)
+    assert np.array_equal((lows + spans) - lows, spans)
+    bulk, oracle = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    drawn = 0
+    while drawn < 2000:
+        locs, uniforms = _draw_market(bulk, n_hedging)
+        n = int(oracle.integers(1, 4))
+        expected = oracle.normal(0.0, 1.0, n)
+        while len(set(expected.tolist())) != n:
+            expected = oracle.normal(0.0, 1.0, n)
+        low, span = verification._market_bounds(n, 1 + n_hedging)
+        assert np.array_equal(locs.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(uniforms.view(np.uint64), oracle.uniform(low, low + span).view(np.uint64))
+        drawn += n == n_atoms
+    assert bulk.bit_generator.state == oracle.bit_generator.state
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
 def test_drawn_single_asset_markets_are_never_degenerate(n_atoms):
     # the single-asset check divides by M = V[1, 1] and rejects no market:
     # bounds that let M fall to 1e-6 of K = V[0, 0] (a near-degenerate
     # market) fail here instead of feeding that divide
-    lows, highs = verification._market_bounds(n_atoms, 2)
+    lows, spans = verification._market_bounds(n_atoms, 2)
+    highs = lows + spans
     w_low, w_high = lows[:n_atoms], highs[:n_atoms]
     # per spec: initial price, Brownian volatility, jump volatilities
     least_sq = np.where(lows * highs <= 0.0, 0.0, np.minimum(lows**2, highs**2))[n_atoms:].reshape(2, -1)
