@@ -1,13 +1,13 @@
 """CSV files of float64 arrays, each cell the text of '%.17g', formatted in NumPy.
 
 :func:`write_csv` formats a table in chunks of _CSV_ROWS rows.  A table of
-at least twice _FORK_MIN_CELLS cells is cut into contiguous ranges of whole
-chunks, one per usable CPU, through the fork loop of Monte Carlo runs
-(:func:`levyhedge.sim_harness._fork_ranges`): this process writes the
-first range to the file, and a forked child formats each other range into
-an unnamed temporary file in the same directory, which this process then
-appends in range order.  Every cell is formatted on its own, so the bytes
-do not depend on the chunk size or the number of processes.
+at least twice ``sim_harness._FORK_MIN_WORK`` cells is cut into contiguous
+ranges of whole chunks, one per usable CPU, through the fork loop of Monte
+Carlo runs (:func:`levyhedge.sim_harness._fork_ranges`): this process
+writes the first range to the file, and a forked child formats each other
+range into an unnamed temporary file in the same directory, which this
+process then appends in range order.  Every cell is formatted on its own,
+so the bytes do not depend on the chunk size or the number of processes.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ from . import sim_harness
 # rows formatted per write: the bytes held in memory stay bounded at any --steps
 _CSV_ROWS = 512
 
-# Fewest cells that each process of a CSV write must format.  Measured on a
-# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4) after a 50 000-step
-# simulate, 40 alternated writes of golden-path rows: one process formats
-# 0.33-0.36 us per cell, and a second costs 12 ms at 36 864 cells (fork,
-# copy-on-write faults in both processes, the wait and the append) and more
-# on larger tables, whose halves slow each other down on the shared cores.
-# Two processes write 73 728 cells 0.97x as fast as one, 147 456 cells
-# 1.05x, 262 152 cells, just above two processes' threshold, 1.09x, and
-# 450 009 cells 1.21x.
-_FORK_MIN_CELLS = 2**17
+# Cells per process against sim_harness._FORK_MIN_WORK, the least work a
+# forked process must get.  Measured on a 2-CPU Intel Xeon VM (Python 3.11,
+# NumPy 2.4) after a 50 000-step simulate, 40 alternated writes of
+# golden-path rows: one process formats 0.33-0.36 us per cell, and a second
+# costs 12 ms at 36 864 cells (fork, copy-on-write faults in both
+# processes, the wait and the append) and more on larger tables, whose
+# halves slow each other down on the shared cores.  Two processes write
+# 73 728 cells 0.97x as fast as one, 147 456 cells 1.05x, 262 152 cells,
+# just above two processes' threshold, 1.09x, and 450 009 cells 1.21x.
 
 # A finite |x| in [1e-280, 1e16) with decimal exponent e has the 17 digits
 # D = round(|x| * 10^k), k = 16 - e.  The product is formed as a double-double
@@ -225,7 +224,7 @@ def write_csv(path: Path, header: Sequence[str], columns: np.ndarray, blank_firs
     path.unlink(missing_ok=True)
     with open(path, "wb") as out, contextlib.ExitStack() as temps:
         out.write((",".join(header) + "\n").encode())
-        ranges = sim_harness._ranges(len(columns), _CSV_ROWS, columns.size // _FORK_MIN_CELLS)
+        ranges = sim_harness._ranges(len(columns), _CSV_ROWS, columns.size)
         files = {}
         for r in ranges[1:]:
             with contextlib.suppress(OSError):  # the range is written here

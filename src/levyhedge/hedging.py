@@ -21,6 +21,11 @@ package reads K/L/M and hedges only through :func:`solve_ratios` on
 and :func:`single_coefficients` remain public only for the benchmark's
 ``hedge_sweep`` workload.
 
+A block V_S has no unique optimal hedge where it is degenerate.  One
+function states that rule, :func:`_degenerate`, on the eigenvalues of one
+block or of a stack; every solve, the closed form and every
+:class:`DegeneracyReport` read it.
+
 :func:`volatility_gram` keeps the last finite Gram it built in one slot,
 ``_gram_slot``, and returns it again for a repeat call on the same objects
 (on random markets: a scenario's closed forms read the block its
@@ -149,7 +154,7 @@ class GramSystem:
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Eigenvalue diagnostics of an unscaled volatility Gram block (see
-    :func:`_gram_report`, which builds every report)."""
+    :func:`_report`, which builds every report)."""
 
     min_eigenvalue: float
     condition_number: float
@@ -209,32 +214,39 @@ def _gram(loadings: np.ndarray, intensities: np.ndarray) -> np.ndarray:
     return b @ b.swapaxes(-1, -2)
 
 
-def _gram_report(v: np.ndarray) -> DegeneracyReport:
-    """Eigenvalue diagnostics of an unscaled volatility Gram block.
+def _degenerate(eigs: np.ndarray) -> np.ndarray:
+    """The degeneracy rule, over the ascending eigenvalues (..., n) of
+    unscaled volatility Gram blocks: a block is degenerate when its
+    smallest eigenvalue falls below DEGENERACY_RTOL times its mean
+    eigenvalue, i.e. when some portfolio of the hedging assets carries
+    (numerically) no volatility.  Returns a mask (...), a NumPy bool for
+    one block."""
+    # .T[0].T, not [..., 0]: one block's entries are then NumPy scalars,
+    # whose arithmetic costs a tenth of a 0-d array's
+    return eigs.T[0].T <= DEGENERACY_RTOL * (np.add.reduce(eigs, axis=-1) / eigs.shape[-1])
 
-    The block is degenerate when its smallest eigenvalue falls below 1e-10
-    times the mean eigenvalue, i.e. when some portfolio of the hedging
-    assets carries (numerically) no volatility.
-    """
-    eigs = np.linalg.eigvalsh(v)
+
+def _gram_report(v: np.ndarray) -> DegeneracyReport:
+    """Eigenvalue diagnostics of an unscaled volatility Gram block, (n, n)."""
+    return _report(np.linalg.eigvalsh(v))
+
+
+def _report(eigs: np.ndarray) -> DegeneracyReport:
+    """The :class:`DegeneracyReport` of one block's ascending eigenvalues (n,)."""
     min_eig = float(eigs[0])
-    max_eig = float(eigs[-1])
-    mean_eig = float(eigs.sum()) / len(eigs)
-    cond = np.inf if min_eig <= 0.0 else max_eig / min_eig
-    return DegeneracyReport(min_eig, cond, bool(min_eig <= DEGENERACY_RTOL * mean_eig))
+    cond = np.inf if min_eig <= 0.0 else float(eigs[-1]) / min_eig
+    return DegeneracyReport(min_eig, cond, bool(_degenerate(eigs)))
 
 
 def _check_blocks(v: np.ndarray, message: str, underflow: tuple[np.ndarray, str] | None = None) -> None:
     """Raise :class:`DegeneracyError` with the report of the first of the
     Gram blocks ``v``, (n, n) or (..., n, n), that fails: with ``message``
-    when the block is degenerate by :func:`_gram_report`'s rule, else with
-    the message of ``underflow``, a (mask, message) pair, when its mask
-    entry is set.  That is the error a loop over the blocks raises first; a
-    block of a stack is named by its index."""
+    when the block is degenerate (:func:`_degenerate`), else with the
+    message of ``underflow``, a (mask, message) pair, when its mask entry
+    is set.  That is the error a loop over the blocks raises first; a block
+    of a stack is named by its index."""
     eigs = np.linalg.eigvalsh(v)
-    # .T[0].T, not [..., 0]: one block's entries are then NumPy scalars,
-    # whose arithmetic costs a tenth of a 0-d array's
-    degenerate = eigs.T[0].T <= DEGENERACY_RTOL * (np.add.reduce(eigs, axis=-1) / eigs.shape[-1])
+    degenerate = _degenerate(eigs)
     failed = degenerate if underflow is None else degenerate | underflow[0]
     if not np.count_nonzero(failed):
         return
@@ -243,7 +255,7 @@ def _check_blocks(v: np.ndarray, message: str, underflow: tuple[np.ndarray, str]
         message = underflow[1]
     if failed.ndim:
         message += f" (block {', '.join(map(str, block))})"
-    raise DegeneracyError(message, _gram_report(v[block]))
+    raise DegeneracyError(message, _report(eigs[block]))
 
 
 def solve_ratios(v_traded: np.ndarray, l_traded: np.ndarray) -> np.ndarray:
@@ -438,13 +450,11 @@ def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) 
 
 
 def _rho(v: np.ndarray) -> float:
-    """:func:`rho_diagnostic` on the Gram block of a contract (row 0) and one asset."""
+    """:func:`rho_diagnostic` on the Gram block of a contract (row 0) and one
+    asset; its :class:`DegeneracyError` carries the block's report."""
     K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
     scale = max(K, M)
     if K <= DEGENERACY_RTOL * scale or M <= DEGENERACY_RTOL * scale:
-        raise DegeneracyError(
-            "rho is undefined when the contract or asset carries no volatility",
-            DegeneracyReport(min(K, M), np.inf, True),
-        )
+        raise DegeneracyError("rho is undefined when the contract or asset carries no volatility", _gram_report(v))
     # (L/K)(L/M), not L^2/(KM): K*M underflows to zero for volatilities below ~1e-77
     return (L / K) * (L / M)

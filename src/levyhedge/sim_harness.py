@@ -323,20 +323,22 @@ def scenario_rho(s: Scenario) -> float | None:
 # along one path's steps, so the statistics do not depend on the block size
 # or on the process that computes them.
 
-# Fewest path-steps that each process of a run must simulate.  Measured on a
-# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), 60 alternated runs a side: a
-# bare fork, _exit and waitpid take a median 3.4-4.0 ms in a levyhedge
-# process of 38 MiB, but a second process costs more (the two-process time
-# less half the one-process time): copy-on-write faults slow both
-# processes, and the ranges of whole blocks are not quite equal.  Ranges
-# are whole 16-path blocks at 1000 steps, so 263 paths split at path 128
-# and 500 at path 256.  Median of 60 alternated runs a side, three times:
-# 2**17 path-steps of run_scenario on fig3 take about 20 ms in one process,
-# and a second process costs 7-10 ms.  At 263 paths of 1000 steps, just
-# above two processes' threshold, two processes run 1.30-1.52x faster than
-# one (28-29 ms against 37-44 ms), and at 500 paths 1.59-1.70x (46-48 ms
-# against 73-79 ms); 2**18 would run 500 paths in one process.
-_FORK_MIN_PATH_STEPS = 2**17
+# Least work that each forked process must get: path-steps of a Monte
+# Carlo run, or cells of a CSV write (measured in levyhedge.csv_format).
+# Runs, measured on a 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), 60
+# alternated runs a side: a bare fork, _exit and waitpid take a median
+# 3.4-4.0 ms in a levyhedge process of 38 MiB, but a second process costs
+# more (the two-process time less half the one-process time): copy-on-write
+# faults slow both processes, and the ranges of whole blocks are not quite
+# equal.  Ranges are whole 16-path blocks at 1000 steps, so 263 paths split
+# at path 128 and 500 at path 256.  Median of 60 alternated runs a side,
+# three times: 2**17 path-steps of run_scenario on fig3 take about 20 ms in
+# one process, and a second process costs 7-10 ms.  At 263 paths of 1000
+# steps, just above two processes' threshold, two processes run 1.30-1.52x
+# faster than one (28-29 ms against 37-44 ms), and at 500 paths 1.59-1.70x
+# (46-48 ms against 73-79 ms); 2**18 would run 500 paths in one process.
+_FORK_MIN_WORK = 2**17
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on, on Linux; 1 elsewhere: Windows has no
@@ -347,20 +349,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _ranges(n: int, unit: int, most: int) -> list[tuple[int, int]]:
-    """Items 0 .. n - 1 cut into contiguous ranges of whole units of ``unit``
-    items, one per process: at most one per usable CPU, per unit, and at
-    most ``most``."""
+def _ranges(n: int, unit: int, work: int) -> list[tuple[int, int]]:
+    """Items 0 .. n - 1, which hold ``work`` units of work in all, cut into
+    contiguous ranges of whole units of ``unit`` items, one per process: at
+    most one per usable CPU, per unit, and per _FORK_MIN_WORK of work."""
     units = -(-n // unit)
-    workers = max(1, min(_usable_cpus(), units, most))
+    workers = max(1, min(_usable_cpus(), units, work // _FORK_MIN_WORK))
     edges = [min(n, unit * (units * k // workers)) for k in range(workers + 1)]
     return list(zip(edges, edges[1:]))
 
 
 def _path_ranges(n_paths: int, steps: int) -> list[tuple[int, int]]:
     """Paths 0 .. n_paths - 1 cut into ranges of whole blocks, with at least
-    _FORK_MIN_PATH_STEPS path-steps each."""
-    return _ranges(n_paths, _block_paths(steps), n_paths * steps // _FORK_MIN_PATH_STEPS)
+    _FORK_MIN_WORK path-steps each."""
+    return _ranges(n_paths, _block_paths(steps), n_paths * steps)
 
 
 def _fork_range(run, start: int, stop: int) -> int | None:

@@ -11,7 +11,7 @@ from levyhedge import (
     natural_coefficients,
     sample_noise_block,
 )
-from levyhedge import csv_format, levy_core, sim_harness
+from levyhedge import levy_core, sim_harness
 
 
 def blocks_of_8192_path_steps():
@@ -29,8 +29,7 @@ def processes(monkeypatch):
 
     def use(count: int) -> None:
         monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", 1)
-        monkeypatch.setattr(csv_format, "_FORK_MIN_CELLS", 1)
+        monkeypatch.setattr(sim_harness, "_FORK_MIN_WORK", 1)
 
     return use
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levyhedge import cli, csv_format, sim_harness, verification
+import levyhedge
+from levyhedge import cli, csv_format, hedging, levy_core, market, sim_harness, verification
 from levyhedge.levy_core import JumpAtom, LevyMeasure, TimeGrid
 from levyhedge.market import GeometricBernoulliSpec
 from levyhedge.sim_harness import Scenario
@@ -671,6 +672,14 @@ def test_cli_import_does_not_load_numpy_random():
         "sample_noise_block(LevyMeasure(), TimeGrid(1.0, 2), 0, 0, 1); print('numpy.random' in sys.modules)"
     )
     assert _fresh_interpreter(code).split() == ["False", "True"]
+
+
+def test_top_level_api_is_the_modules_all_lists():
+    for module in (levy_core, market, hedging, sim_harness):
+        for name in module.__all__:
+            assert getattr(levyhedge, name) is getattr(module, name), (module.__name__, name)
+    code = "import sys, levyhedge; print('levyhedge.csv_format' in sys.modules, 'levyhedge.verification' in sys.modules)"
+    assert _fresh_interpreter(code) == "False False"
 
 
 def test_csv_formatter_loads_on_the_first_write(tmp_path: Path):

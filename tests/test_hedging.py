@@ -323,6 +323,56 @@ def test_zero_volatility_single_asset_is_degenerate(bern_measure, contract):
     assert degeneracy_check(system).degenerate
 
 
+def _blocks_near_the_rule(rng, count: int, n: int) -> np.ndarray:
+    """Gram blocks (count, n, n) whose smallest eigenvalue is drawn around
+    the rule's floor DEGENERACY_RTOL times the mean, or zero (rank
+    deficient), or far above it."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    eigs = rng.uniform(0.5, 2.0, (count, n))
+    # about the floor of the mean of all n; a 1 x 1 block's floor is its own
+    floor = np.where(n > 1, hedging.DEGENERACY_RTOL * eigs[:, 1:].sum(axis=1) / n, 1.0)
+    eigs[:, 0] = floor * rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e8], count)
+    return (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_stacked_rule_matches_each_blocks_report(n):
+    # each stacked block's mask entry is its own report's flag, and both
+    # match the rule restated on one block's eigenvalues as Python floats
+    rng = np.random.default_rng(SEED + n)
+    v = _blocks_near_the_rule(rng, 400, n)
+    mask = hedging._degenerate(np.linalg.eigvalsh(v.reshape(20, 20, n, n)))
+    assert mask.shape == (20, 20)
+    reports = [hedging._gram_report(block) for block in v]
+    assert mask.ravel().tolist() == [report.degenerate for report in reports]
+    for block, report in zip(v, reports):
+        eigs = np.linalg.eigvalsh(block)
+        assert report.degenerate == (float(eigs[0]) <= hedging.DEGENERACY_RTOL * (float(eigs.sum()) / n))
+    assert 0 < mask.sum() < mask.size
+
+
+def test_a_failing_stack_decomposes_its_blocks_once(monkeypatch, bern_measure, contract, asset_high, asset_low):
+    sound = volatility_gram(contract, [asset_high, asset_low], bern_measure)
+    duplicated = volatility_gram(contract, [asset_high, asset_high], bern_measure)
+    v = np.stack([sound, sound, duplicated, sound])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    err = _raised(solve_ratios, v[:, 1:, 1:], v[:, 1:, 0])
+    assert calls == [(4, 2, 2)]
+    # the report of the block decomposed alone, field by field
+    eigs = eigvalsh(duplicated[1:, 1:])
+    min_eig = float(eigs[0])
+    assert err.report.min_eigenvalue == min_eig
+    assert err.report.condition_number == (np.inf if min_eig <= 0.0 else float(eigs[-1]) / min_eig)
+    assert err.report.degenerate is True
+
+
 # ---------------------------------------------------------------- portfolio evolution
 
 
@@ -502,6 +552,17 @@ def test_rho_degenerate_inputs_raise(bern_measure, contract):
         rho_diagnostic(contract, dead, bern_measure)
     with pytest.raises(DegeneracyError):
         rho_diagnostic(dead, contract, bern_measure)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-6])
+def test_rho_error_reports_its_block(bern_measure, contract, scale):
+    # the report is the eigenvalue diagnostics of the 2x2 Gram block, not a
+    # diagonal entry
+    quiet = AssetSpec(100.0, 0.2 * scale, (0.3 * scale, -0.3 * scale))
+    for specs in [(contract, quiet), (quiet, contract)]:
+        err = _raised(rho_diagnostic, *specs, bern_measure)
+        v = volatility_gram(specs[0], specs[1:], bern_measure)
+        assert err.report == hedging._gram_report(v)
 
 
 # ---------------------------------------------------------------- volatility Gram properties

@@ -83,8 +83,43 @@ def at_each_count(processes, compute):
 )
 def test_ranges_are_whole_blocks(monkeypatch, n_paths, steps, cpus, threshold, expected):
     monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sim_harness, "_FORK_MIN_PATH_STEPS", threshold)
+    monkeypatch.setattr(sim_harness, "_FORK_MIN_WORK", threshold)
     assert sim_harness._path_ranges(n_paths, steps) == expected
+
+
+def whole_ranges(ranges, n: int, unit: int) -> bool:
+    """Contiguous ranges that cover 0 .. n - 1, cut at whole units."""
+    edges = [start for start, _ in ranges] + [n]
+    return ranges == list(zip(edges, edges[1:])) and edges[0] == 0 and all(e % unit == 0 for e in edges[:-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_runs_and_csv_writes_share_one_threshold(monkeypatch, tmp_path, cpus):
+    # one process per usable CPU, per unit of items (a path block, a
+    # 512-row chunk) and per 2**17 units of work (path-steps, cells)
+    monkeypatch.setattr(sim_harness, "_usable_cpus", lambda: cpus)
+
+    def processes(n, unit, work):
+        return max(1, min(cpus, -(-n // unit), work // 2**17))
+
+    for n_paths in [1, 8, 9, 131, 262, 263, 500, 1000, 4097]:
+        for steps in [1, 4, 1000, 50_000]:
+            ranges = sim_harness._path_ranges(n_paths, steps)
+            unit = levy_core._block_paths(steps)
+            assert len(ranges) == processes(n_paths, unit, n_paths * steps)
+            assert whole_ranges(ranges, n_paths, unit)
+
+    # the ranges a write forks for, each written here with no cell formatted
+    forked = []
+    monkeypatch.setattr(csv_format, "csv_rows", lambda block: b"")
+    monkeypatch.setattr(sim_harness, "_fork_ranges", lambda ranges, run: forked.append(ranges) or set())
+    for rows in [1, 512, 513, 43_690, 43_691, 87_381, 87_382, 131_072, 200_000]:
+        for width in [1, 3, 7]:
+            forked.clear()
+            csv_format.write_csv(tmp_path / "t.csv", ["a"] * width, np.zeros((rows, width)))
+            [ranges] = forked
+            assert len(ranges) == processes(rows, 512, rows * width)
+            assert whole_ranges(ranges, rows, 512)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig3"])
