@@ -16,21 +16,22 @@ path the Brownian and jump draws come from disjoint substreams, so enabling
 or disabling jumps never perturbs the Brownian increments.  The substream
 of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
 SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
-seed words are hashed here, in one broadcast pass over a uint32 array of
-path indices for one path or thousands alike, instead of by one
-SeedSequence object per stream.  Every path is made by the block kernels
-below.  Each prices a sequence of coefficient specs over one measure, with
-one initial value each, on noise as :func:`sample_noise_block` draws it, dW
-(..., steps) and counts (..., steps, n_atoms) with any leading path axes (a
-(steps,) array is one path), into one row per spec: shape
-(n_specs, ..., steps + 1), row k from the k-th initial value.  Rows are
-formed one at a time and every reduction runs along one path's steps or
-elementwise over the atoms, so a path's values are bitwise the same in any
-block and beside any other specs.  A path's noise depends on its index
-alone, not on the block, the range of paths or the process it is drawn in,
-so a Monte Carlo run can split its paths into ranges of whole blocks and
-give each range to another process (sim_harness._range_rows) without
-changing a byte.
+seed words are hashed here, in one broadcast pass over the uint32 path
+indices of a block, instead of by one SeedSequence object per stream.
+:func:`sample_noise_block` is the one place where a seed and path indices
+become noise: every block of a run or of a check, one path or thousands, is
+drawn by it.  Every path is made by the block kernels below.  Each prices a
+sequence of coefficient specs over one measure, with one initial value
+each, on noise as :func:`sample_noise_block` draws it, dW (..., steps) and
+counts (..., steps, n_atoms) with any leading path axes (a (steps,) array
+is one path), into one row per spec: shape (n_specs, ..., steps + 1), row k
+from the k-th initial value.  Rows are formed one at a time and every
+reduction runs along one path's steps or elementwise over the atoms, so a
+path's values are bitwise the same in any block and beside any other specs.
+A path's noise depends on its index alone, not on the block, the range of
+paths or the process it is drawn in, so a Monte Carlo run can split its
+paths into ranges of whole blocks and give each range to another process
+(sim_harness._range_rows) without changing a byte.
 """
 
 from __future__ import annotations
@@ -46,20 +47,15 @@ import numpy as np
 # Path-steps simulated together in one block of paths (at least one path
 # per block), read only by _block_paths: 16 paths at 1000 steps, 1 path at
 # 50 000 steps, 128 KiB per block array of doubles.  A block pays a fixed
-# cost (noise generators, kernel calls) whatever its size.  Measured on a
-# 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), run_scenario on fig3 with
-# 512 paths, median of 31 alternated rounds, time relative to 8192 on one
-# CPU / two CPUs: 2048 1.41 / 1.43, 4096 1.16 / 1.19, 16384 0.95 / 0.90,
-# 32768 0.93 / 0.92, 65536 0.97 / 1.00.  The six verify suites at 150
-# paths (12 rounds) took 0.97 on one CPU at 16384 and 1.00 at 32768, and
-# 0.96 against 1.03 on two, so the block is not larger.  Results do not
+# cost (a seed hash, noise generators, kernel calls) whatever its size.
+# Measured on a 2-CPU Intel Xeon VM (Python 3.11, NumPy 2.4), run_scenario
+# on fig3 with 512 paths, median of 31 alternated rounds, time relative to
+# 8192 on one CPU / two CPUs: 2048 1.41 / 1.43, 4096 1.16 / 1.19, 16384
+# 0.95 / 0.90, 32768 0.93 / 0.92, 65536 0.97 / 1.00.  The six verify suites
+# at 150 paths (12 rounds) took 0.97 on one CPU at 16384 and 1.00 at 32768,
+# and 0.96 against 1.03 on two, so the block is not larger.  Results do not
 # depend on it.
 _BLOCK_PATH_STEPS = 16384
-# Paths whose substream seeds _noise_blocks hashes at once: 256 KiB of seed
-# words.  A chunk holds whole blocks, at least one, so it is rounded down to
-# a multiple of the block, or up to one block when a block is larger: at one
-# step (16384-path blocks) it holds 1 MiB.  Results do not depend on it.
-_SEED_CHUNK_PATHS = 4096
 
 __all__ = [
     "IntegrationError",
@@ -388,10 +384,24 @@ def _seeded_generator():
     return make
 
 
-def _draw_noise(measure: LevyMeasure, grid: TimeGrid, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The noise of one path per row of ``seeds`` (paths, 2, 4), drawn from
-    its Brownian and jump substreams; see :func:`sample_noise_block`."""
-    n_paths = len(seeds)
+def sample_noise_block(
+    measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the noise of paths first_path .. first_path + n_paths - 1: the
+    one place where a seed and path indices become noise.
+
+    Returns the Brownian increments, shape (n_paths, steps), and the jump
+    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
+    own substreams: the Brownian draws from
+    SeedSequence(seed, spawn_key=(path_index, 0)) and the jump draws from
+    spawn_key (path_index, 1), exactly, with the seeds of all n_paths paths
+    hashed in one pass.  So a path's noise does not depend on the block it is
+    drawn in, paths are independent, and the Brownian part is invariant to
+    the jump measure.  Path indices must lie below 2**32; the seed must be
+    a nonnegative integer.
+    """
+    first_path, n_paths = _check_paths(first_path, n_paths)
+    seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
     steps, n_atoms = grid.steps, len(measure)
     scale = np.sqrt(grid.dt)
     rates = measure.intensities * grid.dt
@@ -412,26 +422,6 @@ def _draw_noise(measure: LevyMeasure, grid: TimeGrid, seeds: np.ndarray) -> tupl
     return dw, counts
 
 
-def sample_noise_block(
-    measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the noise of paths first_path .. first_path + n_paths - 1.
-
-    Returns the Brownian increments, shape (n_paths, steps), and the jump
-    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
-    own substreams: the Brownian draws from
-    SeedSequence(seed, spawn_key=(path_index, 0)) and the jump draws from
-    spawn_key (path_index, 1), exactly, with the seeds of all n_paths paths
-    hashed in one pass.  So a path's noise does not depend on the block it is
-    drawn in, paths are independent, and the Brownian part is invariant to
-    the jump measure.  Path indices must lie below 2**32; the seed must be
-    a nonnegative integer.
-    """
-    first_path, n_paths = _check_paths(first_path, n_paths)
-    seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
-    return _draw_noise(measure, grid, seeds)
-
-
 def _block_paths(steps: int) -> int:
     """Paths in one block of :func:`_noise_blocks` on a grid of ``steps``
     steps: at most _BLOCK_PATH_STEPS path-steps, and at least one path."""
@@ -439,21 +429,16 @@ def _block_paths(steps: int) -> int:
 
 
 def _noise_blocks(measure: LevyMeasure, grid: TimeGrid, seed: int, start: int, stop: int):
-    """Noise of paths start .. stop - 1 as (first_path, dW, counts), one block
-    of :func:`_block_paths` paths at a time, the first block at ``start``.
-
-    Each path's substream seeds are those of :func:`sample_noise_block`,
-    hashed one chunk of whole blocks (about _SEED_CHUNK_PATHS paths) at a
-    time; neither size changes a result.  A range that starts at a multiple
-    of the block size is cut into the same blocks as the whole run.
+    """Noise of paths start .. stop - 1 as (first_path, dW, counts), one
+    :func:`sample_noise_block` call per block of :func:`_block_paths` paths,
+    the first block at ``start``.  The block size changes no result.  A range
+    that starts at a multiple of the block size is cut into the same blocks
+    as the whole run.
     """
     start, n_paths = _check_paths(start, _check_count(stop, "stop") - start)
     block = _block_paths(grid.steps)
-    chunk = block * max(1, _SEED_CHUNK_PATHS // block)
-    for first in range(start, start + n_paths, chunk):
-        seeds = _substream_seeds(seed, np.arange(first, min(first + chunk, start + n_paths), dtype=np.uint32))
-        for row in range(0, len(seeds), block):
-            yield (first + row, *_draw_noise(measure, grid, seeds[row : row + block]))
+    for first in range(start, start + n_paths, block):
+        yield (first, *sample_noise_block(measure, grid, seed, first, min(block, start + n_paths - first)))
 
 
 def compensate(measure: LevyMeasure, jump_vol) -> float:

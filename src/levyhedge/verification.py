@@ -19,9 +19,7 @@ import numpy as np
 from .levy_core import (
     _check_count,
     _checked_prices,
-    _draw_noise,
     _noise_blocks,
-    _substream_seeds,
     LevyMeasure,
     JumpAtom,
     SymmetricCoefficients,
@@ -318,16 +316,15 @@ def suite_calculus(seed: int = DEFAULT_SEED, n_paths: int = 100) -> list[CheckRe
 
     # kernel-benchmark reciprocal identity on 100 random kernel specs, drawn
     # and checked in order in this process (a kernel is too quick to repay a
-    # fork), each on its path of seed + 4, all 100 seeds hashed at once
+    # fork); kernel t reads path t of seed + 4, drawn alone
     sgrid = TimeGrid(1.0, 500)
-    seeds = _substream_seeds(seed + 4, np.arange(100, dtype=np.uint32))
     errs = []
     for trial in range(100):
         locs = np.unique(rng.normal(0.0, 1.0, int(rng.integers(0, 4))))
         rates = rng.uniform(0.2, 10.0, len(locs))
         m = LevyMeasure(tuple(JumpAtom(float(x), float(w)) for x, w in zip(locs, rates)))
         kernel = PricingKernelSpec(rng.uniform(0.0, 0.1), rng.uniform(-0.5, 0.5), tuple(rng.uniform(-0.5, 0.9, len(locs))))
-        noise = _draw_noise(m, sgrid, seeds[trial : trial + 1])
+        noise = sample_noise_block(m, sgrid, seed + 4, trial, 1)
         specs = [kernel_coefficients(kernel, m), benchmark_coefficients(kernel, m)]
         pi, xi = exact(specs, noise, sgrid, [1.0, 1.0], ["pricing kernel", "benchmark"], trial)
         errs.append(np.abs(pi * xi - 1.0).max())

@@ -201,22 +201,22 @@ def test_one_path_at_the_last_index_draws_without_a_warning(bern_measure, unit_g
     np.testing.assert_array_equal(counts[0], ref_counts)
 
 
-def test_noise_across_a_seed_chunk_boundary(bern_measure):
-    # 3 steps put 2730 paths in a block, so the second block takes the last
-    # rows of the first 4096-path seed chunk and the first of the second
+def test_noise_across_a_block_boundary(bern_measure):
+    # 3 steps put 2730 paths in a block: paths 2724 .. 2734 straddle the
+    # boundary between the two blocks, and 4090 .. 4100 end the second
     grid = TimeGrid(1.0, 3)
-    assert levy_core._SEED_CHUNK_PATHS == 4096
     with blocks_of_8192_path_steps():
         blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 4101))
     assert [first for first, _, _ in blocks] == [0, 2730]
     dw = np.concatenate([b[1] for b in blocks])
     counts = np.concatenate([b[2] for b in blocks])
-    direct_dw, direct_counts = sample_noise_block(bern_measure, grid, SEED, 4090, 11)
-    for row, p in enumerate(range(4090, 4101)):
-        ref_dw, ref_counts = _reference_noise(bern_measure, grid, SEED, p)
-        for got_dw, got_counts in ((dw[p], counts[p]), (direct_dw[row], direct_counts[row])):
-            np.testing.assert_array_equal(got_dw, ref_dw)
-            np.testing.assert_array_equal(got_counts, ref_counts)
+    for first in (2724, 4090):
+        direct_dw, direct_counts = sample_noise_block(bern_measure, grid, SEED, first, 11)
+        for row, p in enumerate(range(first, first + 11)):
+            ref_dw, ref_counts = _reference_noise(bern_measure, grid, SEED, p)
+            for got_dw, got_counts in ((dw[p], counts[p]), (direct_dw[row], direct_counts[row])):
+                np.testing.assert_array_equal(got_dw, ref_dw)
+                np.testing.assert_array_equal(got_counts, ref_counts)
 
 
 def test_noise_at_the_last_path_index(bern_measure, unit_grid):

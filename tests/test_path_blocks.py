@@ -91,25 +91,8 @@ def test_results_do_not_depend_on_block_size(name, n_paths, steps, paths_per_blo
         np.testing.assert_array_equal(getattr(blocked.golden, field), getattr(single.golden, field))
 
 
-@pytest.mark.parametrize("chunk_paths", [1, 3])
-def test_results_do_not_depend_on_seed_chunk_size(chunk_paths):
-    # 8-path blocks over 1- and 3-path seed chunks: a chunk smaller than a
-    # block is rounded up to one whole block
-    s = with_overrides(builtin_scenario("fig3"), n_paths=11)
-    assert s.grid.steps == 1000
-    default = run_scenario(s)
-    with mock.patch.object(levy_core, "_SEED_CHUNK_PATHS", chunk_paths):
-        chunked = run_scenario(s)
-        blocks = list(levy_core._noise_blocks(s.measure, s.grid, s.seed, 0, s.n_paths))
-    np.testing.assert_array_equal(chunked.path_stats, default.path_stats)
-    dw, counts = sample_noise_block(s.measure, s.grid, s.seed, 0, s.n_paths)
-    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
-    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
-
-
-def test_a_block_larger_than_the_seed_chunk(bern_measure):
-    # at one step a block holds 8192 paths, more than the 4096-path seed
-    # chunk, so the chunk is the block
+def test_noise_blocks_at_one_step(bern_measure):
+    # at one step a block holds 8192 paths, so 9000 paths make two blocks
     grid = TimeGrid(1.0, 1)
     with blocks_of_8192_path_steps():
         blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, 9000))
@@ -123,17 +106,16 @@ def test_a_block_larger_than_the_seed_chunk(bern_measure):
     "steps, n_paths, starts",
     [
         (1, 1, [0]),
-        # a 4096-path block fills the chunk exactly
+        # two steps give 4096-path blocks
         (2, 4100, [0, 4096]),
-        # a 2730-path block is a whole chunk on its own
+        # three steps give 2730-path blocks
         (3, 4100, [0, 2730]),
-        # 50 blocks of 81 paths make a 4050-path chunk; the next chunk
-        # starts a new block at path 4050
+        # 51 blocks of 81 paths, the last one of 50 paths
         (100, 4100, list(range(0, 4050, 81)) + [4050]),
         (50000, 3, [0, 1, 2]),
     ],
 )
-def test_noise_blocks_tile_seed_chunks_with_whole_blocks(bern_measure, steps, n_paths, starts):
+def test_noise_blocks_tile_a_range_with_whole_blocks(bern_measure, steps, n_paths, starts):
     grid = TimeGrid(1.0, steps)
     with blocks_of_8192_path_steps():
         blocks = list(levy_core._noise_blocks(bern_measure, grid, SEED, 0, n_paths))
@@ -143,10 +125,71 @@ def test_noise_blocks_tile_seed_chunks_with_whole_blocks(bern_measure, steps, n_
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
 
 
+@pytest.mark.parametrize(
+    "steps, start, stop, block",
+    [
+        (1000, 5, 70, 16),
+        (1000, 0, 1, 16),
+        (3, 100, 5000, 5461),
+        (3, 7, 11000, 5461),
+        (7, 13, 6000, 2340),
+        (50000, 2, 5, 1),
+        (16384, 4, 6, 1),
+    ],
+)
+def test_noise_blocks_draw_each_block_with_one_sample_noise_block_call(bern_measure, steps, start, stop, block):
+    # the production block cap, ranges that do not start on a block boundary
+    grid = TimeGrid(1.0, steps)
+    assert levy_core._block_paths(steps) == block
+    calls = []
+    real = levy_core.sample_noise_block
+
+    def recorded(measure, grid_, seed, first_path, n_paths):
+        calls.append((measure, grid_, seed, first_path, n_paths))
+        return real(measure, grid_, seed, first_path, n_paths)
+
+    with mock.patch.object(levy_core, "sample_noise_block", recorded):
+        firsts = [first for first, _, _ in levy_core._noise_blocks(bern_measure, grid, SEED, start, stop)]
+    assert firsts == list(range(start, stop, block))
+    assert calls == [(bern_measure, grid, SEED, first, min(block, stop - first)) for first in firsts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.integers(1, 6),
+    cap=st.integers(1, 40),
+    start=st.integers(0, 60),
+    n_paths=st.integers(1, 45),
+    seed=st.integers(0, 2**40),
+)
+def test_noise_blocks_concatenate_to_one_block_draw(bern_measure, steps, cap, start, n_paths, seed):
+    # a small block cap cuts a range into many blocks, at any offset, and
+    # each block hashes the seeds of its own paths and no others
+    grid = TimeGrid(1.0, steps)
+    block = max(1, cap // steps)
+    hashed = []
+    real = levy_core._substream_seeds
+
+    def recorded(seed_, paths):
+        hashed.append(paths.tolist())
+        return real(seed_, paths)
+
+    with mock.patch.object(levy_core, "_BLOCK_PATH_STEPS", cap), mock.patch.object(
+        levy_core, "_substream_seeds", recorded
+    ):
+        blocks = list(levy_core._noise_blocks(bern_measure, grid, seed, start, start + n_paths))
+    firsts = list(range(start, start + n_paths, block))
+    assert [b[0] for b in blocks] == firsts
+    assert hashed == [list(range(first, min(first + block, start + n_paths))) for first in firsts]
+    dw, counts = sample_noise_block(bern_measure, grid, seed, start, n_paths)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), dw)
+    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), counts)
+
+
 def test_production_block_geometry(monkeypatch):
     # 16-path blocks at 1000 steps and one path at 50 000; 500 fig3 paths on
-    # two CPUs split at a whole block; at 4 steps 4096-path blocks fill the
-    # seed chunk exactly, so 4100 paths cross it (the -W error CI run)
+    # two CPUs split at a whole block; at 4 steps 4096-path blocks start at 0
+    # and 4096, so 4100 paths cross a block boundary (the -W error CI run)
     s = builtin_scenario("fig3")
     assert levy_core._block_paths(s.grid.steps) == 16
     assert levy_core._block_paths(50_000) == 1

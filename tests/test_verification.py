@@ -190,6 +190,31 @@ def test_suite_results_do_not_depend_on_block_size(suite):
     assert run_suite(suite, SEED, N_PATHS) == single
 
 
+def test_calculus_kernels_draw_their_paths_through_sample_noise_block():
+    # kernel t reads path t of seed + 4 on a 500-step grid, a 1-path block
+    # drawn over the kernel's own measure
+    measures, calls = [], []
+    real_kernel, real_noise = verification.kernel_coefficients, verification.sample_noise_block
+
+    def kernel(spec, measure):
+        measures.append(measure)
+        return real_kernel(spec, measure)
+
+    def noise(*args):
+        calls.append(args)
+        return real_noise(*args)
+
+    with mock.patch.object(verification, "kernel_coefficients", kernel), mock.patch.object(
+        verification, "sample_noise_block", noise
+    ):
+        run_suite("calculus", SEED, 4)
+    kernel_grid = TimeGrid(1.0, 500)
+    assert len(measures) == 100
+    assert [c for c in calls if c[1] == kernel_grid] == [
+        (m, kernel_grid, SEED + 4, t, 1) for t, m in enumerate(measures)
+    ]
+
+
 def test_optimality_random_markets_make_one_call_per_stack():
     calls = {name: [] for name in ("_delta", "analytic_delta", "solve_ratios", "_two_asset_ratios")}
 
