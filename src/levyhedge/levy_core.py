@@ -18,6 +18,11 @@ of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
 SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
 seed words are hashed here, in one broadcast pass over the uint32 path
 indices of a block, instead of by one SeedSequence object per stream.
+The jump counts are Generator.poisson's draws on the jump substream.  When
+the atoms share one small per-step rate they are decoded from one bulk
+Generator.random fill per path, as NumPy's sampler reads that stream, and
+otherwise drawn by NumPy's call; either way the seeds, the substreams, the
+stream and every count are the same.
 :func:`sample_noise_block` is the one place where a seed and path indices
 become noise: every block of a run or of a check, one path or thousands, is
 drawn by it.  Every path is made by the block kernels below.  Each prices a
@@ -56,6 +61,24 @@ import numpy as np
 # and 0.96 against 1.03 on two, so the block is not larger.  Results do not
 # depend on it.
 _BLOCK_PATH_STEPS = 16384
+
+# Largest per-step jump rate at which sample_noise_block decodes the counts
+# of a one-rate measure from uniforms (_knuth_counts) instead of calling
+# Generator.poisson per path.  The decode saves NumPy's per-draw work but
+# fills a margin of uniforms and resolves runs of arrivals in Python, both
+# growing with the rate.  Measured on a 2-CPU Intel Xeon VM (Python 3.11,
+# NumPy 2.4): sample_noise_block per path on blocks of _block_paths paths at
+# 7.5 arrivals per atom and unit time, the two alternated block by block
+# over 60 rounds, median time decoded / NumPy's call in a default process
+# and with MALLOC_MMAP_THRESHOLD_=1e9, by atoms at per-step rates 0.00375 /
+# 0.0075 / 0.01 / 0.015 / 0.02 / 0.03: 1 atom 0.86 0.88 0.90 0.90 0.93 0.96
+# and 0.83 0.90 0.91 0.92 0.95 0.98 (42 of 60 rounds won at 0.03), 2 atoms
+# 0.72 0.76 0.77 0.81 0.84 0.91 and 0.74 0.78 0.80 0.85 0.87 0.93, 5 atoms
+# 0.61 0.64 0.67 0.72 0.73 0.82 and 0.64 0.67 0.63 0.72 0.76 0.84.  Near
+# 0.04 it ties (0.97 to 1.01), at 0.05 two atoms lose (1.03, 23 and 12 of
+# 60 rounds won), and at fig3's 4 and 1 steps (1.875 and 7.5 per step) the
+# decode takes 2.9 to 4.6 times as long.  Results do not depend on it.
+_DECODE_MAX_RATE = 0.02
 
 __all__ = [
     "IntegrationError",
@@ -384,6 +407,86 @@ def _seeded_generator():
     return make
 
 
+def _uniform_margin(draws: int, rate: float) -> int:
+    """Uniforms filled per path beyond one per draw.  A path's arrivals are
+    Poisson with mean draws * rate and exceed the margin with probability
+    below 1e-14; a path that needs more is filled again."""
+    mean = draws * rate
+    return math.ceil(mean + 8.0 * math.sqrt(mean)) + 8
+
+
+def _resolve_runs(uniforms: np.ndarray, limit: float, hits: np.ndarray, linked: np.ndarray, counts: np.ndarray) -> None:
+    """Set the arrivals ``counts`` of the hits in runs, for
+    :func:`_knuth_counts`: ``hits`` are the flat positions of the uniforms
+    above ``limit`` in the C-contiguous ``uniforms``, and hit i + 1 is the
+    uniform right after hit i, in the same row, for each i in ``linked``.
+    A run of such hits starts a draw and is resolved one product at a time,
+    as Generator.poisson multiplies: a hit that starts a draw gets its
+    count, a hit read inside another draw gets 0."""
+    flat, width = uniforms.reshape(-1), uniforms.shape[1]
+    runs = []  # [first, last] hit of each run
+    for i in linked.tolist():
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    for first, last in runs:
+        start = int(hits[first])
+        # a draw ends at the first uniform at most the limit, or at the row's end
+        run = flat[start : min(int(hits[last]) + 2, (start // width + 1) * width)].tolist()
+        counts[first : last + 1] = 0
+        pos = 0
+        while pos <= last - first:
+            begin, product, count = pos, run[pos], 0
+            while product > limit:
+                count += 1
+                pos += 1
+                if pos == len(run):
+                    break
+                product *= run[pos]
+            counts[first + begin] = count
+            pos += 1
+
+
+def _knuth_counts(uniforms: np.ndarray, limit: float, draws: int, refill) -> np.ndarray:
+    """Poisson counts (n_paths, draws), int64, decoded from each row of the
+    C-contiguous ``uniforms`` exactly as Generator.poisson draws them from
+    the same stream at a rate below 10 (Knuth's product of uniforms).  A
+    draw multiplies uniforms until the product is at most ``limit`` =
+    exp(-rate) and counts the uniforms before that one, so a draw of count
+    k reads k + 1 uniforms.  A uniform above the limit (a hit) right after
+    one at most the limit starts a draw of at least one arrival; when the
+    next uniform is not a hit, of exactly one.  A row whose draws need more
+    uniforms than it holds is decoded again from ``refill(row, width)``,
+    its stream's first ``width`` uniforms.  The counts are written,
+    C-contiguous, over the memory of ``uniforms``."""
+    n_paths, width = uniforms.shape
+    hits = np.flatnonzero(uniforms > limit)
+    rows, cols = np.divmod(hits, width)
+    counts = np.ones(len(hits), dtype=np.int64)
+    linked = np.flatnonzero((np.diff(hits) == 1) & (cols[:-1] != width - 1))
+    if len(linked):
+        _resolve_runs(uniforms, limit, hits, linked, counts)
+        arrivals = counts > 0
+        rows, cols, counts = rows[arrivals], cols[arrivals], counts[arrivals]
+    # a draw's index is its first uniform's less the arrivals before it in its row
+    before = np.cumsum(counts) - counts
+    index = cols - (before - before[np.searchsorted(rows, rows)])
+    kept = index < draws
+    rows, index, counts = rows[kept], index[kept], counts[kept]
+    short = np.flatnonzero(draws + np.bincount(rows, weights=counts, minlength=n_paths) > width).tolist()
+    redrawn = [
+        _knuth_counts(refill(row, 2 * width)[np.newaxis], limit, draws, lambda _, w, row=row: refill(row, w))
+        for row in short
+    ]
+    out = uniforms.reshape(-1)[: n_paths * draws].view(np.int64).reshape(n_paths, draws)
+    out.fill(0)
+    out[rows, index] = counts
+    for row, row_counts in zip(short, redrawn):
+        out[row] = row_counts[0]
+    return out
+
+
 def sample_noise_block(
     measure: LevyMeasure, grid: TimeGrid, seed: int, first_path: int, n_paths: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -391,14 +494,23 @@ def sample_noise_block(
     one place where a seed and path indices become noise.
 
     Returns the Brownian increments, shape (n_paths, steps), and the jump
-    counts, shape (n_paths, steps, n_atoms).  Every path is drawn from its
-    own substreams: the Brownian draws from
+    counts, shape (n_paths, steps, n_atoms), C-contiguous.  Every path is
+    drawn from its own substreams: the Brownian draws from
     SeedSequence(seed, spawn_key=(path_index, 0)) and the jump draws from
     spawn_key (path_index, 1), exactly, with the seeds of all n_paths paths
     hashed in one pass.  So a path's noise does not depend on the block it is
     drawn in, paths are independent, and the Brownian part is invariant to
     the jump measure.  Path indices must lie below 2**32; the seed must be
     a nonnegative integer.
+
+    The counts are Generator.poisson's draws on the jump substream, in C
+    order.  When every atom has the same per-step rate, at most
+    _DECODE_MAX_RATE, each path's substream fills one row of uniforms with
+    one Generator.random call and :func:`_knuth_counts` decodes the counts
+    from it as NumPy's sampler would draw them: the same stream, the same
+    counts.  Other blocks, with unequal rates or a higher rate, keep
+    NumPy's call per path, which is faster there (see _DECODE_MAX_RATE),
+    and a rate beyond NumPy's sampler fails in that call.
     """
     first_path, n_paths = _check_paths(first_path, n_paths)
     seeds = _substream_seeds(seed, np.arange(first_path, first_path + n_paths, dtype=np.uint32))
@@ -409,13 +521,24 @@ def sample_noise_block(
         # a scalar rate draws the same counts, element by element in C
         # order, without broadcasting a rate array
         rates = float(rates[0])
+    decode = isinstance(rates, float) and rates <= _DECODE_MAX_RATE
     generator = _seeded_generator()
     dw = np.empty((n_paths, steps))
-    counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
+    if decode:
+        draws = steps * n_atoms
+        uniforms = np.empty((n_paths, draws + _uniform_margin(draws, rates)))
+    else:
+        counts = np.empty((n_paths, steps, n_atoms), dtype=np.int64)
     for row, (brownian, jumps) in enumerate(seeds):
         generator(brownian).standard_normal(steps, out=dw[row])
-        if n_atoms:
+        if decode:
+            generator(jumps).random(out=uniforms[row])
+        elif n_atoms:
             counts[row] = generator(jumps).poisson(rates, size=(steps, n_atoms))
+    if decode:
+        counts = _knuth_counts(
+            uniforms, math.exp(-rates), draws, lambda row, width: generator(seeds[row, 1]).random(width)
+        ).reshape(n_paths, steps, n_atoms)
     # normal(0.0, scale) draws 0.0 + scale * z: the same double as scale * z
     # for every z but an exact zero, where only the sign of a zero changes
     dw *= scale
@@ -535,27 +658,35 @@ def exponential_prices(
         X_t = x0 exp( (alpha - beta^2/2) t + beta W_t
                       + sum_jumps log(1 + gamma(x)) - t sum_k gamma_k w_k ).
 
-    Needs 1 + gamma_k > 0 for every atom of every spec.  A row's per-step
-    log increments beta dW_i + sum_k log(1 + gamma_k) count_ik are added
-    elementwise in atom order (a matrix product may reorder the sum) and
-    accumulated by one cumsum; the drift term is taken on the grid times.
+    Needs 1 + gamma_k > 0 for every atom of every spec.  Each atom's counts
+    are converted once per call to one contiguous float array.  A row's
+    per-step log increments beta dW_i + sum_k log(1 + gamma_k) count_ik are
+    added elementwise in atom order (a matrix product may reorder the sum)
+    and accumulated by one cumsum into columns 1 .. steps, with column 0
+    held at exponent 0.0.  The drift term on the grid times, exp and the
+    x0 scale then run over whole contiguous rows, and column 0 is set to
+    x0 last, so it is x0 exactly and every other column is the double of
+    adding the drift to that column alone.
     """
     _check_specs(specs, x0s, brownian_increments, jump_counts, grid)
     if any(1.0 + g <= 0.0 for coeffs in specs for g in coeffs.jump_vol):
         raise ValueError("exponential dynamics need jump volatilities > -1")
     values = np.empty((len(specs),) + brownian_increments.shape[:-1] + (grid.steps + 1,))
+    jumps = [jump_counts[..., k].astype(float) for k in range(jump_counts.shape[-1])]
     for coeffs, x0, row in zip(specs, x0s, values):
         log_steps = coeffs.brownian_vol * brownian_increments
-        for k, factor in enumerate(coeffs._log_jump_factors):
-            log_steps += jump_counts[..., k] * factor
-        row[..., 0] = x0
-        exponent = row[..., 1:]
-        np.cumsum(log_steps, axis=-1, out=exponent)
+        for jump, factor in zip(jumps, coeffs._log_jump_factors):
+            log_steps += jump * factor
+        row[..., 0] = 0.0
+        np.cumsum(log_steps, axis=-1, out=row[..., 1:])
         del log_steps  # one row's temporaries at a time
-        exponent += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - coeffs._compensator) * grid.times[1:]
-        with np.errstate(over="ignore"):  # _checked_prices reports a price that overflowed
-            np.exp(exponent, out=exponent)
-            exponent *= x0
+        # _checked_prices reports a price that overflowed; an infinite drift
+        # times t_0 = 0 is a NaN only in column 0, which is set last
+        with np.errstate(over="ignore", invalid="ignore"):
+            row += (coeffs.drift - 0.5 * coeffs.brownian_vol**2 - coeffs._compensator) * grid.times
+            np.exp(row, out=row)
+            row *= x0
+        row[..., 0] = x0
     return values
 
 

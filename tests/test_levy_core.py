@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -112,9 +113,10 @@ def test_mean_total_jump_count_matches_rate(bern_measure, unit_grid):
 
 def _reference_noise(measure, grid, seed, path_index):
     """One path's noise drawn straight from its (path_index, 0) and
-    (path_index, 1) substreams, with the jump rates as an array."""
+    (path_index, 1) substreams by standard_normal and poisson, with the
+    jump rates as an array."""
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(path_index, s))) for s in (0, 1)]
-    dw = rngs[0].normal(0.0, np.sqrt(grid.dt), grid.steps)
+    dw = np.sqrt(grid.dt) * rngs[0].standard_normal(grid.steps)
     counts = rngs[1].poisson(measure.intensities * grid.dt, size=(grid.steps, len(measure)))
     return dw, counts
 
@@ -267,6 +269,139 @@ def test_noise_shape_validation(bern_measure, unit_grid):
         for specs, x0s in (([], []), ([c, c], [1.0]), ([c, coeffs(LevyMeasure.bernoulli(1.0, 0.5))], [1.0, 1.0])):
             with pytest.raises(ValueError):
                 kernel(specs, dw, counts, unit_grid, x0s)
+
+
+# ---------------------------------------------------------------- decoded jump counts
+
+
+def _assert_oracle_noise(measure, grid, seed, first, n_paths):
+    """The block's noise is bit for bit each path's _reference_noise."""
+    dw, counts = sample_noise_block(measure, grid, seed, first, n_paths)
+    paths = [_reference_noise(measure, grid, seed, p) for p in range(first, first + n_paths)]
+    ref_dw, ref_counts = (np.array(a) for a in zip(*paths))
+    np.testing.assert_array_equal(dw.view(np.uint64), ref_dw.view(np.uint64))
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    np.testing.assert_array_equal(counts, ref_counts)
+    return counts
+
+
+def _one_rate_measure(n_atoms, rate, grid):
+    return LevyMeasure(tuple(JumpAtom(float(k), rate / grid.dt) for k in range(n_atoms)))
+
+
+# per-step rates from 1e-300 through the decoder's range and its crossover
+# to NumPy's call, up to and beyond the rate 10 where NumPy leaves Knuth's method
+STEP_RATES = st.one_of(
+    st.sampled_from([1e-300, 1e-17, levy_core._DECODE_MAX_RATE, 2 * levy_core._DECODE_MAX_RATE, 10.0]),
+    st.floats(-300.0, np.log10(25.0)).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_atoms=st.integers(1, 5),
+    rate=STEP_RATES,
+    steps=st.integers(1, 2000),
+    seed=st.integers(0, 2**64),
+    path=st.integers(0, 2**32 - 1),
+    n_paths=st.integers(1, 4),
+)
+def test_noise_equals_the_per_path_oracle_property(n_atoms, rate, steps, seed, path, n_paths):
+    grid = TimeGrid(1.0, steps)
+    first = min(path, 2**32 - n_paths)
+    _assert_oracle_noise(_one_rate_measure(n_atoms, rate, grid), grid, seed, first, n_paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_atoms=st.integers(1, 3), rate=st.floats(1e-4, 9.99), steps=st.integers(1, 300), seed=st.integers(0, 2**64))
+def test_the_decoder_is_exact_at_every_knuth_rate(n_atoms, rate, steps, seed):
+    # above the crossover the decoder is slower than NumPy's call but must
+    # still be exact: runs of arrivals are common there
+    grid = TimeGrid(1.0, steps)
+    with mock.patch.object(levy_core, "_DECODE_MAX_RATE", 10.0):
+        _assert_oracle_noise(_one_rate_measure(n_atoms, rate, grid), grid, seed, 7, 3)
+
+
+def test_pinned_multi_arrival_draws_are_decoded_exactly():
+    # one atom at 0.009 arrivals per step, below the crossover: path 47
+    # draws 2 arrivals in step 338, and path 10 arrives in steps 350 and 351
+    grid = TimeGrid(1.0, 1000)
+    measure = LevyMeasure((JumpAtom(1.0, 9.0),))
+    assert 0.009 <= levy_core._DECODE_MAX_RATE
+    assert _assert_oracle_noise(measure, grid, SEED, 47, 1)[0, 338, 0] == 2
+    assert (_assert_oracle_noise(measure, grid, SEED, 10, 1)[0, 350:352, 0] > 0).all()
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_paths_that_use_up_the_margin_are_filled_again(monkeypatch, bern_measure, unit_grid, margin):
+    # with no margin every path with an arrival runs short of uniforms; with
+    # one, every path with two
+    monkeypatch.setattr(levy_core, "_uniform_margin", lambda draws, rate: margin)
+    refills = mock.patch.object(levy_core, "_knuth_counts", wraps=levy_core._knuth_counts)
+    with refills as decoded:
+        counts = _assert_oracle_noise(bern_measure, unit_grid, SEED, 3, 6)
+    assert decoded.call_count == 1 + int((counts.sum(axis=(1, 2)) > margin).sum())
+
+
+def test_a_path_short_of_uniforms_is_filled_again_until_it_has_enough(monkeypatch):
+    # one draw at rate 5 reads about 6 uniforms: with no margin a path's row
+    # holds one, and its stream is read again into 2, 4, 8, ... uniforms
+    monkeypatch.setattr(levy_core, "_uniform_margin", lambda draws, rate: 0)
+    monkeypatch.setattr(levy_core, "_DECODE_MAX_RATE", 10.0)
+    grid = TimeGrid(1.0, 1)
+    counts = _assert_oracle_noise(LevyMeasure((JumpAtom(1.0, 5.0),)), grid, SEED, 0, 40)
+    assert counts.max() >= 8
+
+
+def test_unequal_rates_keep_numpys_call(unit_grid):
+    measure = LevyMeasure((JumpAtom(1.0, 7.5), JumpAtom(-1.0, 2.5)))
+    with mock.patch.object(levy_core, "_knuth_counts") as decoded:
+        _assert_oracle_noise(measure, unit_grid, SEED, 0, 5)
+    decoded.assert_not_called()
+
+
+def _knuth_rule(uniforms, rate, n):
+    """n Poisson counts by Knuth's product of uniforms, and the number of
+    uniforms they read: a draw multiplies uniforms until the product is at
+    most exp(-rate), from the C library as NumPy's sampler takes it, and
+    counts the uniforms before that one."""
+    limit, used, counts = math.exp(-rate), 0, []
+    for _ in range(n):
+        product, count = 1.0, 0
+        while True:
+            product *= uniforms[used]
+            used += 1
+            if product <= limit:
+                break
+            count += 1
+        counts.append(count)
+    return np.array(counts), used
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-12, 0.00375, 0.0075, 0.02, 0.3, 1.0, 4.5, 9.999])
+def test_numpy_poisson_is_the_product_of_uniforms_rule(rate):
+    n = 400
+    drawn = np.random.default_rng(SEED)
+    counts = drawn.poisson(rate, n)
+    stream = np.random.default_rng(SEED)
+    expected, used = _knuth_rule(stream.random(n + 20 * n), rate, n)
+    decoder = (
+        "levy_core._knuth_counts decodes jump counts from Generator.random as Knuth's product of uniforms, "
+        f"which Generator.poisson({rate!r}) no longer matches in this NumPy"
+    )
+    assert np.array_equal(counts, expected), decoder
+    assert used == n + counts.sum(), decoder
+    # the poisson generator stopped after exactly those uniforms
+    replay = np.random.default_rng(SEED)
+    replay.random(used)
+    assert drawn.bit_generator.state == replay.bit_generator.state, decoder
+
+
+def test_numpy_poisson_at_rate_zero_reads_no_uniform():
+    drawn, untouched = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    assert not drawn.poisson(0.0, 100).any()
+    decoder = "levy_core._knuth_counts follows Generator.poisson's sampler, whose poisson(0.0) now reads the stream"
+    assert drawn.bit_generator.state == untouched.bit_generator.state, decoder
 
 
 # ---------------------------------------------------------------- compensate
@@ -476,6 +611,44 @@ def test_exponential_prices_match_the_two_cumsum_formula(steps, n_paths, rtol):
     ]
     for c, prices in zip(cases, exponential_prices(cases, *noise, grid, [100.0] * len(cases))):
         np.testing.assert_allclose(prices, _two_cumsum_prices(c, *noise, grid, 100.0), rtol=rtol, atol=0)
+
+
+def _per_row_prices(c, dw, counts, grid, x0):
+    """One row of exponential_prices as each row was formed before whole
+    rows were exponentiated: column 0 set to x0, the other columns'
+    exponents accumulated, exponentiated and scaled in place."""
+    row = np.empty(dw.shape[:-1] + (grid.steps + 1,))
+    log_steps = c.brownian_vol * dw
+    for k, factor in enumerate(c._log_jump_factors):
+        log_steps += counts[..., k] * factor
+    row[..., 0] = x0
+    exponent = row[..., 1:]
+    np.cumsum(log_steps, axis=-1, out=exponent)
+    exponent += (c.drift - 0.5 * c.brownian_vol**2 - c._compensator) * grid.times[1:]
+    np.exp(exponent, out=exponent)
+    exponent *= x0
+    return row
+
+
+@pytest.mark.parametrize("steps", [1, 2, 1000])
+@pytest.mark.parametrize("measure", [LevyMeasure(), LevyMeasure.bernoulli(15.0, 0.5)], ids=["empty", "bernoulli"])
+def test_exponential_rows_equal_the_per_row_formula_bitwise(measure, steps):
+    grid = TimeGrid(1.0, steps)
+    noise = sample_noise_block(measure, grid, SEED + 7, 0, 5)
+    n = len(measure)
+    specs = [
+        coeffs(measure, drift=-0.3, beta=0.2, gamma=(0.1, -0.2)[:n]),  # drift * t_0 is -0.0
+        coeffs(measure, drift=0.05, beta=0.0, gamma=(0.4, -0.5)[:n]),  # no Brownian part
+        coeffs(measure, drift=0.0, beta=0.35),
+    ]
+    x0s = [1e-300, 1e300, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = exponential_prices(specs, *noise, grid, x0s)
+    assert np.isfinite(values).all() and (values > 0.0).all()
+    for c, x0, row in zip(specs, x0s, values):
+        assert (row[:, 0] == x0).all()
+        np.testing.assert_array_equal(row.view(np.uint64), _per_row_prices(c, *noise, grid, x0).view(np.uint64))
 
 
 def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):
