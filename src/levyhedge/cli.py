@@ -42,7 +42,6 @@ from .sim_harness import (
     builtin_scenario,
     run_scenario,
     scenario_ratios,
-    scenario_rho,
     with_overrides,
 )
 
@@ -334,9 +333,6 @@ def cmd_hedge(args) -> int:
     for i, (psi, units) in enumerate(zip(ratios, phi), start=1):
         print(f"phi_{i}: {units:.10g}  (scaled ratio psi_{i} = {psi:.10g})")
     print(f"theta_0: {theta0:.10g}")
-    if scenario.hedge_mode == "single":
-        rho = scenario_rho(scenario)
-        print("rho: undefined" if rho is None else f"rho: {rho:.10g}")
     print(f"analytic delta: {d_hat:.10g}")
     print(f"no-hedge delta: {d_zero:.10g}")
     if d_zero > 0.0:
@@ -366,8 +362,6 @@ def cmd_simulate(args) -> int:
         print("scaled ratios:", " ".join(f"{r:.10g}" for r in result.ratios))
     if result.delta_analytic is not None:
         print(f"analytic delta: {result.delta_analytic:.10g}")
-    if result.rho is not None:
-        print(f"rho: {result.rho:.10g}")
     print(f"mean delta (terminal): {agg.mean_delta:.10g}")
     print(f"mean delta (integrated): {agg.mean_delta_integrated:.10g}")
     print(f"mean delta (normalized): {agg.mean_delta_normalized:.10g}")

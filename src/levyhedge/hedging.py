@@ -441,17 +441,15 @@ def _delta(v: np.ndarray, psi: np.ndarray, c0, horizon: float) -> np.ndarray:
 
 
 def rho_diagnostic(contract: AssetSpec, asset: AssetSpec, measure: LevyMeasure) -> float:
-    """Squared volatility correlation rho = L^2 / (K M) in [0, 1].
+    """Squared volatility correlation rho = L^2 / (K M).
 
     rho = 1 means a perfect single-asset hedge exists; the optimal hedge
-    removes the fraction rho of the no-hedge error.
+    removes the fraction rho of the no-hedge error.  Cauchy-Schwarz bounds
+    rho to [0, 1], but the value is not clamped: rounding can put it an
+    epsilon above 1.  Raises :class:`DegeneracyError`, carrying the Gram
+    block's report, when the contract or the asset carries no volatility.
     """
-    return _rho(volatility_gram(contract, (asset,), measure))
-
-
-def _rho(v: np.ndarray) -> float:
-    """:func:`rho_diagnostic` on the Gram block of a contract (row 0) and one
-    asset; its :class:`DegeneracyError` carries the block's report."""
+    v = volatility_gram(contract, (asset,), measure)
     K, L, M = float(v[0, 0]), float(v[1, 0]), float(v[1, 1])
     scale = max(K, M)
     if K <= DEGENERACY_RTOL * scale or M <= DEGENERACY_RTOL * scale:

@@ -44,8 +44,6 @@ from .levy_core import (
 )
 from .market import AssetSpec, GeometricBernoulliSpec, natural_coefficients
 from .hedging import (
-    _rho,
-    DegeneracyError,
     analytic_delta,
     benchmark_holdings,
     hedge_residuals,
@@ -65,7 +63,6 @@ __all__ = [
     "BruteForceResult",
     "builtin_scenario",
     "scenario_ratios",
-    "scenario_rho",
     "run_scenario",
     "brute_force_constant_hedge",
 ]
@@ -219,7 +216,6 @@ class GoldenPath:
 class ScenarioResult:
     ratios: tuple[float, ...] | None
     delta_analytic: float | None
-    rho: float | None
     path_stats: np.ndarray  # (n_paths, len(PATH_COLUMNS))
     aggregate: ScenarioAggregate
     golden: GoldenPath
@@ -298,20 +294,6 @@ def scenario_ratios(s: Scenario) -> tuple[float, ...] | None:
     ratios = np.zeros(len(s.hedging_assets))
     ratios[traded] = solve_ratios(v[1:, 1:], v[1:, 0])
     return tuple(float(r) for r in ratios)
-
-
-def scenario_rho(s: Scenario) -> float | None:
-    """rho = L^2 / (K M) of a single-asset scenario, clamped to 1; None in
-    the other modes, and where rho is undefined because the contract or the
-    asset carries no volatility (the hedge itself can still be defined)."""
-    if s.hedge_mode != "single":
-        return None
-    try:
-        rho = _rho(s.traded()[1])
-    except DegeneracyError:
-        return None
-    # clamp: rounding can land an epsilon above the Cauchy-Schwarz bound
-    return min(rho, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -536,7 +518,6 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     contract = s.natural_contract()
     assets = s.natural_assets()
     d_analytic = analytic_delta(contract, assets, ratios, s.measure, s.grid.horizon) if ratios is not None else None
-    rho = scenario_rho(s)
 
     hedge_ratios = ratios if ratios is not None else (0.0,) * len(assets)
     steps = s.grid.steps
@@ -590,7 +571,6 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     return ScenarioResult(
         ratios=ratios,
         delta_analytic=d_analytic,
-        rho=rho,
         path_stats=columns.T,
         aggregate=aggregate,
         golden=golden,

@@ -127,8 +127,23 @@ def test_hedge_prints_single_asset_ratio():
     cp = run_cli("hedge", "fig2a")
     assert cp.returncode == 0, cp.stderr
     assert "phi_1: 0.8244822565" in cp.stdout
-    assert "rho: 0.9992039046" in cp.stdout
+    assert "variance reduction: 0.9992039046" in cp.stdout
+    assert "rho:" not in cp.stdout
     assert "degenerate=False" in cp.stdout
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3", "fig4"])
+def test_hedge_and_simulate_print_the_same_ratios_and_delta(capsys, name):
+    def lines(*argv):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+        return capsys.readouterr().out.splitlines()
+
+    hedge = lines("hedge", name)
+    simulate = lines("simulate", name, "--paths", "2")
+    psi = [line.split(" = ")[1].rstrip(")") for line in hedge if line.startswith("phi_")]
+    assert [line for line in simulate if line.startswith("scaled ratios:")] == ["scaled ratios: " + " ".join(psi)]
+    delta = [line for line in hedge if line.startswith("analytic delta:")]
+    assert len(delta) == 1 and delta == [line for line in simulate if line.startswith("analytic delta:")]
 
 
 def test_hedge_contract_duplicated_as_asset(tmp_path: Path):
@@ -376,18 +391,17 @@ def test_config_errors_print_plain_python_numbers(tmp_path: Path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "hedge"])
-def test_zero_volatility_contract_hedges_with_undefined_rho(tmp_path: Path, command):
-    # the optimal hedge of a constant contract is psi = 0; only rho = L^2/(KM) is undefined
+def test_zero_volatility_contract_hedges_with_zero_ratio(tmp_path: Path, command):
+    # the optimal hedge of a constant contract is psi = 0, though rho = L^2/(KM) is undefined
     path = _single_mode_config(tmp_path, {"initial_price": 100.0, "brownian_vol": 0.0, "jump_exponent": 0.0})
     cp = run_cli(command, "--config", str(path))
     assert cp.returncode == 0, cp.stderr
     assert "Traceback" not in cp.stderr
+    assert "rho:" not in cp.stdout
     if command == "hedge":
         assert "psi_1 = 0)" in cp.stdout
-        assert "rho: undefined" in cp.stdout
     else:
         assert "scaled ratios: 0\n" in cp.stdout
-        assert "rho:" not in cp.stdout
 
 
 def test_unknown_config_key_is_rejected(tmp_path: Path):

@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # the stdout of each command, then the CSVs each writes into --out
 STDOUT_COMMANDS = [
     *(["hedge", name] for name in ("fig1", "fig2a", "fig2b", "fig3", "fig4")),
+    ["simulate", "fig2a", "--paths", "50"],
     ["simulate", "fig3"],
     ["simulate", "fig3", "--paths", "8", "--steps", "50000"],
     ["verify", "all", "--paths", "150"],

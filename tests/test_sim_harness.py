@@ -20,10 +20,8 @@ from levyhedge import (
     brute_force_constant_hedge,
     builtin_scenario,
     compensate,
-    rho_diagnostic,
     run_scenario,
     scenario_ratios,
-    scenario_rho,
     single_coefficients,
     two_asset_hedge,
     volatility_gram,
@@ -246,20 +244,15 @@ def test_closed_forms_build_no_gram_after_construction(monkeypatch):
     strict_subset = _random_scenarios(30, SEED + 1)[::3]  # single mode
     expected = []
     for s in scenarios + strict_subset:
-        rho = None
-        if s.hedge_mode == "single":
-            asset = s.natural_assets()[s.hedge_asset_index]
-            rho = min(rho_diagnostic(s.natural_contract(), asset, s.measure), 1.0)
-        expected.append((scenario_ratios(s), brute_force_constant_hedge(s, 0.0, 2.0, 1e-2), rho))
+        expected.append((scenario_ratios(s), brute_force_constant_hedge(s, 0.0, 2.0, 1e-2)))
 
     def no_gram(*args):
         raise AssertionError("a Gram matrix was built after construction")
 
     monkeypatch.setattr(sim_harness, "volatility_gram", no_gram)
     monkeypatch.setattr(hedging, "volatility_gram", no_gram)
-    for s, (ratios, sweep, rho) in zip(scenarios + strict_subset, expected):
+    for s, (ratios, sweep) in zip(scenarios + strict_subset, expected):
         assert scenario_ratios(s) == ratios
-        assert scenario_rho(s) == rho
         got = brute_force_constant_hedge(s, 0.0, 2.0, 1e-2)
         assert (got.best_ratios, got.best_delta) == (sweep.best_ratios, sweep.best_delta)
     assert "volatility_gram" not in vars(cli)
@@ -289,7 +282,7 @@ def test_hedge_mode_does_not_change_the_prices():
 def test_no_hedge_portfolio_tracks_contract():
     r = run_scenario(builtin_scenario("fig1", n_paths=1, seed=SEED))
     np.testing.assert_allclose(r.golden.portfolio_values, r.golden.contract_values, atol=1e-12)
-    assert r.delta_analytic is None and r.rho is None
+    assert r.delta_analytic is None
 
 
 def test_two_asset_hedge_cuts_residual_variance():
