@@ -15,8 +15,9 @@ Noise is generated from one master seed with per-path substreams; within a
 path the Brownian and jump draws come from disjoint substreams, so enabling
 or disabling jumps never perturbs the Brownian increments.  The substream
 of path p and stream s (0 Brownian, 1 jumps) is exactly NumPy's
-SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator, but its
-seed words are hashed here, in one broadcast pass over the uint32 path
+SeedSequence(seed, spawn_key=(p, s)) feeding a PCG64 generator: the seed's
+pool is SeedSequence(seed).pool, once per seed, and only the path and
+stream words are hashed here, in one broadcast pass over the uint32 path
 indices of a block, instead of by one SeedSequence object per stream.
 The jump counts are Generator.poisson's draws on the jump substream.  When
 the atoms share one small per-step rate they are decoded from one bulk
@@ -83,7 +84,6 @@ _DECODE_MAX_RATE = 0.02
 __all__ = [
     "IntegrationError",
     "PriceRangeError",
-    "SingularDenominatorError",
     "JumpAtom",
     "LevyMeasure",
     "TimeGrid",
@@ -117,10 +117,6 @@ class PriceRangeError(IntegrationError):
     def __init__(self, path_index: int, step: int, message: str):
         self.path_index = path_index
         super().__init__(step, message)
-
-
-class SingularDenominatorError(ValueError):
-    """Raised by the quotient transform when a denominator jump factor is 0."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -165,6 +161,15 @@ def _real_fields(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a finite float."""
     for name in names:
         object.__setattr__(obj, name, _check_real(getattr(obj, name), name))
+
+
+def _check_jump_vol(values) -> tuple[float, ...]:
+    """Jump volatilities as finite floats, each > -1: the one rule that
+    keeps every jump factor 1 + gamma_k of a stochastic exponential positive."""
+    jump_vol = tuple(_check_real(g, "jump_vol") for g in values)
+    if any(g <= -1.0 for g in jump_vol):
+        raise ValueError("jump_vol (jump volatilities) must be > -1")
+    return jump_vol
 
 
 @dataclass(frozen=True)
@@ -260,8 +265,8 @@ class SymmetricCoefficients:
     per spec object on first use and then cached: ``jump_vol_array``, the
     jump volatilities as a read-only float array; the compensator
     sum_k gamma_k w_k; and the log jump factors log(1 + gamma_k), read by
-    :func:`exponential_prices` only after it has checked gamma_k > -1 on
-    that call.
+    :func:`exponential_prices`.  Every gamma_k is above -1 by construction
+    (:func:`_check_jump_vol`), so each log jump factor is finite.
     """
 
     drift: float
@@ -271,7 +276,7 @@ class SymmetricCoefficients:
 
     def __post_init__(self):
         _real_fields(self, "drift", "brownian_vol")
-        object.__setattr__(self, "jump_vol", tuple(_check_real(g, "jump_vol") for g in self.jump_vol))
+        object.__setattr__(self, "jump_vol", _check_jump_vol(self.jump_vol))
         _check_atoms(len(self.jump_vol), self.measure, "jump_vol")
 
     @cached_property
@@ -333,26 +338,19 @@ def _mix(x, y):
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int):
     """The part of SeedSequence(seed, spawn_key=(p, s))'s hash that depends
-    on the seed alone, hashed on Python ints, as uint32 arrays that broadcast
-    against a row of path words: the pool after the seed's words (at least
-    four, zero padded), (4, 1); the xor and multiplier that mix the path word
-    into each pool word, (4, 1) each; each stream word's hash, (2, 4, 1); and
-    the xor and multiplier of generate_state, which hashes the pool, cycled
-    twice, into the eight 32-bit words of four uint64 seed words, (8, 1) each."""
-    words = []
-    while seed or not words:  # little-endian 32-bit words; 0 is one word
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (4 - len(words))
+    on the seed alone, as uint32 arrays that broadcast against a row of path
+    words: SeedSequence(seed).pool, (4, 1); the xor and multiplier that mix
+    the path word into each pool word, (4, 1) each, which follow the four
+    hash constants per seed word (at least four words) that made the pool;
+    each stream word's hash, (2, 4, 1); and the xor and multiplier of
+    generate_state, which hashes the pool, cycled twice, into the eight
+    32-bit words of four uint64 seed words, (8, 1) each."""
+    from numpy.random import SeedSequence
+
+    pool = SeedSequence(seed).pool
     constants = _hash_constants(0x43B0D7E5, 0x931E8875)
-    pool = [_hashmix(w, *next(constants)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, *next(constants)))
+    for _ in range(4 * max(4, (seed.bit_length() + 31) // 32)):
+        next(constants)
     path_xor, path_multiplier = zip(*(next(constants) for _ in range(4)))
     stream_constants = [next(constants) for _ in range(4)]
     streams = [[_hashmix(stream, *c) for c in stream_constants] for stream in (0, 1)]
@@ -658,7 +656,7 @@ def exponential_prices(
         X_t = x0 exp( (alpha - beta^2/2) t + beta W_t
                       + sum_jumps log(1 + gamma(x)) - t sum_k gamma_k w_k ).
 
-    Needs 1 + gamma_k > 0 for every atom of every spec.  Each atom's counts
+    Every gamma_k of a spec is above -1 by construction.  Each atom's counts
     are converted once per call to one contiguous float array.  A row's
     per-step log increments beta dW_i + sum_k log(1 + gamma_k) count_ik are
     added elementwise in atom order (a matrix product may reorder the sum)
@@ -669,8 +667,6 @@ def exponential_prices(
     adding the drift to that column alone.
     """
     _check_specs(specs, x0s, brownian_increments, jump_counts, grid)
-    if any(1.0 + g <= 0.0 for coeffs in specs for g in coeffs.jump_vol):
-        raise ValueError("exponential dynamics need jump volatilities > -1")
     values = np.empty((len(specs),) + brownian_increments.shape[:-1] + (grid.steps + 1,))
     jumps = [jump_counts[..., k].astype(float) for k in range(jump_counts.shape[-1])]
     for coeffs, x0, row in zip(specs, x0s, values):
@@ -718,17 +714,10 @@ def product_coefficients(a: SymmetricCoefficients, b: SymmetricCoefficients) -> 
 
 
 def quotient_coefficients(a: SymmetricCoefficients, b: SymmetricCoefficients) -> SymmetricCoefficients:
-    """Coefficients of X/Y for proportional processes X, Y over the same measure.
-
-    Raises :class:`SingularDenominatorError` if any denominator jump factor
-    1 + gamma_k vanishes.
-    """
+    """Coefficients of X/Y for proportional processes X, Y over the same measure."""
     measure = _check_same_measure(a, b)
     ga, gb = a.jump_vol_array, b.jump_vol_array
-    denom = 1.0 + gb
-    if np.any(denom == 0.0):
-        raise SingularDenominatorError("denominator jump factor 1 + gamma is zero at some atom")
-    gq = (ga - gb) / denom
+    gq = (ga - gb) / (1.0 + gb)
     drift = (
         a.drift
         - b.drift

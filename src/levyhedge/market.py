@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_core import _check_atoms, _check_real, _real_fields, LevyMeasure, SymmetricCoefficients
+from .levy_core import _check_atoms, _check_jump_vol, _check_real, _real_fields, LevyMeasure, SymmetricCoefficients
 
 __all__ = [
     "PricingKernelSpec",
@@ -70,11 +70,9 @@ class AssetSpec:
 
     def __post_init__(self):
         _real_fields(self, "initial_price", "brownian_vol")
-        object.__setattr__(self, "jump_vol", tuple(_check_real(v, "jump_vol") for v in self.jump_vol))
         if self.initial_price <= 0.0:
             raise ValueError(f"initial_price must be positive, got {self.initial_price!r}")
-        if any(v <= -1.0 for v in self.jump_vol):
-            raise ValueError("jump_vol (jump volatilities) must be > -1")
+        object.__setattr__(self, "jump_vol", _check_jump_vol(self.jump_vol))
 
 
 @dataclass(frozen=True)

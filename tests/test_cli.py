@@ -223,6 +223,23 @@ def test_overflowing_jump_exponent_is_config_error(tmp_path: Path, command):
     assert cp.stderr.startswith("configuration error:") and "jump_exponent" in cp.stderr
 
 
+def test_jump_factor_of_zero_is_config_error(tmp_path: Path, capsys):
+    # expm1(-40) is exactly -1.0: the contract's jump factor 1 + gamma at
+    # the atom at 1 is 0, which the spec types reject with their one message
+    out = tmp_path / "out"
+    assert cli.main(["hedge", "fig3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads((out / "effective_config.json").read_text())
+    config["scenario"]["contract"]["jump_exponent"] = -40.0
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["hedge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: a jump_exponent gives invalid jump volatilities on this measure: "
+        "jump_vol (jump volatilities) must be > -1\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["simulate", "hedge"])
 @pytest.mark.parametrize(
     "contract, field",

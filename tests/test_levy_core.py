@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -11,7 +12,6 @@ from levyhedge import (
     IntegrationError,
     JumpAtom,
     LevyMeasure,
-    SingularDenominatorError,
     SymmetricCoefficients,
     TimeGrid,
     builtin_scenario,
@@ -45,6 +45,24 @@ def test_atom_rejects_nonpositive_intensity():
         JumpAtom(1.0, 0.0)
     with pytest.raises(ValueError):
         JumpAtom(1.0, -2.0)
+
+
+JUMP_VOL_RULE = "jump_vol (jump volatilities) must be > -1"
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1.5])
+def test_coefficients_reject_jump_vol_at_or_below_minus_one(bern_measure, bad):
+    good = coeffs(bern_measure, gamma=(0.2, 0.3))
+    for make in (lambda: coeffs(bern_measure, gamma=(0.2, bad)), lambda: dataclasses.replace(good, jump_vol=(bad, 0.3))):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == JUMP_VOL_RULE
+
+
+def test_coefficients_accept_jump_vol_just_above_minus_one(bern_measure):
+    gamma = np.nextafter(-1.0, 0.0)
+    c = coeffs(bern_measure, gamma=(gamma, 0.0))
+    assert c.jump_vol == (gamma, 0.0) and np.isfinite(c._log_jump_factors).all()
 
 
 def test_measure_rejects_duplicate_locations():
@@ -157,9 +175,10 @@ def test_fig3_noise_equals_the_array_rate_draw_bitwise():
         np.testing.assert_array_equal(counts[p], ref_counts)
 
 
-# seeds across the word boundaries of SeedSequence's entropy, and path
-# indices across the range of one 32-bit word
-EDGE_SEEDS = (0, 1, 7, 1729, 2**32 - 1, 2**32, 2**40 + 5, 2**127 + 3, 2**130 + 99, 2**201 + 17)
+# seeds across the word boundaries of SeedSequence's entropy (from 2**128,
+# five words, _seed_pool skips 20 hash constants for the seed, not 16), and
+# path indices across the range of one 32-bit word
+EDGE_SEEDS = (0, 1, 7, 1729, 2**32 - 1, 2**32, 2**40 + 5, 2**127 + 3, 2**128 - 1, 2**128, 2**130 + 99, 2**201 + 17)
 EDGE_PATHS = (0, 1, 2**31, 2**32 - 1)
 
 
@@ -560,11 +579,18 @@ def test_quotient_then_product_recovers_numerator(bern_measure):
         np.testing.assert_allclose(back.jump_vol, a.jump_vol, rtol=0, atol=1e-12)
 
 
-def test_quotient_singular_denominator(bern_measure):
-    a = coeffs(bern_measure, gamma=(0.2, 0.2))
-    b = coeffs(bern_measure, gamma=(-1.0, 0.2))
-    with pytest.raises(SingularDenominatorError):
-        quotient_coefficients(a, b)
+_JUMP_VOLS = st.tuples(st.floats(-0.9, 1.5), st.floats(-0.9, 1.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ga=_JUMP_VOLS, gb=_JUMP_VOLS)
+def test_product_and_quotient_of_valid_specs_construct(ga, gb):
+    # every product and quotient jump factor is then at least 0.01 and 0.04:
+    # nearer -1, a quotient can round to -1.0 and is rightly rejected
+    measure = LevyMeasure.bernoulli(rate=15.0, up_prob=0.5)
+    a, b = coeffs(measure, 0.1, 0.2, ga), coeffs(measure, -0.05, 0.3, gb)
+    for c in (product_coefficients(a, b), quotient_coefficients(a, b)):
+        assert all(g > -1.0 for g in c.jump_vol)
 
 
 # ---------------------------------------------------------------- exponential paths
@@ -649,19 +675,6 @@ def test_exponential_rows_equal_the_per_row_formula_bitwise(measure, steps):
     for c, x0, row in zip(specs, x0s, values):
         assert (row[:, 0] == x0).all()
         np.testing.assert_array_equal(row.view(np.uint64), _per_row_prices(c, *noise, grid, x0).view(np.uint64))
-
-
-def test_exponential_requires_jump_vol_above_minus_one(bern_measure, unit_grid):
-    # the rule is checked on each call, before any row is priced: a failed
-    # check is not cached, and no log(1 + gamma) is taken
-    good = coeffs(bern_measure, gamma=(0.2, 0.3))
-    noise = one_path(bern_measure, unit_grid, SEED, 0)
-    for bad in (coeffs(bern_measure, gamma=(-1.0, 0.0)), coeffs(bern_measure, gamma=(0.2, -1.5))):
-        for _ in range(2):
-            with np.errstate(all="raise"), pytest.raises(
-                ValueError, match="exponential dynamics need jump volatilities > -1"
-            ):
-                exponential_prices([good, bad], *noise, unit_grid, [1.0, 1.0])
 
 
 def test_jump_vol_array_is_one_read_only_array(bern_measure):

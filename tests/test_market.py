@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,20 @@ def test_asset_rejects_bad_inputs():
         AssetSpec(0.0, 0.1)
     with pytest.raises(ValueError):
         AssetSpec(100.0, 0.1, (-1.0,))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1.5])
+def test_asset_rejects_jump_vol_at_or_below_minus_one(bad):
+    good = AssetSpec(100.0, 0.1, (0.2, 0.3))
+    for make in (lambda: AssetSpec(100.0, 0.1, (0.2, bad)), lambda: dataclasses.replace(good, jump_vol=(bad, 0.3))):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == "jump_vol (jump volatilities) must be > -1"
+
+
+def test_asset_accepts_jump_vol_just_above_minus_one():
+    gamma = np.nextafter(-1.0, 0.0)
+    assert AssetSpec(100.0, 0.1, (gamma,)).jump_vol == (gamma,)
 
 
 _ONE_ATOM = LevyMeasure((JumpAtom(1.0, 2.0),))
